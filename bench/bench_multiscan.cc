@@ -28,8 +28,7 @@ struct QueryResult {
   std::string name;
   double baseline_ms = 0;   // median per-query wall time, per-window scans
   double multiscan_ms = 0;  // median per-query wall time, batched MultiScan
-  uint64_t windows = 0;     // median post-coalesce window count
-  uint64_t windows_coalesced = 0;
+  uint64_t windows = 0;     // median window count
   bool canonical = false;  // participates in the --check gate
 
   double Speedup() const {
@@ -43,7 +42,7 @@ struct QueryResult {
 QueryResult Measure(
     core::TMan* tman, const std::string& name, size_t queries, bool canonical,
     const std::function<void(size_t, core::QueryStats*)>& run) {
-  std::vector<double> base_times, multi_times, windows, coalesced;
+  std::vector<double> base_times, multi_times, windows;
   for (size_t i = 0; i < queries; i++) {
     core::QueryStats ignored;
     run(i, &ignored);  // warm block cache and page cache for both modes
@@ -55,7 +54,6 @@ QueryResult Measure(
       (multiscan ? multi_times : base_times).push_back(stats.execution_ms);
       if (multiscan) {
         windows.push_back(static_cast<double>(stats.windows));
-        coalesced.push_back(static_cast<double>(stats.windows_coalesced));
       }
     }
   }
@@ -66,7 +64,6 @@ QueryResult Measure(
   r.baseline_ms = Median(base_times);
   r.multiscan_ms = Median(multi_times);
   r.windows = static_cast<uint64_t>(Median(windows));
-  r.windows_coalesced = static_cast<uint64_t>(Median(coalesced));
   r.canonical = canonical;
   printf("%-22s windows %-8llu baseline %8.3f ms   multiscan %8.3f ms   "
          "speedup %.2fx\n",
@@ -86,10 +83,9 @@ void WriteJson(const std::string& path, const std::vector<QueryResult>& all) {
     const QueryResult& r = all[i];
     fprintf(f,
             "    {\"query\": \"%s\", \"windows\": %llu, "
-            "\"windows_coalesced\": %llu, \"baseline_ms\": %.4f, "
+            "\"baseline_ms\": %.4f, "
             "\"multiscan_ms\": %.4f, \"speedup\": %.3f, \"canonical\": %s}%s\n",
             r.name.c_str(), static_cast<unsigned long long>(r.windows),
-            static_cast<unsigned long long>(r.windows_coalesced),
             r.baseline_ms, r.multiscan_ms, r.Speedup(),
             r.canonical ? "true" : "false", i + 1 < all.size() ? "," : "");
   }

@@ -25,12 +25,22 @@ std::string IndexCache::RedisKey(uint64_t quad_code) {
 }
 
 std::shared_ptr<const ElementShapes> IndexCache::GetElement(
-    uint64_t quad_code) {
+    uint64_t quad_code) const {
+  if (NextOccupied(quad_code) != quad_code) {
+    static const auto kEmpty = std::make_shared<const ElementShapes>();
+    return kEmpty;
+  }
+  return Load(quad_code);
+}
+
+std::shared_ptr<const ElementShapes> IndexCache::Load(
+    uint64_t quad_code) const {
   std::shared_ptr<const ElementShapes> cached;
   if (lfu_.Get(quad_code, &cached)) {
     return cached;
   }
   // Miss: load the element's tuples from Redis.
+  std::lock_guard<std::mutex> lock(ElementLock(quad_code));
   redis_loads_.fetch_add(1, std::memory_order_relaxed);
   if (ext_redis_loads_ != nullptr) ext_redis_loads_->Inc();
   auto shapes = std::make_shared<ElementShapes>();
@@ -46,28 +56,31 @@ std::shared_ptr<const ElementShapes> IndexCache::GetElement(
   return result;
 }
 
-void IndexCache::PutElement(
-    uint64_t quad_code, std::vector<std::pair<uint32_t, uint32_t>> shapes) {
+void IndexCache::PutElement(uint64_t quad_code, index::ShapeList shapes) {
+  MarkOccupied(quad_code);
+  auto element = std::make_shared<ElementShapes>();
+  element->shapes = std::move(shapes);
+  std::sort(element->shapes.begin(), element->shapes.end(),
+            [](const auto& a, const auto& b) { return a.second < b.second; });
   const std::string key = RedisKey(quad_code);
+  std::lock_guard<std::mutex> lock(ElementLock(quad_code));
   redis_->Del(key);
-  for (const auto& [bits, code] : shapes) {
+  for (const auto& [bits, code] : element->shapes) {
     std::string field, value;
     PutFixed32(&field, bits);
     PutFixed32(&value, code);
     redis_->HSet(key, field, value);
   }
-  auto element = std::make_shared<ElementShapes>();
-  element->shapes = std::move(shapes);
-  std::sort(element->shapes.begin(), element->shapes.end(),
-            [](const auto& a, const auto& b) { return a.second < b.second; });
   lfu_.Put(quad_code, std::shared_ptr<const ElementShapes>(std::move(element)));
 }
 
 void IndexCache::AddShape(uint64_t quad_code, uint32_t bits,
                           uint32_t final_code) {
+  MarkOccupied(quad_code);
   std::string field, value;
   PutFixed32(&field, bits);
   PutFixed32(&value, final_code);
+  std::lock_guard<std::mutex> lock(ElementLock(quad_code));
   redis_->HSet(RedisKey(quad_code), field, value);
   // Refresh the LFU copy if resident.
   std::shared_ptr<const ElementShapes> cached;
@@ -81,10 +94,34 @@ void IndexCache::AddShape(uint64_t quad_code, uint32_t bits,
   }
 }
 
-index::ShapeLookup IndexCache::AsLookup() {
-  return [this](uint64_t quad_code) {
-    return GetElement(quad_code)->shapes;
-  };
+uint64_t IndexCache::NextOccupied(uint64_t quad_code) const {
+  std::shared_lock<std::shared_mutex> lock(occupied_mu_);
+  auto it = occupied_.lower_bound(quad_code);
+  return it == occupied_.end() ? UINT64_MAX : *it;
+}
+
+std::shared_ptr<const index::ShapeList> IndexCache::Shapes(
+    uint64_t quad_code) const {
+  std::shared_ptr<const ElementShapes> element = Load(quad_code);
+  const index::ShapeList* shapes = &element->shapes;
+  return std::shared_ptr<const index::ShapeList>(std::move(element), shapes);
+}
+
+void IndexCache::MarkOccupied(uint64_t quad_code) {
+  std::unique_lock<std::shared_mutex> lock(occupied_mu_);
+  occupied_.insert(quad_code);
+}
+
+size_t IndexCache::occupied_elements() const {
+  std::shared_lock<std::shared_mutex> lock(occupied_mu_);
+  return occupied_.size();
+}
+
+size_t IndexCache::occupancy_bytes() const {
+  // One red-black-tree node per element: the key, three links and the
+  // colour word (allocator overhead not included).
+  constexpr size_t kNodeBytes = sizeof(uint64_t) + 4 * sizeof(void*);
+  return occupied_elements() * kNodeBytes;
 }
 
 size_t BufferShapeCache::Add(uint64_t quad_code, uint32_t bits) {

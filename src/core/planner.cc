@@ -1,7 +1,6 @@
 #include "core/planner.h"
 
 #include <algorithm>
-#include <iterator>
 #include <utility>
 
 #include "core/filters.h"
@@ -9,58 +8,19 @@
 
 namespace tman::core {
 
-namespace {
-
-// Sorts the plan's windows by start key and merges neighbours that overlap
-// or touch (next.start <= cur.end; an empty end is "to infinity" and
-// absorbs everything after it). Index planners emit disjoint windows, so
-// merging only fuses back-to-back key ranges — the union of the merged
-// windows is exactly the merged range and result sets are unchanged.
-// Sorted output is what lets the batched read path (ClusterTable::MultiScan
-// -> kv::DB::MultiScan) advance one cursor monotonically instead of
-// re-seeking per window. Returns the number of windows merged away.
-uint64_t CoalesceWindows(std::vector<cluster::KeyRange>* windows) {
-  if (windows->size() < 2) return 0;
-  std::sort(windows->begin(), windows->end(),
-            [](const cluster::KeyRange& a, const cluster::KeyRange& b) {
-              return a.start < b.start;
-            });
-  std::vector<cluster::KeyRange> merged;
-  merged.reserve(windows->size());
-  merged.push_back(std::move((*windows)[0]));
-  uint64_t coalesced = 0;
-  for (size_t i = 1; i < windows->size(); i++) {
-    cluster::KeyRange& cur = merged.back();
-    cluster::KeyRange& next = (*windows)[i];
-    const bool cur_unbounded = cur.end.empty();
-    if (cur_unbounded || next.start <= cur.end) {
-      if (!cur_unbounded && (next.end.empty() || next.end > cur.end)) {
-        cur.end = std::move(next.end);
-      }
-      coalesced++;
-    } else {
-      merged.push_back(std::move(next));
-    }
-  }
-  *windows = std::move(merged);
-  return coalesced;
-}
-
-}  // namespace
-
 QueryPlanner::QueryPlanner(const TManOptions* options,
                            const index::TRIndex* tr, const index::XZTIndex* xzt,
                            const index::TShapeIndex* tshape,
                            const index::XZ2Index* xz2,
                            const index::XZStarIndex* xzstar,
-                           IndexCache* index_cache)
+                           const index::ShapeCatalogView* catalog)
     : options_(options),
       tr_(tr),
       xzt_(xzt),
       tshape_(tshape),
       xz2_(xz2),
       xzstar_(xzstar),
-      index_cache_(index_cache) {}
+      catalog_(catalog) {}
 
 geo::MBR QueryPlanner::NormalizeRect(const geo::MBR& rect) const {
   geo::MBR norm = options_->bounds.Normalize(rect);
@@ -98,13 +58,8 @@ std::vector<index::ValueRange> QueryPlanner::SpatialQueryRanges(
       break;
   }
   index::TShapeIndex::QueryStats qs;
-  std::vector<index::ValueRange> ranges;
-  if (options_->use_index_cache && index_cache_ != nullptr) {
-    index::ShapeLookup lookup = index_cache_->AsLookup();
-    ranges = tshape_->QueryRanges(norm_rect, &lookup, &qs);
-  } else {
-    ranges = tshape_->QueryRanges(norm_rect, nullptr, &qs);
-  }
+  const std::vector<index::ValueRange> ranges =
+      tshape_->QueryRanges(norm_rect, catalog_, &qs);
   plan->elements_visited += qs.elements_visited;
   plan->shapes_checked += qs.shapes_checked;
   return ranges;
@@ -140,7 +95,6 @@ Status QueryPlanner::PlanTemporalRange(int64_t ts, int64_t te,
       plan->windows = WindowsForRanges(ranges, options_->num_shards);
       break;
   }
-  plan->windows_coalesced += CoalesceWindows(&plan->windows);
   return Status::OK();
 }
 
@@ -158,7 +112,6 @@ Status QueryPlanner::PlanSpatialRange(const geo::MBR& rect,
   plan->name = "primary:spatial";
   plan->index_values += ranges.size();
   plan->windows = WindowsForRanges(ranges, options_->num_shards);
-  plan->windows_coalesced += CoalesceWindows(&plan->windows);
   plan->filter = std::make_unique<SpatialRangeFilter>(rect);
   return Status::OK();
 }
@@ -186,14 +139,8 @@ Status QueryPlanner::PlanSpatioTemporalRange(const geo::MBR& rect, int64_t ts,
       // CBO plan A: one window batch per discrete tr value, crossed with
       // the spatial ranges (§V-E).
       plan->name = "primary:st-fine";
-      for (const index::ValueRange& r : tr_ranges) {
-        for (uint64_t v = r.lo; v <= r.hi; v++) {
-          auto w = WindowsForSTRanges(v, sp_ranges, options_->num_shards);
-          plan->windows.insert(plan->windows.end(),
-                               std::make_move_iterator(w.begin()),
-                               std::make_move_iterator(w.end()));
-        }
-      }
+      plan->windows =
+          WindowsForSTRanges(tr_ranges, sp_ranges, options_->num_shards);
     } else {
       // CBO plan B: coarse tr-interval windows; spatial predicate pushed
       // down only as a filter.
@@ -210,7 +157,6 @@ Status QueryPlanner::PlanSpatioTemporalRange(const geo::MBR& rect, int64_t ts,
     plan->name = "primary:temporal+sfilter";
     plan->windows = WindowsForRanges(tr_ranges, options_->num_shards);
   }
-  plan->windows_coalesced += CoalesceWindows(&plan->windows);
   return Status::OK();
 }
 
@@ -221,7 +167,6 @@ Status QueryPlanner::PlanIDTemporal(const std::string& oid, int64_t ts,
   plan->scan_table = PlanTable::kIDTSecondary;
   plan->name = "secondary:idt";
   plan->windows = WindowsForIDT(oid, tr_ranges, options_->num_shards);
-  plan->windows_coalesced += CoalesceWindows(&plan->windows);
   plan->filter = std::make_unique<TemporalRangeFilter>(ts, te);
   return Status::OK();
 }
@@ -248,7 +193,6 @@ Status QueryPlanner::PlanSimilarityCandidates(
   plan->scan_table = PlanTable::kPrimary;
   plan->name = name;
   plan->windows = WindowsForRanges(ranges, options_->num_shards);
-  plan->windows_coalesced += CoalesceWindows(&plan->windows);
   plan->filter = std::move(filter);
   return Status::OK();
 }

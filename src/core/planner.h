@@ -8,7 +8,6 @@
 
 #include "cluster/cluster.h"
 #include "common/status.h"
-#include "core/index_cache.h"
 #include "core/options.h"
 #include "geo/geometry.h"
 #include "index/tr_index.h"
@@ -41,6 +40,9 @@ struct QueryPlan {
   PlanTable scan_table = PlanTable::kPrimary;
   std::string name;  // plan string, e.g. "primary:st-fine"
 
+  // Strictly increasing by start key and pairwise disjoint (shard-major,
+  // then index value), as every index returns merged, sorted value ranges.
+  // MultiScan's seek elision relies on this order.
   std::vector<cluster::KeyRange> windows;
 
   // Push-down filter chain. For kPrimaryScan it runs inside the region
@@ -62,7 +64,6 @@ struct QueryPlan {
   uint64_t elements_visited = 0;  // spatial elements inspected while planning
   uint64_t shapes_checked = 0;    // TShape shape tests while planning
   uint64_t estimated_fine_windows = 0;  // ST CBO: fine-plan window estimate
-  uint64_t windows_coalesced = 0;  // windows merged by the sort+coalesce pass
 };
 
 // Rule- and cost-based planner for the six paper queries (§V). Pure with
@@ -75,13 +76,13 @@ struct QueryPlan {
 // ranges) and coarse tr-interval windows on the estimated window count.
 class QueryPlanner {
  public:
-  // `index_cache` may be null (shape-code lookups are skipped, as when
-  // TManOptions::use_index_cache is false). All pointers are borrowed and
-  // must outlive the planner.
+  // `catalog` is the index cache, or null when TManOptions::use_index_cache
+  // is false: TShape plans then cover whole elements. All pointers are
+  // borrowed and must outlive the planner.
   QueryPlanner(const TManOptions* options, const index::TRIndex* tr,
                const index::XZTIndex* xzt, const index::TShapeIndex* tshape,
                const index::XZ2Index* xz2, const index::XZStarIndex* xzstar,
-               IndexCache* index_cache);
+               const index::ShapeCatalogView* catalog);
 
   // TRQ (§V-B): primary temporal -> direct; ST primary -> tr prefix;
   // spatial primary -> TR secondary + fetch.
@@ -125,7 +126,7 @@ class QueryPlanner {
   const index::TShapeIndex* tshape_;
   const index::XZ2Index* xz2_;
   const index::XZStarIndex* xzstar_;
-  IndexCache* index_cache_;
+  const index::ShapeCatalogView* catalog_;
 };
 
 }  // namespace tman::core

@@ -17,9 +17,6 @@ struct QueryStats {
   // Key windows scanned in the storage layer. Top-k similarity accumulates
   // across its expanding-radius rounds.
   uint64_t windows = 0;
-  // Windows the planner merged away by sorting and coalescing adjacent key
-  // ranges before execution (`windows` counts the post-coalesce batch).
-  uint64_t windows_coalesced = 0;
   // Index values the windows cover (planner cost-model output).
   uint64_t index_values = 0;
   // Trajectory rows the storage layer touched (the paper's candidate

@@ -74,6 +74,24 @@ cluster::KeyRange WindowFor(uint8_t shard, uint64_t lo, uint64_t hi) {
   return range;
 }
 
+// [shard][BE64 tr][BE64 lo] .. the first key strictly above every key of
+// that tr value with spatial value <= hi.
+cluster::KeyRange STWindowFor(uint8_t shard, uint64_t tr_value, uint64_t lo,
+                              uint64_t hi) {
+  cluster::KeyRange range;
+  range.start.push_back(static_cast<char>(shard));
+  PutBigEndian64(&range.start, tr_value);
+  PutBigEndian64(&range.start, lo);
+  range.end.push_back(static_cast<char>(shard));
+  if (hi == UINT64_MAX) {
+    PutBigEndian64(&range.end, tr_value + 1);
+  } else {
+    PutBigEndian64(&range.end, tr_value);
+    PutBigEndian64(&range.end, hi + 1);
+  }
+  return range;
+}
+
 }  // namespace
 
 std::vector<cluster::KeyRange> WindowsForRanges(
@@ -89,26 +107,19 @@ std::vector<cluster::KeyRange> WindowsForRanges(
 }
 
 std::vector<cluster::KeyRange> WindowsForSTRanges(
-    uint64_t tr_value, const std::vector<index::ValueRange>& spatial_ranges,
-    int num_shards) {
+    const std::vector<index::ValueRange>& tr_ranges,
+    const std::vector<index::ValueRange>& spatial_ranges, int num_shards) {
   std::vector<cluster::KeyRange> windows;
-  windows.reserve(spatial_ranges.size() * static_cast<size_t>(num_shards));
+  windows.reserve(index::TotalCount(tr_ranges) * spatial_ranges.size() *
+                  static_cast<size_t>(num_shards));
   for (int s = 0; s < num_shards; s++) {
-    for (const index::ValueRange& r : spatial_ranges) {
-      cluster::KeyRange range;
-      range.start.push_back(static_cast<char>(s));
-      PutBigEndian64(&range.start, tr_value);
-      PutBigEndian64(&range.start, r.lo);
-      range.end.push_back(static_cast<char>(s));
-      PutBigEndian64(&range.end, tr_value);
-      if (r.hi == UINT64_MAX) {
-        range.end.clear();
-        range.end.push_back(static_cast<char>(s));
-        PutBigEndian64(&range.end, tr_value + 1);
-      } else {
-        PutBigEndian64(&range.end, r.hi + 1);
+    for (const index::ValueRange& tr : tr_ranges) {
+      for (uint64_t tr_value = tr.lo; tr_value <= tr.hi; tr_value++) {
+        for (const index::ValueRange& r : spatial_ranges) {
+          windows.push_back(
+              STWindowFor(static_cast<uint8_t>(s), tr_value, r.lo, r.hi));
+        }
       }
-      windows.push_back(std::move(range));
     }
   }
   return windows;

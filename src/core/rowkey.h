@@ -40,10 +40,11 @@ Slice TidOfPrimaryKey(const Slice& key, size_t value_bytes);
 std::vector<cluster::KeyRange> WindowsForRanges(
     const std::vector<index::ValueRange>& ranges, int num_shards);
 
-// Windows over ST keys: a fixed tr value crossed with spatial ranges.
+// Windows over ST keys: every tr value of `tr_ranges` crossed with the
+// spatial ranges, in key order (shard, then tr value, then spatial range).
 std::vector<cluster::KeyRange> WindowsForSTRanges(
-    uint64_t tr_value, const std::vector<index::ValueRange>& spatial_ranges,
-    int num_shards);
+    const std::vector<index::ValueRange>& tr_ranges,
+    const std::vector<index::ValueRange>& spatial_ranges, int num_shards);
 
 // Coarse ST windows spanning whole tr-value intervals (the spatial
 // dimension is then enforced by the push-down filter).

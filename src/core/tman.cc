@@ -36,10 +36,6 @@ void FinishPlanningSpan(obs::TraceSpan* span, const QueryPlan& plan) {
     span->Annotate("est_fine_windows",
                    static_cast<double>(plan.estimated_fine_windows));
   }
-  if (plan.windows_coalesced != 0) {
-    span->Annotate("windows_coalesced",
-                   static_cast<double>(plan.windows_coalesced));
-  }
 }
 
 }  // namespace
@@ -632,7 +628,6 @@ void TMan::MergePlanningStats(const QueryPlan& plan, const Stopwatch& planning,
   stats->index_values += plan.index_values;
   stats->elements_visited += plan.elements_visited;
   stats->shapes_checked += plan.shapes_checked;
-  stats->windows_coalesced += plan.windows_coalesced;
 }
 
 Status TMan::TemporalRangeQuery(int64_t ts, int64_t te,
@@ -1086,6 +1081,15 @@ std::string TMan::StatusJson() {
   out += ",\"compaction_count\":" + std::to_string(agg.compaction_count);
   out += ",\"stall_count\":" + std::to_string(agg.stall_count);
   out += ",\"stall_micros\":" + std::to_string(agg.stall_micros);
+  out += "}";
+
+  out += ",\"catalog\":{";
+  out += "\"occupied_elements\":" +
+         std::to_string(index_cache_->occupied_elements());
+  out += ",\"occupancy_bytes\":" +
+         std::to_string(index_cache_->occupancy_bytes());
+  out += ",\"buffered_shapes\":" + std::to_string(buffer_cache_.size());
+  out += ",\"reencodes\":" + std::to_string(reencode_count());
   out += "}";
 
   if (trace_ring_ != nullptr) {

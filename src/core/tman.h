@@ -1,6 +1,7 @@
 #ifndef TMAN_CORE_TMAN_H_
 #define TMAN_CORE_TMAN_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
@@ -131,14 +132,18 @@ class TMan {
   Executor* executor() { return executor_.get(); }
   IndexCache* index_cache() { return index_cache_.get(); }
   cache::RedisLikeStore* redis() { return &redis_; }
-  uint64_t reencode_count() const { return reencode_count_; }
+  uint64_t reencode_count() const {
+    return reencode_count_.load(std::memory_order_relaxed);
+  }
 
   // The region balancer (null unless TManOptions::balancer.enabled).
   cluster::RegionBalancer* balancer() { return balancer_.get(); }
   cluster::ClusterTable* primary_table() { return primary_; }
 
   // Number of re-encoded shape-row rewrites performed so far.
-  uint64_t rows_rewritten() const { return rows_rewritten_; }
+  uint64_t rows_rewritten() const {
+    return rows_rewritten_.load(std::memory_order_relaxed);
+  }
 
   // Publishes point-in-time storage gauges (memtable/SSTable bytes) to the
   // registry configured in TManOptions::kv.metrics. Event counters and
@@ -159,7 +164,8 @@ class TMan {
   obs::EventLog* event_log() { return event_log_.get(); }
   obs::TraceRing* trace_ring() { return trace_ring_.get(); }
 
-  // The /statusz document: build info, uptime, storage gauges and the
+  // The /statusz document: build info, uptime, storage gauges, the shape
+  // catalog (occupancy set, buffered shapes, re-encodes) and the
   // per-region DB::Stats breakdown of every table, as JSON.
   std::string StatusJson();
 
@@ -262,8 +268,9 @@ class TMan {
   std::unique_ptr<QueryPlanner> planner_;
   std::unique_ptr<Executor> executor_;
   BufferShapeCache buffer_cache_;
-  uint64_t reencode_count_ = 0;
-  uint64_t rows_rewritten_ = 0;
+  // Atomic: /statusz reads them while a writer re-encodes.
+  std::atomic<uint64_t> reencode_count_{0};
+  std::atomic<uint64_t> rows_rewritten_{0};
 
   // Registry handles, resolved in Init() from TManOptions::kv.metrics
   // (all null = metrics off).

@@ -94,9 +94,9 @@ bool TShapeIndex::ShapeIntersects(const QuadCell& anchor, uint32_t shape,
   return TShapeIntersectsImpl(cfg_, anchor, shape, query);
 }
 
-std::vector<ValueRange> TShapeIndex::QueryRanges(const geo::MBR& query,
-                                                 const ShapeLookup* lookup,
-                                                 QueryStats* stats) const {
+std::vector<ValueRange> TShapeIndex::QueryRanges(
+    const geo::MBR& query, const ShapeCatalogView* catalog,
+    QueryStats* stats) const {
   std::vector<ValueRange> ranges;
   std::deque<QuadCell> queue;
   for (int q = 0; q < 4; q++) {
@@ -113,22 +113,33 @@ std::vector<ValueRange> TShapeIndex::QueryRanges(const geo::MBR& query,
     if (!query.Intersects(enlarged)) continue;  // disjoint: prune
 
     const uint64_t code = QuadCode(cell, cfg_.max_resolution);
+    const uint64_t end_code =
+        code + QuadSubtreeCount(cell.r, cfg_.max_resolution);
+    // Quad codes are preorder, so the cell's subtree is [code, end_code)
+    // and one probe tells whether any element in it holds a shape.
+    const uint64_t next_occupied =
+        catalog != nullptr ? catalog->NextOccupied(code) : code;
+    if (next_occupied >= end_code) continue;  // empty subtree: prune
+
     if (query.Contains(enlarged)) {
       // All shapes of all elements prefixed with this cell qualify.
-      const uint64_t end_code =
-          code + QuadSubtreeCount(cell.r, cfg_.max_resolution);
       ranges.push_back(
           ValueRange{IndexValue(code, 0), IndexValue(end_code, 0) - 1});
       continue;
     }
 
     // intersects: consult the used shapes (index cache) if available.
-    if (lookup != nullptr) {
-      for (const auto& [bits, final_code] : (*lookup)(code)) {
-        if (stats != nullptr) stats->shapes_checked++;
-        if (TShapeIntersectsImpl(cfg_, cell, bits, query)) {
-          const uint64_t v = IndexValue(code, final_code);
-          ranges.push_back(ValueRange{v, v});
+    if (catalog != nullptr) {
+      if (next_occupied == code) {
+        // Held for the loop: a concurrent write may drop the catalog's own
+        // reference to this list.
+        const std::shared_ptr<const ShapeList> shapes = catalog->Shapes(code);
+        for (const auto& [bits, final_code] : *shapes) {
+          if (stats != nullptr) stats->shapes_checked++;
+          if (TShapeIntersectsImpl(cfg_, cell, bits, query)) {
+            const uint64_t v = IndexValue(code, final_code);
+            ranges.push_back(ValueRange{v, v});
+          }
         }
       }
     } else {

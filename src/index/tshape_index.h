@@ -2,7 +2,7 @@
 #define TMAN_INDEX_TSHAPE_INDEX_H_
 
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -37,11 +37,30 @@ struct TShapeEncoding {
   uint64_t index_value;  // Eq. 3 with the raw bitmap as shape code
 };
 
-// Supplies the shapes actually used in an enlarged element, as pairs of
-// (raw bitmap, final code). Backed by TMan's index cache; nullptr-like
-// absence switches queries to no-cache mode (whole-element ranges).
-using ShapeLookup =
-    std::function<std::vector<std::pair<uint32_t, uint32_t>>(uint64_t)>;
+// The shapes used in one enlarged element, as (raw bitmap, final code)
+// pairs.
+using ShapeList = std::vector<std::pair<uint32_t, uint32_t>>;
+
+// Read-only view of a shape catalog (paper §IV-B(3)) as TShape query
+// processing consumes it: where the occupied elements are and which shapes
+// each holds. Backed by TMan's index cache; a null view switches queries to
+// no-cache mode (whole-element ranges).
+class ShapeCatalogView {
+ public:
+  // The smallest occupied element code >= `quad_code`, or UINT64_MAX if
+  // there is none. An element is occupied once a shape was registered in
+  // it. The answer may include elements that no longer hold a shape, which
+  // costs planning work but never results; it must never skip one that
+  // does.
+  virtual uint64_t NextOccupied(uint64_t quad_code) const = 0;
+
+  // The shapes of an occupied element, shared rather than copied; never
+  // null.
+  virtual std::shared_ptr<const ShapeList> Shapes(uint64_t quad_code) const = 0;
+
+ protected:
+  ~ShapeCatalogView() = default;
+};
 
 class TShapeIndex {
  public:
@@ -78,12 +97,13 @@ class TShapeIndex {
     uint64_t shapes_checked = 0;
   };
 
-  // Algorithm 2. With `lookup`, intersecting elements contribute only the
-  // used shapes that touch the query; without it (no index cache) they
-  // contribute their entire shape-code range and the storage-layer filter
-  // does the pruning.
+  // Algorithm 2. With a `catalog`, cells whose subtree holds no occupied
+  // element are skipped with everything below them, and intersecting
+  // elements contribute only the used shapes that touch the query; without
+  // one (no index cache) every intersecting element contributes its entire
+  // shape-code range and the storage-layer filter does the pruning.
   std::vector<ValueRange> QueryRanges(const geo::MBR& query,
-                                      const ShapeLookup* lookup,
+                                      const ShapeCatalogView* catalog,
                                       QueryStats* stats = nullptr) const;
 
   // The rectangle of the full enlarged element of `anchor`.

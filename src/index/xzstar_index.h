@@ -31,21 +31,34 @@ class XZStarIndex {
 
   std::vector<ValueRange> QueryRanges(
       const geo::MBR& query, TShapeIndex::QueryStats* stats = nullptr) const {
-    // All 15 non-empty bitmaps, coded by their raw value.
-    static const std::vector<std::pair<uint32_t, uint32_t>> kAllShapes = [] {
-      std::vector<std::pair<uint32_t, uint32_t>> shapes;
-      for (uint32_t bits = 1; bits < 16; bits++) {
-        shapes.emplace_back(bits, bits);
-      }
-      return shapes;
-    }();
-    ShapeLookup lookup = [](uint64_t) { return kAllShapes; };
-    return tshape_.QueryRanges(query, &lookup, stats);
+    static const AllShapes kAllShapes;
+    return tshape_.QueryRanges(query, &kAllShapes, stats);
   }
 
   const TShapeIndex& tshape() const { return tshape_; }
 
  private:
+  // XZ* keeps no catalog: every element counts as occupied and holds all
+  // 15 non-empty bitmaps, coded by their raw value.
+  class AllShapes final : public ShapeCatalogView {
+   public:
+    uint64_t NextOccupied(uint64_t quad_code) const override {
+      return quad_code;
+    }
+    std::shared_ptr<const ShapeList> Shapes(uint64_t) const override {
+      return shapes_;
+    }
+
+   private:
+    const std::shared_ptr<const ShapeList> shapes_ = [] {
+      auto shapes = std::make_shared<ShapeList>();
+      for (uint32_t bits = 1; bits < 16; bits++) {
+        shapes->emplace_back(bits, bits);
+      }
+      return shapes;
+    }();
+  };
+
   TShapeIndex tshape_;
 };
 

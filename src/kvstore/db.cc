@@ -1520,6 +1520,11 @@ void DB::BackgroundCall() {
       }
     }
   }
+  // Deliver this run's flush/compaction/error events while bg_active_ still
+  // holds off the destructor, which frees the DB once it reads false.
+  lock.unlock();
+  DrainEvents();
+  lock.lock();
   // Run one unit per call, then resubmit while work remains so DBs sharing
   // a pool interleave fairly; yield to exclusive (Flush/CompactAll/close)
   // waiters, who finish the work inline.
@@ -1530,8 +1535,6 @@ void DB::BackgroundCall() {
     bg_active_ = false;
   }
   bg_cv_.notify_all();
-  lock.unlock();
-  DrainEvents();  // deliver this run's flush/compaction/error events
 }
 
 void DB::QueueEvent(std::function<void(EventListener*)> fn) {

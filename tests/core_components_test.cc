@@ -144,8 +144,8 @@ TEST(RowkeyTest, IDTWindowsTargetSingleShard) {
 }
 
 TEST(RowkeyTest, STWindowsPinTemporalPrefix) {
-  const auto windows =
-      WindowsForSTRanges(99, {index::ValueRange{4, 6}}, 2);
+  const auto windows = WindowsForSTRanges({index::ValueRange{99, 99}},
+                                          {index::ValueRange{4, 6}}, 2);
   ASSERT_EQ(windows.size(), 2u);
   for (const auto& w : windows) {
     const uint8_t shard = static_cast<uint8_t>(w.start[0]);
@@ -256,15 +256,30 @@ TEST(IndexCacheTest, AddShapeUpdatesResidentEntry) {
   EXPECT_EQ(element->shapes.size(), 2u);
 }
 
-TEST(IndexCacheTest, LookupAdapterMatchesGetElement) {
+TEST(IndexCacheTest, CatalogViewSharesShapesAndTracksOccupancy) {
   cache::RedisLikeStore redis;
   IndexCache cache(&redis, 8);
+  EXPECT_EQ(cache.NextOccupied(0), UINT64_MAX);
   cache.PutElement(3, {{0b11, 0}, {0b101, 1}});
-  index::ShapeLookup lookup = cache.AsLookup();
-  const auto shapes = lookup(3);
-  ASSERT_EQ(shapes.size(), 2u);
-  EXPECT_EQ(shapes[0].second, 0u);
-  EXPECT_EQ(shapes[1].second, 1u);
+  cache.AddShape(40, 0b1, 0);
+  EXPECT_EQ(cache.occupied_elements(), 2u);
+  EXPECT_GT(cache.occupancy_bytes(), 0u);
+  EXPECT_EQ(cache.NextOccupied(0), 3u);
+  EXPECT_EQ(cache.NextOccupied(3), 3u);
+  EXPECT_EQ(cache.NextOccupied(4), 40u);
+  EXPECT_EQ(cache.NextOccupied(41), UINT64_MAX);
+
+  // The view hands out the cached list itself, not a copy.
+  const auto shapes = cache.Shapes(3);
+  ASSERT_EQ(shapes->size(), 2u);
+  EXPECT_EQ((*shapes)[0].second, 0u);
+  EXPECT_EQ((*shapes)[1].second, 1u);
+  EXPECT_EQ(shapes.get(), &cache.GetElement(3)->shapes);
+
+  // Unoccupied elements are answered without a Redis round trip.
+  const uint64_t loads = cache.redis_loads();
+  EXPECT_TRUE(cache.GetElement(5)->shapes.empty());
+  EXPECT_EQ(cache.redis_loads(), loads);
 }
 
 TEST(BufferShapeCacheTest, CountsDistinctShapesAndDrains) {

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <iterator>
 #include <map>
 #include <set>
 
@@ -15,6 +17,7 @@
 #include "index/tshape_index.h"
 #include "index/xz2_index.h"
 #include "index/xzt_index.h"
+#include "map_catalog.h"
 
 namespace tman::index {
 namespace {
@@ -183,6 +186,105 @@ TEST_P(TShapeSweep, QueryRangesAreSortedAndDisjoint) {
       if (i > 0) {
         EXPECT_GT(ranges[i].lo, ranges[i - 1].hi + 1)
             << "ranges must be merged and disjoint";
+      }
+    }
+  }
+}
+
+// True if [lo, hi] lies inside one of the sorted, disjoint `ranges`.
+bool Covers(const std::vector<ValueRange>& ranges, uint64_t lo, uint64_t hi) {
+  auto it = std::upper_bound(
+      ranges.begin(), ranges.end(), lo,
+      [](uint64_t v, const ValueRange& r) { return v < r.lo; });
+  return it != ranges.begin() && std::prev(it)->hi >= hi;
+}
+
+// `catalog` with subtree pruning defeated: every subtree reports as
+// occupied and unoccupied elements hold no shapes, which is the walk
+// without the occupancy index.
+class UnprunedCatalog final : public ShapeCatalogView {
+ public:
+  explicit UnprunedCatalog(const ShapeCatalogView* catalog)
+      : catalog_(catalog) {}
+
+  uint64_t NextOccupied(uint64_t quad_code) const override {
+    return quad_code;
+  }
+
+  std::shared_ptr<const ShapeList> Shapes(uint64_t quad_code) const override {
+    if (catalog_->NextOccupied(quad_code) == quad_code) {
+      return catalog_->Shapes(quad_code);
+    }
+    return std::make_shared<const ShapeList>();
+  }
+
+ private:
+  const ShapeCatalogView* catalog_;
+};
+
+TEST_P(TShapeSweep, CatalogPruningKeepsEveryOccupiedShape) {
+  const auto [alpha, beta] = GetParam();
+  const int g = 12;
+  TShapeIndex idx(TShapeConfig{alpha, beta, g});
+  Random rnd(alpha * 13 + beta);
+  for (int trial = 0; trial < 20; trial++) {
+    // A random occupied (element, shape) set, at every resolution, inside
+    // one quarter of the space so queries meet occupied and empty subtrees.
+    struct Occupied {
+      QuadCell anchor;
+      uint32_t bits;
+      uint64_t value;
+    };
+    std::vector<Occupied> occupied;
+    std::map<uint64_t, ShapeList> elements;
+    const int n = 1 + static_cast<int>(rnd.Uniform(80));
+    for (int i = 0; i < n; i++) {
+      const int r = 1 + static_cast<int>(rnd.Uniform(g));
+      const QuadCell anchor = CellContaining(rnd.UniformDouble(0.2, 0.7),
+                                             rnd.UniformDouble(0.2, 0.7), r);
+      const uint64_t code = QuadCode(anchor, g);
+      const uint32_t bits =
+          1 + static_cast<uint32_t>(rnd.Uniform((1u << (alpha * beta)) - 1));
+      ShapeList& shapes = elements[code];
+      if (std::any_of(shapes.begin(), shapes.end(),
+                      [bits](const auto& s) { return s.first == bits; })) {
+        continue;
+      }
+      const uint32_t final_code = static_cast<uint32_t>(shapes.size());
+      shapes.emplace_back(bits, final_code);
+      occupied.push_back({anchor, bits, idx.IndexValue(code, final_code)});
+    }
+    const MapCatalog catalog(elements);
+    const UnprunedCatalog unpruned_catalog(&catalog);
+
+    for (int q = 0; q < 10; q++) {
+      const double qx = rnd.UniformDouble(0, 0.9);
+      const double qy = rnd.UniformDouble(0, 0.9);
+      const geo::MBR query{qx, qy, qx + rnd.UniformDouble(0.005, 0.3),
+                           qy + rnd.UniformDouble(0.005, 0.3)};
+      TShapeIndex::QueryStats pruned_stats, unpruned_stats;
+      const auto pruned = idx.QueryRanges(query, &catalog, &pruned_stats);
+      const auto unpruned =
+          idx.QueryRanges(query, &unpruned_catalog, &unpruned_stats);
+      EXPECT_LE(pruned_stats.elements_visited,
+                unpruned_stats.elements_visited);
+
+      for (const Occupied& o : occupied) {
+        if (!idx.ShapeIntersects(o.anchor, o.bits, query)) continue;
+        EXPECT_TRUE(Covers(pruned, o.value, o.value))
+            << "missed an occupied shape, trial " << trial;
+      }
+      for (size_t i = 0; i < pruned.size(); i++) {
+        if (i > 0) {
+          EXPECT_GT(pruned[i].lo, pruned[i - 1].hi + 1);
+        }
+        // Pruning only drops what the unpruned walk emits ...
+        EXPECT_TRUE(Covers(unpruned, pruned[i].lo, pruned[i].hi));
+        // ... and keeps nothing that lies wholly in unoccupied elements.
+        auto it = elements.lower_bound(idx.QuadCodeOf(pruned[i].lo));
+        EXPECT_TRUE(it != elements.end() &&
+                    it->first <= idx.QuadCodeOf(pruned[i].hi))
+            << "range over unoccupied elements, trial " << trial;
       }
     }
   }

@@ -51,10 +51,29 @@ class PlannerHarness {
         tshape_(options_.tshape),
         xz2_(options_.xz2),
         xzstar_(options_.tshape.max_resolution),
+        catalog_(&redis_, 1024),
         planner_(&options_, &tr_, &xzt_, &tshape_, &xz2_, &xzstar_,
-                 /*index_cache=*/nullptr) {}
+                 options_.use_index_cache ? &catalog_ : nullptr) {}
 
   const QueryPlanner& planner() const { return planner_; }
+
+  // Registers each trajectory's TShape element and shape in the catalog,
+  // as TMan's Insert does.
+  void Register(const std::vector<traj::Trajectory>& data) {
+    for (const traj::Trajectory& t : data) {
+      std::vector<geo::TimedPoint> norm;
+      for (const geo::TimedPoint& p : t.points) {
+        const geo::Point np = options_.bounds.Normalize(geo::Point{p.x, p.y});
+        norm.push_back(geo::TimedPoint{np.x, np.y, p.t});
+      }
+      const index::TShapeEncoding enc = tshape_.Encode(norm);
+      const auto element = catalog_.GetElement(enc.quad_code);
+      if (element->FinalCodeOf(enc.shape) == UINT32_MAX) {
+        catalog_.AddShape(enc.quad_code, enc.shape,
+                          static_cast<uint32_t>(element->shapes.size()));
+      }
+    }
+  }
 
  private:
   TManOptions options_;
@@ -63,6 +82,8 @@ class PlannerHarness {
   index::TShapeIndex tshape_;
   index::XZ2Index xz2_;
   index::XZStarIndex xzstar_;
+  cache::RedisLikeStore redis_;
+  IndexCache catalog_;
   QueryPlanner planner_;
 };
 
@@ -197,44 +218,70 @@ TEST(PlannerTest, IDTemporalAndSimilarityPlans) {
                    .ok());
 }
 
-// Every planner emits windows that are sorted by start key and pairwise
-// disjoint after coalescing, which is what the MultiScan seek-elision
-// optimization in the kvstore relies on.
-TEST(PlannerTest, WindowsAreSortedAndCoalesced) {
-  const geo::MBR qmbr{116.30, 39.85, 116.50, 39.99};
-  for (PrimaryIndexKind primary :
-       {PrimaryIndexKind::kTemporal, PrimaryIndexKind::kST,
-        PrimaryIndexKind::kSpatial}) {
-    PlannerHarness h(PlannerOptions(primary));
-    std::vector<QueryPlan> plans;
-    plans.emplace_back();
-    ASSERT_TRUE(h.planner().PlanTemporalRange(0, 7200, &plans.back()).ok());
-    plans.emplace_back();
-    ASSERT_TRUE(
-        h.planner().PlanIDTemporal("obj-1", 0, 7200, &plans.back()).ok());
-    if (primary == PrimaryIndexKind::kSpatial) {
+// Every Plan* method, on every primary layout and with or without the
+// shape catalog, emits windows in strictly increasing key order that are
+// pairwise disjoint: the contract MultiScan's seek elision relies on.
+TEST(PlannerTest, WindowsAreStrictlyIncreasingAndDisjoint) {
+  const traj::DatasetSpec spec = traj::TDriveLikeSpec();
+  const auto data = traj::Generate(spec, 200, 5);
+  const traj::Trajectory& probe = data[0];
+  const geo::MBR small = probe.ComputeMBR();
+  const geo::MBR large{116.30, 39.85, 116.50, 39.99};
+  const int64_t ts = probe.start_time();
+  const int64_t te = ts + 3 * 3600;
+  bool saw_st_fine = false;
+  for (bool use_cache : {false, true}) {
+    for (PrimaryIndexKind primary :
+         {PrimaryIndexKind::kTemporal, PrimaryIndexKind::kST,
+          PrimaryIndexKind::kSpatial}) {
+      TManOptions options = PlannerOptions(primary);
+      options.use_index_cache = use_cache;
+      // Few tr values per query, so the small ST query takes the fine plan.
+      options.tr.max_periods = 4;
+      PlannerHarness h(options);
+      h.Register(data);
+      const QueryPlanner& planner = h.planner();
+
+      std::vector<QueryPlan> plans;
+      auto plan = [&plans](const Status& s) {
+        if (s.ok()) return;
+        EXPECT_EQ(s.code(), Status::Code::kNotSupported) << s.ToString();
+        plans.pop_back();
+      };
       plans.emplace_back();
-      ASSERT_TRUE(h.planner().PlanSpatialRange(qmbr, &plans.back()).ok());
-    }
-    if (primary != PrimaryIndexKind::kTemporal) {
+      plan(planner.PlanTemporalRange(ts, te, &plans.back()));
       plans.emplace_back();
-      ASSERT_TRUE(h.planner()
-                      .PlanSpatioTemporalRange(qmbr, 0, 7200, &plans.back())
-                      .ok());
-    }
-    for (const QueryPlan& plan : plans) {
-      ASSERT_FALSE(plan.windows.empty()) << plan.name;
-      for (size_t i = 1; i < plan.windows.size(); i++) {
-        const cluster::KeyRange& prev = plan.windows[i - 1];
-        const cluster::KeyRange& cur = plan.windows[i];
-        EXPECT_LT(prev.start, cur.start) << plan.name << " window " << i;
-        // Disjoint: the previous window ends strictly before the next
-        // starts (an unbounded window could only be last).
-        ASSERT_FALSE(prev.end.empty()) << plan.name << " window " << i - 1;
-        EXPECT_LT(prev.end, cur.start) << plan.name << " window " << i;
+      plan(planner.PlanIDTemporal(probe.oid, ts, te, &plans.back()));
+      for (const geo::MBR& rect : {small, large}) {
+        plans.emplace_back();
+        plan(planner.PlanSpatialRange(rect, &plans.back()));
+        plans.emplace_back();
+        plan(planner.PlanSpatioTemporalRange(rect, ts, te, &plans.back()));
+        plans.emplace_back();
+        plan(planner.PlanSimilarityCandidates(rect, 0.01, nullptr,
+                                              "similarity:topk",
+                                              &plans.back()));
+      }
+      EXPECT_GE(plans.size(), primary == PrimaryIndexKind::kSpatial ? 8u : 4u);
+
+      for (const QueryPlan& p : plans) {
+        if (p.name == "primary:st-fine") saw_st_fine = true;
+        ASSERT_FALSE(p.windows.empty()) << p.name;
+        for (size_t i = 1; i < p.windows.size(); i++) {
+          const cluster::KeyRange& prev = p.windows[i - 1];
+          const cluster::KeyRange& cur = p.windows[i];
+          EXPECT_LT(prev.start, cur.start) << p.name << " window " << i;
+          // Disjoint: the previous window ends strictly before the next
+          // starts (an unbounded window could only be last).
+          ASSERT_FALSE(prev.end.empty()) << p.name << " window " << i - 1;
+          EXPECT_LT(prev.end, cur.start) << p.name << " window " << i;
+        }
       }
     }
   }
+  // The fine ST plan crosses several tr values with several shards, the
+  // one producer whose natural loop order is not key order.
+  EXPECT_TRUE(saw_st_fine);
 }
 
 // ---------------------------------------------------------------------------

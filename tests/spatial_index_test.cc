@@ -11,6 +11,7 @@
 #include "index/xz2_index.h"
 #include "index/xzstar_index.h"
 #include "index/xzt_index.h"
+#include "map_catalog.h"
 
 namespace tman::index {
 namespace {
@@ -243,7 +244,7 @@ TEST_P(TShapeCompleteness, NoFalseNegativesWithCache) {
   TShapeIndex idx(TShapeConfig{3, 3, 12});
 
   // Build a small "index cache" of used shapes.
-  std::map<uint64_t, std::vector<std::pair<uint32_t, uint32_t>>> cache;
+  std::map<uint64_t, ShapeList> cache;
   struct Stored {
     uint64_t value;
     std::vector<geo::TimedPoint> points;
@@ -268,19 +269,14 @@ TEST_P(TShapeCompleteness, NoFalseNegativesWithCache) {
     stored.push_back(Stored{idx.IndexValue(enc.quad_code, final_code), points});
   }
 
-  ShapeLookup lookup = [&cache](uint64_t code) {
-    auto it = cache.find(code);
-    return it == cache.end()
-               ? std::vector<std::pair<uint32_t, uint32_t>>{}
-               : it->second;
-  };
+  const MapCatalog catalog(cache);
 
   for (int trial = 0; trial < 100; trial++) {
     const double qx = rnd.UniformDouble(0, 0.9);
     const double qy = rnd.UniformDouble(0, 0.9);
     const geo::MBR query{qx, qy, qx + rnd.UniformDouble(0.01, 0.08),
                          qy + rnd.UniformDouble(0.01, 0.08)};
-    const auto ranges = idx.QueryRanges(query, &lookup);
+    const auto ranges = idx.QueryRanges(query, &catalog);
     for (const Stored& s : stored) {
       if (!geo::PolylineIntersectsRect(s.points, query)) continue;
       bool covered = false;

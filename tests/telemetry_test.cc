@@ -612,6 +612,33 @@ TEST(TManTelemetryTest, AllEndpointsServeUnderLiveWorkload) {
   EXPECT_NE(status.find("\"name\":\"primary\""), std::string::npos);
   EXPECT_NE(status.find("\"uptime_seconds\""), std::string::npos);
 
+  // /statusz: the shape catalog block tracks the occupancy set, buffered
+  // shapes and re-encodes.
+  auto catalog_field = [](const std::string& doc, const std::string& name) {
+    const size_t block = doc.find("\"catalog\":{");
+    if (block == std::string::npos) return std::string("missing");
+    const size_t end = doc.find('}', block);
+    const size_t at = doc.find("\"" + name + "\":", block);
+    if (at == std::string::npos || at > end) return std::string("missing");
+    const size_t value = at + name.size() + 3;
+    return doc.substr(value, doc.find_first_of(",}", value) - value);
+  };
+  const size_t occupied = tman->index_cache()->occupied_elements();
+  EXPECT_GT(occupied, 0u);
+  EXPECT_EQ(catalog_field(status, "occupied_elements"),
+            std::to_string(occupied));
+  EXPECT_EQ(catalog_field(status, "occupancy_bytes"),
+            std::to_string(tman->index_cache()->occupancy_bytes()));
+  EXPECT_EQ(catalog_field(status, "buffered_shapes"), "0");
+  EXPECT_EQ(catalog_field(status, "reencodes"), "0");
+  auto more = traj::Generate(spec, 20, 8);
+  for (auto& t : more) t.tid += "-new";
+  ASSERT_TRUE(tman->Insert(more).ok());
+  const std::string after_insert = HttpGet(port, "/statusz").body;
+  EXPECT_NE(catalog_field(after_insert, "buffered_shapes"), "0");
+  EXPECT_EQ(catalog_field(after_insert, "occupied_elements"),
+            std::to_string(tman->index_cache()->occupied_elements()));
+
   // /eventz: the bulk load flushed every region, so flush events exist.
   const std::string events = HttpGet(port, "/eventz").body;
   EXPECT_NE(events.find("\"flush\""), std::string::npos);

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
+#include <functional>
 #include <set>
+#include <thread>
 
 #include "core/tman.h"
 #include "geo/similarity.h"
@@ -315,6 +318,48 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 // Update path (§IV-C)
 
+// Brute-force answers over `data`, for the checks below.
+std::set<std::string> TidsWhere(
+    const std::vector<traj::Trajectory>& data,
+    const std::function<bool(const traj::Trajectory&)>& pred) {
+  std::set<std::string> tids;
+  for (const auto& t : data) {
+    if (pred(t)) tids.insert(t.tid);
+  }
+  return tids;
+}
+
+std::set<std::string> TidsOf(const std::vector<traj::Trajectory>& v) {
+  std::set<std::string> tids;
+  for (const auto& t : v) tids.insert(t.tid);
+  return tids;
+}
+
+void ExpectSpatialMatchesBruteForce(TMan* tman,
+                                    const std::vector<traj::Trajectory>& data,
+                                    const geo::MBR& rect) {
+  std::vector<traj::Trajectory> results;
+  ASSERT_TRUE(tman->SpatialRangeQuery(rect, &results, nullptr).ok());
+  EXPECT_EQ(TidsOf(results), TidsWhere(data, [&](const traj::Trajectory& t) {
+              return geo::PolylineIntersectsRect(t.points, rect);
+            }));
+}
+
+void ExpectThresholdMatchesBruteForce(TMan* tman,
+                                      const std::vector<traj::Trajectory>& data,
+                                      const traj::Trajectory& query,
+                                      double threshold) {
+  std::vector<traj::Trajectory> results;
+  ASSERT_TRUE(tman->ThresholdSimilarityQuery(query,
+                                             geo::SimilarityMeasure::kFrechet,
+                                             threshold, &results, nullptr)
+                  .ok());
+  EXPECT_EQ(TidsOf(results), TidsWhere(data, [&](const traj::Trajectory& t) {
+              return geo::DiscreteFrechet(query.points, t.points) <= threshold;
+            }))
+      << query.tid;
+}
+
 TEST(TManUpdateTest, InsertTriggersReencodeAndStaysQueryable) {
   const traj::DatasetSpec spec = traj::TDriveLikeSpec();
   TManOptions options = SmallOptions(spec);
@@ -324,6 +369,7 @@ TEST(TManUpdateTest, InsertTriggersReencodeAndStaysQueryable) {
 
   const auto initial = traj::Generate(spec, 100, 1);
   ASSERT_TRUE(tman->BulkLoad(initial).ok());
+  const size_t bulk_elements = tman->index_cache()->occupied_elements();
 
   // Insert in several batches; new shapes accumulate in the buffer shape
   // cache and trigger re-encoding.
@@ -336,20 +382,125 @@ TEST(TManUpdateTest, InsertTriggersReencodeAndStaysQueryable) {
     ASSERT_TRUE(tman->Insert(batch).ok());
   }
   EXPECT_GT(tman->reencode_count(), 0u);
+  // Inserts landed in elements that were empty at BulkLoad, which the
+  // planner must stop pruning.
+  EXPECT_GT(tman->index_cache()->occupied_elements(), bulk_elements);
 
   // After re-encoding every trajectory must still be retrievable.
   std::vector<traj::Trajectory> all_data = initial;
   all_data.insert(all_data.end(), more.begin(), more.end());
-  const auto sw = traj::RandomSpaceWindows(spec, 5, 4000, 3);
-  for (const auto& w : sw) {
+  for (const auto& w : traj::RandomSpaceWindows(spec, 5, 4000, 3)) {
+    ExpectSpatialMatchesBruteForce(tman.get(), all_data, w.rect);
+  }
+
+  const auto tws = traj::RandomTimeWindows(spec, 5, 12 * 3600, 4);
+  const auto sws = traj::RandomSpaceWindows(spec, 5, 5000, 4);
+  for (size_t i = 0; i < tws.size(); i++) {
     std::vector<traj::Trajectory> results;
-    ASSERT_TRUE(tman->SpatialRangeQuery(w.rect, &results, nullptr).ok());
-    std::set<std::string> expected, got;
+    ASSERT_TRUE(tman->SpatioTemporalRangeQuery(sws[i].rect, tws[i].ts,
+                                               tws[i].te, &results, nullptr)
+                    .ok());
+    EXPECT_EQ(TidsOf(results),
+              TidsWhere(all_data, [&](const traj::Trajectory& t) {
+                return t.IntersectsTimeRange(tws[i].ts, tws[i].te) &&
+                       geo::PolylineIntersectsRect(t.points, sws[i].rect);
+              }))
+        << "window " << i;
+  }
+
+  for (size_t i = 0; i < more.size(); i += 60) {
+    const traj::Trajectory& probe = more[i];
+    ExpectThresholdMatchesBruteForce(tman.get(), all_data, probe, 0.02);
+
+    const size_t k = 5;
+    std::vector<traj::Trajectory> results;
+    ASSERT_TRUE(tman->TopKSimilarityQuery(probe,
+                                          geo::SimilarityMeasure::kFrechet, k,
+                                          &results, nullptr)
+                    .ok());
+    std::vector<double> want;
     for (const auto& t : all_data) {
-      if (geo::PolylineIntersectsRect(t.points, w.rect)) expected.insert(t.tid);
+      if (t.tid != probe.tid) {
+        want.push_back(geo::DiscreteFrechet(probe.points, t.points));
+      }
     }
-    for (const auto& t : results) got.insert(t.tid);
-    EXPECT_EQ(got, expected);
+    std::sort(want.begin(), want.end());
+    ASSERT_EQ(results.size(), k);
+    std::vector<double> got;
+    for (const auto& t : results) {
+      got.push_back(geo::DiscreteFrechet(probe.points, t.points));
+    }
+    std::sort(got.begin(), got.end());
+    for (size_t j = 0; j < k; j++) {
+      EXPECT_NEAR(got[j], want[j], 1e-12) << probe.tid << " rank " << j;
+    }
+  }
+}
+
+// One thread inserts batches that register new elements while another runs
+// spatial range and threshold queries against the same instance. Every call
+// succeeds, and once the writer is done every answer matches brute force.
+TEST(TManConcurrencyTest, QueriesDuringInsertsSucceedAndConverge) {
+  const traj::DatasetSpec spec = traj::TDriveLikeSpec();
+  TManOptions options = SmallOptions(spec);
+  // Above the number of shapes inserted below: re-encode deletes rows
+  // before it re-puts them, which concurrent queries would observe.
+  options.buffer_shape_threshold = 100000;
+  std::unique_ptr<TMan> tman;
+  ASSERT_TRUE(TMan::Open(options, TestDir("concurrent"), &tman).ok());
+
+  const auto initial = traj::Generate(spec, 100, 11);
+  ASSERT_TRUE(tman->BulkLoad(initial).ok());
+  const size_t bulk_elements = tman->index_cache()->occupied_elements();
+
+  auto more = traj::Generate(spec, 300, 12);
+  for (auto& t : more) t.tid += "-new";
+  const auto windows = traj::RandomSpaceWindows(spec, 8, 4000, 13);
+  const double threshold = 0.02;
+
+  std::atomic<bool> writer_done{false};
+  std::atomic<int> queries_run{0};
+  std::atomic<int> query_failures{0};
+  std::thread reader([&] {
+    for (size_t i = 0; i == 0 || !writer_done.load(); i++) {
+      std::vector<traj::Trajectory> out;
+      if (!tman->SpatialRangeQuery(windows[i % windows.size()].rect, &out,
+                                   nullptr)
+               .ok()) {
+        query_failures++;
+      }
+      out.clear();
+      if (!tman->ThresholdSimilarityQuery(more[(7 * i) % more.size()],
+                                          geo::SimilarityMeasure::kFrechet,
+                                          threshold, &out, nullptr)
+               .ok()) {
+        query_failures++;
+      }
+      queries_run += 2;
+    }
+  });
+  while (queries_run.load() == 0) std::this_thread::yield();
+
+  Status insert_status;
+  for (size_t off = 0; off < more.size() && insert_status.ok(); off += 50) {
+    std::vector<traj::Trajectory> batch(
+        more.begin() + off, more.begin() + std::min(off + 50, more.size()));
+    insert_status = tman->Insert(batch);
+  }
+  writer_done.store(true);
+  reader.join();
+  ASSERT_TRUE(insert_status.ok()) << insert_status.ToString();
+  EXPECT_EQ(query_failures.load(), 0) << "of " << queries_run.load();
+  EXPECT_EQ(tman->reencode_count(), 0u);
+  EXPECT_GT(tman->index_cache()->occupied_elements(), bulk_elements);
+
+  std::vector<traj::Trajectory> all_data = initial;
+  all_data.insert(all_data.end(), more.begin(), more.end());
+  for (const auto& w : windows) {
+    ExpectSpatialMatchesBruteForce(tman.get(), all_data, w.rect);
+  }
+  for (size_t i = 0; i < more.size(); i += 50) {
+    ExpectThresholdMatchesBruteForce(tman.get(), all_data, more[i], threshold);
   }
 }
 
