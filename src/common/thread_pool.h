@@ -1,6 +1,8 @@
 #ifndef TMAN_COMMON_THREAD_POOL_H_
 #define TMAN_COMMON_THREAD_POOL_H_
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <functional>
 #include <future>
@@ -35,6 +37,27 @@ class ThreadPool {
     }
     cv_.notify_one();
     return result;
+  }
+
+  // Calls fn(i) for every i in [0, n) and returns when all calls are done.
+  // num_threads() workers (the calling thread and num_threads() - 1 pool
+  // tasks) take the next index in turn, so uneven calls still balance.
+  // fn must be safe to call concurrently for different indices.
+  template <typename F>
+  void ParallelFor(size_t n, const F& fn) {
+    std::atomic<size_t> next{0};
+    auto worker = [&next, &fn, n] {
+      for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+           i = next.fetch_add(1, std::memory_order_relaxed)) {
+        fn(i);
+      }
+    };
+    std::vector<std::future<void>> helpers;
+    for (size_t w = 1; w < std::min(n, num_threads()); w++) {
+      helpers.push_back(Submit(worker));
+    }
+    worker();
+    for (auto& helper : helpers) helper.get();
   }
 
   size_t num_threads() const { return workers_.size(); }

@@ -18,6 +18,36 @@ namespace {
 
 constexpr size_t kWriteChunk = 4096;  // rows per batch write
 
+// Re-encode's row collector: each primary row read at an old index value
+// is queued for deletion and re-keyed to its shape's new value.
+class MoveCollector : public kv::RowSink {
+ public:
+  MoveCollector(const std::unordered_map<uint64_t, uint64_t>* new_value_of,
+                std::vector<std::string>* old_keys,
+                std::vector<cluster::Row>* moved_rows)
+      : new_value_of_(new_value_of),
+        old_keys_(old_keys),
+        moved_rows_(moved_rows) {}
+
+  bool Accept(const Slice& key, const Slice& value) override {
+    // Primary key layout: shard | BE64 value | tid.
+    const Slice tid = TidOfPrimaryKey(key, 8);
+    if (tid.empty()) return true;
+    const auto it = new_value_of_->find(DecodeBigEndian64(key.data() + 1));
+    if (it == new_value_of_->end()) return true;
+    old_keys_->push_back(key.ToString());
+    moved_rows_->push_back(cluster::Row{
+        PrimaryKey(static_cast<uint8_t>(key[0]), it->second, tid),
+        value.ToString()});
+    return true;
+  }
+
+ private:
+  const std::unordered_map<uint64_t, uint64_t>* new_value_of_;
+  std::vector<std::string>* old_keys_;
+  std::vector<cluster::Row>* moved_rows_;
+};
+
 // Freezes a finished planning span with the plan's cost-model numbers.
 void FinishPlanningSpan(obs::TraceSpan* span, const QueryPlan& plan) {
   if (span == nullptr) return;
@@ -320,16 +350,23 @@ Status TMan::WriteRows(const std::vector<traj::Trajectory>& trajectories,
     return Status::OK();
   };
 
+  // Records are encoded on the cluster pool before the batches are built.
+  std::vector<std::string> values(trajectories.size());
+  std::vector<char> encoded(trajectories.size());
+  cluster_->pool()->ParallelFor(trajectories.size(), [&](size_t i) {
+    encoded[i] =
+        EncodeRecord(trajectories[i], options_.max_dp_features, &values[i]);
+  });
+
   for (size_t i = 0; i < trajectories.size(); i++) {
     const traj::Trajectory& t = trajectories[i];
-    std::string value;
-    if (!EncodeRecord(t, options_.max_dp_features, &value)) {
+    if (!encoded[i]) {
       return Status::InvalidArgument("trajectory " + t.tid +
                                      " cannot be encoded");
     }
     const std::string pkey =
         PrimaryKeyOf(t, temporal_values[i], spatial_values[i]);
-    primary_rows.push_back(cluster::Row{pkey, std::move(value)});
+    primary_rows.push_back(cluster::Row{pkey, std::move(values[i])});
 
     // Secondary tables map index values to the primary key (§IV-B(2)).
     if (options_.primary != PrimaryIndexKind::kTemporal) {
@@ -384,35 +421,43 @@ Status TMan::BulkLoad(const std::vector<traj::Trajectory>& trajectories) {
     // Pass 2: per-element shape-order optimization (greedy/genetic TSP).
     std::unordered_map<uint64_t, std::unordered_map<uint32_t, uint32_t>>
         final_codes;
-    for (auto& [quad_code, shapes] : element_shapes) {
+    std::vector<std::pair<uint64_t, const std::vector<uint32_t>*>> fresh;
+    for (const auto& [quad_code, shapes] : element_shapes) {
       // Merge with shapes already known for this element (incremental
       // loads keep existing codes stable; new shapes are appended).
       auto existing = index_cache_->GetElement(quad_code);
-      if (!existing->shapes.empty()) {
-        std::unordered_map<uint32_t, uint32_t> codes;
-        uint32_t max_code = 0;
-        for (const auto& [bits, code] : existing->shapes) {
-          codes[bits] = code;
-          max_code = std::max(max_code, code);
-        }
-        for (uint32_t bits : shapes) {
-          if (codes.find(bits) == codes.end()) {
-            codes[bits] = ++max_code;
-            index_cache_->AddShape(quad_code, bits, codes[bits]);
-          }
-        }
-        final_codes[quad_code] = std::move(codes);
+      if (existing->shapes.empty()) {
+        fresh.emplace_back(quad_code, &shapes);
         continue;
       }
-      const std::vector<uint32_t> order =
-          index::OptimizeShapeOrder(shapes, options_.encoding,
-                                    options_.genetic);
+      std::unordered_map<uint32_t, uint32_t> codes;
+      uint32_t max_code = 0;
+      for (const auto& [bits, code] : existing->shapes) {
+        codes[bits] = code;
+        max_code = std::max(max_code, code);
+      }
+      for (uint32_t bits : shapes) {
+        if (codes.find(bits) == codes.end()) {
+          codes[bits] = ++max_code;
+          index_cache_->AddShape(quad_code, bits, codes[bits]);
+        }
+      }
+      final_codes[quad_code] = std::move(codes);
+    }
+    std::vector<std::vector<uint32_t>> orders(fresh.size());
+    cluster_->pool()->ParallelFor(fresh.size(), [&](size_t i) {
+      orders[i] = index::OptimizeShapeOrder(*fresh[i].second,
+                                            options_.encoding,
+                                            options_.genetic);
+    });
+    for (size_t i = 0; i < fresh.size(); i++) {
+      const auto& [quad_code, shapes] = fresh[i];
       std::vector<std::pair<uint32_t, uint32_t>> mapping;
       std::unordered_map<uint32_t, uint32_t> codes;
-      mapping.reserve(order.size());
-      for (uint32_t pos = 0; pos < order.size(); pos++) {
-        mapping.emplace_back(shapes[order[pos]], pos);
-        codes[shapes[order[pos]]] = pos;
+      mapping.reserve(orders[i].size());
+      for (uint32_t pos = 0; pos < orders[i].size(); pos++) {
+        mapping.emplace_back((*shapes)[orders[i][pos]], pos);
+        codes[(*shapes)[orders[i][pos]]] = pos;
       }
       index_cache_->PutElement(quad_code, std::move(mapping));
       final_codes[quad_code] = std::move(codes);
@@ -459,83 +504,99 @@ Status TMan::ReencodeBufferedElements() {
   reencode_count_++;
   if (reencodes_metric_ != nullptr) reencodes_metric_->Inc();
 
+  // Order: every element's shapes are re-ordered on the cluster pool. A
+  // shape whose final code changed moves its rows from the old index value
+  // to the new one (§IV-C).
+  struct Element {
+    uint64_t quad_code = 0;
+    std::vector<uint32_t> bitmaps;
+    std::vector<uint32_t> old_codes;  // old_codes[i]: code of bitmaps[i]
+    index::ShapeList mapping;         // (bitmap, new code), new-code order
+    std::vector<std::pair<uint64_t, uint64_t>> moved;  // (old, new) value
+  };
+  std::vector<Element> elements;
   for (const auto& [quad_code, new_bits] : buffered) {
     (void)new_bits;
     auto element = index_cache_->GetElement(quad_code);
     if (element->shapes.empty()) continue;
-    std::vector<uint32_t> bitmaps;
-    bitmaps.reserve(element->shapes.size());
-    std::unordered_map<uint32_t, uint32_t> old_codes;
+    Element e;
+    e.quad_code = quad_code;
     for (const auto& [bits, code] : element->shapes) {
-      bitmaps.push_back(bits);
-      old_codes[bits] = code;
+      e.bitmaps.push_back(bits);
+      e.old_codes.push_back(code);
     }
-    const std::vector<uint32_t> order =
-        index::OptimizeShapeOrder(bitmaps, options_.encoding,
-                                  options_.genetic);
-    std::vector<std::pair<uint32_t, uint32_t>> mapping;
-    mapping.reserve(order.size());
+    elements.push_back(std::move(e));
+  }
+  cluster_->pool()->ParallelFor(elements.size(), [&](size_t i) {
+    Element& e = elements[i];
+    const std::vector<uint32_t> order = index::OptimizeShapeOrder(
+        e.bitmaps, options_.encoding, options_.genetic);
+    e.mapping.reserve(order.size());
     for (uint32_t pos = 0; pos < order.size(); pos++) {
-      mapping.emplace_back(bitmaps[order[pos]], pos);
+      e.mapping.emplace_back(e.bitmaps[order[pos]], pos);
+      const uint32_t old_code = e.old_codes[order[pos]];
+      if (old_code != pos) {
+        e.moved.emplace_back(tshape_index_->IndexValue(e.quad_code, old_code),
+                             tshape_index_->IndexValue(e.quad_code, pos));
+      }
     }
+  });
 
-    // Rewrite rows of shapes whose final code changed: extract, delete,
-    // re-store under the new index value (§IV-C). The new order is a
-    // permutation of the old codes, so all moves are collected before any
-    // row is touched — otherwise a swapped pair of codes would clobber
-    // each other's rows.
-    struct Move {
-      std::string old_key;
-      std::string new_key;
-      std::string value;
-    };
-    std::vector<Move> moves;
-    for (const auto& [bits, new_code] : mapping) {
-      const uint32_t old_code = old_codes[bits];
-      if (old_code == new_code) continue;
-      const uint64_t old_value = tshape_index_->IndexValue(quad_code, old_code);
-      const uint64_t new_value = tshape_index_->IndexValue(quad_code, new_code);
-      std::vector<cluster::KeyRange> windows = WindowsForRanges(
-          {index::ValueRange{old_value, old_value}}, options_.num_shards);
-      std::vector<cluster::Row> rows;
-      Status s = primary_->ParallelScan(windows, nullptr, 0, &rows, nullptr);
-      if (!s.ok()) return s;
-      for (cluster::Row& row : rows) {
-        const Slice tid = TidOfPrimaryKey(row.key, 8);
-        std::string new_key =
-            PrimaryKey(static_cast<uint8_t>(row.key[0]), new_value, tid);
-        moves.push_back(Move{std::move(row.key), std::move(new_key),
-                             std::move(row.value)});
-      }
+  // Collect: one MultiScan over the sorted old values reads every row that
+  // moves. The new order is a permutation of the old codes, so all rows are
+  // read before any is written — a swapped pair of codes would otherwise
+  // clobber each other's rows.
+  std::unordered_map<uint64_t, uint64_t> new_value_of;
+  std::vector<index::ValueRange> old_values;
+  for (const Element& e : elements) {
+    for (const auto& [old_value, new_value] : e.moved) {
+      new_value_of.emplace(old_value, new_value);
+      old_values.push_back(index::ValueRange{old_value, old_value});
     }
-    for (const Move& move : moves) {
-      Status s = primary_->Delete(move.old_key);
-      if (!s.ok()) return s;
-    }
-    for (Move& move : moves) {
-      Status s = primary_->Put(move.new_key, move.value);
-      if (!s.ok()) return s;
-      // Secondary rows key on (tr value, tid)/(oid, tr value, tid), which
-      // are unchanged — but their values are the primary key, which moved.
-      RecordHeader header;
-      if (DecodeRecordHeader(move.value, &header)) {
-        const uint64_t tr_value = TemporalValue(header.ts, header.te);
-        const uint8_t tid_shard = ShardOfTid(header.tid, options_.num_shards);
-        if (options_.primary != PrimaryIndexKind::kTemporal) {
-          s = tr_table_->Put(SecondaryTRKey(tid_shard, tr_value, header.tid),
-                             move.new_key);
-          if (!s.ok()) return s;
-        }
-        s = idt_table_->Put(
-            IDTKey(ShardOfOid(header.oid, options_.num_shards), header.oid,
-                   tr_value, header.tid),
-            move.new_key);
-        if (!s.ok()) return s;
-      }
-      rows_rewritten_++;
-      if (rows_rewritten_metric_ != nullptr) rows_rewritten_metric_->Inc();
-    }
-    index_cache_->PutElement(quad_code, std::move(mapping));
+  }
+  std::vector<std::string> old_keys;
+  std::vector<cluster::Row> moved_rows;
+  if (!old_values.empty()) {
+    MoveCollector collector(&new_value_of, &old_keys, &moved_rows);
+    Status s = primary_->MultiScan(
+        WindowsForRanges(index::MergeRanges(std::move(old_values)),
+                         options_.num_shards),
+        nullptr, 0, &collector, nullptr);
+    if (!s.ok()) return s;
+  }
+
+  // Write: each move is delete-old plus put-new in its region's batch (the
+  // keys share the shard byte, so one region in the default layout). The
+  // secondaries are repointed next, and the new codes are published last:
+  // a query planned on the new catalog finds every row at its new key.
+  Status s = primary_->BatchWrite(old_keys, moved_rows);
+  if (!s.ok()) return s;
+  // Secondary rows key on (tr value, tid)/(oid, tr value, tid), which are
+  // unchanged — but their values are the primary key, which moved.
+  std::vector<cluster::Row> tr_rows, idt_rows;
+  for (const cluster::Row& row : moved_rows) {
+    RecordHeader header;
+    if (!DecodeRecordHeader(row.value, &header)) continue;
+    const uint64_t tr_value = TemporalValue(header.ts, header.te);
+    tr_rows.push_back(cluster::Row{
+        SecondaryTRKey(ShardOfTid(header.tid, options_.num_shards), tr_value,
+                       header.tid),
+        row.key});
+    idt_rows.push_back(cluster::Row{
+        IDTKey(ShardOfOid(header.oid, options_.num_shards), header.oid,
+               tr_value, header.tid),
+        row.key});
+  }
+  s = tr_table_->BatchPut(tr_rows);
+  if (!s.ok()) return s;
+  s = idt_table_->BatchPut(idt_rows);
+  if (!s.ok()) return s;
+  for (Element& e : elements) {
+    index_cache_->PutElement(e.quad_code, std::move(e.mapping));
+  }
+  rows_rewritten_ += moved_rows.size();
+  if (rows_rewritten_metric_ != nullptr) {
+    rows_rewritten_metric_->Inc(moved_rows.size());
   }
   return Status::OK();
 }

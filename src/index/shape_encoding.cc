@@ -15,13 +15,23 @@ double JaccardSimilarity(uint32_t a, uint32_t b) {
   return static_cast<double>(inter) / static_cast<double>(uni);
 }
 
-double CumulativeSimilarity(const std::vector<uint32_t>& shapes,
-                            const std::vector<uint32_t>& order) {
+namespace {
+
+// Sum of similarities along the n codes at `order`.
+double Fitness(const std::vector<uint32_t>& shapes, const uint32_t* order,
+               size_t n) {
   double total = 0;
-  for (size_t i = 0; i + 1 < order.size(); i++) {
+  for (size_t i = 0; i + 1 < n; i++) {
     total += JaccardSimilarity(shapes[order[i]], shapes[order[i + 1]]);
   }
   return total;
+}
+
+}  // namespace
+
+double CumulativeSimilarity(const std::vector<uint32_t>& shapes,
+                            const std::vector<uint32_t>& order) {
+  return Fitness(shapes, order.data(), order.size());
 }
 
 namespace {
@@ -53,79 +63,85 @@ std::vector<uint32_t> GreedyOrder(const std::vector<uint32_t>& shapes) {
 }
 
 // Order crossover (OX): copies a slice of parent a, fills the rest in
-// parent b's order.
-std::vector<uint32_t> OrderCrossover(const std::vector<uint32_t>& a,
-                                     const std::vector<uint32_t>& b,
-                                     Random* rnd) {
-  const size_t n = a.size();
+// parent b's order. `child` and `used` hold n entries and are overwritten.
+void OrderCrossover(const uint32_t* a, const uint32_t* b, size_t n,
+                    Random* rnd, uint32_t* child, std::vector<bool>* used) {
   size_t lo = rnd->Uniform(n);
   size_t hi = rnd->Uniform(n);
   if (lo > hi) std::swap(lo, hi);
-  std::vector<uint32_t> child(n, UINT32_MAX);
-  std::vector<bool> used(n, false);
+  std::fill(child, child + n, UINT32_MAX);
+  used->assign(n, false);
   for (size_t i = lo; i <= hi; i++) {
     child[i] = a[i];
-    used[a[i]] = true;
+    (*used)[a[i]] = true;
   }
   size_t pos = 0;
   for (size_t i = 0; i < n; i++) {
-    if (used[b[i]]) continue;
+    if ((*used)[b[i]]) continue;
     while (child[pos] != UINT32_MAX) pos++;
     child[pos] = b[i];
   }
-  return child;
 }
 
+// The population is a flat array of `population` individuals of n codes
+// each, scored once when it is formed. The random draws keep a fixed order
+// (shape codes written by one build must be reproduced by every other).
 std::vector<uint32_t> GeneticOrder(const std::vector<uint32_t>& shapes,
                                    const GeneticParams& params) {
   const size_t n = shapes.size();
+  const size_t size = static_cast<size_t>(std::max(params.population, 1));
   Random rnd(params.seed ^ (n * 0x9e3779b9ULL));
 
   // Seed the population with the greedy solution plus random permutations.
-  std::vector<std::vector<uint32_t>> population;
-  population.push_back(GreedyOrder(shapes));
-  for (int p = 1; p < params.population; p++) {
-    std::vector<uint32_t> perm(n);
-    std::iota(perm.begin(), perm.end(), 0);
+  std::vector<uint32_t> population(size * n);
+  const std::vector<uint32_t> greedy = GreedyOrder(shapes);
+  std::copy(greedy.begin(), greedy.end(), population.begin());
+  for (size_t p = 1; p < size; p++) {
+    uint32_t* perm = &population[p * n];
+    std::iota(perm, perm + n, 0);
     for (size_t i = n; i > 1; i--) {
       std::swap(perm[i - 1], perm[rnd.Uniform(i)]);
     }
-    population.push_back(std::move(perm));
+  }
+  std::vector<double> fitness(size);
+  for (size_t p = 0; p < size; p++) {
+    fitness[p] = Fitness(shapes, &population[p * n], n);
   }
 
-  auto fitness = [&shapes](const std::vector<uint32_t>& order) {
-    return CumulativeSimilarity(shapes, order);
+  std::vector<uint32_t> best = greedy;
+  double best_fitness = fitness[0];
+
+  std::vector<uint32_t> next(size * n);
+  std::vector<double> next_fitness(size);
+  std::vector<bool> used;
+  // Binary tournament: the fitter of two random individuals.
+  auto tournament = [&]() -> const uint32_t* {
+    const size_t x = rnd.Uniform(size);
+    const size_t y = rnd.Uniform(size);
+    return &population[(fitness[x] >= fitness[y] ? x : y) * n];
   };
-
-  std::vector<uint32_t> best = population[0];
-  double best_fitness = fitness(best);
-
   for (int gen = 0; gen < params.generations; gen++) {
-    std::vector<std::vector<uint32_t>> next;
-    next.reserve(population.size());
-    next.push_back(best);  // elitism
-    while (next.size() < population.size()) {
-      // Binary tournaments for both parents.
-      auto tournament = [&]() -> const std::vector<uint32_t>& {
-        const auto& x = population[rnd.Uniform(population.size())];
-        const auto& y = population[rnd.Uniform(population.size())];
-        return fitness(x) >= fitness(y) ? x : y;
-      };
-      std::vector<uint32_t> child =
-          OrderCrossover(tournament(), tournament(), &rnd);
+    std::copy(best.begin(), best.end(), next.begin());  // elitism
+    next_fitness[0] = best_fitness;
+    for (size_t p = 1; p < size; p++) {
+      // The second parent is drawn first.
+      const uint32_t* b = tournament();
+      const uint32_t* a = tournament();
+      uint32_t* child = &next[p * n];
+      OrderCrossover(a, b, n, &rnd, child, &used);
       if (rnd.Bernoulli(params.mutation_rate) && n >= 2) {
         const size_t i = rnd.Uniform(n);
         const size_t j = rnd.Uniform(n);
         std::swap(child[i], child[j]);
       }
-      next.push_back(std::move(child));
+      next_fitness[p] = Fitness(shapes, child, n);
     }
-    population = std::move(next);
-    for (const auto& order : population) {
-      const double f = fitness(order);
-      if (f > best_fitness) {
-        best_fitness = f;
-        best = order;
+    population.swap(next);
+    fitness.swap(next_fitness);
+    for (size_t p = 0; p < size; p++) {
+      if (fitness[p] > best_fitness) {
+        best_fitness = fitness[p];
+        best.assign(&population[p * n], &population[p * n] + n);
       }
     }
   }

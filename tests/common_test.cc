@@ -154,5 +154,14 @@ TEST(ThreadPoolTest, ExecutesAllTasks) {
   }
 }
 
+TEST(ThreadPoolTest, ParallelForCallsEveryIndexOnce) {
+  ThreadPool pool(4);
+  for (size_t n : {0, 1, 3, 1000}) {
+    std::vector<int> calls(n, 0);
+    pool.ParallelFor(n, [&calls](size_t i) { calls[i]++; });
+    for (size_t i = 0; i < n; i++) EXPECT_EQ(calls[i], 1) << n << " " << i;
+  }
+}
+
 }  // namespace
 }  // namespace tman

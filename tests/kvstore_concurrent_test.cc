@@ -338,9 +338,15 @@ TEST(DBConcurrentTest, StressWritersReadersFlushDifferential) {
             ASSERT_LT(rows[n - 1].first, rows[n].first);
           }
         } else {
-          std::vector<ScanWindow> windows;
+          // The windows borrow these keys, which must outlive MultiScan.
+          std::vector<std::string> keys;
           for (int w = 0; w < wl.threads; w++) {
-            windows.push_back(ScanWindow{Key(w, 0), Key(w, 50)});
+            keys.push_back(Key(w, 0));
+            keys.push_back(Key(w, 50));
+          }
+          std::vector<ScanWindow> windows;
+          for (size_t w = 0; w < keys.size(); w += 2) {
+            windows.push_back(ScanWindow{keys[w], keys[w + 1]});
           }
           CollectingSink sink;
           ASSERT_TRUE(db->MultiScan(ReadOptions(), windows, nullptr, 0, &sink,

@@ -4,9 +4,11 @@
 #include <atomic>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <set>
 #include <thread>
 
+#include "core/rowkey.h"
 #include "core/tman.h"
 #include "geo/similarity.h"
 #include "traj/generator.h"
@@ -360,6 +362,20 @@ void ExpectThresholdMatchesBruteForce(TMan* tman,
       << query.tid;
 }
 
+// tid -> primary key of every row in the primary table.
+std::map<std::string, std::string> PrimaryKeysByTid(TMan* tman) {
+  std::vector<cluster::Row> rows;
+  EXPECT_TRUE(tman->primary_table()
+                  ->ParallelScan({cluster::KeyRange{"", ""}}, nullptr, 0,
+                                 &rows, nullptr)
+                  .ok());
+  std::map<std::string, std::string> keys;
+  for (const cluster::Row& row : rows) {
+    keys[TidOfPrimaryKey(row.key, 8).ToString()] = row.key;
+  }
+  return keys;
+}
+
 TEST(TManUpdateTest, InsertTriggersReencodeAndStaysQueryable) {
   const traj::DatasetSpec spec = traj::TDriveLikeSpec();
   TManOptions options = SmallOptions(spec);
@@ -372,16 +388,28 @@ TEST(TManUpdateTest, InsertTriggersReencodeAndStaysQueryable) {
   const size_t bulk_elements = tman->index_cache()->occupied_elements();
 
   // Insert in several batches; new shapes accumulate in the buffer shape
-  // cache and trigger re-encoding.
+  // cache and trigger re-encoding. A trajectory whose primary key changes
+  // across a batch was moved by a re-encode.
   auto more = traj::Generate(spec, 300, 2);
   for (auto& t : more) t.tid += "-new";
+  std::map<std::string, std::string> keys = PrimaryKeysByTid(tman.get());
+  std::set<std::string> moved;
   for (size_t off = 0; off < more.size(); off += 50) {
     std::vector<traj::Trajectory> batch(
         more.begin() + off,
         more.begin() + std::min(off + 50, more.size()));
     ASSERT_TRUE(tman->Insert(batch).ok());
+    const std::map<std::string, std::string> now = PrimaryKeysByTid(tman.get());
+    for (const auto& [tid, key] : keys) {
+      const auto it = now.find(tid);
+      ASSERT_NE(it, now.end()) << tid << " lost by a re-encode";
+      if (it->second != key) moved.insert(tid);
+    }
+    keys = now;
   }
   EXPECT_GT(tman->reencode_count(), 0u);
+  ASSERT_FALSE(moved.empty());
+  EXPECT_LE(moved.size(), tman->rows_rewritten());
   // Inserts landed in elements that were empty at BulkLoad, which the
   // planner must stop pruning.
   EXPECT_GT(tman->index_cache()->occupied_elements(), bulk_elements);
@@ -435,6 +463,61 @@ TEST(TManUpdateTest, InsertTriggersReencodeAndStaysQueryable) {
       EXPECT_NEAR(got[j], want[j], 1e-12) << probe.tid << " rank " << j;
     }
   }
+
+  // TRQ and IDT read the secondary tables, whose values must name the
+  // moved rows' new keys: a primary fetch that misses is skipped silently.
+  for (const auto& tw : tws) {
+    std::vector<traj::Trajectory> results;
+    QueryStats stats;
+    ASSERT_TRUE(
+        tman->TemporalRangeQuery(tw.ts, tw.te, &results, &stats).ok());
+    EXPECT_EQ(stats.plan, "secondary:tr");
+    EXPECT_EQ(TidsOf(results),
+              TidsWhere(all_data, [&](const traj::Trajectory& t) {
+                return t.IntersectsTimeRange(tw.ts, tw.te);
+              }));
+  }
+  std::set<std::string> moved_oids;
+  for (const auto& t : all_data) {
+    if (moved.count(t.tid) > 0) moved_oids.insert(t.oid);
+  }
+  const int64_t ts = spec.t0;
+  const int64_t te = spec.t0 + spec.horizon_seconds;
+  for (const std::string& oid : moved_oids) {
+    std::vector<traj::Trajectory> results;
+    QueryStats stats;
+    ASSERT_TRUE(tman->IDTemporalQuery(oid, ts, te, &results, &stats).ok());
+    EXPECT_EQ(stats.plan, "secondary:idt");
+    EXPECT_EQ(TidsOf(results),
+              TidsWhere(all_data, [&](const traj::Trajectory& t) {
+                return t.oid == oid && t.IntersectsTimeRange(ts, te);
+              }))
+        << oid;
+  }
+
+  // DeleteTrajectory finds a row through the IDT table: deleting moved
+  // trajectories must remove their rows at the new keys.
+  std::vector<traj::Trajectory> deleted;
+  for (const auto& t : all_data) {
+    if (moved.count(t.tid) > 0 && deleted.size() < 5) deleted.push_back(t);
+  }
+  for (const auto& t : deleted) {
+    ASSERT_TRUE(tman->DeleteTrajectory(t.oid, t.tid).ok()) << t.tid;
+  }
+  std::vector<traj::Trajectory> remaining;
+  for (const auto& t : all_data) {
+    if (std::none_of(deleted.begin(), deleted.end(),
+                     [&](const traj::Trajectory& d) {
+                       return d.tid == t.tid;
+                     })) {
+      remaining.push_back(t);
+    }
+  }
+  keys = PrimaryKeysByTid(tman.get());
+  for (const auto& t : deleted) {
+    EXPECT_EQ(keys.count(t.tid), 0u) << t.tid;
+    ExpectSpatialMatchesBruteForce(tman.get(), remaining, t.ComputeMBR());
+  }
 }
 
 // One thread inserts batches that register new elements while another runs
@@ -443,8 +526,9 @@ TEST(TManUpdateTest, InsertTriggersReencodeAndStaysQueryable) {
 TEST(TManConcurrencyTest, QueriesDuringInsertsSucceedAndConverge) {
   const traj::DatasetSpec spec = traj::TDriveLikeSpec();
   TManOptions options = SmallOptions(spec);
-  // Above the number of shapes inserted below: re-encode deletes rows
-  // before it re-puts them, which concurrent queries would observe.
+  // Above the number of shapes inserted below: re-encode moves rows before
+  // it publishes their new codes, so a query planned on the old catalog
+  // can miss a moved row.
   options.buffer_shape_threshold = 100000;
   std::unique_ptr<TMan> tman;
   ASSERT_TRUE(TMan::Open(options, TestDir("concurrent"), &tman).ok());
