@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "common/stopwatch.h"
@@ -9,6 +10,13 @@
 namespace tman::baselines {
 
 namespace {
+
+// The bound for verifying a top-k candidate: the k-th distance once `best`
+// (sorted ascending) holds k results, +infinity before that.
+double KthDistance(const std::vector<SimilarityResult>& best, size_t k) {
+  return best.size() >= k ? best[k - 1].distance
+                          : std::numeric_limits<double>::infinity();
+}
 
 // Verifies `candidate_ids` against the query with an MBR lower-bound
 // pre-check, returning those within `threshold`.
@@ -23,8 +31,8 @@ std::vector<SimilarityResult> VerifyThreshold(
     if (stats != nullptr) stats->candidates++;
     if (geo::MBRLowerBound(mbrs[id], query_mbr) > threshold) continue;
     if (stats != nullptr) stats->exact_distance_computations++;
-    const double d =
-        geo::ExactDistance(measure, query.points, data[id].points);
+    const double d = geo::ExactDistanceWithin(measure, query.points,
+                                              data[id].points, threshold);
     if (d <= threshold) {
       results.push_back(SimilarityResult{data[id].tid, d});
     }
@@ -50,8 +58,10 @@ std::vector<SimilarityResult> VerifyTopK(
     const double kth = best.size() >= k ? best[k - 1].distance : bound;
     if (geo::MBRLowerBound(mbrs[id], query_mbr) > kth) continue;
     if (stats != nullptr) stats->exact_distance_computations++;
-    const double d =
-        geo::ExactDistance(measure, query.points, data[id].points);
+    // The seed bound only prunes by MBR: until `best` holds k results,
+    // every verified row enters it, so its distance must be exact.
+    const double d = geo::ExactDistanceWithin(
+        measure, query.points, data[id].points, KthDistance(best, k));
     if (best.size() >= k && d >= best[k - 1].distance) continue;
     SimilarityResult r{data[id].tid, d};
     best.insert(std::upper_bound(best.begin(), best.end(), r,
@@ -442,12 +452,12 @@ std::vector<SimilarityResult> REPOSE::TopK(const traj::Trajectory& query,
   for (const auto& [heuristic, id] : ranked) {
     (void)heuristic;
     if (data_[id].tid == query.tid) continue;
-    const double kth = best.size() >= k ? best[k - 1].distance : 1e300;
+    const double kth = KthDistance(best, k);
     if (stats != nullptr) stats->candidates++;
     if (geo::MBRLowerBound(mbrs_[id], query_mbr) > kth) continue;
     if (stats != nullptr) stats->exact_distance_computations++;
     const double d =
-        geo::ExactDistance(measure, query.points, data_[id].points);
+        geo::ExactDistanceWithin(measure, query.points, data_[id].points, kth);
     if (best.size() >= k && d >= best[k - 1].distance) continue;
     SimilarityResult r{data_[id].tid, d};
     best.insert(std::upper_bound(best.begin(), best.end(), r,

@@ -18,12 +18,12 @@ class GorillaEncoder {
   size_t count() const { return count_; }
 
  private:
-  void WriteBit(bool bit);
+  // Appends the low `bits` (1..64) bits of `value`, most significant first.
   void WriteBits(uint64_t value, int bits);
 
   std::string buffer_;
-  uint8_t bit_buffer_ = 0;
-  int bit_count_ = 0;
+  uint64_t pending_ = 0;  // the last pending_bits_ (< 64) bits written
+  int pending_bits_ = 0;
   uint64_t prev_ = 0;
   int prev_leading_ = -1;
   int prev_trailing_ = -1;
@@ -35,17 +35,18 @@ class GorillaDecoder {
   GorillaDecoder(const char* data, size_t size)
       : data_(data), size_(size) {}
 
-  // Decodes exactly `count` doubles; false on malformed input.
+  // Decodes exactly `count` doubles; false on malformed input, including a
+  // count the blob is too short to hold. Never reads past `size`.
   bool Decode(size_t count, std::vector<double>* out);
 
  private:
   bool ReadBit(bool* bit);
+  // Reads the next `bits` (1..64) bits, most significant first.
   bool ReadBits(int bits, uint64_t* value);
 
   const char* data_;
   size_t size_;
-  size_t byte_pos_ = 0;
-  int bit_pos_ = 0;
+  size_t bit_pos_ = 0;  // bits consumed
 };
 
 }  // namespace tman::compress

@@ -87,6 +87,9 @@ bool Simple8bEncode(const std::vector<uint64_t>& values, std::string* out) {
 bool Simple8bDecode(const char* data, size_t size, size_t count,
                     std::vector<uint64_t>* out) {
   out->clear();
+  // A word holds at most 240 values; reject a count the blob cannot hold
+  // before reserving for it.
+  if (count > size / 8 * 240) return false;
   out->reserve(count);
   size_t offset = 0;
   while (out->size() < count) {

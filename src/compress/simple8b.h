@@ -15,7 +15,8 @@ namespace tman::compress {
 // them (callers zigzag/delta first, which keeps magnitudes small).
 bool Simple8bEncode(const std::vector<uint64_t>& values, std::string* out);
 
-// Decodes exactly `count` values appended by Simple8bEncode.
+// Decodes exactly `count` values appended by Simple8bEncode; false when the
+// blob is malformed or too short for `count`.
 bool Simple8bDecode(const char* data, size_t size, size_t count,
                     std::vector<uint64_t>* out);
 

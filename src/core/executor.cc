@@ -351,7 +351,8 @@ bool ThresholdVerifySink::Accept(const Slice& key, const Slice& value) {
     return false;
   }
   if (stats_ != nullptr) stats_->exact_distance_computations++;
-  if (geo::ExactDistance(measure_, query_->points, points) <= threshold_) {
+  if (geo::ExactDistanceWithin(measure_, query_->points, points,
+                               threshold_) <= threshold_) {
     traj::Trajectory t;
     t.oid = header.oid.ToString();
     t.tid = header.tid.ToString();
@@ -364,12 +365,16 @@ bool ThresholdVerifySink::Accept(const Slice& key, const Slice& value) {
 
 bool TopKSink::Accept(const Slice& key, const Slice& value) {
   (void)key;
+  if (!status_.ok()) return false;
   // Heap cutoff: with k results at or below the cutoff, no row the scan has
   // yet to deliver (all beyond the previous radius) can improve the result.
   if (Full() && KthBound() <= cutoff_) return false;
 
   RecordHeader header;
-  if (!DecodeRecordHeader(value, &header)) return true;
+  if (!DecodeRecordHeader(value, &header)) {
+    status_ = Status::Corruption("bad record during top-k query");
+    return false;
+  }
   const std::string tid = header.tid.ToString();
   if (tid == query_->tid || !seen_.insert(tid).second) return true;
 
@@ -380,9 +385,15 @@ bool TopKSink::Accept(const Slice& key, const Slice& value) {
     return true;
   }
   std::vector<geo::TimedPoint> points;
-  if (!DecodeRecordPoints(header, &points)) return true;
+  if (!DecodeRecordPoints(header, &points)) {
+    status_ = Status::Corruption("bad point column during top-k query");
+    return false;
+  }
   if (stats_ != nullptr) stats_->exact_distance_computations++;
-  const double d = geo::ExactDistance(measure_, query_->points, points);
+  // Exact while it can still enter the heap; once it cannot, the kernel
+  // may stop early and return any value above the k-th distance.
+  const double d = geo::ExactDistanceWithin(measure_, query_->points, points,
+                                            KthBound());
   if (d >= kth_bound) return true;
 
   Scored scored{d, traj::Trajectory{}};

@@ -159,7 +159,8 @@ class ThresholdVerifySink : public kv::RowSink {
 // bound are discarded on the header alone). Accept returns false — stopping
 // the scan — once the heap is full and the k-th distance is at or below
 // `cutoff`: every unseen row lies outside the previous search radius
-// (= cutoff), so none can improve the result.
+// (= cutoff), so none can improve the result. A row that fails to decode
+// also stops the scan and sets status().
 class TopKSink : public kv::RowSink {
  public:
   TopKSink(const traj::Trajectory* query, geo::SimilarityMeasure measure,
@@ -175,6 +176,8 @@ class TopKSink : public kv::RowSink {
   // Distances at or below the cutoff cannot be beaten by rows the current
   // round has not yet streamed (they all lie beyond the previous radius).
   void set_cutoff(double cutoff) { cutoff_ = cutoff; }
+
+  const Status& status() const { return status_; }
 
   bool Full() const { return best_.size() >= k_; }
   double KthBound() const {
@@ -199,6 +202,7 @@ class TopKSink : public kv::RowSink {
   double cutoff_ = 0;
   std::vector<Scored> best_;  // kept sorted ascending by distance
   std::unordered_set<std::string> seen_;
+  Status status_;
 };
 
 }  // namespace tman::core

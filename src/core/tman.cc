@@ -931,6 +931,7 @@ Status TMan::TopKSimilarityQuery(const traj::Trajectory& query,
     obs::TraceSpan* exec_span =
         round_span != nullptr ? round_span->AddChild("execute") : nullptr;
     s = executor_->Execute(plan, &sink, stats, exec_span);
+    if (s.ok()) s = sink.status();
     if (exec_span != nullptr) exec_span->End();
     if (round_span != nullptr) {
       round_span->End();

@@ -163,6 +163,9 @@ bool DecodeDPFeatures(const char* data, size_t size, DPFeatures* features) {
   }
   uint32_t count;
   if (!GetVarint32(&input, &count)) return false;
+  // A feature takes at least 51 bytes (six doubles and three varints);
+  // reject a count the blob cannot hold before reserving for it.
+  if (count > input.size() / 51) return false;
   features->features.clear();
   features->features.reserve(count);
   for (uint32_t i = 0; i < count; i++) {

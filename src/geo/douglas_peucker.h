@@ -36,6 +36,7 @@ std::vector<uint32_t> DouglasPeucker(const std::vector<TimedPoint>& points,
                                      double epsilon);
 
 // Compact (de)serialization of DPFeatures for the `features` column.
+// Decoding returns false on malformed input.
 void EncodeDPFeatures(const DPFeatures& features, std::string* out);
 bool DecodeDPFeatures(const char* data, size_t size, DPFeatures* features);
 

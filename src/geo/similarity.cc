@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace tman::geo {
 
@@ -94,6 +95,74 @@ double ExactDistance(SimilarityMeasure measure,
       return HausdorffDistance(a, b);
   }
   return 1e300;
+}
+
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// The largest double whose square root is <= `bound`. Since sqrt is
+// monotone, a squared distance s has sqrt(s) <= bound exactly when s is at
+// most this; bound * bound alone can round below the square of a distance
+// that equals `bound`.
+double SquaredBound(double bound) {
+  if (bound < 0) return -1;  // every squared distance exceeds it
+  double squared = bound * bound;
+  while (std::sqrt(squared) > bound) {
+    squared = std::nextafter(squared, 0.0);
+  }
+  for (double up = std::nextafter(squared, kInf);
+       up != kInf && std::sqrt(up) <= bound;
+       up = std::nextafter(squared, kInf)) {
+    squared = up;
+  }
+  return squared;
+}
+
+// DiscreteFrechet on squared point distances with one sqrt at the end;
+// min and max commute with sqrt, so the result is bit-identical. Returns
+// +infinity as soon as the squared bound rules the distance out.
+double FrechetWithin(const std::vector<TimedPoint>& a,
+                     const std::vector<TimedPoint>& b, double bound) {
+  const size_t n = a.size();
+  const size_t m = b.size();
+  if (n == 0 || m == 0) return 1e300;
+
+  const double limit = SquaredBound(bound);
+  auto d2 = [&](size_t i, size_t j) {
+    return SquaredDistance(Point{a[i].x, a[i].y}, Point{b[j].x, b[j].y});
+  };
+  // Every coupling matches the first points and the last points.
+  const double first = d2(0, 0);
+  if (first > limit || d2(n - 1, m - 1) > limit) return kInf;
+
+  std::vector<double> prev(m), curr(m);
+  prev[0] = first;
+  for (size_t j = 1; j < m; j++) prev[j] = std::max(prev[j - 1], d2(0, j));
+  for (size_t i = 1; i < n; i++) {
+    curr[0] = std::max(prev[0], d2(i, 0));
+    double row_min = curr[0];
+    for (size_t j = 1; j < m; j++) {
+      const double reach = std::min({prev[j], prev[j - 1], curr[j - 1]});
+      curr[j] = std::max(reach, d2(i, j));
+      row_min = std::min(row_min, curr[j]);
+    }
+    // Every coupling crosses row i, so the distance is at least row_min.
+    if (row_min > limit) return kInf;
+    std::swap(prev, curr);
+  }
+  return std::sqrt(prev[m - 1]);
+}
+
+}  // namespace
+
+double ExactDistanceWithin(SimilarityMeasure measure,
+                           const std::vector<TimedPoint>& a,
+                           const std::vector<TimedPoint>& b, double bound) {
+  if (measure == SimilarityMeasure::kFrechet) {
+    return FrechetWithin(a, b, bound);
+  }
+  return ExactDistance(measure, a, b);
 }
 
 double MBRLowerBound(const MBR& a, const MBR& b) {

@@ -26,6 +26,14 @@ double ExactDistance(SimilarityMeasure measure,
                      const std::vector<TimedPoint>& a,
                      const std::vector<TimedPoint>& b);
 
+// Bounded exact distance for verification against a known cutoff: returns
+// ExactDistance(measure, a, b), bit for bit, when that is <= `bound`, and
+// otherwise some value > `bound`. Fréchet stops as soon as the bound
+// decides the answer; DTW and Hausdorff compute the distance in full.
+double ExactDistanceWithin(SimilarityMeasure measure,
+                           const std::vector<TimedPoint>& a,
+                           const std::vector<TimedPoint>& b, double bound);
+
 // Cheap lower bound on the distance between two trajectories given only
 // their MBRs: any matching must bridge the rectangle gap. Valid for all
 // three measures (for DTW it bounds the per-step cost, hence the total from

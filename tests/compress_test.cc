@@ -5,6 +5,8 @@
 #include <limits>
 #include <vector>
 
+#include "common/coding.h"
+#include "common/hash.h"
 #include "common/random.h"
 #include "compress/gorilla.h"
 #include "compress/simple8b.h"
@@ -55,6 +57,20 @@ TEST(Simple8bTest, RejectsOversizedValues) {
   std::vector<uint64_t> values = {1ULL << 60};
   std::string blob;
   EXPECT_FALSE(Simple8bEncode(values, &blob));
+}
+
+TEST(Simple8bTest, RejectsCountBeyondBlob) {
+  std::vector<uint64_t> values(10, 3);
+  std::string blob;
+  ASSERT_TRUE(Simple8bEncode(values, &blob));
+  ASSERT_EQ(blob.size(), 8u);
+  std::vector<uint64_t> decoded;
+  // One word holds at most 240 values, whatever its selector says.
+  EXPECT_FALSE(Simple8bDecode(blob.data(), blob.size(), 241, &decoded));
+  EXPECT_NO_THROW({
+    EXPECT_FALSE(
+        Simple8bDecode(blob.data(), blob.size(), 0xFFFFFFF0u, &decoded));
+  });
 }
 
 TEST(Simple8bTest, EmptyInput) {
@@ -112,6 +128,57 @@ TEST(GorillaTest, TruncatedInputFailsCleanly) {
   GorillaDecoder dec(blob.data(), blob.size());
   std::vector<double> decoded;
   EXPECT_FALSE(dec.Decode(100, &decoded));
+}
+
+TEST(GorillaTest, RejectsCountBeyondBlob) {
+  GorillaEncoder one;
+  one.Add(116.4);
+  const std::string blob = one.Finish();
+  ASSERT_EQ(blob.size(), 8u);
+  std::vector<double> decoded;
+  // The first value takes 64 bits and every later one at least 1.
+  EXPECT_TRUE(GorillaDecoder(blob.data(), blob.size()).Decode(1, &decoded));
+  EXPECT_FALSE(GorillaDecoder(blob.data(), blob.size()).Decode(2, &decoded));
+  EXPECT_FALSE(GorillaDecoder(blob.data(), 7).Decode(1, &decoded));
+  EXPECT_NO_THROW({
+    EXPECT_FALSE(GorillaDecoder(blob.data(), blob.size())
+                     .Decode(0xFFFFFFF0u, &decoded));
+  });
+}
+
+TEST(GorillaTest, DecodesEveryWindowWidth) {
+  // XORs whose meaningful bits run from 1 to 64 wide at random offsets, so
+  // reads cross every byte and word boundary of the bitstream.
+  std::vector<double> values = {1.0};
+  uint64_t bits;
+  std::memcpy(&bits, &values[0], 8);
+  Random rnd(5);
+  for (int width = 1; width <= 64; width++) {
+    for (int rep = 0; rep < 3; rep++) {
+      const int shift = static_cast<int>(rnd.Uniform(65 - width));
+      const uint64_t body = width == 64 ? rnd.Next()
+                                        : rnd.Next() & ((1ULL << width) - 1);
+      bits ^= (body | 1 | (width == 1 ? 0 : 1ULL << (width - 1))) << shift;
+      double v;
+      std::memcpy(&v, &bits, 8);
+      if (std::isnan(v)) bits &= ~(1ULL << 62);
+      std::memcpy(&v, &bits, 8);
+      values.push_back(v);
+    }
+  }
+  GorillaEncoder enc;
+  for (double v : values) enc.Add(v);
+  const std::string blob = enc.Finish();
+  std::vector<double> decoded;
+  ASSERT_TRUE(GorillaDecoder(blob.data(), blob.size())
+                  .Decode(values.size(), &decoded));
+  ASSERT_EQ(decoded.size(), values.size());
+  for (size_t i = 0; i < values.size(); i++) {
+    uint64_t want, got;
+    std::memcpy(&want, &values[i], 8);
+    std::memcpy(&got, &decoded[i], 8);
+    EXPECT_EQ(got, want) << i;
+  }
 }
 
 TEST(DeltaOfDeltaTest, RegularTimestampsCompressToZeros) {
@@ -228,6 +295,176 @@ TEST(TrajCodecTest, ExtremeCoordinatesRoundTrip) {
   }
   EXPECT_EQ(decoded.lats, columns.lats);
   EXPECT_EQ(decoded.timestamps, columns.timestamps);
+}
+
+// Seeded point series of length i % 200 in five families that between
+// them take every Gorilla control path: GPS-like walks, runs of repeated
+// values, full-width random bit patterns, IEEE specials, and quantized
+// coordinates with ulp-sized steps (XORs with more than 31 leading zeros).
+PointColumns SeededColumns(uint64_t i) {
+  static const double kSpecials[] = {
+      0.0,
+      -0.0,
+      1.0,
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity()};
+  Random rnd(i + 1);
+  PointColumns columns;
+  double lon = rnd.UniformDouble(-180, 180);
+  double lat = rnd.UniformDouble(-90, 90);
+  int64_t t = static_cast<int64_t>(rnd.Uniform(2000000000));
+  for (size_t j = 0; j < i % 200; j++) {
+    switch (i % 5) {
+      case 0:
+        lon += rnd.UniformDouble(-5e-4, 5e-4);
+        lat += rnd.UniformDouble(-5e-4, 5e-4);
+        break;
+      case 1:
+        if (rnd.Bernoulli(0.4)) lon += rnd.UniformDouble(-1, 1);
+        if (rnd.Bernoulli(0.2)) lat = -lat;
+        break;
+      case 2: {
+        // Random bits with the top exponent bit cleared: never NaN.
+        const uint64_t lon_bits = rnd.Next() & ~(1ULL << 62);
+        const uint64_t lat_bits = rnd.Next() & ~(1ULL << 62);
+        std::memcpy(&lon, &lon_bits, 8);
+        std::memcpy(&lat, &lat_bits, 8);
+        break;
+      }
+      case 3:
+        lon = kSpecials[rnd.Uniform(9)];
+        lat = kSpecials[rnd.Uniform(9)];
+        break;
+      default:
+        if (rnd.Bernoulli(0.3)) {
+          lon = std::nextafter(lon, 1e9);
+        } else {
+          lon = std::round((lon + rnd.UniformDouble(-1e-3, 1e-3)) * 1e5) /
+                1e5;
+        }
+        lat = std::round((lat + rnd.UniformDouble(-1e-3, 1e-3)) * 1e5) / 1e5;
+        break;
+    }
+    t += rnd.Bernoulli(0.1) ? -static_cast<int64_t>(rnd.Uniform(1000))
+                            : 28 + static_cast<int64_t>(rnd.Uniform(5));
+    columns.lons.push_back(lon);
+    columns.lats.push_back(lat);
+    columns.timestamps.push_back(t);
+  }
+  return columns;
+}
+
+TEST(TrajCodecTest, EncodingMatchesRecordedHash) {
+  // Primary-table records and .bin dataset files hold these bytes, so the
+  // encoder's output must never change: the hash was recorded from the
+  // original bit-at-a-time encoder. The round trip checks the decoder on
+  // the same series.
+  std::string all;
+  for (uint64_t i = 0; i < 300; i++) {
+    const PointColumns columns = SeededColumns(i);
+    std::string blob;
+    ASSERT_TRUE(EncodePoints(columns, &blob));
+    PutFixed32(&all, static_cast<uint32_t>(blob.size()));
+    all += blob;
+
+    PointColumns decoded;
+    ASSERT_TRUE(DecodePoints(blob.data(), blob.size(), &decoded)) << i;
+    EXPECT_EQ(decoded.timestamps, columns.timestamps) << i;
+    ASSERT_EQ(decoded.lons.size(), columns.lons.size()) << i;
+    ASSERT_EQ(decoded.lats.size(), columns.lats.size()) << i;
+    for (size_t j = 0; j < columns.lons.size(); j++) {
+      EXPECT_EQ(std::memcmp(&decoded.lons[j], &columns.lons[j], 8), 0) << i;
+      EXPECT_EQ(std::memcmp(&decoded.lats[j], &columns.lats[j], 8), 0) << i;
+    }
+  }
+  EXPECT_EQ(Hash64(all.data(), all.size()), 0x5fd25ffefef91c06ULL);
+}
+
+TEST(TrajCodecTest, RejectsCorruptCount) {
+  const PointColumns columns = SeededColumns(50);
+  std::string blob;
+  ASSERT_TRUE(EncodePoints(columns, &blob));
+  // Rewrite the leading point count (one varint byte for 50 points).
+  ASSERT_EQ(static_cast<uint8_t>(blob[0]), 50u);
+  std::string corrupt;
+  PutVarint32(&corrupt, 0xFFFFFFF0u);
+  corrupt.append(blob, 1);
+  PointColumns decoded;
+  EXPECT_NO_THROW({
+    EXPECT_FALSE(DecodePoints(corrupt.data(), corrupt.size(), &decoded));
+  });
+}
+
+// Decodes `input` and checks the contract for malformed blobs: either
+// false, or exactly the count the blob declares in every column.
+void ExpectDecodesCleanly(const std::vector<char>& input) {
+  PointColumns decoded;
+  bool ok = false;
+  EXPECT_NO_THROW(ok = DecodePoints(input.data(), input.size(), &decoded));
+  if (!ok) return;
+  Slice header(input.data(), input.size());
+  uint32_t count = 0;
+  ASSERT_TRUE(GetVarint32(&header, &count));
+  EXPECT_EQ(decoded.timestamps.size(), count);
+  EXPECT_EQ(decoded.lons.size(), count);
+  EXPECT_EQ(decoded.lats.size(), count);
+}
+
+TEST(TrajCodecTest, MalformedInputNeverReadsPastTheBlob) {
+  // Each input sits in an exactly sized heap buffer, so a sanitizer build
+  // flags any load past its end (the Gorilla reader loads 8 bytes at a
+  // time away from a blob's tail).
+  Random rnd(41);
+  for (uint64_t series : {3, 7, 24, 60, 121, 198}) {
+    std::string blob;
+    ASSERT_TRUE(EncodePoints(SeededColumns(series), &blob));
+    for (size_t len = 0; len <= blob.size(); len++) {
+      ExpectDecodesCleanly(std::vector<char>(blob.begin(),
+                                             blob.begin() + len));
+    }
+    for (int trial = 0; trial < 300; trial++) {
+      std::vector<char> corrupt(blob.begin(), blob.end());
+      const int flips = 1 + static_cast<int>(rnd.Uniform(3));
+      for (int f = 0; f < flips; f++) {
+        corrupt[rnd.Uniform(corrupt.size())] ^=
+            static_cast<char>(1 + rnd.Uniform(255));
+      }
+      ExpectDecodesCleanly(corrupt);
+    }
+  }
+  // The column decoders on their own, at every prefix of a bare blob.
+  const PointColumns columns = SeededColumns(96);
+  GorillaEncoder enc;
+  for (double v : columns.lons) enc.Add(v);
+  const std::string gorilla = enc.Finish();
+  std::vector<uint64_t> dod;
+  DeltaOfDeltaEncode(columns.timestamps, &dod);
+  std::string packed;
+  ASSERT_TRUE(Simple8bEncode(dod, &packed));
+  for (size_t len = 0; len <= gorilla.size(); len++) {
+    const std::vector<char> prefix(gorilla.begin(), gorilla.begin() + len);
+    std::vector<double> values;
+    bool ok = false;
+    EXPECT_NO_THROW(ok = GorillaDecoder(prefix.data(), prefix.size())
+                             .Decode(columns.lons.size(), &values));
+    if (ok) {
+      EXPECT_EQ(values.size(), columns.lons.size());
+    }
+  }
+  for (size_t len = 0; len <= packed.size(); len++) {
+    const std::vector<char> prefix(packed.begin(), packed.begin() + len);
+    std::vector<uint64_t> values;
+    bool ok = false;
+    EXPECT_NO_THROW(ok = Simple8bDecode(prefix.data(), prefix.size(),
+                                        dod.size(), &values));
+    if (ok) {
+      EXPECT_EQ(values.size(), dod.size());
+    }
+  }
 }
 
 TEST(TrajCodecTest, CorruptedPayloadFailsCleanly) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/coding.h"
 #include "common/random.h"
 #include "geo/douglas_peucker.h"
 #include "geo/geometry.h"
@@ -156,6 +157,26 @@ TEST(DPFeaturesTest, SerializationRoundTrip) {
     EXPECT_EQ(decoded.features[i].rep.t, features.features[i].rep.t);
     EXPECT_EQ(decoded.features[i].start, features.features[i].start);
     EXPECT_EQ(decoded.features[i].end, features.features[i].end);
+  }
+}
+
+TEST(DPFeaturesTest, RejectsCountBeyondBlob) {
+  const DPFeatures features = ExtractDPFeatures(ZigZag(15), 5);
+  std::string blob;
+  EncodeDPFeatures(features, &blob);
+  // The feature count follows the four MBR doubles.
+  const std::string mbr = blob.substr(0, 32);
+  const std::string body = blob.substr(33);
+  ASSERT_EQ(static_cast<uint8_t>(blob[32]), features.features.size());
+  for (uint32_t count : {static_cast<uint32_t>(features.features.size() + 1),
+                         0xFFFFFFF0u}) {
+    std::string corrupt = mbr;
+    PutVarint32(&corrupt, count);
+    corrupt += body;
+    DPFeatures decoded;
+    EXPECT_NO_THROW({
+      EXPECT_FALSE(DecodeDPFeatures(corrupt.data(), corrupt.size(), &decoded));
+    }) << count;
   }
 }
 

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <utility>
+
+#include "common/random.h"
 #include "core/filters.h"
 #include "core/record.h"
 #include "geo/similarity.h"
@@ -62,6 +67,125 @@ TEST(SimilarityEdgeTest, DTWTriangleSanity) {
   auto shifted = a;
   for (auto& p : shifted) p.x += 0.3;
   EXPECT_GE(DTWDistance(a, shifted), 0.3);
+}
+
+// Textbook discrete Fréchet over the full coupling matrix: the reference
+// the bounded kernel must reproduce bit for bit.
+double TextbookFrechet(const std::vector<TimedPoint>& a,
+                       const std::vector<TimedPoint>& b) {
+  const size_t n = a.size();
+  const size_t m = b.size();
+  std::vector<std::vector<double>> c(n, std::vector<double>(m));
+  for (size_t i = 0; i < n; i++) {
+    for (size_t j = 0; j < m; j++) {
+      const double d = Distance(Point{a[i].x, a[i].y}, Point{b[j].x, b[j].y});
+      if (i == 0 && j == 0) {
+        c[i][j] = d;
+      } else if (i == 0) {
+        c[i][j] = std::max(c[i][j - 1], d);
+      } else if (j == 0) {
+        c[i][j] = std::max(c[i - 1][j], d);
+      } else {
+        c[i][j] = std::max(
+            std::min({c[i - 1][j], c[i - 1][j - 1], c[i][j - 1]}), d);
+      }
+    }
+  }
+  return c[n - 1][m - 1];
+}
+
+std::vector<TimedPoint> RandomWalk(Random* rnd, size_t n, double step) {
+  std::vector<TimedPoint> points;
+  double x = rnd->UniformDouble(110, 120);
+  double y = rnd->UniformDouble(30, 40);
+  for (size_t i = 0; i < n; i++) {
+    x += rnd->UniformDouble(-step, step);
+    y += rnd->UniformDouble(-step, step);
+    points.push_back(TimedPoint{x, y, static_cast<int64_t>(i) * 30});
+  }
+  return points;
+}
+
+// One seeded pair per case, cycling through the shapes that stress the
+// early exits: single points, identical, reversed, equal endpoints with
+// different middles, and independent random walks.
+std::pair<std::vector<TimedPoint>, std::vector<TimedPoint>> SeededPair(
+    uint64_t i) {
+  Random rnd(i + 1);
+  const size_t n = 1 + rnd.Uniform(40);
+  const size_t m = 1 + rnd.Uniform(40);
+  const double step = i % 3 == 0 ? 1e-4 : 1e-2;
+  std::vector<TimedPoint> a = RandomWalk(&rnd, n, step);
+  switch (i % 5) {
+    case 0:
+      return {Line(a[0].x, a[0].y, a[0].x, a[0].y, 1),
+              RandomWalk(&rnd, i % 2 == 0 ? 1 : m, step)};
+    case 1:
+      return {a, a};
+    case 2: {
+      std::vector<TimedPoint> reversed(a.rbegin(), a.rend());
+      return {a, reversed};
+    }
+    case 3: {
+      std::vector<TimedPoint> b = RandomWalk(&rnd, m + 1, step);
+      b.front() = a.front();
+      b.back() = a.back();
+      return {a, b};
+    }
+    default: {
+      std::vector<TimedPoint> b = RandomWalk(&rnd, m, step);
+      return {a, b};
+    }
+  }
+}
+
+TEST(ExactDistanceWithinTest, FrechetMatchesTextbookWithinAndExceedsAbove) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kEps = 1e-9;
+  size_t within = 0, above = 0;
+  for (uint64_t i = 0; i < 3000; i++) {
+    const auto [a, b] = SeededPair(i);
+    const double d = TextbookFrechet(a, b);
+    ASSERT_EQ(DiscreteFrechet(a, b), d) << i;
+    for (double bound : {0.0, std::nextafter(d, 0.0), d * (1 - kEps), d,
+                         std::nextafter(d, kInf), d * (1 + kEps), kInf}) {
+      const double got =
+          ExactDistanceWithin(SimilarityMeasure::kFrechet, a, b, bound);
+      if (d <= bound) {
+        within++;
+        EXPECT_EQ(got, d) << "case " << i << " bound " << bound;
+      } else {
+        above++;
+        EXPECT_GT(got, bound) << "case " << i << " d " << d;
+      }
+    }
+  }
+  EXPECT_GT(within, 0u);
+  EXPECT_GT(above, 0u);
+}
+
+TEST(ExactDistanceWithinTest, OtherMeasuresAndEmptyInputsAreExact) {
+  for (uint64_t i = 0; i < 200; i++) {
+    const auto [a, b] = SeededPair(i);
+    for (auto measure :
+         {SimilarityMeasure::kDTW, SimilarityMeasure::kHausdorff}) {
+      const double d = ExactDistance(measure, a, b);
+      EXPECT_EQ(ExactDistanceWithin(measure, a, b, d), d) << i;
+      if (d > 0) {
+        EXPECT_GT(ExactDistanceWithin(measure, a, b, d / 2), d / 2) << i;
+      }
+    }
+  }
+  const std::vector<TimedPoint> empty;
+  const auto a = Line(0, 0, 1, 1, 5);
+  EXPECT_EQ(ExactDistanceWithin(SimilarityMeasure::kFrechet, empty, a,
+                                std::numeric_limits<double>::infinity()),
+            DiscreteFrechet(empty, a));
+  EXPECT_GT(ExactDistanceWithin(SimilarityMeasure::kFrechet, a, empty, 1.0),
+            1.0);
+  // A negative bound admits no distance.
+  EXPECT_GT(ExactDistanceWithin(SimilarityMeasure::kFrechet, a, a, -1.0),
+            -1.0);
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 #include <set>
 #include <thread>
 
+#include "common/coding.h"
+#include "core/record.h"
 #include "core/rowkey.h"
 #include "core/tman.h"
 #include "geo/similarity.h"
@@ -615,6 +617,54 @@ TEST(TManStorageTest, RejectsEmptyTrajectory) {
   traj::Trajectory empty;
   empty.tid = "empty";
   EXPECT_FALSE(tman->BulkLoad({empty}).ok());
+}
+
+TEST(TManStorageTest, CorruptPointColumnFailsSimilarityQueries) {
+  const traj::DatasetSpec spec = traj::LorryLikeSpec();
+  TManOptions options = SmallOptions(spec);
+  std::unique_ptr<TMan> tman;
+  ASSERT_TRUE(TMan::Open(options, TestDir("corrupt_points"), &tman).ok());
+  const auto data = traj::Generate(spec, 100, 4);
+  ASSERT_TRUE(tman->BulkLoad(data).ok());
+
+  // Rewrite one row so that its header, MBR and DP features stay valid
+  // (the push-down filters pass it) but its point column claims 0xFFFFFFF0
+  // points.
+  const traj::Trajectory& victim = data[10];
+  const std::string key = PrimaryKeysByTid(tman.get()).at(victim.tid);
+  std::string value;
+  ASSERT_TRUE(tman->primary_table()->Get(key, &value).ok());
+  RecordHeader header;
+  ASSERT_TRUE(DecodeRecordHeader(value, &header));
+  Slice columns = header.points_blob;
+  uint32_t count = 0;
+  ASSERT_TRUE(GetVarint32(&columns, &count));
+  ASSERT_EQ(count, victim.points.size());
+  std::string points;
+  PutVarint32(&points, 0xFFFFFFF0u);
+  points.append(columns.data(), columns.size());
+  const size_t points_at =
+      static_cast<size_t>(header.points_blob.data() - value.data()) -
+      VarintLength(header.points_blob.size());
+  std::string corrupt = value.substr(0, points_at);
+  PutLengthPrefixedSlice(&corrupt, points);
+  PutLengthPrefixedSlice(&corrupt, header.dp_blob);
+  ASSERT_TRUE(tman->primary_table()->Put(key, corrupt).ok());
+
+  std::vector<traj::Trajectory> results;
+  EXPECT_TRUE(tman->ThresholdSimilarityQuery(victim,
+                                             geo::SimilarityMeasure::kFrechet,
+                                             0.01, &results, nullptr)
+                  .IsCorruption());
+  // Top-k skips the query's own tid, so probe with a renamed copy; the
+  // corrupt row is its nearest neighbour.
+  traj::Trajectory probe = victim;
+  probe.tid = "probe";
+  results.clear();
+  EXPECT_TRUE(tman->TopKSimilarityQuery(probe,
+                                        geo::SimilarityMeasure::kFrechet, 5,
+                                        &results, nullptr)
+                  .IsCorruption());
 }
 
 TEST(TManStorageTest, RecordRoundTrip) {
