@@ -12,8 +12,8 @@
 //
 // Reported per run: ingest throughput and batch p50/p99/p99.9, query
 // p50/p99/p99.9 over origin-distributed cell-range scans, write-stall
-// time, final region count, splits/merges. A `skew` block is merged into
-// BENCH_query.json (read-modify-write; bench_multiscan owns the file).
+// time, final region count, splits/merges, written as a `skew` block to
+// BENCH_balance.json.
 //
 // Usage: bench_balance [--check] [--out <path>]
 //   --check   exit nonzero unless (a) the balancer split at least once
@@ -22,7 +22,7 @@
 //             full-table scan is byte-identical with the balancer on vs
 //             off for both workloads (splits/merges must never change
 //             query results).
-//   --out     JSON report to merge into (default: BENCH_query.json).
+//   --out     JSON report path (default: BENCH_balance.json).
 //
 // Scale with TMAN_SCALE (default 1).
 
@@ -224,8 +224,9 @@ RunResult RunOne(const Workload& w, bool balance) {
     const std::vector<cluster::KeyRange> ranges = {
         cluster::KeyRange{CellPrefix(cell), CellPrefix(cell + kQueryCellSpan)}};
     std::vector<cluster::Row> out;
+    cluster::CollectRowsSink collect(&out);
     const auto t0 = std::chrono::steady_clock::now();
-    s = table->ParallelScan(ranges, nullptr, 0, &out, nullptr);
+    s = table->MultiScan(ranges, nullptr, 0, &collect, nullptr);
     const auto t1 = std::chrono::steady_clock::now();
     if (!s.ok()) {
       fprintf(stderr, "query scan: %s\n", s.ToString().c_str());
@@ -241,8 +242,9 @@ RunResult RunOne(const Workload& w, bool balance) {
   // Full-table scan, sorted and hashed: must be byte-identical between the
   // balancer-on and balancer-off runs of the same workload.
   std::vector<cluster::Row> all;
-  s = table->ParallelScan({cluster::KeyRange{"", ""}}, nullptr, 0, &all,
-                          nullptr);
+  cluster::CollectRowsSink collect_all(&all);
+  s = table->MultiScan({cluster::KeyRange{"", ""}}, nullptr, 0, &collect_all,
+                       nullptr);
   if (!s.ok()) {
     fprintf(stderr, "full scan: %s\n", s.ToString().c_str());
     exit(1);
@@ -290,33 +292,6 @@ void AppendRunJson(std::string* out, const char* key, const RunResult& r) {
            r.ingest_p999_ms, r.query_p50_ms, r.query_p99_ms, r.query_p999_ms,
            r.stall_ms, r.regions, r.splits, r.merges, r.scan_rows);
   out->append(buf);
-}
-
-// Merges the `skew` block into the BENCH_query.json that bench_multiscan
-// writes whole (read-modify-write; replaces the block a previous run left).
-void MergeSkewIntoBenchJson(const std::string& path, const std::string& block) {
-  std::string content;
-  if (FILE* f = fopen(path.c_str(), "r")) {
-    char buf[4096];
-    size_t n;
-    while ((n = fread(buf, 1, sizeof(buf), f)) > 0) content.append(buf, n);
-    fclose(f);
-  }
-  const size_t prior = content.find(",\n  \"skew\"");
-  if (prior != std::string::npos) {
-    content = content.substr(0, prior) + "}\n";
-  }
-  const size_t close = content.rfind('}');
-  if (close == std::string::npos) {
-    content = std::string("{\n  \"benchmark\": \"balance\"") + block + "}\n";
-  } else {
-    content = content.substr(0, close) + block + "}\n";
-  }
-  if (FILE* f = fopen(path.c_str(), "w")) {
-    fwrite(content.data(), 1, content.size(), f);
-    fclose(f);
-    printf("merged skew block into %s\n", path.c_str());
-  }
 }
 
 int Run(bool check, const std::string& out_path) {
@@ -397,7 +372,7 @@ int Run(bool check, const std::string& out_path) {
     }
   }
 
-  std::string block = ",\n  \"skew\": {\n";
+  std::string json = "{\n  \"benchmark\": \"balance\",\n  \"skew\": {\n";
   {
     char head[256];
     snprintf(head, sizeof(head),
@@ -406,16 +381,16 @@ int Run(bool check, const std::string& out_path) {
              "    \"zipf_rows\": %zu,\n"
              "    \"runs\": {\n",
              cores, uniform.rows.size(), zipf.rows.size());
-    block += head;
+    json += head;
   }
-  AppendRunJson(&block, "uniform_off", u_off);
-  block += ",\n";
-  AppendRunJson(&block, "uniform_on", u_on);
-  block += ",\n";
-  AppendRunJson(&block, "zipf_off", z_off);
-  block += ",\n";
-  AppendRunJson(&block, "zipf_on", z_on);
-  block += "\n    },\n";
+  AppendRunJson(&json, "uniform_off", u_off);
+  json += ",\n";
+  AppendRunJson(&json, "uniform_on", u_on);
+  json += ",\n";
+  AppendRunJson(&json, "zipf_off", z_off);
+  json += ",\n";
+  AppendRunJson(&json, "zipf_on", z_on);
+  json += "\n    },\n";
   {
     char tail[512];
     snprintf(tail, sizeof(tail),
@@ -424,13 +399,17 @@ int Run(bool check, const std::string& out_path) {
              "    \"uniform_throughput_on_over_off\": %.3f,\n"
              "    \"scans_identical\": %s,\n"
              "    \"check\": {\"enabled\": %s, \"passed\": %s}\n"
-             "  }\n",
+             "  }\n}\n",
              zipf_ingest_p99_ratio, zipf_query_p99_ratio, uniform_tput_ratio,
              scans_identical ? "true" : "false", check ? "true" : "false",
              failures == 0 ? "true" : "false");
-    block += tail;
+    json += tail;
   }
-  MergeSkewIntoBenchJson(out_path, block);
+  if (FILE* f = fopen(out_path.c_str(), "w")) {
+    fwrite(json.data(), 1, json.size(), f);
+    fclose(f);
+    printf("wrote %s\n", out_path.c_str());
+  }
   return failures == 0 ? 0 : 1;
 }
 
@@ -439,7 +418,7 @@ int Run(bool check, const std::string& out_path) {
 
 int main(int argc, char** argv) {
   bool check = false;
-  std::string out = "BENCH_query.json";
+  std::string out = "BENCH_balance.json";
   for (int i = 1; i < argc; i++) {
     if (strcmp(argv[i], "--check") == 0) {
       check = true;

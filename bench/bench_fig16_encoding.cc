@@ -104,9 +104,10 @@ class InvertedListStore {
 
     core::SpatialRangeFilter filter(rect);
     std::vector<cluster::Row> rows;
+    cluster::CollectRowsSink collect(&rows);
     kv::ScanStats scan_stats;
-    table_->ParallelScan(core::WindowsForRanges(ranges, 4), &filter, 0, &rows,
-                         &scan_stats);
+    table_->MultiScan(core::WindowsForRanges(ranges, 4), &filter, 0, &collect,
+                      &scan_stats);
     // Deduplicate: a trajectory appears once per visited cell.
     std::set<std::string> seen;
     for (const auto& row : rows) {

@@ -7,9 +7,9 @@
 // (group-commit WAL, background flush/compaction, write backpressure).
 //
 // Section 2 hammers a single kv::DB with N client threads issuing
-// WriteBatch writes, with the parallel group-commit memtable apply
-// (Options::allow_concurrent_memtable_write) on and off, and reports the
-// per-thread-count scaling. Both sections land in BENCH_ingest.json.
+// WriteBatch writes (group commit: the leader folds queued batches into one
+// WAL record and applies them to the memtable itself) and reports the
+// per-thread-count throughput. Both sections land in BENCH_ingest.json.
 //
 // Flags:
 //   --threads 1,2,4,8   thread counts for the multicore section
@@ -119,11 +119,8 @@ IngestResult RunIngest(bool background, int batches, int rows_per_batch,
 
 struct MulticoreResult {
   int threads = 0;
-  bool concurrent = false;
   double seconds = 0;
   double rows_per_sec = 0;
-  uint64_t apply_groups = 0;
-  uint64_t apply_batches = 0;
 };
 
 class CountingSink : public kv::RowSink {
@@ -142,14 +139,11 @@ class CountingSink : public kv::RowSink {
 // key ranges, 100-byte values). Returns sustained throughput including the
 // final drain. With `check`, scans the DB afterwards and verifies the row
 // count; a mismatch aborts the benchmark with a nonzero exit.
-MulticoreResult RunMulticore(int threads, bool concurrent, int total_rows,
-                             int rows_per_batch, bool check) {
-  const std::string dir =
-      BenchDir("ingest_mc_" + std::to_string(threads) +
-               (concurrent ? "_conc" : "_serial"));
+MulticoreResult RunMulticore(int threads, int total_rows, int rows_per_batch,
+                             bool check) {
+  const std::string dir = BenchDir("ingest_mc_" + std::to_string(threads));
   kv::Options options;
   options.write_buffer_size = 4 * 1024 * 1024;
-  options.allow_concurrent_memtable_write = concurrent;
   std::unique_ptr<kv::DB> db;
   Status s = kv::DB::Open(options, dir, &db);
   if (!s.ok()) {
@@ -191,13 +185,9 @@ MulticoreResult RunMulticore(int threads, bool concurrent, int total_rows,
 
   MulticoreResult result;
   result.threads = threads;
-  result.concurrent = concurrent;
   result.seconds = std::chrono::duration<double>(end - start).count();
   result.rows_per_sec =
       static_cast<double>(per_thread) * threads / result.seconds;
-  kv::DB::Stats stats = db->GetStats();
-  result.apply_groups = stats.concurrent_apply_groups;
-  result.apply_batches = stats.concurrent_apply_batches;
 
   if (check) {
     CountingSink sink;
@@ -205,10 +195,9 @@ MulticoreResult RunMulticore(int threads, bool concurrent, int total_rows,
     const uint64_t expected = static_cast<uint64_t>(per_thread) * threads;
     if (!s.ok() || sink.rows != expected) {
       fprintf(stderr,
-              "CHECK FAILED: threads=%d concurrent=%d expected %" PRIu64
+              "CHECK FAILED: threads=%d expected %" PRIu64
               " rows, scanned %" PRIu64 " (%s)\n",
-              threads, concurrent, expected, sink.rows,
-              s.ToString().c_str());
+              threads, expected, sink.rows, s.ToString().c_str());
       exit(1);
     }
   }
@@ -302,81 +291,16 @@ int main(int argc, char** argv) {
   printf("\nMulticore write scaling: %d rows total, %d-row batches, "
          "one DB (%u core%s)\n\n",
          mc_rows, mc_rows_per_batch, cores, cores == 1 ? "" : "s");
-  PrintHeader({"threads", "serial rows/s", "conc rows/s", "conc/serial",
-               "vs 1 thread", "groups", "batches"});
-  std::vector<MulticoreResult> mc_serial, mc_conc;
-  double conc_1t = 0;
+  PrintHeader({"threads", "rows/s", "vs first"});
+  std::vector<MulticoreResult> mc;
   for (int n : thread_counts) {
-    MulticoreResult serial =
-        RunMulticore(n, false, mc_rows, mc_rows_per_batch, check);
-    MulticoreResult conc =
-        RunMulticore(n, true, mc_rows, mc_rows_per_batch, check);
-    if (conc_1t == 0) conc_1t = conc.rows_per_sec;
-    mc_serial.push_back(serial);
-    mc_conc.push_back(conc);
+    mc.push_back(RunMulticore(n, mc_rows, mc_rows_per_batch, check));
     PrintCell(static_cast<double>(n));
-    PrintCell(serial.rows_per_sec);
-    PrintCell(conc.rows_per_sec);
-    PrintCell(conc.rows_per_sec / serial.rows_per_sec);
-    PrintCell(conc.rows_per_sec / conc_1t);
-    PrintCell(static_cast<double>(conc.apply_groups));
-    PrintCell(static_cast<double>(conc.apply_batches));
+    PrintCell(mc.back().rows_per_sec);
+    PrintCell(mc.back().rows_per_sec / mc.front().rows_per_sec);
     EndRow();
   }
-  if (cores <= 1) {
-    printf("\nnote: single-CPU host -- parallel memtable appliers "
-           "timeslice one core,\nso multicore scaling cannot materialize "
-           "here; rerun on a multicore host.\n");
-  }
-
-  // Multicore gates, keyed on the host's actual core count so the check is
-  // meaningful on multicore and vacuous-but-honest on a 1-core runner:
-  //  - everywhere: the concurrent apply path must not regress the serial
-  //    path at any thread count (it degrades to the same leader-apply work
-  //    plus coordination, so a floor of 0.8x catches real regressions
-  //    without flaking on scheduler noise);
-  //  - cores >= 2 and a >= 2-thread run present: the best concurrent
-  //    throughput must actually scale, >= 1.15x the 1-thread concurrent
-  //    run. On 1 core this gate is recorded as vacuous, never asserted --
-  //    asserting "no scaling on a host that cannot scale" would be
-  //    misleading either way.
-  double min_conc_over_serial = 0, best_vs_1t = 0;
-  int max_threads_run = 0;
-  for (size_t i = 0; i < mc_conc.size(); i++) {
-    const double ratio = mc_conc[i].rows_per_sec / mc_serial[i].rows_per_sec;
-    if (i == 0 || ratio < min_conc_over_serial) min_conc_over_serial = ratio;
-    const double vs_1t = mc_conc[i].rows_per_sec / conc_1t;
-    if (vs_1t > best_vs_1t) best_vs_1t = vs_1t;
-    if (mc_conc[i].threads > max_threads_run) {
-      max_threads_run = mc_conc[i].threads;
-    }
-  }
-  const bool scaling_vacuous = cores < 2 || max_threads_run < 2;
-  int mc_failures = 0;
-  if (check) {
-    printf("check: all multicore row counts verified by scan\n");
-    if (min_conc_over_serial < 0.8) {
-      fprintf(stderr,
-              "CHECK FAIL: concurrent apply %.2fx of serial at some thread "
-              "count (< 0.8)\n",
-              min_conc_over_serial);
-      mc_failures++;
-    }
-    if (scaling_vacuous) {
-      printf("check: multicore scaling gate vacuous on this host "
-             "(%u core%s, max %d threads run)\n",
-             cores, cores == 1 ? "" : "s", max_threads_run);
-    } else if (best_vs_1t < 1.15) {
-      fprintf(stderr,
-              "CHECK FAIL: best concurrent throughput %.2fx of 1-thread "
-              "(< 1.15) on a %u-core host\n",
-              best_vs_1t, cores);
-      mc_failures++;
-    } else {
-      printf("check: multicore scaling %.2fx vs 1 thread on %u cores\n",
-             best_vs_1t, cores);
-    }
-  }
+  if (check) printf("check: all multicore row counts verified by scan\n");
 
   FILE* json = fopen("BENCH_ingest.json", "w");
   if (json != nullptr) {
@@ -419,9 +343,8 @@ int main(int argc, char** argv) {
             static_cast<double>(pipelined.storage.stall_micros) / 1000.0,
             speedup, sync.p99_ms / pipelined.p99_ms,
             sync.max_ms / pipelined.max_ms);
-    // Multicore scaling rows: serial = allow_concurrent_memtable_write
-    // off, concurrent = on; speedups are relative to the 1-thread
-    // concurrent run on this host (cpu_cores above qualifies them).
+    // Multicore rows: speedups are relative to the first thread count run
+    // on this host (cpu_cores above qualifies them).
     fprintf(json,
             "  \"multicore\": {\n"
             "    \"rows\": %d,\n"
@@ -429,35 +352,18 @@ int main(int argc, char** argv) {
             "    \"checked\": %s,\n"
             "    \"runs\": [\n",
             mc_rows, mc_rows_per_batch, check ? "true" : "false");
-    for (size_t i = 0; i < mc_conc.size(); i++) {
+    for (size_t i = 0; i < mc.size(); i++) {
       fprintf(json,
-              "      {\"threads\": %d, \"serial_rows_per_sec\": %.1f, "
-              "\"concurrent_rows_per_sec\": %.1f, "
-              "\"concurrent_over_serial\": %.3f, "
-              "\"speedup_vs_1thread\": %.3f, "
-              "\"apply_groups\": %" PRIu64 ", \"apply_batches\": %" PRIu64
-              "}%s\n",
-              mc_conc[i].threads, mc_serial[i].rows_per_sec,
-              mc_conc[i].rows_per_sec,
-              mc_conc[i].rows_per_sec / mc_serial[i].rows_per_sec,
-              mc_conc[i].rows_per_sec / conc_1t, mc_conc[i].apply_groups,
-              mc_conc[i].apply_batches,
-              i + 1 < mc_conc.size() ? "," : "");
+              "      {\"threads\": %d, \"rows_per_sec\": %.1f, "
+              "\"speedup_vs_first\": %.3f}%s\n",
+              mc[i].threads, mc[i].rows_per_sec,
+              mc[i].rows_per_sec / mc.front().rows_per_sec,
+              i + 1 < mc.size() ? "," : "");
     }
     fprintf(json,
-            "    ],\n"
-            "    \"check\": {\n"
-            "      \"enabled\": %s,\n"
-            "      \"min_concurrent_over_serial\": %.3f,\n"
-            "      \"best_speedup_vs_1thread\": %.3f,\n"
-            "      \"scaling_gate_vacuous\": %s,\n"
-            "      \"passed\": %s\n"
-            "    }\n"
+            "    ]\n"
             "  }\n"
-            "}\n",
-            check ? "true" : "false", min_conc_over_serial, best_vs_1t,
-            scaling_vacuous ? "true" : "false",
-            mc_failures == 0 ? "true" : "false");
+            "}\n");
     fclose(json);
     printf("wrote BENCH_ingest.json\n");
   }
@@ -469,5 +375,5 @@ int main(int argc, char** argv) {
     fclose(prom);
     printf("wrote BENCH_ingest_metrics.prom\n");
   }
-  return mc_failures == 0 ? 0 : 1;
+  return 0;
 }

@@ -382,50 +382,28 @@ class CaptureReporter : public benchmark::ConsoleReporter {
   std::map<std::string, double> min_ns_;
 };
 
-// Merges a "telemetry_overhead" block into BENCH_ingest.json without
-// clobbering the ingest-pipeline results already there (that bench rewrites
-// the whole file, so this one must read-modify-write). Replaces any block a
-// previous run inserted.
-void MergeOverheadIntoBenchJson(double put_pct, double get_pct,
-                                double put_vs_plain, double get_vs_plain,
-                                bool passed) {
-  char block[512];
-  snprintf(block, sizeof(block),
-           ",\n"
-           "  \"telemetry_overhead\": {\n"
-           "    \"baseline\": \"metrics-attached DB\",\n"
-           "    \"put_overhead_pct\": %.2f,\n"
-           "    \"get_overhead_pct\": %.2f,\n"
-           "    \"put_vs_plain_pct\": %.2f,\n"
-           "    \"get_vs_plain_pct\": %.2f,\n"
-           "    \"budget_pct\": 5.0,\n"
-           "    \"passed\": %s\n"
-           "  }\n",
-           put_pct, get_pct, put_vs_plain, get_vs_plain,
-           passed ? "true" : "false");
-
-  std::string content;
-  if (FILE* f = fopen("BENCH_ingest.json", "r")) {
-    char buf[4096];
-    size_t n;
-    while ((n = fread(buf, 1, sizeof(buf), f)) > 0) content.append(buf, n);
-    fclose(f);
-  }
-  const size_t prior = content.find(",\n  \"telemetry_overhead\"");
-  if (prior != std::string::npos) {
-    content = content.substr(0, prior) + "}\n";
-  }
-  const size_t close = content.rfind('}');
-  if (close == std::string::npos) {
-    content = std::string("{\n  \"benchmark\": \"micro_kvstore\"") + block + "}\n";
-  } else {
-    content = content.substr(0, close) + block + "}\n";
-  }
-  if (FILE* f = fopen("BENCH_ingest.json", "w")) {
-    fwrite(content.data(), 1, content.size(), f);
-    fclose(f);
-    printf("merged telemetry_overhead into BENCH_ingest.json\n");
-  }
+// Writes the telemetry-overhead result as BENCH_micro_kvstore.json.
+void WriteOverheadJson(double put_pct, double get_pct, double put_vs_plain,
+                       double get_vs_plain, bool passed) {
+  FILE* f = fopen("BENCH_micro_kvstore.json", "w");
+  if (f == nullptr) return;
+  fprintf(f,
+          "{\n"
+          "  \"benchmark\": \"micro_kvstore\",\n"
+          "  \"telemetry_overhead\": {\n"
+          "    \"baseline\": \"metrics-attached DB\",\n"
+          "    \"put_overhead_pct\": %.2f,\n"
+          "    \"get_overhead_pct\": %.2f,\n"
+          "    \"put_vs_plain_pct\": %.2f,\n"
+          "    \"get_vs_plain_pct\": %.2f,\n"
+          "    \"budget_pct\": 5.0,\n"
+          "    \"passed\": %s\n"
+          "  }\n"
+          "}\n",
+          put_pct, get_pct, put_vs_plain, get_vs_plain,
+          passed ? "true" : "false");
+  fclose(f);
+  printf("wrote BENCH_micro_kvstore.json\n");
 }
 
 }  // namespace
@@ -487,8 +465,8 @@ int main(int argc, char** argv) {
          "put=%+.2f%% get=%+.2f%% (budget <5%%); vs plain DB "
          "put=%+.2f%% get=%+.2f%%\n",
          put_pct, get_pct, put_vs_plain, get_vs_plain);
-  tman::kv::MergeOverheadIntoBenchJson(put_pct, get_pct, put_vs_plain,
-                                       get_vs_plain, passed);
+  tman::kv::WriteOverheadJson(put_pct, get_pct, put_vs_plain, get_vs_plain,
+                              passed);
   if (!passed) {
     fprintf(stderr,
             "CHECK FAIL: telemetry overhead exceeds 5%% budget "

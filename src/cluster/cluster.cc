@@ -109,24 +109,6 @@ Status ReadFileToString(kv::Env* env, const std::string& path,
 // ---------------------------------------------------------------------------
 // Region
 
-namespace {
-
-// Adapter collecting streamed rows into the vector-returning APIs.
-class CollectRowsSink : public kv::RowSink {
- public:
-  explicit CollectRowsSink(std::vector<Row>* out) : out_(out) {}
-
-  bool Accept(const Slice& key, const Slice& value) override {
-    out_->push_back(Row{key.ToString(), value.ToString()});
-    return true;
-  }
-
- private:
-  std::vector<Row>* out_;
-};
-
-}  // namespace
-
 Region::~Region() {
   const bool retired = retired_.load(std::memory_order_relaxed);
   db_.reset();  // close the store before touching its directory
@@ -144,19 +126,6 @@ void Region::NoteWrites(uint64_t n) {
 void Region::NoteRowsScanned(uint64_t n) {
   rows_scanned_total_.fetch_add(n, std::memory_order_relaxed);
   if (rows_scanned_counter_ != nullptr) rows_scanned_counter_->Inc(n);
-}
-
-Status Region::Scan(const KeyRange& range, const kv::ScanFilter* filter,
-                    size_t limit, std::vector<Row>* out,
-                    kv::ScanStats* stats) {
-  CollectRowsSink sink(out);
-  return Scan(range, filter, limit, &sink, stats);
-}
-
-Status Region::Scan(const KeyRange& range, const kv::ScanFilter* filter,
-                    size_t limit, kv::RowSink* sink, kv::ScanStats* stats) {
-  return db_->Scan(kv::ReadOptions(), range.start, range.end, filter, limit,
-                   sink, stats);
 }
 
 Status Region::MultiScan(const std::vector<kv::ScanWindow>& windows,
@@ -617,14 +586,6 @@ Status ClusterTable::BulkLoad(const std::vector<Row>& rows) {
 // ---------------------------------------------------------------------------
 // ClusterTable: scan path
 
-Status ClusterTable::ParallelScan(const std::vector<KeyRange>& ranges,
-                                  const kv::ScanFilter* filter, size_t limit,
-                                  std::vector<Row>* out,
-                                  kv::ScanStats* stats) {
-  CollectRowsSink sink(out);
-  return ParallelScan(ranges, filter, limit, &sink, stats);
-}
-
 namespace {
 
 // Serializes concurrent region deliveries into one caller sink and
@@ -692,122 +653,6 @@ bool WindowsSortedDisjoint(const std::vector<kv::ScanWindow>& windows) {
 
 }  // namespace
 
-Status ClusterTable::ParallelScan(const std::vector<KeyRange>& ranges,
-                                  const kv::ScanFilter* filter, size_t limit,
-                                  kv::RowSink* sink, kv::ScanStats* stats,
-                                  std::vector<RegionScanStat>* breakdown,
-                                  ScanOutcome* outcome) {
-  // One routing snapshot for the whole scan: concurrent splits/merges do
-  // not change which region serves which clamped window mid-flight, and the
-  // entries' shared_ptrs keep even a retired region's store alive.
-  std::shared_ptr<const RoutingTable> routing = Routing();
-  struct Task {
-    Region* region;
-    KeyRange range;  // query range clamped to the entry's routing range
-    kv::ScanStats stats;
-    Status status;
-    int retries = 0;
-    uint64_t wait_micros = 0;  // submit -> pool thread pickup
-    uint64_t scan_micros = 0;  // inside the region scan
-  };
-  std::vector<Task> tasks;
-  for (const KeyRange& range : ranges) {
-    for (const RoutingEntry* e : routing->Intersecting(range)) {
-      // Clamping to the routing range keeps fan-out results disjoint even
-      // while a source region still holds rows that migrated out in a split
-      // (lazy reclamation): those rows sit outside its routing range, so no
-      // clamped window can reach them twice.
-      tasks.push_back(Task{e->region.get(), ClampRange(range, e->range),
-                           {}, Status::OK(), 0, 0, 0});
-    }
-  }
-
-  Stopwatch total;  // read only when metrics are on
-  const bool timed = scans_ != nullptr || breakdown != nullptr;
-  const RetryPolicy retry = retry_;
-  SerializedSink shared(sink);
-  std::vector<std::future<void>> futures;
-  futures.reserve(tasks.size());
-  for (Task& task : tasks) {
-    Stopwatch queued;  // captured by value: starts counting at submit time
-    futures.push_back(
-        pool_->Submit([&task, &shared, filter, limit, timed, queued, retry] {
-          Stopwatch run;
-          if (timed) task.wait_micros = queued.ElapsedMicros();
-          if (retry.max_retries == 0) {
-            task.status = task.region->Scan(task.range, filter, limit,
-                                            &shared, &task.stats);
-          } else {
-            ProgressSink progress(&shared);
-            task.status = task.region->Scan(task.range, filter, limit,
-                                            &progress, &task.stats);
-            std::string resume_start;
-            // With a per-range limit, a mid-stream retry cannot know how
-            // many of the delivered rows counted against it, so only
-            // zero-delivery failures retry in that case.
-            while (!task.status.ok() &&
-                   retry.ShouldRetry(task.status, task.retries) &&
-                   (limit == 0 || progress.rows() == 0)) {
-              BackoffSleep(retry, task.retries);
-              task.retries++;
-              KeyRange resumed = task.range;
-              if (progress.rows() > 0) {
-                resume_start = progress.last_key() + '\0';  // key successor
-                resumed.start = resume_start;
-              }
-              task.status = task.region->Scan(resumed, filter, limit,
-                                              &progress, &task.stats);
-            }
-          }
-          if (timed) task.scan_micros = run.ElapsedMicros();
-        }));
-  }
-  for (auto& f : futures) f.get();
-
-  Status result;
-  uint64_t matched = 0;
-  uint64_t failed = 0;
-  uint64_t retries_total = 0;
-  for (Task& task : tasks) {
-    retries_total += task.retries;
-    if (!task.status.ok()) {
-      failed++;
-      if (result.ok()) result = task.status;
-      if (outcome != nullptr) {
-        outcome->region_errors.emplace_back(task.region->id(), task.status);
-      }
-    }
-    if (stats != nullptr) *stats += task.stats;
-    matched += task.stats.matched;
-    if (breakdown != nullptr) {
-      breakdown->push_back(RegionScanStat{
-          task.region->id(), task.stats.scanned, task.stats.matched,
-          static_cast<double>(task.wait_micros) / 1000.0,
-          static_cast<double>(task.scan_micros) / 1000.0});
-    }
-    if (wait_micros_ != nullptr) wait_micros_->Record(task.wait_micros);
-    if (task.stats.scanned > 0) {
-      task.region->NoteRowsScanned(task.stats.scanned);
-    }
-  }
-  if (outcome != nullptr) {
-    outcome->regions_attempted += tasks.size();
-    outcome->regions_failed += failed;
-    outcome->retries += retries_total;
-  }
-  if (region_failures_ != nullptr && failed > 0) region_failures_->Inc(failed);
-  if (region_retries_ != nullptr && retries_total > 0) {
-    region_retries_->Inc(retries_total);
-  }
-  if (scans_ != nullptr) {
-    scans_->Inc();
-    rows_streamed_->Inc(matched);
-    fanout_regions_->Record(tasks.size());
-    scan_micros_->RecordMicros(total.ElapsedMicros());
-  }
-  return result;
-}
-
 Status ClusterTable::MultiScan(const std::vector<KeyRange>& ranges,
                                const kv::ScanFilter* filter, size_t limit,
                                kv::RowSink* sink, kv::ScanStats* stats,
@@ -815,10 +660,15 @@ Status ClusterTable::MultiScan(const std::vector<KeyRange>& ranges,
                                kv::MultiScanPerf* perf,
                                ScanOutcome* outcome) {
   // Group windows by routing entry: one task (and one iterator stack) per
-  // region instead of one per (region, window). Each window is clamped to
-  // its entry's routing range (see ParallelScan); the clamped KeyRanges own
-  // the strings the ScanWindow slices borrow, and both vectors are fully
-  // built before the parallel phase starts.
+  // region. Clamping each window to its entry's routing range keeps fan-out
+  // results disjoint even while a source region still holds rows that
+  // migrated out in a split (lazy reclamation): those rows sit outside its
+  // routing range, so no clamped window can reach them twice. The clamped
+  // KeyRanges own the strings the ScanWindow slices borrow, and both
+  // vectors are fully built before the parallel phase starts. One routing
+  // snapshot serves the whole scan: concurrent splits/merges do not change
+  // which region serves a window mid-flight, and the entries' shared_ptrs
+  // keep even a retired region's store alive.
   std::shared_ptr<const RoutingTable> routing = Routing();
   const std::vector<RoutingEntry>& entries = routing->entries();
   std::vector<std::vector<KeyRange>> clamped(entries.size());
@@ -960,8 +810,9 @@ Status ClusterTable::ScanWithoutPushdown(const std::vector<KeyRange>& ranges,
                                          kv::ScanStats* stats) {
   // Ship every row in the windows to the "client", then filter there.
   std::vector<Row> shipped;
+  CollectRowsSink collect(&shipped);
   kv::ScanStats shipping_stats;
-  Status s = ParallelScan(ranges, nullptr, 0, &shipped, &shipping_stats);
+  Status s = MultiScan(ranges, nullptr, 0, &collect, &shipping_stats);
   if (!s.ok()) return s;
   if (stats != nullptr) {
     stats->scanned += shipping_stats.scanned;

@@ -35,6 +35,20 @@ struct KeyRange {
   std::string end;
 };
 
+// Collects streamed rows into a vector, in delivery order.
+class CollectRowsSink : public kv::RowSink {
+ public:
+  explicit CollectRowsSink(std::vector<Row>* out) : out_(out) {}
+
+  bool Accept(const Slice& key, const Slice& value) override {
+    out_->push_back(Row{key.ToString(), value.ToString()});
+    return true;
+  }
+
+ private:
+  std::vector<Row>* out_;
+};
+
 // Whether `key` falls inside the half-open range.
 bool RangeContains(const KeyRange& range, const Slice& key);
 
@@ -150,18 +164,10 @@ class Region {
     rows_scanned_counter_ = rows_scanned;
   }
 
-  // Executes a filtered scan inside the region (push-down execution).
-  Status Scan(const KeyRange& range, const kv::ScanFilter* filter,
-              size_t limit, std::vector<Row>* out, kv::ScanStats* stats);
-
-  // Streaming variant: matching rows are delivered to `sink` as the region
-  // iterator produces them; the sink returning false stops the scan.
-  Status Scan(const KeyRange& range, const kv::ScanFilter* filter,
-              size_t limit, kv::RowSink* sink, kv::ScanStats* stats);
-
-  // Batched scan: all windows run against one iterator stack inside the
-  // region store (see kv::DB::MultiScan). Sorted windows advance the
-  // cursor monotonically instead of re-seeking per window.
+  // Filtered scan inside the region (push-down execution): all windows run
+  // against one iterator stack in the region store (see kv::DB::MultiScan).
+  // Sorted windows advance the cursor monotonically instead of re-seeking
+  // per window.
   Status MultiScan(const std::vector<kv::ScanWindow>& windows,
                    const kv::ScanFilter* filter, size_t limit,
                    kv::RowSink* sink, kv::ScanStats* stats,
@@ -249,7 +255,7 @@ class ClusterTable {
 
   ~ClusterTable();
 
-  // Per-region slice of one ParallelScan (trace / EXPLAIN ANALYZE input).
+  // One region task of a MultiScan (trace / EXPLAIN ANALYZE input).
   struct RegionScanStat {
     int shard = 0;          // region id
     uint64_t scanned = 0;   // rows the region iterator visited
@@ -302,35 +308,22 @@ class ClusterTable {
   // first error is returned.
   Status BulkLoad(const std::vector<Row>& rows);
 
-  // Scans all `ranges` in parallel with the filter pushed down to the
-  // regions. Results are concatenated (callers needing global key order
-  // sort afterwards). limit==0 means unlimited; a non-zero limit applies
-  // per range. Thin adapter over the sink-based overload below.
-  Status ParallelScan(const std::vector<KeyRange>& ranges,
-                      const kv::ScanFilter* filter, size_t limit,
-                      std::vector<Row>* out, kv::ScanStats* stats);
-
-  // Streaming variant: rows from all regions are serialized into `sink` as
-  // they are produced (arrival order across regions is unspecified). The
-  // sink returning false broadcasts early termination to every in-flight
-  // region scan, so rows past the stop are not scanned. The sink needs no
-  // internal locking; deliveries are serialized here. When `breakdown` is
-  // non-null it receives one entry per region task, appended after all
-  // tasks have joined (never mutated concurrently).
-  Status ParallelScan(const std::vector<KeyRange>& ranges,
-                      const kv::ScanFilter* filter, size_t limit,
-                      kv::RowSink* sink, kv::ScanStats* stats,
-                      std::vector<RegionScanStat>* breakdown = nullptr,
-                      ScanOutcome* outcome = nullptr);
-
-  // Batched variant of the streaming ParallelScan: windows are grouped by
-  // region and each region runs ONE pool task executing its whole batch
-  // over a single iterator stack (kv::DB::MultiScan), instead of one task
-  // (and one fresh iterator) per (region, window). Semantics match
-  // ParallelScan row for row; `perf` (optional) aggregates the read-path
-  // counters across regions after all tasks have joined. Windows arriving
-  // sorted by start key (the planner's contract) keep their order within
-  // each region group, which is what enables seek elision downstream.
+  // Scans all `ranges` with the filter pushed down to the regions (§V-G).
+  // Windows are clamped to and grouped by region, and each region runs ONE
+  // pool task executing its whole batch over a single iterator stack
+  // (kv::DB::MultiScan). Matching rows are serialized into `sink` as they
+  // are produced (arrival order across regions is unspecified; callers
+  // needing global key order sort afterwards). The sink needs no internal
+  // locking, and returning false broadcasts early termination to every
+  // in-flight region task, so rows past the stop are not scanned.
+  //
+  // A non-zero `limit` applies per window per region; windows that overlap
+  // deliver their overlap once per window, and unsorted windows just
+  // re-seek. Windows arriving sorted by start key (the planner's contract)
+  // keep their order within each region group, which is what enables seek
+  // elision downstream. `breakdown` (one entry per region task) and `perf`
+  // (the read-path counters summed across regions) are filled after all
+  // tasks have joined, never concurrently.
   Status MultiScan(const std::vector<KeyRange>& ranges,
                    const kv::ScanFilter* filter, size_t limit,
                    kv::RowSink* sink, kv::ScanStats* stats,
@@ -372,11 +365,13 @@ class ClusterTable {
   // hook: the ownership filter drops migrated rows during the rewrite).
   Status CompactRegion(int region_id);
 
-  // Region-task retry policy for ParallelScan/MultiScan. With the default
+  // Region-task retry policy for MultiScan. With the default
   // (max_retries == 0) failed tasks are never re-run and the scan path is
-  // byte-identical to the no-retry build. A retried task that already
-  // delivered rows resumes after the last delivered key, so no row is
-  // streamed twice.
+  // byte-identical to the no-retry build. A task that failed before
+  // delivering a row re-runs its whole batch. One that already delivered
+  // rows is retried only when its windows are sorted and disjoint and the
+  // scan has no limit; it then resumes after the last delivered key, so no
+  // row is streamed twice.
   void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
   const RetryPolicy& retry_policy() const { return retry_; }
 

@@ -1,38 +1,22 @@
 #include "core/executor.h"
 
 #include <algorithm>
-#include <map>
 
 namespace tman::core {
 
 Executor::Executor(cluster::ClusterTable* primary,
                    cluster::ClusterTable* tr_table,
                    cluster::ClusterTable* idt_table, bool push_down,
-                   obs::MetricsRegistry* registry, bool use_multiscan)
+                   obs::MetricsRegistry* registry)
     : primary_(primary),
       tr_table_(tr_table),
       idt_table_(idt_table),
-      push_down_(push_down),
-      use_multiscan_(use_multiscan) {
+      push_down_(push_down) {
   if (registry != nullptr) {
     rows_streamed_ = registry->GetCounter("tman_exec_rows_streamed_total");
     early_terminations_ =
         registry->GetCounter("tman_exec_early_terminations_total");
   }
-}
-
-Status Executor::RunScan(
-    cluster::ClusterTable* table, const QueryPlan& plan,
-    const kv::ScanFilter* pushed, kv::RowSink* stage,
-    kv::ScanStats* scan_stats,
-    std::vector<cluster::ClusterTable::RegionScanStat>* breakdown,
-    kv::MultiScanPerf* perf, cluster::ScanOutcome* outcome) {
-  if (use_multiscan_) {
-    return table->MultiScan(plan.windows, pushed, 0, stage, scan_stats,
-                            breakdown, perf, outcome);
-  }
-  return table->ParallelScan(plan.windows, pushed, 0, stage, scan_stats,
-                             breakdown, outcome);
 }
 
 Status Executor::ResolveOutcome(Status s, const QueryPlan& plan,
@@ -170,16 +154,14 @@ const char* ScanSpanName(PlanTable table) {
 }
 
 // Freezes a finished scan span: summary annotations plus one child per
-// region shard. The breakdown has one entry per (region, window) scan task
-// — potentially thousands for fine-window plans — so tasks are aggregated
-// by shard to keep the rendered tree readable; a shard's duration is the
-// total CPU time its tasks spent scanning (tasks overlap in the pool, so
-// shard durations can exceed the parent's wall time).
+// region task, in key order. A region's duration is the time its task spent
+// scanning (tasks overlap in the pool, so region durations can exceed the
+// parent's wall time).
 void FinishScanSpan(
     obs::TraceSpan* span,
     const std::vector<cluster::ClusterTable::RegionScanStat>& breakdown,
     const kv::ScanStats& scan_stats, size_t windows, bool pushed,
-    const kv::MultiScanPerf* perf, const cluster::ScanOutcome& outcome,
+    const kv::MultiScanPerf& perf, const cluster::ScanOutcome& outcome,
     bool degraded) {
   span->End();
   span->Annotate("windows", static_cast<double>(windows));
@@ -201,38 +183,18 @@ void FinishScanSpan(
       es->Annotate("error", err.ToString());
     }
   }
-  if (perf != nullptr) {
-    // Batched read path: read-path savings aggregated over all regions.
-    span->Annotate("multiscan", "true");
-    span->Annotate("seeks_saved", static_cast<double>(perf->seeks_saved));
-    span->Annotate("iterator_reuse", static_cast<double>(perf->iterator_reuse));
-    span->Annotate("block_reuse", static_cast<double>(perf->block_reuse));
-    span->Annotate("blocks_readahead",
-                   static_cast<double>(perf->blocks_readahead));
-  }
-  struct ShardAgg {
-    uint64_t tasks = 0;
-    uint64_t scanned = 0;
-    uint64_t matched = 0;
-    double scan_ms = 0;
-    double wait_ms = 0;
-  };
-  std::map<int, ShardAgg> shards;
+  // Read-path savings aggregated over all regions.
+  span->Annotate("seeks_saved", static_cast<double>(perf.seeks_saved));
+  span->Annotate("iterator_reuse", static_cast<double>(perf.iterator_reuse));
+  span->Annotate("block_reuse", static_cast<double>(perf.block_reuse));
+  span->Annotate("blocks_readahead",
+                 static_cast<double>(perf.blocks_readahead));
   for (const auto& r : breakdown) {
-    ShardAgg& agg = shards[r.shard];
-    agg.tasks++;
-    agg.scanned += r.scanned;
-    agg.matched += r.matched;
-    agg.scan_ms += r.scan_ms;
-    agg.wait_ms += r.wait_ms;
-  }
-  for (const auto& [shard, agg] : shards) {
-    obs::TraceSpan* rs = span->AddChild("region " + std::to_string(shard));
-    rs->SetDurationMs(agg.scan_ms);
-    rs->Annotate("tasks", static_cast<double>(agg.tasks));
-    rs->Annotate("rows_scanned", static_cast<double>(agg.scanned));
-    rs->Annotate("rows_matched", static_cast<double>(agg.matched));
-    rs->Annotate("queue_wait_ms", agg.wait_ms);
+    obs::TraceSpan* rs = span->AddChild("region " + std::to_string(r.shard));
+    rs->SetDurationMs(r.scan_ms);
+    rs->Annotate("rows_scanned", static_cast<double>(r.scanned));
+    rs->Annotate("rows_matched", static_cast<double>(r.matched));
+    rs->Annotate("queue_wait_ms", r.wait_ms);
   }
 }
 
@@ -270,14 +232,15 @@ Status Executor::ExecutePrimaryScan(const QueryPlan& plan, kv::RowSink* sink,
   kv::ScanStats scan_stats;
   kv::MultiScanPerf perf;
   cluster::ScanOutcome outcome;
-  Status s = RunScan(Table(plan.scan_table), plan, pushed, stage, &scan_stats,
-                     scan_span != nullptr ? &breakdown : nullptr, &perf,
-                     &outcome);
+  Status s = Table(plan.scan_table)
+                 ->MultiScan(plan.windows, pushed, 0, stage, &scan_stats,
+                             scan_span != nullptr ? &breakdown : nullptr,
+                             &perf, &outcome);
   s = ResolveOutcome(std::move(s), plan, outcome, stats);
   if (scan_span != nullptr) {
     FinishScanSpan(scan_span, breakdown, scan_stats, plan.windows.size(),
-                   pushed != nullptr, use_multiscan_ ? &perf : nullptr,
-                   outcome, s.ok() && outcome.regions_failed > 0);
+                   pushed != nullptr, perf, outcome,
+                   s.ok() && outcome.regions_failed > 0);
   }
   if (stats != nullptr) {
     stats->windows += plan.windows.size();
@@ -305,14 +268,14 @@ Status Executor::ExecuteSecondaryFetch(const QueryPlan& plan,
   kv::ScanStats scan_stats;
   kv::MultiScanPerf perf;
   cluster::ScanOutcome outcome;
-  Status s = RunScan(Table(plan.scan_table), plan, nullptr, scan_stage,
-                     &scan_stats, scan_span != nullptr ? &breakdown : nullptr,
-                     &perf, &outcome);
+  Status s = Table(plan.scan_table)
+                 ->MultiScan(plan.windows, nullptr, 0, scan_stage, &scan_stats,
+                             scan_span != nullptr ? &breakdown : nullptr,
+                             &perf, &outcome);
   s = ResolveOutcome(std::move(s), plan, outcome, stats);
   if (scan_span != nullptr) {
     FinishScanSpan(scan_span, breakdown, scan_stats, plan.windows.size(),
-                   false, use_multiscan_ ? &perf : nullptr, outcome,
-                   s.ok() && outcome.regions_failed > 0);
+                   false, perf, outcome, s.ok() && outcome.regions_failed > 0);
   }
   if (stats != nullptr) {
     stats->windows += plan.windows.size();

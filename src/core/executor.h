@@ -32,13 +32,7 @@ class Executor {
   // early-termination cutoffs are published under tman_exec_*.
   Executor(cluster::ClusterTable* primary, cluster::ClusterTable* tr_table,
            cluster::ClusterTable* idt_table, bool push_down,
-           obs::MetricsRegistry* registry = nullptr, bool use_multiscan = true);
-
-  // Toggles the batched read path (ClusterTable::MultiScan, one iterator
-  // stack per region) vs the per-window scan fan-out. Exposed for A/B
-  // benchmarking; not thread-safe against in-flight Execute calls.
-  void set_use_multiscan(bool on) { use_multiscan_ = on; }
-  bool use_multiscan() const { return use_multiscan_; }
+           obs::MetricsRegistry* registry = nullptr);
 
   // Streams the plan's matching primary rows into `sink`, honoring the
   // plan's push-down filter and global limit. Fills stats->windows and
@@ -53,13 +47,6 @@ class Executor {
                             QueryStats* stats, obs::TraceSpan* span);
   Status ExecuteSecondaryFetch(const QueryPlan& plan, kv::RowSink* sink,
                                QueryStats* stats, obs::TraceSpan* span);
-  // Dispatches the plan's window batch to MultiScan or ParallelScan
-  // depending on use_multiscan_; `perf` is filled only on the batched path.
-  Status RunScan(cluster::ClusterTable* table, const QueryPlan& plan,
-                 const kv::ScanFilter* pushed, kv::RowSink* stage,
-                 kv::ScanStats* scan_stats,
-                 std::vector<cluster::ClusterTable::RegionScanStat>* breakdown,
-                 kv::MultiScanPerf* perf, cluster::ScanOutcome* outcome);
   // Folds a scan's per-region failure accounting into the query result:
   // retries/regions_failed accumulate into `stats`, and when the plan
   // allows degraded execution and a strict subset of regions failed, the
@@ -73,26 +60,11 @@ class Executor {
   cluster::ClusterTable* tr_table_;
   cluster::ClusterTable* idt_table_;
   bool push_down_;
-  bool use_multiscan_;
   obs::Counter* rows_streamed_ = nullptr;
   obs::Counter* early_terminations_ = nullptr;
 };
 
 // --- Sinks -----------------------------------------------------------------
-
-// Collects raw rows (legacy-shape results and tests).
-class CollectSink : public kv::RowSink {
- public:
-  explicit CollectSink(std::vector<cluster::Row>* out) : out_(out) {}
-
-  bool Accept(const Slice& key, const Slice& value) override {
-    out_->push_back(cluster::Row{key.ToString(), value.ToString()});
-    return true;
-  }
-
- private:
-  std::vector<cluster::Row>* out_;
-};
 
 // Discards every row. Count plans (whose CountingFilter rejects all rows in
 // the storage layer) execute against this sink.

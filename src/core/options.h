@@ -54,12 +54,6 @@ struct TManOptions {
   // filters there (the TrajMesa execution model).
   bool push_down = true;
 
-  // Batched read path: execute each plan's window batch with one iterator
-  // stack per region (ClusterTable::MultiScan) instead of one fresh
-  // iterator per (region, window). Disabling restores the per-window scan
-  // fan-out, kept as the benchmark baseline.
-  bool use_multiscan = true;
-
   // Cluster shape.
   int num_shards = 8;
   int num_servers = 5;

@@ -201,8 +201,7 @@ Status TMan::Init() {
       options_.use_index_cache ? index_cache_.get() : nullptr);
   executor_ = std::make_unique<Executor>(primary_, tr_table_, idt_table_,
                                          options_.push_down,
-                                         options_.kv.metrics,
-                                         options_.use_multiscan);
+                                         options_.kv.metrics);
 
   if (options_.kv.metrics != nullptr) {
     obs::MetricsRegistry* registry = options_.kv.metrics;
@@ -614,7 +613,8 @@ Status TMan::DeleteTrajectory(const std::string& oid, const std::string& tid) {
   range.end.push_back('\x01');
 
   std::vector<cluster::Row> rows;
-  Status s = idt_table_->ParallelScan({range}, nullptr, 0, &rows, nullptr);
+  cluster::CollectRowsSink collect(&rows);
+  Status s = idt_table_->MultiScan({range}, nullptr, 0, &collect, nullptr);
   if (!s.ok()) return s;
 
   bool found = false;

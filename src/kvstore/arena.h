@@ -6,13 +6,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 namespace tman::kv {
 
 // Bump allocator backing the memtable skiplist. Memory is freed only when
-// the arena is destroyed (when the memtable is dropped after a flush).
+// the arena is destroyed (when the memtable is dropped after a flush). One
+// thread allocates at a time (the memtable's single writer); MemoryUsage()
+// is a relaxed atomic read, safe from any thread.
 class Arena {
  public:
   Arena() = default;
@@ -50,7 +51,12 @@ class Arena {
   }
 
  private:
-  static constexpr size_t kBlockSize = 4096;
+  // 32 KiB blocks (allocations over 8 KiB get their own block): TMan's
+  // primary values are whole-trajectory records of ~1.7 KiB on Lorry-like
+  // data, so they pack into shared blocks instead of taking one heap block
+  // each. The memtable's usage count, which decides when it flushes,
+  // includes each block's unused tail.
+  static constexpr size_t kBlockSize = 32 * 1024;
 
   char* AllocateFallback(size_t bytes) {
     if (bytes > kBlockSize / 4) {
@@ -75,121 +81,6 @@ class Arena {
   char* alloc_ptr_ = nullptr;
   size_t alloc_bytes_remaining_ = 0;
   std::vector<std::unique_ptr<char[]>> blocks_;
-  std::atomic<size_t> memory_usage_{0};
-};
-
-// Thread-safe bump allocator for the concurrent-insert memtable: any number
-// of threads may Allocate/AllocateAligned while readers walk previously
-// returned memory. Same no-free lifetime contract as Arena.
-//
-// Layout: allocations are striped across kNumShards shards (threads pick a
-// shard by a cheap thread-local id, so concurrent writers rarely collide).
-// Each shard owns the current bump block and claims space with one atomic
-// fetch_add on the block's offset — the fast path takes no lock. When the
-// fetch_add overshoots the block, the thread falls back to the lock-taken
-// path: it takes the shard lock, re-checks (another thread may already have
-// installed a fresh block), and otherwise carves a new shard block out of
-// the shared backing store. Retired blocks simply keep whatever tail the
-// overshooting threads could not use; blocks are never reused, so the
-// lock-free path has no ABA hazard.
-//
-// All fast-path sizes are rounded up to 8 bytes and block bases are
-// max-aligned, so every returned pointer is at least 8-byte aligned —
-// sufficient for skiplist nodes (pointer + atomic pointer array).
-// MemoryUsage() is a relaxed atomic read, safe from any thread.
-class ConcurrentArena {
- public:
-  ConcurrentArena() = default;
-  ConcurrentArena(const ConcurrentArena&) = delete;
-  ConcurrentArena& operator=(const ConcurrentArena&) = delete;
-
-  char* Allocate(size_t bytes) {
-    assert(bytes > 0);
-    return AllocateImpl(Round8(bytes));
-  }
-
-  // 8-byte-aligned allocation (skiplist nodes). Every path already returns
-  // 8-byte-aligned memory, so this is an alias kept for interface parity
-  // with Arena.
-  char* AllocateAligned(size_t bytes) {
-    assert(bytes > 0);
-    return AllocateImpl(Round8(bytes));
-  }
-
-  size_t MemoryUsage() const {
-    return memory_usage_.load(std::memory_order_relaxed);
-  }
-
- private:
-  static constexpr int kNumShards = 8;
-  static constexpr size_t kShardBlockSize = 32 * 1024;
-
-  // One bump block. `used` may overshoot `size` (failed claims on a full
-  // block); the block is then retired and the remaining tail wasted.
-  struct Block {
-    explicit Block(size_t n) : data(new char[n]), size(n) {}
-    std::unique_ptr<char[]> data;
-    size_t size;
-    std::atomic<size_t> used{0};
-  };
-
-  struct alignas(64) Shard {
-    std::atomic<Block*> block{nullptr};
-    std::mutex refill_mu;  // serializes block replacement only
-  };
-
-  static size_t Round8(size_t bytes) { return (bytes + 7) & ~size_t{7}; }
-
-  // Cheap stable per-thread shard choice; consecutive threads spread across
-  // shards round-robin.
-  static size_t ShardIndex() {
-    static std::atomic<size_t> next_thread{0};
-    thread_local size_t id =
-        next_thread.fetch_add(1, std::memory_order_relaxed);
-    return id % kNumShards;
-  }
-
-  char* AllocateImpl(size_t bytes) {
-    if (bytes > kShardBlockSize / 4) {
-      // Large allocation: dedicated block from the backing store so shard
-      // blocks are not burned on one oversized value.
-      std::lock_guard<std::mutex> lock(blocks_mu_);
-      Block* b = NewBlockLocked(bytes);
-      b->used.store(bytes, std::memory_order_relaxed);
-      return b->data.get();
-    }
-    Shard& shard = shards_[ShardIndex()];
-    for (;;) {
-      Block* b = shard.block.load(std::memory_order_acquire);
-      if (b != nullptr) {
-        const size_t off = b->used.fetch_add(bytes, std::memory_order_relaxed);
-        if (off + bytes <= b->size) return b->data.get() + off;
-        // Overshot: block is full. Fall through to install a fresh one.
-      }
-      std::lock_guard<std::mutex> lock(shard.refill_mu);
-      if (shard.block.load(std::memory_order_acquire) == b) {
-        Block* fresh;
-        {
-          std::lock_guard<std::mutex> blocks_lock(blocks_mu_);
-          fresh = NewBlockLocked(kShardBlockSize);
-        }
-        shard.block.store(fresh, std::memory_order_release);
-      }
-      // Retry the fast path against the (possibly concurrently) installed
-      // block.
-    }
-  }
-
-  Block* NewBlockLocked(size_t block_bytes) {
-    blocks_.push_back(std::make_unique<Block>(block_bytes));
-    memory_usage_.fetch_add(block_bytes + sizeof(Block),
-                            std::memory_order_relaxed);
-    return blocks_.back().get();
-  }
-
-  Shard shards_[kNumShards];
-  std::mutex blocks_mu_;  // guards blocks_ (block ownership list)
-  std::vector<std::unique_ptr<Block>> blocks_;
   std::atomic<size_t> memory_usage_{0};
 };
 

@@ -1,12 +1,6 @@
 #include "kvstore/compression.h"
 
-#include <cstring>
-#include <vector>
-
-#include "common/coding.h"
 #include "compress/byte_codec.h"
-#include "compress/simple8b.h"
-#include "compress/traj_codec.h"
 
 namespace tman::kv {
 
@@ -18,245 +12,11 @@ inline bool WorthKeeping(size_t raw, size_t compressed) {
   return compressed < raw - raw / 8;
 }
 
-inline uint64_t DoubleToBits(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-inline double BitsToDouble(uint64_t bits) {
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-// Parses a raw block into per-entry key metadata (shared/non_shared varints
-// plus the key delta, verbatim) and point columns. Returns false unless
-// every value is exactly a kPointValueSize point row.
-bool SplitPointBlock(const Slice& raw, std::string* key_meta,
-                     Slice* restart_tail, uint32_t* num_entries,
-                     compress::PointColumns* cols) {
-  if (raw.size() < sizeof(uint32_t)) return false;
-  const char* data = raw.data();
-  const uint32_t num_restarts = DecodeFixed32(data + raw.size() - 4);
-  const uint64_t tail_bytes = (uint64_t{num_restarts} + 1) * 4;
-  if (tail_bytes > raw.size()) return false;
-  const size_t restart_offset = raw.size() - tail_bytes;
-  *restart_tail = Slice(data + restart_offset, tail_bytes);
-
-  const char* p = data;
-  const char* limit = data + restart_offset;
-  uint32_t entries = 0;
-  while (p < limit) {
-    const char* entry_start = p;
-    uint32_t shared = 0, non_shared = 0, value_len = 0;
-    p = GetVarint32Ptr(p, limit, &shared);
-    if (p == nullptr) return false;
-    p = GetVarint32Ptr(p, limit, &non_shared);
-    if (p == nullptr) return false;
-    const char* after_key_varints = p;
-    p = GetVarint32Ptr(p, limit, &value_len);
-    if (p == nullptr) return false;
-    if (value_len != kPointValueSize) return false;
-    if (static_cast<size_t>(limit - p) < non_shared + value_len) return false;
-    key_meta->append(entry_start, after_key_varints - entry_start);
-    key_meta->append(p, non_shared);
-    const char* value = p + non_shared;
-    cols->timestamps.push_back(static_cast<int64_t>(DecodeFixed64(value)));
-    cols->lons.push_back(BitsToDouble(DecodeFixed64(value + 8)));
-    cols->lats.push_back(BitsToDouble(DecodeFixed64(value + 16)));
-    p = value + value_len;
-    entries++;
-  }
-  *num_entries = entries;
-  return entries > 0;
-}
-
-// Column codec for one fixed64 column (timestamps or coordinate bit
-// patterns): the first value is stored raw, the rest as zigzagged
-// delta-of-delta packed with simple8b. All arithmetic is mod 2^64, so the
-// transform is lossless for any inputs; it only *compresses* when the
-// column is smooth (consecutive trajectory points), which is exactly the
-// workload this codec targets. Returns false when some zigzagged dod is
-// too wide for simple8b (>= 60 bits) — the caller then falls back to the
-// generic byte codec.
-bool DodColumnEncode(const std::vector<uint64_t>& values, std::string* out) {
-  PutFixed64(out, values[0]);
-  std::vector<uint64_t> packed;
-  packed.reserve(values.size() - 1);
-  uint64_t prev = values[0];
-  uint64_t prev_delta = 0;
-  for (size_t i = 1; i < values.size(); i++) {
-    const uint64_t delta = values[i] - prev;
-    const uint64_t dod = delta - prev_delta;
-    const int64_t s = static_cast<int64_t>(dod);
-    packed.push_back((static_cast<uint64_t>(s) << 1) ^
-                     static_cast<uint64_t>(s >> 63));
-    prev = values[i];
-    prev_delta = delta;
-  }
-  return compress::Simple8bEncode(packed, out);
-}
-
-bool DodColumnDecode(const char* data, size_t size, uint32_t count,
-                     std::vector<uint64_t>* out) {
-  if (count == 0 || size < 8) return false;
-  uint64_t prev = DecodeFixed64(data);
-  out->push_back(prev);
-  std::vector<uint64_t> packed;
-  if (!compress::Simple8bDecode(data + 8, size - 8, count - 1, &packed)) {
-    return false;
-  }
-  uint64_t prev_delta = 0;
-  for (uint64_t z : packed) {
-    const uint64_t dod = (z >> 1) ^ (~(z & 1) + 1);
-    const uint64_t delta = prev_delta + dod;
-    prev += delta;
-    out->push_back(prev);
-    prev_delta = delta;
-  }
-  return true;
-}
-
-// kTrajPointCompression payload:
-//   varint32 raw_size | varint32 num_entries |
-//   varint32 key_meta_len | varint32 restart_tail_len |
-//   varint32 struct_len | byte-LZ(key_meta | restart_tail) |
-//   3 x (varint32 len | DodColumnEncode(ts / lon bits / lat bits))
-// The key structure (shared/non_shared varints, prefix-compressed key
-// deltas, restart offsets) is highly repetitive across entries, so it goes
-// through the generic LZ pass; the point columns get delta-of-delta +
-// zigzag + simple8b, which collapses smooth trajectories to a few bits
-// per point.
-bool TrajCompressBlock(const Slice& raw, std::string* out) {
-  std::string key_meta;
-  Slice restart_tail;
-  uint32_t num_entries = 0;
-  compress::PointColumns cols;
-  if (!SplitPointBlock(raw, &key_meta, &restart_tail, &num_entries, &cols)) {
-    return false;
-  }
-  std::vector<uint64_t> column(cols.timestamps.size());
-  std::string columns_blob;
-  std::string one;
-  for (int c = 0; c < 3; c++) {
-    for (size_t i = 0; i < column.size(); i++) {
-      column[i] = c == 0 ? static_cast<uint64_t>(cols.timestamps[i])
-                 : c == 1 ? DoubleToBits(cols.lons[i])
-                          : DoubleToBits(cols.lats[i]);
-    }
-    one.clear();
-    if (!DodColumnEncode(column, &one)) return false;
-    PutVarint32(&columns_blob, static_cast<uint32_t>(one.size()));
-    columns_blob.append(one);
-  }
-  PutVarint32(out, static_cast<uint32_t>(raw.size()));
-  PutVarint32(out, num_entries);
-  PutVarint32(out, static_cast<uint32_t>(key_meta.size()));
-  PutVarint32(out, static_cast<uint32_t>(restart_tail.size()));
-  key_meta.append(restart_tail.data(), restart_tail.size());
-  std::string structure;
-  compress::ByteLzEncode(key_meta.data(), key_meta.size(), &structure);
-  PutVarint32(out, static_cast<uint32_t>(structure.size()));
-  out->append(structure);
-  out->append(columns_blob);
-  return true;
-}
-
-Status TrajUncompressBlock(const char* data, size_t size, std::string* out) {
-  const Status corrupt = Status::Corruption("bad trajectory-compressed block");
-  const char* p = data;
-  const char* limit = data + size;
-  uint32_t raw_size = 0, num_entries = 0, key_meta_len = 0, tail_len = 0;
-  uint32_t struct_len = 0;
-  p = GetVarint32Ptr(p, limit, &raw_size);
-  if (p == nullptr) return corrupt;
-  p = GetVarint32Ptr(p, limit, &num_entries);
-  if (p == nullptr) return corrupt;
-  p = GetVarint32Ptr(p, limit, &key_meta_len);
-  if (p == nullptr) return corrupt;
-  p = GetVarint32Ptr(p, limit, &tail_len);
-  if (p == nullptr) return corrupt;
-  p = GetVarint32Ptr(p, limit, &struct_len);
-  if (p == nullptr || static_cast<size_t>(limit - p) < struct_len) {
-    return corrupt;
-  }
-  std::string structure;
-  if (!compress::ByteLzDecode(p, struct_len, &structure) ||
-      structure.size() != uint64_t{key_meta_len} + tail_len) {
-    return corrupt;
-  }
-  p += struct_len;
-  const char* key_meta = structure.data();
-  const char* restart_tail = structure.data() + key_meta_len;
-
-  std::vector<uint64_t> columns[3];
-  for (int c = 0; c < 3; c++) {
-    uint32_t len = 0;
-    p = GetVarint32Ptr(p, limit, &len);
-    if (p == nullptr || static_cast<size_t>(limit - p) < len) return corrupt;
-    columns[c].reserve(num_entries);
-    if (!DodColumnDecode(p, len, num_entries, &columns[c]) ||
-        columns[c].size() != num_entries) {
-      return corrupt;
-    }
-    p += len;
-  }
-
-  const size_t base = out->size();
-  out->reserve(base + raw_size);
-  const char* m = key_meta;
-  const char* m_limit = key_meta + key_meta_len;
-  for (uint32_t i = 0; i < num_entries; i++) {
-    const char* meta_start = m;
-    uint32_t shared = 0, non_shared = 0;
-    m = GetVarint32Ptr(m, m_limit, &shared);
-    if (m == nullptr) return corrupt;
-    m = GetVarint32Ptr(m, m_limit, &non_shared);
-    if (m == nullptr || static_cast<size_t>(m_limit - m) < non_shared) {
-      return corrupt;
-    }
-    out->append(meta_start, m - meta_start);  // shared/non_shared verbatim
-    PutVarint32(out, kPointValueSize);
-    out->append(m, non_shared);
-    m += non_shared;
-    PutFixed64(out, columns[0][i]);
-    PutFixed64(out, columns[1][i]);
-    PutFixed64(out, columns[2][i]);
-  }
-  if (m != m_limit) return corrupt;
-  out->append(restart_tail, tail_len);
-  if (out->size() - base != raw_size) return corrupt;
-  return Status::OK();
-}
-
 }  // namespace
-
-void EncodePointValue(int64_t ts, double lon, double lat, std::string* out) {
-  PutFixed64(out, static_cast<uint64_t>(ts));
-  PutFixed64(out, DoubleToBits(lon));
-  PutFixed64(out, DoubleToBits(lat));
-}
-
-bool DecodePointValue(const Slice& value, int64_t* ts, double* lon,
-                      double* lat) {
-  if (value.size() != kPointValueSize) return false;
-  *ts = static_cast<int64_t>(DecodeFixed64(value.data()));
-  *lon = BitsToDouble(DecodeFixed64(value.data() + 8));
-  *lat = BitsToDouble(DecodeFixed64(value.data() + 16));
-  return true;
-}
 
 CompressionType CompressBlock(CompressionType requested, const Slice& raw,
                               std::string* out) {
   if (requested == kNoCompression || raw.empty()) return kNoCompression;
-  if (requested == kTrajPointCompression) {
-    std::string traj;
-    if (TrajCompressBlock(raw, &traj) && WorthKeeping(raw.size(), traj.size())) {
-      out->append(traj);
-      return kTrajPointCompression;
-    }
-  }
   std::string lz;
   compress::ByteLzEncode(raw.data(), raw.size(), &lz);
   if (WorthKeeping(raw.size(), lz.size())) {
@@ -277,8 +37,6 @@ Status UncompressBlock(CompressionType type, const char* data, size_t size,
         return Status::Corruption("bad LZ-compressed block");
       }
       return Status::OK();
-    case kTrajPointCompression:
-      return TrajUncompressBlock(data, size, out);
   }
   return Status::Corruption("unknown block compression type");
 }

@@ -10,41 +10,25 @@
 namespace tman::kv {
 
 // Per-block compression negotiated at table-build time and recorded in the
-// one-byte block trailer (format v2). Readers dispatch on the stored byte,
-// so a table may freely mix block types: the builder picks, per block, the
-// cheapest encoding that actually pays for itself.
+// one-byte block trailer. Readers dispatch on the stored byte, so a table
+// may freely mix block types: the builder picks, per block, whether the
+// codec actually pays for itself. Any other stored byte reads as
+// Corruption.
 enum CompressionType : uint8_t {
   kNoCompression = 0x0,
-  // Generic byte-oriented LZ (compress::ByteLz*) — the fallback for blocks
-  // holding arbitrary rows (secondary index rows, metadata, record blobs).
+  // Generic byte-oriented LZ (compress::ByteLz*).
   kByteCompression = 0x1,
-  // Columnar trajectory point codec: applies when every value in the block
-  // is a fixed 24-byte point row (EncodePointValue below). Timestamps go
-  // through delta-of-delta + zigzag + simple8b and coordinates through
-  // Gorilla XOR via compress::EncodePoints; keys and the restart array are
-  // carried verbatim so decompression is byte-identical.
-  kTrajPointCompression = 0x2,
 };
 
 inline bool IsValidCompressionType(uint8_t t) {
-  return t <= kTrajPointCompression;
+  return t <= kByteCompression;
 }
 
-// Fixed 24-byte point row value: fixed64 timestamp, fixed64 longitude bits,
-// fixed64 latitude bits. The bulk-load and bench workloads write one point
-// per row in this layout, which is what makes kTrajPointCompression
-// applicable to whole blocks.
-inline constexpr size_t kPointValueSize = 24;
-void EncodePointValue(int64_t ts, double lon, double lat, std::string* out);
-bool DecodePointValue(const Slice& value, int64_t* ts, double* lon,
-                      double* lat);
-
 // Compresses a raw (uncompressed) block per `requested`, appending the
-// payload to *out and returning the type actually used. Falls back
-// kTrajPointCompression -> kByteCompression -> kNoCompression: a codec is
-// kept only if it is applicable and saves at least 1/8 of the raw size.
-// When the result is kNoCompression, *out is left untouched and the caller
-// writes the raw bytes.
+// payload to *out and returning the type actually used. Byte-LZ is kept
+// only if it saves at least 1/8 of the raw size; otherwise the block falls
+// back to kNoCompression, *out is left untouched and the caller writes the
+// raw bytes.
 CompressionType CompressBlock(CompressionType requested, const Slice& raw,
                               std::string* out);
 

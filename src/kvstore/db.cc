@@ -185,14 +185,6 @@ DB::Metrics::Metrics(obs::MetricsRegistry* registry) {
   stalls = registry->GetCounter("tman_kv_write_stalls_total");
   stall_micros = registry->GetCounter("tman_kv_stall_micros_total");
   wal_syncs = registry->GetCounter("tman_kv_wal_syncs_total");
-  concurrent_apply_fanout =
-      registry->GetHistogram("tman_kv_concurrent_apply_fanout");
-  concurrent_apply_wait_micros =
-      registry->GetHistogram("tman_kv_concurrent_apply_wait_micros");
-  concurrent_apply_groups =
-      registry->GetCounter("tman_kv_concurrent_apply_groups_total");
-  concurrent_apply_batches =
-      registry->GetCounter("tman_kv_concurrent_apply_batches_total");
   recovery_wal_records =
       registry->GetCounter("tman_kv_recovery_wal_records_total");
   recovery_wal_bytes_dropped =
@@ -429,28 +421,10 @@ Status DB::WriteImpl(const WriteOptions& wo, WriteBatch* batch) {
   Writer w(batch, wo.sync);
   std::unique_lock<std::mutex> lock(mu_);
   writers_.push_back(&w);
-  while (!w.done && !w.apply_ready && &w != writers_.front()) {
+  while (!w.done && &w != writers_.front()) {
     w.cv.wait(lock);
   }
   if (w.done) return w.status;  // a previous leader committed our batch
-
-  if (w.apply_ready) {
-    // Parallel follower: the leader folded this batch into a WAL record
-    // that is already durable (to the group's sync level) and assigned us
-    // a sequence sub-range. Apply our own records into the memtable
-    // concurrently with the other group members, report into the group,
-    // then park again until the leader completes the commit.
-    ApplyGroup* group = w.group;
-    lock.unlock();
-    Status as = w.batch->InsertInto(group->mem, w.apply_seq,
-                                    /*concurrent=*/true);
-    lock.lock();
-    if (!as.ok() && group->status.ok()) group->status = as;
-    group->pending--;
-    if (group->pending == 0) group->leader->cv.notify_one();
-    while (!w.done) w.cv.wait(lock);
-    return w.status;
-  }
 
   // This thread is the leader: it owns the write path (WAL + active
   // memtable) until it pops itself off the queue below.
@@ -463,35 +437,10 @@ Status DB::WriteImpl(const WriteOptions& wo, WriteBatch* batch) {
     const uint32_t count = group->Count();
     const bool sync = w.sync;
 
-    // Parallel apply pays off only when the group actually folded several
-    // writers; their parked threads then become the appliers. Sequence
-    // sub-ranges are assigned in queue order — the exact order the batches
-    // occupy inside the folded WAL record — so replay and parallel apply
-    // number every entry identically.
-    ApplyGroup apply_group;
-    std::vector<Writer*> members;
-    const bool parallel =
-        options_.allow_concurrent_memtable_write && last_writer != &w;
-    if (parallel) {
-      apply_group.leader = &w;
-      apply_group.mem = mem_.get();
-      uint64_t member_seq = seq;
-      for (auto it = writers_.begin();; ++it) {
-        Writer* member = *it;
-        members.push_back(member);
-        member->group = &apply_group;
-        member->apply_seq = member_seq;
-        member_seq += member->batch->Count();
-        apply_group.pending++;
-        if (member == last_writer) break;
-      }
-    }
-
-    // Append + apply without the mutex: followers are parked (or, below,
-    // applying into a memtable that cannot be swapped while this leader is
-    // active), readers see the pre-write snapshot until SetLastSequence
-    // publishes the entries, and the skiplist supports the single-writer
-    // or CAS-concurrent insert paths used here.
+    // Append + apply without the mutex: followers are parked, this leader
+    // is the memtable's only writer (it cannot be swapped while a leader
+    // is active), and readers see the pre-write snapshot until
+    // SetLastSequence publishes the entries.
     lock.unlock();
     s = wal_->AddRecord(group->rep());
     if (s.ok() && sync) {
@@ -502,40 +451,7 @@ Status DB::WriteImpl(const WriteOptions& wo, WriteBatch* batch) {
         metrics_->wal_syncs->Inc();
       }
     }
-    if (s.ok()) {
-      if (parallel) {
-        // The WAL record is durable: release the parked followers to apply
-        // their own batches, insert the leader's batch alongside them, and
-        // drain the group before publishing visibility.
-        lock.lock();
-        for (Writer* member : members) {
-          if (member == &w) continue;
-          member->apply_ready = true;
-          member->cv.notify_one();
-        }
-        lock.unlock();
-        Status ls = w.batch->InsertInto(apply_group.mem, w.apply_seq,
-                                        /*concurrent=*/true);
-        Stopwatch wait_watch;
-        lock.lock();
-        if (!ls.ok() && apply_group.status.ok()) apply_group.status = ls;
-        apply_group.pending--;
-        while (apply_group.pending > 0) w.cv.wait(lock);
-        s = apply_group.status;
-        concurrent_apply_groups_++;
-        concurrent_apply_batches_ += members.size();
-        if (metrics_ != nullptr) {
-          metrics_->concurrent_apply_groups->Inc();
-          metrics_->concurrent_apply_batches->Inc(members.size());
-          metrics_->concurrent_apply_fanout->Record(members.size());
-          metrics_->concurrent_apply_wait_micros->RecordMicros(
-              wait_watch.ElapsedMicros());
-        }
-        lock.unlock();
-      } else {
-        s = group->InsertInto(mem_.get());
-      }
-    }
+    if (s.ok()) s = group->InsertInto(mem_.get());
     lock.lock();
     if (sync) wal_syncs_++;
     if (s.ok()) {
@@ -1633,8 +1549,6 @@ DB::Stats DB::GetStats() {
   stats.stall_count = stall_count_;
   stats.stall_micros = stall_micros_;
   stats.wal_syncs = wal_syncs_;
-  stats.concurrent_apply_groups = concurrent_apply_groups_;
-  stats.concurrent_apply_batches = concurrent_apply_batches_;
   stats.wal_records_recovered = wal_records_recovered_;
   stats.wal_bytes_recovered = wal_bytes_recovered_;
   stats.wal_bytes_dropped = wal_bytes_dropped_;

@@ -39,13 +39,10 @@ namespace tman::kv {
 // Thread model: any number of concurrent readers and writers. Concurrent
 // writers group-commit: they queue their batches, the current leader folds
 // the queue into one WAL record, appends (and fsyncs when any grouped write
-// asked for sync), applies it to the memtable, and wakes the followers.
-// With Options::allow_concurrent_memtable_write (default on), the grouped
-// followers are woken as soon as the WAL record lands and apply their own
-// batches into the memtable in parallel on pre-assigned sequence
-// sub-ranges; the leader publishes visibility (SetLastSequence) only after
-// every applier finishes, so readers never observe a partially applied
-// group. When the active memtable fills it is swapped for a fresh one and the
+// asked for sync), applies the folded batch to the memtable itself (the
+// memtable's only writer), publishes visibility (SetLastSequence) and wakes
+// the followers, so readers never observe a partially applied group. When
+// the active memtable fills it is swapped for a fresh one and the
 // frozen ("immutable") memtable is flushed by a background worker, which
 // also runs leveled compactions; reads are served from consistent
 // {mem, imm, version} snapshots throughout. Writers are throttled with
@@ -192,9 +189,6 @@ class DB {
     uint64_t stall_count = 0;   // slowdown sleeps + hard stalls
     uint64_t stall_micros = 0;  // total time writers spent throttled
     uint64_t wal_syncs = 0;     // fsyncs issued for sync writes
-    // Parallel group-commit accounting (allow_concurrent_memtable_write).
-    uint64_t concurrent_apply_groups = 0;   // groups applied in parallel
-    uint64_t concurrent_apply_batches = 0;  // member batches across them
     // Recovery accounting (filled by Open, bumped by Resume).
     uint64_t wal_records_recovered = 0;  // WAL records replayed at Open
     uint64_t wal_bytes_recovered = 0;    // bytes of good replayed records
@@ -218,34 +212,16 @@ class DB {
   }
 
  private:
-  struct ApplyGroup;
-
   // One queued write (group commit). Writers park on `cv` until the leader
   // completes their batch; a null batch marks an exclusive maintenance
-  // operation (Flush/CompactAll) holding the writer slot. When the leader
-  // runs a parallel memtable apply, grouped followers are woken early
-  // (`apply_ready`) to insert their own batch at `apply_seq`, then park
-  // again until `done`.
+  // operation (Flush/CompactAll) holding the writer slot.
   struct Writer {
     Writer(WriteBatch* b, bool s) : batch(b), sync(s) {}
     WriteBatch* batch;
     bool sync;
     bool done = false;
-    bool apply_ready = false;    // parallel apply may start (guarded by mu_)
-    uint64_t apply_seq = 0;      // first sequence of this batch in the group
-    ApplyGroup* group = nullptr; // non-null while in a parallel apply group
     Status status;
     std::condition_variable cv;
-  };
-
-  // Shared state of one parallel memtable apply, on the leader's stack.
-  // All fields are guarded by mu_ except `mem`, which is immutable for the
-  // group's lifetime (the leader serializes memtable swaps).
-  struct ApplyGroup {
-    Writer* leader = nullptr;
-    MemTable* mem = nullptr;
-    int pending = 0;    // appliers (incl. leader) not yet finished
-    Status status;      // first applier failure
   };
 
   // Inputs of one compaction round, picked against a Version snapshot.
@@ -287,10 +263,6 @@ class DB {
     obs::Counter* stalls;
     obs::Counter* stall_micros;
     obs::Counter* wal_syncs;
-    obs::Histogram* concurrent_apply_fanout;       // batches per parallel group
-    obs::Histogram* concurrent_apply_wait_micros;  // leader wait for appliers
-    obs::Counter* concurrent_apply_groups;
-    obs::Counter* concurrent_apply_batches;
     obs::Counter* recovery_wal_records;
     obs::Counter* recovery_wal_bytes_dropped;
     obs::Counter* recovery_torn_tails;
@@ -435,8 +407,6 @@ class DB {
   uint64_t stall_count_ = 0;
   uint64_t stall_micros_ = 0;
   uint64_t wal_syncs_ = 0;
-  uint64_t concurrent_apply_groups_ = 0;
-  uint64_t concurrent_apply_batches_ = 0;
   uint64_t wal_records_recovered_ = 0;
   uint64_t wal_bytes_recovered_ = 0;
   uint64_t wal_bytes_dropped_ = 0;

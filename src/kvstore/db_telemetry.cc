@@ -67,10 +67,6 @@ std::string RenderDbStatsJson(const std::string& name,
   AppendField(&out, "stall_count", stats.stall_count, &first);
   AppendField(&out, "stall_micros", stats.stall_micros, &first);
   AppendField(&out, "wal_syncs", stats.wal_syncs, &first);
-  AppendField(&out, "concurrent_apply_groups", stats.concurrent_apply_groups,
-              &first);
-  AppendField(&out, "concurrent_apply_batches", stats.concurrent_apply_batches,
-              &first);
   AppendField(&out, "wal_records_recovered", stats.wal_records_recovered,
               &first);
   AppendField(&out, "wal_bytes_recovered", stats.wal_bytes_recovered, &first);

@@ -25,7 +25,7 @@ MemTable::MemTable(const InternalKeyComparator& cmp)
     : comparator_{cmp}, table_(comparator_, &arena_) {}
 
 void MemTable::Add(SequenceNumber seq, ValueType type, const Slice& key,
-                   const Slice& value, bool concurrent) {
+                   const Slice& value) {
   const size_t key_size = key.size();
   const size_t val_size = value.size();
   const size_t internal_key_size = key_size + 8;
@@ -44,11 +44,7 @@ void MemTable::Add(SequenceNumber seq, ValueType type, const Slice& key,
   memcpy(p, value.data(), val_size);
   assert(p + val_size == buf + encoded_len);
 
-  if (concurrent) {
-    table_.InsertConcurrently(buf);
-  } else {
-    table_.Insert(buf);
-  }
+  table_.Insert(buf);
   num_entries_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -85,8 +81,7 @@ namespace {
 class MemTableIterator final : public Iterator {
  public:
   explicit MemTableIterator(
-      const SkipList<const char*, MemTable::KeyComparator, ConcurrentArena>*
-          table)
+      const SkipList<const char*, MemTable::KeyComparator>* table)
       : iter_(table) {}
 
   bool Valid() const override { return iter_.Valid(); }
@@ -113,8 +108,7 @@ class MemTableIterator final : public Iterator {
   Status status() const override { return Status::OK(); }
 
  private:
-  SkipList<const char*, MemTable::KeyComparator, ConcurrentArena>::Iterator
-      iter_;
+  SkipList<const char*, MemTable::KeyComparator>::Iterator iter_;
   std::string tmp_;
 };
 

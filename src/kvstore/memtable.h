@@ -18,13 +18,9 @@ namespace tman::kv {
 // skiplist over encoded records:
 //   varint32 internal_key_len | internal_key | varint32 value_len | value
 //
-// Concurrency: readers (Get/NewIterator/ApproximateMemoryUsage) are always
-// safe against in-flight writers. Writers are either exclusive (the default
-// Add, used by the group-commit leader and WAL replay) or concurrent
-// (Add(..., /*concurrent=*/true), used by parallel group-commit appliers):
-// concurrent adds go through the CAS-based skiplist insert and the striped
-// arena, so any number may run at once — but must not overlap an exclusive
-// Add.
+// Concurrency: one writer at a time (the group-commit leader, or WAL
+// replay at Open) calls Add; readers (Get/NewIterator/
+// ApproximateMemoryUsage) are always safe against that in-flight writer.
 class MemTable {
  public:
   explicit MemTable(const InternalKeyComparator& cmp);
@@ -32,8 +28,9 @@ class MemTable {
   MemTable(const MemTable&) = delete;
   MemTable& operator=(const MemTable&) = delete;
 
+  // Requires external synchronization: at most one Add at a time.
   void Add(SequenceNumber seq, ValueType type, const Slice& key,
-           const Slice& value, bool concurrent = false);
+           const Slice& value);
 
   // If the memtable holds a value for key, sets *value and returns true.
   // If it holds a deletion, sets *s to NotFound and returns true.
@@ -57,10 +54,10 @@ class MemTable {
   };
 
  private:
-  using Table = SkipList<const char*, KeyComparator, ConcurrentArena>;
+  using Table = SkipList<const char*, KeyComparator>;
 
   KeyComparator comparator_;
-  ConcurrentArena arena_;
+  Arena arena_;
   Table table_;
   std::atomic<uint64_t> num_entries_{0};
 };

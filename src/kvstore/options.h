@@ -59,17 +59,6 @@ struct Options {
   // private single worker thread. Ignored when background_flush is false.
   tman::ThreadPool* background_pool = nullptr;
 
-  // If true (default), a group-commit leader that folded several queued
-  // writers into one WAL record wakes those writers after the record lands
-  // and lets each apply its own batch into the memtable in parallel
-  // (CAS-based concurrent skiplist insert), instead of replaying the whole
-  // group single-threaded. Sequence sub-ranges are pre-assigned so the
-  // result is byte-identical to the serial apply; the leader still owns WAL
-  // append + fsync ordering and publishes the group's visibility only after
-  // every applier finishes. If false, the leader applies the folded batch
-  // alone (the legacy single-writer memtable path).
-  bool allow_concurrent_memtable_write = true;
-
   // Number of levels (L0..Lmax-1).
   int num_levels = 7;
 
@@ -83,8 +72,7 @@ struct Options {
   // SstFileWriter). Stored in each block's trailer byte, so readers never
   // consult this option and a table may mix block encodings; the block
   // cache always holds uncompressed blocks, keeping zero-copy iteration
-  // unchanged. kTrajPointCompression falls back per block to the generic
-  // byte codec (and then to none) when values are not point rows or when a
+  // unchanged. kByteCompression falls back per block to none when the
   // codec does not actually shrink the block.
   CompressionType compression = kNoCompression;
 
@@ -92,11 +80,6 @@ struct Options {
   // of each surviving user key (TTL/retention). Borrowed pointer; must be
   // thread-safe and outlive the DB. See kvstore/compaction_filter.h.
   const CompactionFilter* compaction_filter = nullptr;
-
-  // Test hook: write SSTables in the legacy v1 format (4-byte crc-only
-  // block trailer, no compression, v1 footer magic) so compatibility with
-  // pre-compression tables stays covered by tests.
-  bool write_legacy_table_format = false;
 
   // Sequential block readahead budget applied by DB::MultiScan when the
   // caller's ReadOptions leave readahead_bytes at 0. Readahead only

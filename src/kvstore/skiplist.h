@@ -9,33 +9,25 @@
 
 namespace tman::kv {
 
-// Lock-free-read skiplist (LevelDB design, with a RocksDB
-// InlineSkipList-style concurrent insert path).
+// Lock-free-read skiplist (LevelDB design).
 //
-// Writers choose between two entry points:
-//  - Insert: requires external synchronization (at most one writer);
-//  - InsertConcurrently: any number of concurrent writers, each splice
-//    link is published with a per-level compare-exchange and retried
-//    against the fresh neighbourhood on failure.
-// Both may run against concurrent readers; reads only require that the
-// skiplist outlive them. Insert and InsertConcurrently must not be mixed
-// concurrently (the single-writer path links levels without CAS).
+// Insert requires external synchronization (at most one writer at a time)
+// but may run against any number of concurrent readers; reads only require
+// that the skiplist outlive them.
 //
 // Key is a trivially copyable handle (here: const char* into the arena).
 // Comparator is a functor: int operator()(const Key&, const Key&) const.
-// ArenaT is Arena (single writer) or ConcurrentArena (concurrent inserts).
-template <typename Key, class Comparator, class ArenaT = Arena>
+template <typename Key, class Comparator>
 class SkipList {
  private:
   struct Node;
 
  public:
-  SkipList(Comparator cmp, ArenaT* arena)
+  SkipList(Comparator cmp, Arena* arena)
       : compare_(cmp),
         arena_(arena),
         head_(NewNode(0 /* any key */, kMaxHeight)),
-        max_height_(1),
-        rand_state_(0xdeadbeef) {
+        max_height_(1) {
     for (int i = 0; i < kMaxHeight; i++) {
       head_->SetNext(i, nullptr);
     }
@@ -45,7 +37,7 @@ class SkipList {
   SkipList& operator=(const SkipList&) = delete;
 
   // Requires: nothing that compares equal to key is already in the list,
-  // and no other writer is active (single-writer fast path).
+  // and no other writer is active.
   void Insert(const Key& key) {
     Node* prev[kMaxHeight];
     Node* x = FindGreaterOrEqual(key, prev);
@@ -63,53 +55,6 @@ class SkipList {
     for (int i = 0; i < height; i++) {
       x->NoBarrierSetNext(i, prev[i]->NoBarrierNext(i));
       prev[i]->SetNext(i, x);
-    }
-  }
-
-  // Concurrent insert: safe against other InsertConcurrently callers and
-  // any number of readers. Requires: nothing that compares equal to key is
-  // in the list or being inserted (internal keys carry unique sequence
-  // numbers, so the memtable satisfies this by construction).
-  void InsertConcurrently(const Key& key) {
-    const int height = RandomHeight();
-
-    // Raise the list height first so the splice search below sees a
-    // search depth >= our height. Losing the CAS to a taller insert is
-    // fine — we only require max_height_ >= height afterwards.
-    int max_h = max_height_.load(std::memory_order_relaxed);
-    while (height > max_h &&
-           !max_height_.compare_exchange_weak(max_h, height,
-                                              std::memory_order_relaxed)) {
-    }
-
-    Node* x = NewNode(key, height);
-    Node* prev[kMaxHeight];
-    Node* next[kMaxHeight];
-
-    // Compute the full splice top-down. Levels above `height` only steer
-    // the descent and are not recorded.
-    Node* before = head_;
-    for (int i = GetMaxHeight() - 1; i >= 0; i--) {
-      Node* p;
-      Node* n;
-      FindSpliceForLevel(key, before, i, &p, &n);
-      if (i < height) {
-        prev[i] = p;
-        next[i] = n;
-      }
-      before = p;
-    }
-
-    // Link bottom-up. Level 0 makes the node reachable; higher levels are
-    // an index and may appear later. Each level is published with a CAS on
-    // the predecessor; on failure the splice for that level is recomputed
-    // from the last known predecessor (which can only have moved forward).
-    for (int i = 0; i < height; i++) {
-      for (;;) {
-        x->NoBarrierSetNext(i, next[i]);
-        if (prev[i]->CasNext(i, next[i], x)) break;
-        FindSpliceForLevel(key, prev[i], i, &prev[i], &next[i]);
-      }
     }
   }
 
@@ -177,14 +122,6 @@ class SkipList {
     void NoBarrierSetNext(int n, Node* x) {
       next_[n].store(x, std::memory_order_relaxed);
     }
-    // Publishes x as the level-n successor iff the link still points at
-    // `expected`. Release order so the new node's contents (key bytes and
-    // lower-level links) are visible to readers that acquire-load it.
-    bool CasNext(int n, Node* expected, Node* x) {
-      return next_[n].compare_exchange_strong(expected, x,
-                                              std::memory_order_release,
-                                              std::memory_order_relaxed);
-    }
 
    private:
     // Array length equals node height; extends past the struct.
@@ -201,13 +138,12 @@ class SkipList {
     return max_height_.load(std::memory_order_relaxed);
   }
 
-  // Thread-safe height generator: each call draws a fresh splitmix64 value
-  // from an atomic counter, then spends 2 bits per level (kBranching == 4).
-  // Deterministic across runs for a fixed call order, like the old Random.
+  // Height generator: each call draws a fresh splitmix64 value, then
+  // spends 2 bits per level (kBranching == 4). Deterministic across runs
+  // for a fixed insert order. Called only by the single writer.
   int RandomHeight() {
-    uint64_t z = rand_state_.fetch_add(0x9e3779b97f4a7c15ULL,
-                                       std::memory_order_relaxed) +
-                 0x9e3779b97f4a7c15ULL;
+    rand_state_ += 0x9e3779b97f4a7c15ULL;
+    uint64_t z = rand_state_;
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     z ^= z >> 31;
@@ -223,21 +159,6 @@ class SkipList {
 
   bool KeyIsAfterNode(const Key& key, Node* n) const {
     return n != nullptr && compare_(n->key, key) < 0;
-  }
-
-  // Walks level `level` from `before` (whose key must be < key) and returns
-  // the adjacent pair prev/next with prev->key < key <= next->key.
-  void FindSpliceForLevel(const Key& key, Node* before, int level,
-                          Node** out_prev, Node** out_next) const {
-    for (;;) {
-      Node* n = before->Next(level);
-      if (!KeyIsAfterNode(key, n)) {
-        *out_prev = before;
-        *out_next = n;
-        return;
-      }
-      before = n;
-    }
   }
 
   Node* FindGreaterOrEqual(const Key& key, Node** prev) const {
@@ -284,10 +205,10 @@ class SkipList {
   }
 
   Comparator const compare_;
-  ArenaT* const arena_;
+  Arena* const arena_;
   Node* const head_;
-  std::atomic<int> max_height_;
-  std::atomic<uint64_t> rand_state_;
+  std::atomic<int> max_height_;  // read by concurrent readers
+  uint64_t rand_state_ = 0xdeadbeef;
 };
 
 }  // namespace tman::kv

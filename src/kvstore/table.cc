@@ -11,7 +11,6 @@
 namespace tman::kv {
 
 namespace {
-constexpr uint64_t kTableMagicV1 = 0x7472616a6d616e21ULL;  // "trajman!"
 constexpr uint64_t kTableMagicV2 = 0x7472616a6d616e32ULL;  // "trajman2"
 constexpr size_t kFooterSize = 48;  // two handles (<=40) + magic
 }  // namespace
@@ -75,20 +74,15 @@ Status TableBuilder::WriteBlock(const Slice& contents, BlockHandle* handle) {
   handle->offset = offset_;
   Slice payload = contents;
   std::string compressed;
-  CompressionType type = kNoCompression;
-  if (!options_.write_legacy_table_format) {
-    type = CompressBlock(options_.compression, contents, &compressed);
-    if (type != kNoCompression) payload = Slice(compressed);
-  }
+  const CompressionType type =
+      CompressBlock(options_.compression, contents, &compressed);
+  if (type != kNoCompression) payload = Slice(compressed);
   handle->size = payload.size();
   Status s = file_->Append(payload);
   if (s.ok()) {
     // The crc covers the on-disk bytes, so integrity checks never need to
-    // decompress. v2 trailers lead with the compression type byte.
-    std::string trailer;
-    if (!options_.write_legacy_table_format) {
-      trailer.push_back(static_cast<char>(type));
-    }
+    // decompress. The trailer leads with the compression type byte.
+    std::string trailer(1, static_cast<char>(type));
     PutFixed32(&trailer, Crc32c(payload.data(), payload.size()));
     s = file_->Append(trailer);
     if (s.ok()) offset_ += payload.size() + trailer.size();
@@ -133,8 +127,7 @@ Status TableBuilder::Finish() {
   filter_handle.EncodeTo(&footer);
   index_handle.EncodeTo(&footer);
   footer.resize(kFooterSize - 8);
-  PutFixed64(&footer, options_.write_legacy_table_format ? kTableMagicV1
-                                                         : kTableMagicV2);
+  PutFixed64(&footer, kTableMagicV2);
   status_ = file_->Append(footer);
   if (status_.ok()) offset_ += kFooterSize;
   if (status_.ok()) status_ = file_->Flush();
@@ -159,12 +152,7 @@ Status Table::Open(const Options& options, uint64_t table_id,
   if (!s.ok()) return s;
 
   const uint64_t magic = DecodeFixed64(footer_input.data() + kFooterSize - 8);
-  int format_version;
-  if (magic == kTableMagicV2) {
-    format_version = 2;
-  } else if (magic == kTableMagicV1) {
-    format_version = 1;
-  } else {
+  if (magic != kTableMagicV2) {
     return Status::Corruption("bad sstable magic number");
   }
   Slice handles(footer_input.data(), kFooterSize - 8);
@@ -176,7 +164,6 @@ Status Table::Open(const Options& options, uint64_t table_id,
 
   auto t = std::unique_ptr<Table>(
       new Table(options, table_id, std::move(file), cache));
-  t->format_version_ = format_version;
 
   // Load the bloom filter (small; kept pinned in memory).
   if (filter_handle.size > 0) {
@@ -188,7 +175,7 @@ Status Table::Open(const Options& options, uint64_t table_id,
   }
 
   // Load and pin the index block.
-  std::string index_buffer(index_handle.size + t->trailer_size(), '\0');
+  std::string index_buffer(index_handle.size + kBlockTrailerSize, '\0');
   Slice index_input;
   s = t->file_->Read(index_handle.offset, index_buffer.size(), &index_input,
                      index_buffer.data());
@@ -226,14 +213,8 @@ std::string BlockCacheKey(uint64_t table_id, uint64_t offset) {
 
 Status Table::DecodeBlockContents(const char* payload, uint64_t payload_size,
                                   std::string* raw) const {
-  uint8_t type = kNoCompression;
-  uint32_t stored_crc;
-  if (format_version_ >= 2) {
-    type = static_cast<uint8_t>(payload[payload_size]);
-    stored_crc = DecodeFixed32(payload + payload_size + 1);
-  } else {
-    stored_crc = DecodeFixed32(payload + payload_size);
-  }
+  const uint8_t type = static_cast<uint8_t>(payload[payload_size]);
+  const uint32_t stored_crc = DecodeFixed32(payload + payload_size + 1);
   if (stored_crc != Crc32c(payload, payload_size)) {
     return Status::Corruption("data block checksum mismatch");
   }
@@ -260,7 +241,7 @@ Status Table::ReadBlock(const BlockHandle& handle, bool fill_cache,
     }
   }
 
-  std::string buffer(handle.size + trailer_size(), '\0');
+  std::string buffer(handle.size + kBlockTrailerSize, '\0');
   Slice input;
   Status s = file_->Read(handle.offset, buffer.size(), &input, buffer.data());
   if (!s.ok()) return s;
@@ -293,7 +274,7 @@ Status Table::VerifyChecksums(uint64_t* blocks_checked) const {
     // Direct read, never through the cache: a cached copy proves nothing
     // about the bytes on disk. The crc covers the on-disk (compressed)
     // payload; decoding additionally proves the block decompresses.
-    std::string buffer(handle.size + trailer_size(), '\0');
+    std::string buffer(handle.size + kBlockTrailerSize, '\0');
     Slice input;
     Status s =
         file_->Read(handle.offset, buffer.size(), &input, buffer.data());
@@ -346,7 +327,7 @@ Status Table::ReadBlockRun(const BlockHandle& first,
 
   const BlockHandle& last = more.back();
   const uint64_t total =
-      last.offset + last.size + trailer_size() - first.offset;
+      last.offset + last.size + kBlockTrailerSize - first.offset;
   std::string buffer(total, '\0');
   Slice input;
   Status s = file_->Read(first.offset, total, &input, buffer.data());
@@ -484,7 +465,7 @@ class TableIterator final : public Iterator {
     }
     cur_block_offset_ = handle.offset;
     next_sequential_offset_ =
-        handle.offset + handle.size + table_->trailer_size();
+        handle.offset + handle.size + kBlockTrailerSize;
     data_block_ = std::move(block);
     data_iter_.reset(data_block_->NewIterator(&table_->icmp_));
   }
@@ -495,8 +476,7 @@ class TableIterator final : public Iterator {
   std::vector<BlockHandle> CollectRunHandles(const BlockHandle& first,
                                              size_t budget) const {
     std::vector<BlockHandle> run;
-    const size_t trailer = table_->trailer_size();
-    uint64_t expected = first.offset + first.size + trailer;
+    uint64_t expected = first.offset + first.size + kBlockTrailerSize;
     std::unique_ptr<Iterator> peek(
         table_->index_block_->NewIterator(&table_->icmp_));
     peek->Seek(index_iter_->key());
@@ -506,9 +486,9 @@ class TableIterator final : public Iterator {
       BlockHandle h;
       if (!h.DecodeFrom(&hv)) break;
       if (h.offset != expected) break;  // not contiguous; stop the run
-      if (h.size + trailer > budget) break;
-      budget -= static_cast<size_t>(h.size) + trailer;
-      expected = h.offset + h.size + trailer;
+      if (h.size + kBlockTrailerSize > budget) break;
+      budget -= static_cast<size_t>(h.size) + kBlockTrailerSize;
+      expected = h.offset + h.size + kBlockTrailerSize;
       run.push_back(h);
     }
     return run;

@@ -28,17 +28,14 @@ struct BlockHandle {
   bool DecodeFrom(Slice* input);
 };
 
-// Per-block trailer sizes by table format version. v1 (legacy) blocks end
-// with fixed32 crc over the block contents; v2 blocks end with one
-// CompressionType byte followed by fixed32 crc over the on-disk (possibly
-// compressed) payload. The footer magic selects the version, so old tables
-// keep reading without a rewrite.
-inline constexpr size_t kBlockTrailerSizeV1 = 4;
-inline constexpr size_t kBlockTrailerSizeV2 = 5;
+// Per-block trailer: one CompressionType byte followed by fixed32 crc over
+// the on-disk (possibly compressed) payload. The footer magic names this
+// format (v2); any other magic, including the retired v1, is Corruption.
+inline constexpr size_t kBlockTrailerSize = 5;
 
 // SSTable file layout:
-//   data block*           (each followed by a versioned trailer, see above;
-//                          v2 payloads may be per-block compressed)
+//   data block*           (each followed by the trailer above; payloads may
+//                          be per-block compressed)
 //   filter block          (one bloom filter over all user keys; no trailer)
 //   index block           (separator key -> BlockHandle; same trailer)
 //   footer                (filter handle | index handle | padding | magic)
@@ -126,12 +123,6 @@ class Table {
   void AppendIndexUserKeys(const Slice& start, const Slice& end,
                            std::vector<std::string>* out) const;
 
-  // Table format version parsed from the footer magic (1 = legacy
-  // crc-only trailers, 2 = compression-type + crc trailers).
-  int format_version() const { return format_version_; }
-  size_t trailer_size() const {
-    return format_version_ >= 2 ? kBlockTrailerSizeV2 : kBlockTrailerSizeV1;
-  }
 
  private:
   friend class TableIterator;
@@ -147,7 +138,7 @@ class Table {
 
   // Verifies the trailer (located at payload + handle-size) against the
   // on-disk payload bytes and appends the uncompressed block contents to
-  // *raw. `payload` must have at least payload_size + trailer_size() bytes.
+  // *raw. `payload` must have at least payload_size + kBlockTrailerSize bytes.
   Status DecodeBlockContents(const char* payload, uint64_t payload_size,
                              std::string* raw) const;
 
@@ -179,7 +170,6 @@ class Table {
   std::string filter_data_;
   std::unique_ptr<Block> index_block_;
   InternalKeyComparator icmp_;
-  int format_version_ = 2;
 };
 
 }  // namespace tman::kv

@@ -58,16 +58,11 @@ void WriteBatch::SetContentsFrom(const Slice& contents) {
 }
 
 Status WriteBatch::InsertInto(MemTable* mem) const {
-  return InsertInto(mem, Sequence(), /*concurrent=*/false);
-}
-
-Status WriteBatch::InsertInto(MemTable* mem, uint64_t base_sequence,
-                              bool concurrent) const {
   Slice input(rep_);
   if (input.size() < kHeader) {
     return Status::Corruption("malformed WriteBatch (too small)");
   }
-  SequenceNumber seq = base_sequence;
+  SequenceNumber seq = Sequence();
   input.remove_prefix(kHeader);
   uint32_t found = 0;
   while (!input.empty()) {
@@ -81,13 +76,13 @@ Status WriteBatch::InsertInto(MemTable* mem, uint64_t base_sequence,
             !GetLengthPrefixedSlice(&input, &value)) {
           return Status::Corruption("bad WriteBatch Put");
         }
-        mem->Add(seq, kTypeValue, key, value, concurrent);
+        mem->Add(seq, kTypeValue, key, value);
         break;
       case kTypeDeletion:
         if (!GetLengthPrefixedSlice(&input, &key)) {
           return Status::Corruption("bad WriteBatch Delete");
         }
-        mem->Add(seq, kTypeDeletion, key, Slice(), concurrent);
+        mem->Add(seq, kTypeDeletion, key, Slice());
         break;
       default:
         return Status::Corruption("unknown WriteBatch tag");

@@ -31,18 +31,8 @@ class WriteBatch {
   uint32_t Count() const;
 
   // Applies all updates to the memtable, numbering entries starting at the
-  // batch's sequence number.
+  // batch's sequence number. The caller must be the memtable's only writer.
   Status InsertInto(MemTable* mem) const;
-
-  // Sequence-offset view: applies all updates numbering entries from
-  // `base_sequence` instead of the batch's own header. Parallel group
-  // commit uses this so each writer applies its own batch with the
-  // sub-range the leader assigned inside the folded WAL record (the
-  // batch's header sequence is never written). With `concurrent` set the
-  // memtable inserts go through the CAS-based concurrent path, so several
-  // appliers may run at once.
-  Status InsertInto(MemTable* mem, uint64_t base_sequence,
-                    bool concurrent) const;
 
   // Internal plumbing between DB and WAL.
   void SetSequence(uint64_t seq);

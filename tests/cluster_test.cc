@@ -45,7 +45,7 @@ TEST(ClusterTest, PutGetRoutesByShard) {
   }
 }
 
-TEST(ClusterTest, ParallelScanAcrossShards) {
+TEST(ClusterTest, MultiScanAcrossShards) {
   Cluster cluster(TestDir("scan"), 5, kv::Options());
   ASSERT_TRUE(cluster.CreateTable("t", 8).ok());
   ClusterTable* table = cluster.GetTable("t");
@@ -64,8 +64,9 @@ TEST(ClusterTest, ParallelScanAcrossShards) {
     windows.push_back(KeyRange{Key(shard, 10), Key(shard, 20)});
   }
   std::vector<Row> out;
+  CollectRowsSink sink(&out);
   kv::ScanStats stats;
-  ASSERT_TRUE(table->ParallelScan(windows, nullptr, 0, &out, &stats).ok());
+  ASSERT_TRUE(table->MultiScan(windows, nullptr, 0, &sink, &stats).ok());
   EXPECT_EQ(out.size(), 8u * 10);
   EXPECT_EQ(stats.scanned, 80u);
 }
@@ -98,9 +99,10 @@ TEST(ClusterTest, PushdownVsClientSideFiltering) {
   ValuePrefixFilter filter("hit");
 
   std::vector<Row> pushed;
+  CollectRowsSink sink(&pushed);
   kv::ScanStats pushed_stats;
   ASSERT_TRUE(
-      table->ParallelScan(windows, &filter, 0, &pushed, &pushed_stats).ok());
+      table->MultiScan(windows, &filter, 0, &sink, &pushed_stats).ok());
 
   std::vector<Row> shipped;
   kv::ScanStats shipped_stats;
@@ -155,8 +157,9 @@ TEST(ClusterTest, BatchWriteMixesDeletesAndPutsAcrossRegions) {
   ASSERT_TRUE(table->BatchWrite(deletes, puts).ok());
 
   std::vector<Row> out;
+  CollectRowsSink sink(&out);
   ASSERT_TRUE(
-      table->ParallelScan({KeyRange{"", ""}}, nullptr, 0, &out, nullptr).ok());
+      table->MultiScan({KeyRange{"", ""}}, nullptr, 0, &sink, nullptr).ok());
   std::sort(out.begin(), out.end(),
             [](const Row& a, const Row& b) { return a.key < b.key; });
   std::vector<Row> want;
@@ -195,7 +198,8 @@ TEST(ClusterTest, ScanLimitPerRange) {
   }
   std::vector<KeyRange> windows = {KeyRange{Key(0, 0), Key(0, 50)}};
   std::vector<Row> out;
-  ASSERT_TRUE(table->ParallelScan(windows, nullptr, 7, &out, nullptr).ok());
+  CollectRowsSink sink(&out);
+  ASSERT_TRUE(table->MultiScan(windows, nullptr, 7, &sink, nullptr).ok());
   EXPECT_EQ(out.size(), 7u);
 }
 
@@ -211,7 +215,8 @@ TEST(ClusterTest, ScanLimitAppliesToEachRange) {
   std::vector<KeyRange> windows = {KeyRange{Key(0, 0), Key(0, 20)},
                                    KeyRange{Key(0, 20), Key(0, 50)}};
   std::vector<Row> out;
-  ASSERT_TRUE(table->ParallelScan(windows, nullptr, 7, &out, nullptr).ok());
+  CollectRowsSink sink(&out);
+  ASSERT_TRUE(table->MultiScan(windows, nullptr, 7, &sink, nullptr).ok());
   EXPECT_EQ(out.size(), 14u);
 }
 
@@ -231,7 +236,8 @@ TEST(ClusterTest, RoutingWrapsPastShardCount) {
   // [byte 5, byte 9): exactly the rows with shard bytes 5..8.
   std::vector<KeyRange> windows = {KeyRange{Key(5, 0), Key(9, 0)}};
   std::vector<Row> out;
-  ASSERT_TRUE(table->ParallelScan(windows, nullptr, 0, &out, nullptr).ok());
+  CollectRowsSink sink(&out);
+  ASSERT_TRUE(table->MultiScan(windows, nullptr, 0, &sink, nullptr).ok());
   ASSERT_EQ(out.size(), 4u * 5);
   for (const Row& row : out) {
     const uint8_t b = static_cast<uint8_t>(row.key[0]);
@@ -243,7 +249,7 @@ TEST(ClusterTest, RoutingWrapsPastShardCount) {
   std::vector<KeyRange> exclusive = {
       KeyRange{Key(5, 0), std::string(1, '\x08')}};
   out.clear();
-  ASSERT_TRUE(table->ParallelScan(exclusive, nullptr, 0, &out, nullptr).ok());
+  ASSERT_TRUE(table->MultiScan(exclusive, nullptr, 0, &sink, nullptr).ok());
   ASSERT_EQ(out.size(), 3u * 5);
   for (const Row& row : out) {
     EXPECT_LE(static_cast<uint8_t>(row.key[0]), 7);
@@ -282,7 +288,7 @@ TEST(ClusterTest, SinkScanBroadcastsEarlyTermination) {
   }
   TakeNSink sink(5);
   kv::ScanStats stats;
-  ASSERT_TRUE(table->ParallelScan(windows, nullptr, 0, &sink, &stats).ok());
+  ASSERT_TRUE(table->MultiScan(windows, nullptr, 0, &sink, &stats).ok());
   EXPECT_EQ(sink.keys.size(), 5u);
   // The stop must propagate to all four region scans well before they
   // drain their 500-row windows.
@@ -306,7 +312,8 @@ TEST(ClusterTest, ParallelBatchPutWritesEveryRegion) {
     windows.push_back(KeyRange{Key(shard, 0), Key(shard, 400)});
   }
   std::vector<Row> out;
-  ASSERT_TRUE(table->ParallelScan(windows, nullptr, 0, &out, nullptr).ok());
+  CollectRowsSink sink(&out);
+  ASSERT_TRUE(table->MultiScan(windows, nullptr, 0, &sink, nullptr).ok());
   ASSERT_EQ(out.size(), rows.size());
   std::string value;
   ASSERT_TRUE(table->Get(Key(7, 399), &value).ok());

@@ -821,8 +821,8 @@ TEST(ClusterDegradedTest, StrictScanReportsFailedRegion) {
   CountingSink sink;
   kv::ScanStats stats;
   ScanOutcome outcome;
-  Status s = table->ParallelScan({KeyRange{"", ""}}, nullptr, 0, &sink, &stats,
-                                 nullptr, &outcome);
+  Status s = table->MultiScan({KeyRange{"", ""}}, nullptr, 0, &sink, &stats,
+                              nullptr, nullptr, &outcome);
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(outcome.regions_attempted, 4u);
   EXPECT_EQ(outcome.regions_failed, 1u);
@@ -853,24 +853,87 @@ TEST(ClusterDegradedTest, RetryPolicyHealsTransientFault) {
   CountingSink sink;
   kv::ScanStats stats;
   ScanOutcome outcome;
-  Status s = table->ParallelScan({KeyRange{"", ""}}, nullptr, 0, &sink, &stats,
-                                 nullptr, &outcome);
+  Status s = table->MultiScan({KeyRange{"", ""}}, nullptr, 0, &sink, &stats,
+                              nullptr, nullptr, &outcome);
   ASSERT_TRUE(s.ok()) << s.ToString();
   EXPECT_GE(outcome.retries, 1u);
   EXPECT_EQ(outcome.regions_failed, 0u);
   EXPECT_EQ(sink.rows(), static_cast<uint64_t>(kShards) * kRowsPerShard);
+  fenv.ClearFaults();
+}
 
-  // MultiScan path, same contract.
-  fenv.FailReads("/t/shard3/", 1);
-  CountingSink msink;
-  kv::ScanStats mstats;
-  ScanOutcome moutcome;
-  s = table->MultiScan({KeyRange{"", ""}}, nullptr, 0, &msink, &mstats,
-                       nullptr, nullptr, &moutcome);
+// Records every delivered key and, once `arm_after` rows of region
+// `shard` have arrived, arms one read fault on that region's files: the
+// region's next block read fails mid-stream.
+class ArmingSink : public kv::RowSink {
+ public:
+  ArmingSink(kv::FaultInjectionEnv* env, uint8_t shard, uint64_t arm_after)
+      : env_(env), shard_(shard), arm_after_(arm_after) {}
+
+  bool Accept(const Slice& key, const Slice& value) override {
+    (void)value;
+    delivered[key.ToString()]++;
+    if (static_cast<uint8_t>(key[0]) == shard_ && ++shard_rows_ == arm_after_) {
+      env_->FailReads("/t/shard" + std::to_string(shard_) + "/", 1);
+    }
+    return true;
+  }
+
+  std::map<std::string, int> delivered;
+
+ private:
+  kv::FaultInjectionEnv* env_;
+  uint8_t shard_;
+  uint64_t arm_after_;
+  uint64_t shard_rows_ = 0;
+};
+
+TEST(ClusterDegradedTest, MidStreamRetryResumesPastLastDeliveredKey) {
+  kv::FaultInjectionEnv fenv(kv::Env::Default());
+  kv::Options options;
+  options.env = &fenv;
+  options.block_cache_bytes = 1024;  // keep reads on disk
+  Cluster cluster(ClusterDir("midstream"), 2, options);
+  ASSERT_TRUE(cluster.CreateTable("t", kShards).ok());
+  ClusterTable* table = cluster.GetTable("t");
+  // ~200 KiB per region, so many blocks remain to read after the fault
+  // is armed.
+  constexpr uint64_t kRows = 1000;
+  std::vector<Row> rows;
+  for (uint8_t shard = 0; shard < kShards; shard++) {
+    for (uint64_t v = 0; v < kRows; v++) {
+      rows.push_back(Row{ShardKey(shard, v), std::string(200, 'a' + v % 26)});
+    }
+  }
+  ASSERT_TRUE(table->BatchPut(rows).ok());
+  ASSERT_TRUE(table->Flush().ok());
+
+  RetryPolicy policy;
+  policy.max_retries = 3;
+  policy.initial_backoff_micros = 100;
+  table->set_retry_policy(policy);
+
+  // Sorted, disjoint windows per region: the retried task trims them to
+  // resume just past the last key it delivered.
+  const std::vector<std::pair<uint64_t, uint64_t>> spans = {
+      {0, 300}, {350, 700}, {720, kRows}};
+  std::vector<KeyRange> windows;
+  std::map<std::string, int> want;
+  for (uint8_t shard = 0; shard < kShards; shard++) {
+    for (const auto& [lo, hi] : spans) {
+      windows.push_back(KeyRange{ShardKey(shard, lo), ShardKey(shard, hi)});
+      for (uint64_t v = lo; v < hi; v++) want[ShardKey(shard, v)] = 1;
+    }
+  }
+  ArmingSink sink(&fenv, 1, 400);  // region 1 fails in its second window
+  ScanOutcome outcome;
+  Status s = table->MultiScan(windows, nullptr, 0, &sink, nullptr, nullptr,
+                              nullptr, &outcome);
   ASSERT_TRUE(s.ok()) << s.ToString();
-  EXPECT_GE(moutcome.retries, 1u);
-  EXPECT_EQ(moutcome.regions_failed, 0u);
-  EXPECT_EQ(msink.rows(), static_cast<uint64_t>(kShards) * kRowsPerShard);
+  EXPECT_EQ(fenv.faults_injected(), 1u);
+  EXPECT_GE(outcome.retries, 1u);
+  EXPECT_EQ(outcome.regions_failed, 0u);
+  EXPECT_EQ(sink.delivered, want);  // every row exactly once
   fenv.ClearFaults();
 }
 

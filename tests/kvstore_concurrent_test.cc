@@ -1,28 +1,25 @@
-// Tests for the multicore write path: ConcurrentArena, CAS-based
-// SkipList::InsertConcurrently, and the parallel group-commit apply in
-// DB::WriteImpl (Options::allow_concurrent_memtable_write). The DB stress
-// tests run mixed writers/readers with a mid-run flush and differential-
-// check the final state against a single-threaded replay of the same
-// operations. Built with -fsanitize=thread in the CI tsan job.
+// Tests for the multicore write path: group commit in DB::WriteImpl under
+// concurrent writers. The leader folds queued batches into one WAL record
+// and applies them to the memtable itself (the memtable's only writer).
+// The stress tests run mixed writers/readers with a mid-run flush and
+// differential-check the final state against a single-threaded replay of
+// the same operations. Built with -fsanitize=thread in the CI tsan job,
+// where any concurrent memtable Add would be reported as a race.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
-#include <cstring>
 #include <filesystem>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "kvstore/arena.h"
 #include "kvstore/db.h"
 #include "kvstore/options.h"
 #include "kvstore/scan_filter.h"
-#include "kvstore/skiplist.h"
 #include "kvstore/write_batch.h"
 
 namespace tman::kv {
@@ -45,186 +42,7 @@ std::string Value(int thread, int i) {
 }
 
 // ---------------------------------------------------------------------------
-// ConcurrentArena
-
-TEST(ConcurrentArenaTest, SerialAllocationsDistinctAndUsable) {
-  ConcurrentArena arena;
-  std::vector<std::pair<char*, size_t>> allocs;
-  size_t total = 0;
-  for (int i = 0; i < 1000; i++) {
-    const size_t n = 1 + (i * 37) % 300;
-    char* p = (i % 2 == 0) ? arena.Allocate(n) : arena.AllocateAligned(n);
-    ASSERT_NE(p, nullptr);
-    memset(p, i % 251, n);
-    allocs.emplace_back(p, n);
-    total += n;
-  }
-  // Nothing was clobbered by a later allocation (i.e. no overlap).
-  for (int i = 0; i < 1000; i++) {
-    auto [p, n] = allocs[i];
-    for (size_t j = 0; j < n; j++) {
-      ASSERT_EQ(static_cast<unsigned char>(p[j]), i % 251) << i << ":" << j;
-    }
-  }
-  EXPECT_GE(arena.MemoryUsage(), total);
-}
-
-TEST(ConcurrentArenaTest, AlignedAllocationsAreAligned) {
-  ConcurrentArena arena;
-  for (int i = 0; i < 500; i++) {
-    char* p = arena.AllocateAligned(1 + i % 64);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % 8, 0u);
-  }
-}
-
-TEST(ConcurrentArenaTest, LargeAllocationsBypassShards) {
-  ConcurrentArena arena;
-  char* big = arena.Allocate(256 * 1024);
-  ASSERT_NE(big, nullptr);
-  memset(big, 0xAB, 256 * 1024);
-  char* small = arena.Allocate(16);
-  memset(small, 0xCD, 16);
-  EXPECT_EQ(static_cast<unsigned char>(big[0]), 0xAB);
-  EXPECT_EQ(static_cast<unsigned char>(big[256 * 1024 - 1]), 0xAB);
-  EXPECT_GE(arena.MemoryUsage(), 256u * 1024u + 16u);
-}
-
-TEST(ConcurrentArenaTest, ParallelAllocationsDoNotOverlap) {
-  ConcurrentArena arena;
-  constexpr int kThreads = 8;
-  constexpr int kAllocs = 4000;
-  std::vector<std::vector<std::pair<char*, size_t>>> per_thread(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; t++) {
-    threads.emplace_back([&, t] {
-      auto& mine = per_thread[t];
-      mine.reserve(kAllocs);
-      for (int i = 0; i < kAllocs; i++) {
-        const size_t n = 1 + (i * 13 + t) % 120;
-        char* p = arena.Allocate(n);
-        // Stamp with a thread-unique byte; verified after the join, so a
-        // racing overlap with another thread's buffer shows up as a
-        // corrupted pattern.
-        memset(p, 'a' + t, n);
-        mine.emplace_back(p, n);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  size_t total = 0;
-  for (int t = 0; t < kThreads; t++) {
-    for (auto [p, n] : per_thread[t]) {
-      total += n;
-      for (size_t j = 0; j < n; j++) {
-        ASSERT_EQ(p[j], 'a' + t);
-      }
-    }
-  }
-  EXPECT_GE(arena.MemoryUsage(), total);
-  // Striped blocks waste at most the unfilled block tails; usage must stay
-  // within an order of magnitude of the payload.
-  EXPECT_LT(arena.MemoryUsage(), total * 4 + 8 * 64 * 1024);
-}
-
-// ---------------------------------------------------------------------------
-// SkipList::InsertConcurrently
-
-struct IntComparator {
-  int operator()(uint64_t a, uint64_t b) const {
-    return a < b ? -1 : (a > b ? 1 : 0);
-  }
-};
-
-TEST(SkipListConcurrentTest, ParallelDisjointInserts) {
-  ConcurrentArena arena;
-  using List = SkipList<uint64_t, IntComparator, ConcurrentArena>;
-  List list(IntComparator(), &arena);
-
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 5000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; t++) {
-    threads.emplace_back([&, t] {
-      // Interleaved key space: thread t owns keys ≡ t (mod kThreads), so
-      // concurrent splices constantly touch adjacent nodes from other
-      // threads — the worst case for the CAS retry path.
-      for (int i = 0; i < kPerThread; i++) {
-        list.InsertConcurrently(static_cast<uint64_t>(i) * kThreads + t);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  // Every key present, iteration strictly sorted, count exact.
-  uint64_t expected = 0;
-  List::Iterator iter(&list);
-  iter.SeekToFirst();
-  while (iter.Valid()) {
-    ASSERT_EQ(iter.key(), expected);
-    expected++;
-    iter.Next();
-  }
-  EXPECT_EQ(expected, static_cast<uint64_t>(kThreads) * kPerThread);
-  for (uint64_t k = 0; k < expected; k += 97) {
-    EXPECT_TRUE(list.Contains(k));
-  }
-  EXPECT_FALSE(list.Contains(expected + 1));
-}
-
-TEST(SkipListConcurrentTest, ConcurrentInsertWithConcurrentReaders) {
-  ConcurrentArena arena;
-  using List = SkipList<uint64_t, IntComparator, ConcurrentArena>;
-  List list(IntComparator(), &arena);
-
-  constexpr int kWriters = 4;
-  constexpr int kPerThread = 4000;
-  std::atomic<bool> done{false};
-  std::atomic<uint64_t> reader_observations{0};
-
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kWriters; t++) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; i++) {
-        list.InsertConcurrently(static_cast<uint64_t>(i) * kWriters + t);
-      }
-    });
-  }
-  // Readers iterate while inserts race: whatever is visible must be
-  // strictly sorted (a torn splice would show as an inversion).
-  for (int r = 0; r < 2; r++) {
-    threads.emplace_back([&] {
-      while (!done.load(std::memory_order_acquire)) {
-        List::Iterator iter(&list);
-        iter.SeekToFirst();
-        uint64_t prev = 0;
-        bool first = true;
-        uint64_t seen = 0;
-        while (iter.Valid()) {
-          if (!first) {
-            ASSERT_LT(prev, iter.key());
-          }
-          prev = iter.key();
-          first = false;
-          seen++;
-          iter.Next();
-        }
-        reader_observations.fetch_add(seen, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (int t = 0; t < kWriters; t++) threads[t].join();
-  done.store(true, std::memory_order_release);
-  for (size_t t = kWriters; t < threads.size(); t++) threads[t].join();
-
-  uint64_t count = 0;
-  List::Iterator iter(&list);
-  for (iter.SeekToFirst(); iter.Valid(); iter.Next()) count++;
-  EXPECT_EQ(count, static_cast<uint64_t>(kWriters) * kPerThread);
-}
-
-// ---------------------------------------------------------------------------
-// DB parallel group-commit apply
+// DB group commit
 
 // Deterministic per-thread workload so the final DB state is computable by
 // a single-threaded replay: thread t writes Key(t, i) = Value(t, i) in
@@ -363,7 +181,7 @@ TEST(DBConcurrentTest, StressWritersReadersFlushDifferential) {
     });
   }
   // Mid-run explicit flush: exercises the memtable handoff fence while
-  // parallel appliers are in flight.
+  // grouped writes are in flight.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   ASSERT_TRUE(db->Flush().ok());
 
@@ -372,13 +190,9 @@ TEST(DBConcurrentTest, StressWritersReadersFlushDifferential) {
   for (size_t t = wl.threads; t < threads.size(); t++) threads[t].join();
   EXPECT_EQ(failures.load(), 0);
 
+  // Serial apply of the folded groups reproduces the single-threaded
+  // replay exactly.
   VerifyAgainstExpected(db.get(), wl.Expected());
-
-  DB::Stats stats = db->GetStats();
-  // With 4 writers contending, the leader must have folded followers and
-  // dispatched parallel appliers at least once.
-  EXPECT_GT(stats.concurrent_apply_groups, 0u);
-  EXPECT_GE(stats.concurrent_apply_batches, 2 * stats.concurrent_apply_groups);
 }
 
 TEST(DBConcurrentTest, ReopenReplaysConcurrentWrites) {
@@ -387,7 +201,7 @@ TEST(DBConcurrentTest, ReopenReplaysConcurrentWrites) {
   {
     Options options;
     // Large buffer: everything stays in the memtable/WAL, so reopen
-    // exercises WAL replay of records that were applied concurrently.
+    // exercises WAL replay of records that folded several writers' batches.
     std::unique_ptr<DB> db;
     ASSERT_TRUE(DB::Open(options, dir, &db).ok());
     std::atomic<int> failures{0};
@@ -404,30 +218,7 @@ TEST(DBConcurrentTest, ReopenReplaysConcurrentWrites) {
   VerifyAgainstExpected(db.get(), wl.Expected());
 }
 
-TEST(DBConcurrentTest, SerialApplyParityWhenDisabled) {
-  std::string dir = TestDir("serial_parity");
-  Options options;
-  options.allow_concurrent_memtable_write = false;
-  options.write_buffer_size = 256 * 1024;
-  std::unique_ptr<DB> db;
-  ASSERT_TRUE(DB::Open(options, dir, &db).ok());
-
-  const Workload wl{/*threads=*/4, /*writes_per_thread=*/1500, /*batch=*/8};
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < wl.threads; t++) {
-    threads.emplace_back([&, t] { wl.Run(db.get(), t, &failures); });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(failures.load(), 0);
-
-  VerifyAgainstExpected(db.get(), wl.Expected());
-  DB::Stats stats = db->GetStats();
-  EXPECT_EQ(stats.concurrent_apply_groups, 0u);
-  EXPECT_EQ(stats.concurrent_apply_batches, 0u);
-}
-
-TEST(DBConcurrentTest, SyncWritesWithConcurrentApply) {
+TEST(DBConcurrentTest, SyncAndAsyncWritersShareGroups) {
   std::string dir = TestDir("sync");
   Options options;
   std::unique_ptr<DB> db;

@@ -3,11 +3,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "common/coding.h"
 #include "common/random.h"
 #include "compress/byte_codec.h"
 #include "core/ttl_filter.h"
@@ -15,6 +17,7 @@
 #include "kvstore/compression.h"
 #include "kvstore/db.h"
 #include "kvstore/env.h"
+#include "kvstore/scan_filter.h"
 #include "kvstore/sst_file_writer.h"
 #include "kvstore/table.h"
 
@@ -27,17 +30,15 @@ std::string TestDir(const std::string& name) {
   return dir;
 }
 
-std::string PointKey(int i) {
+std::string RowKey(int i) {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "pt%08d", i);
+  std::snprintf(buf, sizeof(buf), "row%08d", i);
   return buf;
 }
 
-std::string PointValue(int i) {
-  std::string v;
-  EncodePointValue(1700000000 + i * 15, -122.4 + i * 1e-4, 37.7 + i * 1e-4,
-                   &v);
-  return v;
+// Compressible under the byte codec: a short varying header plus a run.
+std::string RowValue(int i) {
+  return "rec-" + std::to_string(i) + "-" + std::string(40, 'a' + i % 26);
 }
 
 // ---------------------------------------------------------------------------
@@ -101,18 +102,6 @@ TEST(ByteCodecTest, DecodeRejectsCorruptPayloads) {
 // ---------------------------------------------------------------------------
 // Block compression negotiation
 
-TEST(CompressionTest, PointValueRoundTrip) {
-  std::string v;
-  EncodePointValue(1234567890, -122.4194, 37.7749, &v);
-  ASSERT_EQ(v.size(), kPointValueSize);
-  int64_t ts;
-  double lon, lat;
-  ASSERT_TRUE(DecodePointValue(Slice(v), &ts, &lon, &lat));
-  EXPECT_EQ(ts, 1234567890);
-  EXPECT_EQ(lon, -122.4194);
-  EXPECT_EQ(lat, 37.7749);
-}
-
 TEST(CompressionTest, IncompressibleBlockStaysRaw) {
   Random rnd(99);
   std::string raw;
@@ -127,8 +116,10 @@ TEST(CompressionTest, UncompressRejectsGarbage) {
   std::string out;
   Status s = UncompressBlock(kByteCompression, "\xff\xff\xff", 3, &out);
   EXPECT_TRUE(s.IsCorruption());
+  // Only 0x0 and 0x1 are block types.
+  EXPECT_FALSE(IsValidCompressionType(0x2));
   out.clear();
-  s = UncompressBlock(kTrajPointCompression, "junk", 4, &out);
+  s = UncompressBlock(static_cast<CompressionType>(0x2), "junk", 4, &out);
   EXPECT_TRUE(s.IsCorruption());
 }
 
@@ -148,14 +139,14 @@ void WriteReadCycle(const std::string& dir, Options options, int n) {
     std::unique_ptr<DB> db;
     ASSERT_TRUE(DB::Open(options, dir, &db).ok());
     for (int i = 0; i < n; i++) {
-      ASSERT_TRUE(db->Put(WriteOptions(), PointKey(i), PointValue(i)).ok());
+      ASSERT_TRUE(db->Put(WriteOptions(), RowKey(i), RowValue(i)).ok());
     }
     ASSERT_TRUE(db->Flush().ok());
     ASSERT_TRUE(db->CompactAll().ok());
     for (int i = 0; i < n; i++) {
       std::string value;
-      ASSERT_TRUE(db->Get(ReadOptions(), PointKey(i), &value).ok());
-      ASSERT_EQ(value, PointValue(i));
+      ASSERT_TRUE(db->Get(ReadOptions(), RowKey(i), &value).ok());
+      ASSERT_EQ(value, RowValue(i));
     }
     DB::IntegrityReport report;
     ASSERT_TRUE(db->VerifyIntegrity(&report).ok());
@@ -166,14 +157,9 @@ void WriteReadCycle(const std::string& dir, Options options, int n) {
   ASSERT_TRUE(DB::Open(options, dir, &db).ok());
   for (int i = 0; i < n; i++) {
     std::string value;
-    ASSERT_TRUE(db->Get(ReadOptions(), PointKey(i), &value).ok());
-    ASSERT_EQ(value, PointValue(i));
+    ASSERT_TRUE(db->Get(ReadOptions(), RowKey(i), &value).ok());
+    ASSERT_EQ(value, RowValue(i));
   }
-}
-
-TEST(StorageFormatTest, TrajPointCompressionRoundTrip) {
-  WriteReadCycle(TestDir("traj_rt"), CompressedOptions(kTrajPointCompression),
-                 4000);
 }
 
 TEST(StorageFormatTest, ByteCompressionRoundTrip) {
@@ -181,89 +167,142 @@ TEST(StorageFormatTest, ByteCompressionRoundTrip) {
                  4000);
 }
 
-TEST(StorageFormatTest, TrajCompressionShrinksPointTables) {
-  auto total_sst_bytes = [](const std::string& dir) {
-    uint64_t total = 0;
-    for (const auto& e : std::filesystem::directory_iterator(dir)) {
-      if (e.path().extension() == ".sst") total += e.file_size();
-    }
-    return total;
-  };
-  const std::string plain_dir = TestDir("size_plain");
-  const std::string comp_dir = TestDir("size_comp");
-  const int n = 8000;
+TEST(StorageFormatTest, MixedBlockTypesCompactTogether) {
+  const std::string dir = TestDir("mixed");
   {
     std::unique_ptr<DB> db;
-    ASSERT_TRUE(DB::Open(CompressedOptions(kNoCompression), plain_dir, &db)
-                    .ok());
-    for (int i = 0; i < n; i++) {
-      ASSERT_TRUE(db->Put(WriteOptions(), PointKey(i), PointValue(i)).ok());
-    }
-    ASSERT_TRUE(db->Flush().ok());
-    ASSERT_TRUE(db->CompactAll().ok());
-  }
-  {
-    std::unique_ptr<DB> db;
-    ASSERT_TRUE(
-        DB::Open(CompressedOptions(kTrajPointCompression), comp_dir, &db).ok());
-    for (int i = 0; i < n; i++) {
-      ASSERT_TRUE(db->Put(WriteOptions(), PointKey(i), PointValue(i)).ok());
-    }
-    ASSERT_TRUE(db->Flush().ok());
-    ASSERT_TRUE(db->CompactAll().ok());
-  }
-  const uint64_t plain = total_sst_bytes(plain_dir);
-  const uint64_t comp = total_sst_bytes(comp_dir);
-  ASSERT_GT(plain, 0u);
-  ASSERT_GT(comp, 0u);
-  // ISSUE acceptance: at least 2x bytes/point reduction on point rows.
-  EXPECT_LE(comp * 2, plain) << "plain=" << plain << " comp=" << comp;
-}
-
-TEST(StorageFormatTest, LegacyV1TablesStillRead) {
-  const std::string dir = TestDir("legacy");
-  Options legacy = CompressedOptions(kNoCompression);
-  legacy.write_legacy_table_format = true;
-  {
-    std::unique_ptr<DB> db;
-    ASSERT_TRUE(DB::Open(legacy, dir, &db).ok());
+    ASSERT_TRUE(DB::Open(CompressedOptions(kNoCompression), dir, &db).ok());
     for (int i = 0; i < 2000; i++) {
-      ASSERT_TRUE(db->Put(WriteOptions(), PointKey(i), PointValue(i)).ok());
+      ASSERT_TRUE(db->Put(WriteOptions(), RowKey(i), RowValue(i)).ok());
     }
     ASSERT_TRUE(db->Flush().ok());
   }
-  // Reopen with a modern, compression-enabled config: v1 tables written
-  // before the upgrade must keep reading, and new writes land as v2.
-  Options modern = CompressedOptions(kTrajPointCompression);
+  // Reopen with byte compression on: raw tables written before keep
+  // reading, and new writes land as compressed blocks.
   std::unique_ptr<DB> db;
-  ASSERT_TRUE(DB::Open(modern, dir, &db).ok());
+  ASSERT_TRUE(DB::Open(CompressedOptions(kByteCompression), dir, &db).ok());
   for (int i = 0; i < 2000; i++) {
     std::string value;
-    ASSERT_TRUE(db->Get(ReadOptions(), PointKey(i), &value).ok());
-    ASSERT_EQ(value, PointValue(i));
+    ASSERT_TRUE(db->Get(ReadOptions(), RowKey(i), &value).ok());
+    ASSERT_EQ(value, RowValue(i));
   }
   for (int i = 2000; i < 3000; i++) {
-    ASSERT_TRUE(db->Put(WriteOptions(), PointKey(i), PointValue(i)).ok());
+    ASSERT_TRUE(db->Put(WriteOptions(), RowKey(i), RowValue(i)).ok());
   }
   ASSERT_TRUE(db->Flush().ok());
-  ASSERT_TRUE(db->CompactAll().ok());  // merges v1 + v2 inputs
+  ASSERT_TRUE(db->CompactAll().ok());  // merges raw + compressed inputs
   for (int i = 0; i < 3000; i++) {
     std::string value;
-    ASSERT_TRUE(db->Get(ReadOptions(), PointKey(i), &value).ok());
-    ASSERT_EQ(value, PointValue(i));
+    ASSERT_TRUE(db->Get(ReadOptions(), RowKey(i), &value).ok());
+    ASSERT_EQ(value, RowValue(i));
   }
   DB::IntegrityReport report;
   ASSERT_TRUE(db->VerifyIntegrity(&report).ok());
 }
 
+// Writes `n` rows with byte compression, flushes them into one table and
+// closes the DB; returns that table's path ("" unless exactly one exists).
+std::string WriteOneTable(const std::string& dir, int n) {
+  {
+    Options options = CompressedOptions(kByteCompression);
+    options.write_buffer_size = 4 * 1024 * 1024;  // one flush, one table
+    std::unique_ptr<DB> db;
+    EXPECT_TRUE(DB::Open(options, dir, &db).ok());
+    for (int i = 0; i < n; i++) {
+      EXPECT_TRUE(db->Put(WriteOptions(), RowKey(i), RowValue(i)).ok());
+    }
+    EXPECT_TRUE(db->Flush().ok());
+  }
+  std::vector<std::string> tables;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    if (e.path().extension() == ".sst") tables.push_back(e.path().string());
+  }
+  return tables.size() == 1 ? tables[0] : "";
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(f),
+                     std::istreambuf_iterator<char>());
+}
+
+void OverwriteBytes(const std::string& path, uint64_t offset,
+                    const std::string& bytes) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekp(static_cast<std::streamoff>(offset));
+  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(StorageFormatTest, RetiredV1MagicIsCorruption) {
+  const std::string dir = TestDir("v1_magic");
+  const std::string sst = WriteOneTable(dir, 500);
+  ASSERT_FALSE(sst.empty());
+  // The footer ends in the fixed64 magic; "trajman!" named format v1.
+  const uint64_t size = std::filesystem::file_size(sst);
+  std::string magic;
+  PutFixed64(&magic, 0x7472616a6d616e21ULL);
+  OverwriteBytes(sst, size - magic.size(), magic);
+
+  std::unique_ptr<RandomAccessFile> file;
+  ASSERT_TRUE(Env::Default()->NewRandomAccessFile(sst, &file).ok());
+  std::unique_ptr<Table> table;
+  Status s = Table::Open(Options(), 1, std::move(file), size, nullptr, &table);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_EQ(table, nullptr);
+
+  std::unique_ptr<DB> db;
+  s = DB::Open(CompressedOptions(kByteCompression), dir, &db);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+}
+
+class DiscardSink : public RowSink {
+ public:
+  bool Accept(const Slice&, const Slice&) override { return true; }
+};
+
+TEST(StorageFormatTest, UnknownBlockTypeByteIsCorruption) {
+  const std::string dir = TestDir("type_byte");
+  constexpr int kRows = 3000;
+  const std::string sst = WriteOneTable(dir, kRows);
+  ASSERT_FALSE(sst.empty());
+  // The footer opens with the filter handle, and the filter block starts
+  // right after the last data block's trailer, so that block's type byte
+  // sits kBlockTrailerSize bytes before the filter offset. The crc covers
+  // only the payload: the type check alone must catch this rewrite.
+  const std::string contents = ReadFile(sst);
+  Slice footer(contents.data() + contents.size() - 48, 48);
+  uint64_t filter_offset = 0;
+  ASSERT_TRUE(GetVarint64(&footer, &filter_offset));
+  const uint64_t type_offset = filter_offset - kBlockTrailerSize;
+  ASSERT_LE(static_cast<uint8_t>(contents[type_offset]), kByteCompression);
+  OverwriteBytes(sst, type_offset, std::string(1, '\x02'));
+
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(CompressedOptions(kByteCompression), dir, &db).ok());
+  std::string value;
+  Status s = db->Get(ReadOptions(), RowKey(kRows - 1), &value);  // last block
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+
+  const std::string lo = RowKey(0);
+  DiscardSink sink;
+  s = db->MultiScan(ReadOptions(), {ScanWindow{lo, ""}}, nullptr, 0, &sink,
+                    nullptr);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+
+  DB::IntegrityReport report;
+  s = db->VerifyIntegrity(&report);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_EQ(report.files_corrupt, 1u);
+}
+
 TEST(StorageFormatTest, VerifyIntegrityCatchesCompressedCorruption) {
   const std::string dir = TestDir("corrupt");
-  Options options = CompressedOptions(kTrajPointCompression);
+  Options options = CompressedOptions(kByteCompression);
   {
     std::unique_ptr<DB> db;
     ASSERT_TRUE(DB::Open(options, dir, &db).ok());
     for (int i = 0; i < 4000; i++) {
-      ASSERT_TRUE(db->Put(WriteOptions(), PointKey(i), PointValue(i)).ok());
+      ASSERT_TRUE(db->Put(WriteOptions(), RowKey(i), RowValue(i)).ok());
     }
     ASSERT_TRUE(db->Flush().ok());
   }
@@ -318,7 +357,7 @@ TEST(SstFileWriterTest, EnforcesOrderAndNonEmpty) {
 
 TEST(IngestTest, IngestedFileIsVisibleAndDurable) {
   const std::string dir = TestDir("ingest");
-  Options options = CompressedOptions(kTrajPointCompression);
+  Options options = CompressedOptions(kByteCompression);
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, dir, &db).ok());
 
@@ -326,7 +365,7 @@ TEST(IngestTest, IngestedFileIsVisibleAndDurable) {
   SstFileWriter writer(options);
   ASSERT_TRUE(writer.Open(ext).ok());
   for (int i = 0; i < 3000; i++) {
-    ASSERT_TRUE(writer.Put(PointKey(i), PointValue(i)).ok());
+    ASSERT_TRUE(writer.Put(RowKey(i), RowValue(i)).ok());
   }
   ExternalSstFileInfo info;
   ASSERT_TRUE(writer.Finish(&info).ok());
@@ -342,16 +381,16 @@ TEST(IngestTest, IngestedFileIsVisibleAndDurable) {
 
   for (int i = 0; i < 3000; i++) {
     std::string value;
-    ASSERT_TRUE(db->Get(ReadOptions(), PointKey(i), &value).ok());
-    ASSERT_EQ(value, PointValue(i));
+    ASSERT_TRUE(db->Get(ReadOptions(), RowKey(i), &value).ok());
+    ASSERT_EQ(value, RowValue(i));
   }
   db.reset();
 
   // Survives reopen: the install was committed through the MANIFEST.
   ASSERT_TRUE(DB::Open(options, dir, &db).ok());
   std::string value;
-  ASSERT_TRUE(db->Get(ReadOptions(), PointKey(1234), &value).ok());
-  EXPECT_EQ(value, PointValue(1234));
+  ASSERT_TRUE(db->Get(ReadOptions(), RowKey(1234), &value).ok());
+  EXPECT_EQ(value, RowValue(1234));
   DB::IntegrityReport report;
   ASSERT_TRUE(db->VerifyIntegrity(&report).ok());
 }
@@ -362,14 +401,14 @@ TEST(IngestTest, OverlappingRangeIsRejected) {
   options.background_flush = false;
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, dir, &db).ok());
-  ASSERT_TRUE(db->Put(WriteOptions(), PointKey(500), "live").ok());
+  ASSERT_TRUE(db->Put(WriteOptions(), RowKey(500), "live").ok());
   ASSERT_TRUE(db->Flush().ok());
 
   const std::string ext = dir + "/bulk-1.tmp";
   SstFileWriter writer(options);
   ASSERT_TRUE(writer.Open(ext).ok());
   for (int i = 400; i < 600; i++) {
-    ASSERT_TRUE(writer.Put(PointKey(i), PointValue(i)).ok());
+    ASSERT_TRUE(writer.Put(RowKey(i), RowValue(i)).ok());
   }
   ExternalSstFileInfo info;
   ASSERT_TRUE(writer.Finish(&info).ok());
@@ -379,7 +418,7 @@ TEST(IngestTest, OverlappingRangeIsRejected) {
   EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
   // The live row must win and the store must stay consistent.
   std::string value;
-  ASSERT_TRUE(db->Get(ReadOptions(), PointKey(500), &value).ok());
+  ASSERT_TRUE(db->Get(ReadOptions(), RowKey(500), &value).ok());
   EXPECT_EQ(value, "live");
 
   // A disjoint file still ingests (copy mode keeps the source).
@@ -387,12 +426,12 @@ TEST(IngestTest, OverlappingRangeIsRejected) {
   SstFileWriter writer2(options);
   ASSERT_TRUE(writer2.Open(ext2).ok());
   for (int i = 600; i < 700; i++) {
-    ASSERT_TRUE(writer2.Put(PointKey(i), PointValue(i)).ok());
+    ASSERT_TRUE(writer2.Put(RowKey(i), RowValue(i)).ok());
   }
   ASSERT_TRUE(writer2.Finish(&info).ok());
   ASSERT_TRUE(db->IngestExternalFile(io, ext2).ok());
   EXPECT_TRUE(Env::Default()->FileExists(ext2));  // copy, source kept
-  ASSERT_TRUE(db->Get(ReadOptions(), PointKey(650), &value).ok());
+  ASSERT_TRUE(db->Get(ReadOptions(), RowKey(650), &value).ok());
 }
 
 TEST(IngestTest, RejectsFilesNotBuiltBySstFileWriter) {
@@ -432,7 +471,7 @@ TEST(CompactionFilterTest, ExpiredRowsAreDroppedAndCounted) {
   ASSERT_TRUE(DB::Open(options, dir, &db).ok());
   for (int i = 0; i < 1000; i++) {
     const bool expired = i % 3 == 0;
-    ASSERT_TRUE(db->Put(WriteOptions(), PointKey(i),
+    ASSERT_TRUE(db->Put(WriteOptions(), RowKey(i),
                         expired ? "expired" : "live")
                     .ok());
   }
@@ -441,9 +480,9 @@ TEST(CompactionFilterTest, ExpiredRowsAreDroppedAndCounted) {
 
   for (int i = 0; i < 1000; i++) {
     std::string value;
-    Status s = db->Get(ReadOptions(), PointKey(i), &value);
+    Status s = db->Get(ReadOptions(), RowKey(i), &value);
     if (i % 3 == 0) {
-      EXPECT_TRUE(s.IsNotFound()) << PointKey(i);
+      EXPECT_TRUE(s.IsNotFound()) << RowKey(i);
     } else {
       ASSERT_TRUE(s.ok());
       EXPECT_EQ(value, "live");
@@ -459,8 +498,8 @@ TEST(CompactionFilterTest, ExpiredRowsAreDroppedAndCounted) {
   db.reset();
   ASSERT_TRUE(DB::Open(options, dir, &db).ok());
   std::string value;
-  EXPECT_TRUE(db->Get(ReadOptions(), PointKey(0), &value).IsNotFound());
-  EXPECT_TRUE(db->Get(ReadOptions(), PointKey(1), &value).ok());
+  EXPECT_TRUE(db->Get(ReadOptions(), RowKey(0), &value).IsNotFound());
+  EXPECT_TRUE(db->Get(ReadOptions(), RowKey(1), &value).ok());
 }
 
 TEST(CompactionFilterTest, NewestVersionWinsOverFilter) {
@@ -512,8 +551,8 @@ TEST(ClusterBulkLoadTest, LoadsAcrossRegionsAndReadsBack) {
     for (int i = 0; i < 500; i++) {
       cluster::Row row;
       row.key.push_back(static_cast<char>(shard));
-      row.key += PointKey(i);
-      row.value = PointValue(i);
+      row.key += RowKey(i);
+      row.value = RowValue(i);
       rows.push_back(std::move(row));
     }
   }
@@ -536,8 +575,8 @@ TEST(ClusterBulkLoadTest, LoadsAcrossRegionsAndReadsBack) {
     for (int i = 500; i < 600; i++) {
       cluster::Row row;
       row.key.push_back(static_cast<char>(shard));
-      row.key += PointKey(i);
-      row.value = PointValue(i);
+      row.key += RowKey(i);
+      row.value = RowValue(i);
       more.push_back(std::move(row));
     }
   }

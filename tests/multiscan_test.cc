@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -303,68 +305,158 @@ TEST(MultiScanTest, DifferentialUnderConcurrentBackgroundWork) {
 // ---------------------------------------------------------------------------
 // Cluster layer
 
-TEST(ClusterMultiScanTest, MatchesParallelScan) {
+// The oracle for ClusterTable::MultiScan, computed from the table's
+// contents: each window is clamped to every region it intersects, and each
+// (window, region) piece contributes its first `limit` matching rows in key
+// order (limit 0 = all). Overlapping windows therefore contribute their
+// overlap once per window. Also counts the rows the storage layer visits.
+std::vector<std::pair<std::string, std::string>> OracleMultiScan(
+    const std::map<std::string, std::string>& data,
+    const std::vector<cluster::KeyRange>& regions,
+    const std::vector<cluster::KeyRange>& windows, const ScanFilter* filter,
+    size_t limit, ScanStats* stats) {
+  std::vector<std::pair<std::string, std::string>> out;
+  for (const cluster::KeyRange& w : windows) {
+    for (const cluster::KeyRange& r : regions) {
+      if (!cluster::RangesIntersect(w, r)) continue;
+      const std::string& lo = std::max(w.start, r.start);
+      size_t matched = 0;
+      for (auto it = data.lower_bound(lo); it != data.end(); ++it) {
+        if (!cluster::RangeContains(w, it->first) ||
+            !cluster::RangeContains(r, it->first)) {
+          break;
+        }
+        stats->scanned++;
+        if (filter != nullptr && !filter->Matches(it->first, it->second)) {
+          continue;
+        }
+        stats->matched++;
+        out.emplace_back(it->first, it->second);
+        if (limit != 0 && ++matched >= limit) break;
+      }
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(ClusterMultiScanTest, DifferentialAgainstOracle) {
   const std::string dir = TestDir("cluster");
-  kv::Options kv_options;
-  cluster::Cluster cluster_inst(dir, 3, kv_options);
+  cluster::Cluster cluster_inst(dir, 3, Options());
   ASSERT_TRUE(cluster_inst.CreateTable("t", 4).ok());
   cluster::ClusterTable* table = cluster_inst.GetTable("t");
   Random rng(99);
+  constexpr uint32_t kPerByte = 800;
+  constexpr int kLeadBytes = 5;  // keys lead with bytes 0..4
+  auto random_key = [&] {
+    std::string key(1, static_cast<char>(rng.Uniform(kLeadBytes)));
+    return key + Key(static_cast<uint32_t>(rng.Uniform(kPerByte)));
+  };
+
+  // Flushed rows, then overwrites and deletes left in the memtables.
+  std::map<std::string, std::string> data;
   std::vector<cluster::Row> rows;
-  for (int i = 0; i < 3000; i++) {
-    // First byte spreads across all shards.
-    std::string key;
-    key.push_back(static_cast<char>(rng.Uniform(256)));
-    key += Key(static_cast<uint32_t>(i));
-    rows.push_back(cluster::Row{key, "v" + std::to_string(i)});
+  for (int lead = 0; lead < kLeadBytes; lead++) {
+    for (uint32_t i = 0; i < kPerByte; i++) {
+      cluster::Row row{std::string(1, static_cast<char>(lead)) + Key(i),
+                       "v" + std::to_string(rng.Uniform(1000))};
+      data[row.key] = row.value;
+      rows.push_back(std::move(row));
+    }
   }
   ASSERT_TRUE(table->BatchPut(rows).ok());
   ASSERT_TRUE(table->Flush().ok());
-
-  EvenValueFilter filter;
-  for (int round = 0; round < 6; round++) {
-    std::vector<cluster::KeyRange> ranges;
-    for (int i = 0; i < 8; i++) {
-      std::string a, b;
-      a.push_back(static_cast<char>(rng.Uniform(256)));
-      b = a;
-      b.push_back(static_cast<char>(rng.Uniform(256)));
-      ranges.push_back(cluster::KeyRange{a, b});
+  // A split puts a region boundary inside a lead byte, not only between.
+  ASSERT_TRUE(table->SplitRegionAt(3, std::string(1, '\x03') + Key(400)).ok());
+  for (int i = 0; i < 300; i++) {
+    const std::string key = random_key();
+    if (rng.Uniform(3) == 0) {
+      ASSERT_TRUE(table->Delete(key).ok());
+      data.erase(key);
+    } else {
+      const std::string value = "w" + std::to_string(rng.Uniform(1000));
+      ASSERT_TRUE(table->Put(key, value).ok());
+      data[key] = value;
     }
-    std::sort(ranges.begin(), ranges.end(),
-              [](const cluster::KeyRange& x, const cluster::KeyRange& y) {
-                return x.start < y.start;
-              });
+  }
+  std::vector<cluster::KeyRange> regions;
+  for (const auto& r : table->GetPerRegionStats()) regions.push_back(r.range);
+  ASSERT_EQ(regions.size(), 5u);
 
-    std::vector<cluster::Row> via_scan, via_multi;
-    kv::ScanStats scan_stats, multi_stats;
-    ASSERT_TRUE(
-        table->ParallelScan(ranges, &filter, 0, &via_scan, &scan_stats).ok());
-    RecordingSink sink;
-    MultiScanPerf perf;
-    std::vector<cluster::ClusterTable::RegionScanStat> breakdown;
-    ASSERT_TRUE(table
-                    ->MultiScan(ranges, &filter, 0, &sink, &multi_stats,
-                                &breakdown, &perf)
-                    .ok());
-
-    // Arrival order across regions is unspecified on both paths: compare as
-    // sorted sets.
-    auto row_less = [](const cluster::Row& a, const cluster::Row& b) {
-      return a.key < b.key;
-    };
-    std::sort(via_scan.begin(), via_scan.end(), row_less);
-    std::sort(sink.rows.begin(), sink.rows.end());
-    ASSERT_EQ(via_scan.size(), sink.rows.size()) << "round " << round;
-    for (size_t i = 0; i < via_scan.size(); i++) {
-      EXPECT_EQ(via_scan[i].key, sink.rows[i].first);
-      EXPECT_EQ(via_scan[i].value, sink.rows[i].second);
+  auto by_start = [](const cluster::KeyRange& a, const cluster::KeyRange& b) {
+    return a.start < b.start;
+  };
+  // Each shape draws `n` windows; random endpoints straddle region
+  // boundaries whenever their lead bytes differ.
+  auto sorted_disjoint = [&](size_t n) {
+    std::vector<std::string> keys;
+    for (size_t i = 0; i < 2 * n; i++) keys.push_back(random_key());
+    std::sort(keys.begin(), keys.end());
+    std::vector<cluster::KeyRange> w;
+    for (size_t i = 0; i + 1 < keys.size(); i += 2) {
+      w.push_back(cluster::KeyRange{keys[i], keys[i + 1]});
     }
-    EXPECT_EQ(scan_stats.scanned, multi_stats.scanned);
-    EXPECT_EQ(scan_stats.matched, multi_stats.matched);
-    // One task per region, never one per (region, window).
-    EXPECT_LE(breakdown.size(), 4u);
-    EXPECT_EQ(perf.seeks_issued + perf.seeks_saved, perf.windows);
+    return w;
+  };
+  auto overlapping = [&](size_t n) {
+    std::vector<cluster::KeyRange> w;
+    for (size_t i = 0; i < n; i++) {
+      std::string a = random_key(), b = random_key();
+      if (b < a) std::swap(a, b);
+      w.push_back(cluster::KeyRange{a, b});
+    }
+    std::sort(w.begin(), w.end(), by_start);
+    w.push_back(cluster::KeyRange{w[0].start, ""});  // runs to +inf
+    return w;
+  };
+  auto unsorted = [&](size_t n) {
+    std::vector<cluster::KeyRange> w = sorted_disjoint(n);
+    std::reverse(w.begin(), w.end());
+    std::swap(w[0], w[w.size() / 2]);
+    return w;
+  };
+  auto region_spanning = [&](size_t) {
+    return std::vector<cluster::KeyRange>{
+        {std::string(1, '\x00') + Key(700), std::string(1, '\x02') + Key(50)},
+        {std::string(1, '\x02') + Key(600), std::string(1, '\x04')},
+        {"", ""}};
+  };
+  const std::vector<std::pair<
+      const char*, std::function<std::vector<cluster::KeyRange>(size_t)>>>
+      shapes = {{"sorted_disjoint", sorted_disjoint},
+                {"overlapping", overlapping},
+                {"unsorted", unsorted},
+                {"region_spanning", region_spanning}};
+
+  EvenValueFilter even;
+  for (const auto& [name, make] : shapes) {
+    for (int round = 0; round < 4; round++) {
+      const std::vector<cluster::KeyRange> windows = make(12);
+      const ScanFilter* filter = round % 2 == 0 ? nullptr : &even;
+      for (size_t limit : {size_t{0}, size_t{3}}) {
+        SCOPED_TRACE(std::string(name) + " round " + std::to_string(round) +
+                     " limit " + std::to_string(limit));
+        ScanStats want_stats;
+        const auto want =
+            OracleMultiScan(data, regions, windows, filter, limit, &want_stats);
+        RecordingSink sink;
+        ScanStats stats;
+        MultiScanPerf perf;
+        std::vector<cluster::ClusterTable::RegionScanStat> breakdown;
+        ASSERT_TRUE(table
+                        ->MultiScan(windows, filter, limit, &sink, &stats,
+                                    &breakdown, &perf)
+                        .ok());
+        // Arrival order across regions is unspecified: compare sorted.
+        std::sort(sink.rows.begin(), sink.rows.end());
+        EXPECT_EQ(sink.rows, want);
+        EXPECT_EQ(stats.scanned, want_stats.scanned);
+        EXPECT_EQ(stats.matched, want_stats.matched);
+        // One task per region, never one per (region, window).
+        EXPECT_LE(breakdown.size(), regions.size());
+        EXPECT_EQ(perf.seeks_issued + perf.seeks_saved, perf.windows);
+      }
+    }
   }
   ASSERT_TRUE(cluster_inst.DropTable("t").ok());
 }

@@ -452,41 +452,6 @@ TEST_F(PipelineTest, SixQueriesMatchBruteForce) {
   }
 }
 
-// The batched MultiScan read path and the per-window fan-out baseline are
-// interchangeable: flipping Executor::set_use_multiscan must not change any
-// query answer.
-TEST_F(PipelineTest, MultiScanTogglePreservesAnswers) {
-  TMan* tman = tman_->get();
-  const int64_t ts = spec_->t0 + 3600;
-  const int64_t te = spec_->t0 + 8 * 3600;
-  const geo::MBR rect{116.30, 39.85, 116.50, 40.00};
-  const std::string oid = (*data_)[0].oid;
-
-  auto run_all = [&](bool multiscan) {
-    tman->executor()->set_use_multiscan(multiscan);
-    std::vector<std::set<std::string>> answers;
-    std::vector<traj::Trajectory> out;
-    EXPECT_TRUE(tman->TemporalRangeQuery(ts, te, &out).ok());
-    answers.push_back(Tids(out));
-    EXPECT_TRUE(tman->SpatialRangeQuery(rect, &out).ok());
-    answers.push_back(Tids(out));
-    EXPECT_TRUE(tman->SpatioTemporalRangeQuery(rect, ts, te, &out).ok());
-    answers.push_back(Tids(out));
-    EXPECT_TRUE(tman->IDTemporalQuery(oid, ts, te, &out).ok());
-    answers.push_back(Tids(out));
-    return answers;
-  };
-
-  const auto batched = run_all(true);
-  const auto fanout = run_all(false);
-  tman->executor()->set_use_multiscan(true);  // restore the default
-  ASSERT_EQ(batched.size(), fanout.size());
-  for (size_t i = 0; i < batched.size(); i++) {
-    EXPECT_EQ(batched[i], fanout[i]) << "query " << i;
-    EXPECT_FALSE(batched[i].empty()) << "query " << i;
-  }
-}
-
 // Every query and count must report which plan ran and how long planning
 // and execution took.
 TEST_F(PipelineTest, EveryQueryReportsPlanAndTimings) {

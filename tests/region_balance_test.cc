@@ -43,7 +43,8 @@ std::string ValueFor(const std::string& key) { return "v:" + key; }
 
 std::vector<Row> FullScan(ClusterTable* table) {
   std::vector<Row> out;
-  Status s = table->ParallelScan({KeyRange{"", ""}}, nullptr, 0, &out, nullptr);
+  CollectRowsSink sink(&out);
+  Status s = table->MultiScan({KeyRange{"", ""}}, nullptr, 0, &sink, nullptr);
   EXPECT_TRUE(s.ok()) << s.ToString();
   std::sort(out.begin(), out.end(),
             [](const Row& a, const Row& b) { return a.key < b.key; });
@@ -123,9 +124,10 @@ TEST(RegionRoutingTest, EmptyEndRangeScansToInfinity) {
   ASSERT_TRUE(table->Put("\x03zzz", "a").ok());
   ASSERT_TRUE(table->Put("\xfe\xff", "b").ok());
   std::vector<Row> out;
+  CollectRowsSink sink(&out);
   ASSERT_TRUE(table
-                  ->ParallelScan({KeyRange{std::string(1, '\x03'), ""}},
-                                 nullptr, 0, &out, nullptr)
+                  ->MultiScan({KeyRange{std::string(1, '\x03'), ""}}, nullptr,
+                              0, &sink, nullptr)
                   .ok());
   EXPECT_EQ(out.size(), 2u);
 }
@@ -322,8 +324,9 @@ TEST(RegionConcurrencyTest, SplitAndMergeUnderConcurrentWritesAndScans) {
   std::thread scanner([&] {
     while (!done.load()) {
       std::vector<Row> out;
-      Status s = table->ParallelScan({KeyRange{"", ""}}, nullptr, 0, &out,
-                                     nullptr);
+      CollectRowsSink sink(&out);
+      Status s =
+          table->MultiScan({KeyRange{"", ""}}, nullptr, 0, &sink, nullptr);
       ASSERT_TRUE(s.ok()) << s.ToString();
       std::set<std::string> seen;
       for (const Row& row : out) {

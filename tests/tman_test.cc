@@ -367,9 +367,10 @@ void ExpectThresholdMatchesBruteForce(TMan* tman,
 // tid -> primary key of every row in the primary table.
 std::map<std::string, std::string> PrimaryKeysByTid(TMan* tman) {
   std::vector<cluster::Row> rows;
+  cluster::CollectRowsSink sink(&rows);
   EXPECT_TRUE(tman->primary_table()
-                  ->ParallelScan({cluster::KeyRange{"", ""}}, nullptr, 0,
-                                 &rows, nullptr)
+                  ->MultiScan({cluster::KeyRange{"", ""}}, nullptr, 0, &sink,
+                              nullptr)
                   .ok());
   std::map<std::string, std::string> keys;
   for (const cluster::Row& row : rows) {
