@@ -588,28 +588,33 @@ Status ClusterTable::BulkLoad(const std::vector<Row>& rows) {
 
 namespace {
 
-// Serializes concurrent region deliveries into one caller sink and
-// broadcasts early termination: once the inner sink declines a row, every
-// in-flight region scan observes the stop flag and ends.
-class SerializedSink : public kv::RowSink {
+class CollectRowsFork : public kv::RowSink {
  public:
-  explicit SerializedSink(kv::RowSink* inner) : inner_(inner) {}
-
   bool Accept(const Slice& key, const Slice& value) override {
-    if (stopped_.load(std::memory_order_relaxed)) return false;
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopped_.load(std::memory_order_relaxed)) return false;
-    if (!inner_->Accept(key, value)) {
-      stopped_.store(true, std::memory_order_relaxed);
-      return false;
-    }
+    rows.push_back(Row{key.ToString(), value.ToString()});
     return true;
   }
 
+  std::vector<Row> rows;
+};
+
+// One region task's delivery into its fork. Every task checks the scan's
+// shared stop flag before its next row, and a fork declining a row sets it.
+class StoppableSink : public kv::RowSink {
+ public:
+  StoppableSink(kv::RowSink* fork, std::atomic<bool>* stopped)
+      : fork_(fork), stopped_(stopped) {}
+
+  bool Accept(const Slice& key, const Slice& value) override {
+    if (stopped_->load(std::memory_order_relaxed)) return false;
+    if (fork_->Accept(key, value)) return true;
+    stopped_->store(true, std::memory_order_relaxed);
+    return false;
+  }
+
  private:
-  kv::RowSink* inner_;
-  std::mutex mu_;
-  std::atomic<bool> stopped_{false};
+  kv::RowSink* fork_;
+  std::atomic<bool>* stopped_;
 };
 
 // Tracks delivery progress of one region task so a retry can resume after
@@ -653,9 +658,19 @@ bool WindowsSortedDisjoint(const std::vector<kv::ScanWindow>& windows) {
 
 }  // namespace
 
+std::unique_ptr<kv::RowSink> CollectRowsSink::Fork() {
+  return std::make_unique<CollectRowsFork>();
+}
+
+void CollectRowsSink::Join(kv::RowSink* fork) {
+  std::vector<Row>& rows = static_cast<CollectRowsFork*>(fork)->rows;
+  out_->insert(out_->end(), std::make_move_iterator(rows.begin()),
+               std::make_move_iterator(rows.end()));
+}
+
 Status ClusterTable::MultiScan(const std::vector<KeyRange>& ranges,
                                const kv::ScanFilter* filter, size_t limit,
-                               kv::RowSink* sink, kv::ScanStats* stats,
+                               ScanSink* sink, kv::ScanStats* stats,
                                std::vector<RegionScanStat>* breakdown,
                                kv::MultiScanPerf* perf,
                                ScanOutcome* outcome) {
@@ -689,75 +704,69 @@ Status ClusterTable::MultiScan(const std::vector<KeyRange>& ranges,
   struct Task {
     Region* region;
     const std::vector<kv::ScanWindow>* windows;
+    std::unique_ptr<kv::RowSink> fork;
     kv::ScanStats stats;
     kv::MultiScanPerf perf;
     Status status;
     int retries = 0;
-    uint64_t wait_micros = 0;  // submit -> pool thread pickup
+    uint64_t wait_micros = 0;  // scan start -> task start
     uint64_t scan_micros = 0;  // inside the region batch
   };
   std::vector<Task> tasks;
   for (size_t i = 0; i < entries.size(); i++) {
     if (grouped[i].empty()) continue;
-    tasks.push_back(Task{entries[i].region.get(), &grouped[i], {}, {},
-                         Status::OK(), 0, 0, 0});
+    tasks.push_back(Task{entries[i].region.get(), &grouped[i], sink->Fork(),
+                         {}, {}, Status::OK(), 0, 0, 0});
   }
 
   Stopwatch total;  // read only when metrics are on
   const bool timed = scans_ != nullptr || breakdown != nullptr;
   const RetryPolicy retry = retry_;
-  SerializedSink shared(sink);
-  std::vector<std::future<void>> futures;
-  futures.reserve(tasks.size());
-  for (Task& task : tasks) {
-    Stopwatch queued;  // captured by value: starts counting at submit time
-    futures.push_back(
-        pool_->Submit([&task, &shared, filter, limit, timed, queued, retry] {
-          Stopwatch run;
-          if (timed) task.wait_micros = queued.ElapsedMicros();
-          if (retry.max_retries == 0) {
-            task.status = task.region->MultiScan(*task.windows, filter, limit,
-                                                 &shared, &task.stats,
-                                                 &task.perf);
-          } else {
-            ProgressSink progress(&shared);
-            task.status = task.region->MultiScan(*task.windows, filter, limit,
-                                                 &progress, &task.stats,
-                                                 &task.perf);
-            const bool resumable = WindowsSortedDisjoint(*task.windows);
-            std::string resume_start;
-            std::vector<kv::ScanWindow> resumed;
-            while (!task.status.ok() &&
-                   retry.ShouldRetry(task.status, task.retries) &&
-                   (limit == 0 || progress.rows() == 0) &&
-                   (resumable || progress.rows() == 0)) {
-              BackoffSleep(retry, task.retries);
-              task.retries++;
-              const std::vector<kv::ScanWindow>* windows = task.windows;
-              if (progress.rows() > 0) {
-                // Sorted windows: every window ending at or before the last
-                // delivered key's successor is fully streamed; the one
-                // containing it resumes just past it.
-                resume_start = progress.last_key() + '\0';  // key successor
-                const Slice resume(resume_start);
-                resumed.clear();
-                for (const kv::ScanWindow& w : *task.windows) {
-                  if (!w.end.empty() && w.end.compare(resume) <= 0) continue;
-                  kv::ScanWindow trimmed = w;
-                  if (trimmed.start.compare(resume) < 0) trimmed.start = resume;
-                  resumed.push_back(trimmed);
-                }
-                windows = &resumed;
-              }
-              task.status = task.region->MultiScan(*windows, filter, limit,
-                                                   &progress, &task.stats,
-                                                   &task.perf);
-            }
+  std::atomic<bool> stopped{false};
+  pool_->ParallelFor(tasks.size(), [&](size_t i) {
+    Task& task = tasks[i];
+    if (timed) task.wait_micros = total.ElapsedMicros();
+    Stopwatch run;
+    StoppableSink deliver(task.fork.get(), &stopped);
+    if (retry.max_retries == 0) {
+      task.status = task.region->MultiScan(*task.windows, filter, limit,
+                                           &deliver, &task.stats, &task.perf);
+    } else {
+      ProgressSink progress(&deliver);
+      task.status = task.region->MultiScan(*task.windows, filter, limit,
+                                           &progress, &task.stats, &task.perf);
+      const bool resumable = WindowsSortedDisjoint(*task.windows);
+      std::string resume_start;
+      std::vector<kv::ScanWindow> resumed;
+      while (!task.status.ok() &&
+             retry.ShouldRetry(task.status, task.retries) &&
+             (limit == 0 || progress.rows() == 0) &&
+             (resumable || progress.rows() == 0)) {
+        BackoffSleep(retry, task.retries);
+        task.retries++;
+        const std::vector<kv::ScanWindow>* windows = task.windows;
+        if (progress.rows() > 0) {
+          // Sorted windows: every window ending at or before the last
+          // delivered key's successor is fully streamed; the one
+          // containing it resumes just past it.
+          resume_start = progress.last_key() + '\0';  // key successor
+          const Slice resume(resume_start);
+          resumed.clear();
+          for (const kv::ScanWindow& w : *task.windows) {
+            if (!w.end.empty() && w.end.compare(resume) <= 0) continue;
+            kv::ScanWindow trimmed = w;
+            if (trimmed.start.compare(resume) < 0) trimmed.start = resume;
+            resumed.push_back(trimmed);
           }
-          if (timed) task.scan_micros = run.ElapsedMicros();
-        }));
-  }
-  for (auto& f : futures) f.get();
+          windows = &resumed;
+        }
+        task.status = task.region->MultiScan(*windows, filter, limit,
+                                             &progress, &task.stats,
+                                             &task.perf);
+      }
+    }
+    if (timed) task.scan_micros = run.ElapsedMicros();
+  });
 
   Status result;
   uint64_t matched = 0;
@@ -785,6 +794,7 @@ Status ClusterTable::MultiScan(const std::vector<KeyRange>& ranges,
     if (task.stats.scanned > 0) {
       task.region->NoteRowsScanned(task.stats.scanned);
     }
+    sink->Join(task.fork.get());
   }
   if (outcome != nullptr) {
     outcome->regions_attempted += tasks.size();

@@ -35,15 +35,36 @@ struct KeyRange {
   std::string end;
 };
 
-// Collects streamed rows into a vector, in delivery order.
-class CollectRowsSink : public kv::RowSink {
+// The caller's side of a ClusterTable::MultiScan, forked once per region
+// task so that per-row work runs on the task's own thread:
+//   - Fork() is called on the calling thread, once per region task, before
+//     any task starts. Exactly one task drives each fork, with no lock on
+//     the per-row path.
+//   - A fork returning false from Accept stops the scan: every task checks
+//     one shared flag before delivering its next row.
+//   - After every task has ended, the caller joins each fork, in region key
+//     order. Rows joined this way come out in key order: region order, then
+//     window order within a region (key order for sorted windows).
+class ScanSink {
+ public:
+  ScanSink() = default;
+  ScanSink(const ScanSink&) = delete;  // forks may hold the sink's address
+  ScanSink& operator=(const ScanSink&) = delete;
+  virtual ~ScanSink() = default;
+
+  virtual std::unique_ptr<kv::RowSink> Fork() = 0;
+  // `fork` is one this sink returned from Fork().
+  virtual void Join(kv::RowSink* fork) = 0;
+};
+
+// Collects streamed rows into a vector, in key order: each fork fills its
+// own vector and the join appends it.
+class CollectRowsSink : public ScanSink {
  public:
   explicit CollectRowsSink(std::vector<Row>* out) : out_(out) {}
 
-  bool Accept(const Slice& key, const Slice& value) override {
-    out_->push_back(Row{key.ToString(), value.ToString()});
-    return true;
-  }
+  std::unique_ptr<kv::RowSink> Fork() override;
+  void Join(kv::RowSink* fork) override;
 
  private:
   std::vector<Row>* out_;
@@ -260,7 +281,7 @@ class ClusterTable {
     int shard = 0;          // region id
     uint64_t scanned = 0;   // rows the region iterator visited
     uint64_t matched = 0;   // rows that passed the filter into the sink
-    double wait_ms = 0;     // queue wait before a pool thread picked it up
+    double wait_ms = 0;     // scan start -> task start (~0 run inline)
     double scan_ms = 0;     // time inside the region scan itself
   };
 
@@ -310,12 +331,12 @@ class ClusterTable {
 
   // Scans all `ranges` with the filter pushed down to the regions (§V-G).
   // Windows are clamped to and grouped by region, and each region runs ONE
-  // pool task executing its whole batch over a single iterator stack
-  // (kv::DB::MultiScan). Matching rows are serialized into `sink` as they
-  // are produced (arrival order across regions is unspecified; callers
-  // needing global key order sort afterwards). The sink needs no internal
-  // locking, and returning false broadcasts early termination to every
-  // in-flight region task, so rows past the stop are not scanned.
+  // task executing its whole batch over a single iterator stack
+  // (kv::DB::MultiScan). The tasks run through ThreadPool::ParallelFor, so
+  // the calling thread is one of the workers and a one-region scan runs
+  // inline. `sink` is forked once per task and the forks are joined in
+  // region key order after every task has ended (see ScanSink); a fork
+  // declining a row stops every task before its next row.
   //
   // A non-zero `limit` applies per window per region; windows that overlap
   // deliver their overlap once per window, and unsorted windows just
@@ -323,10 +344,10 @@ class ClusterTable {
   // keep their order within each region group, which is what enables seek
   // elision downstream. `breakdown` (one entry per region task) and `perf`
   // (the read-path counters summed across regions) are filled after all
-  // tasks have joined, never concurrently.
+  // tasks have ended, never concurrently.
   Status MultiScan(const std::vector<KeyRange>& ranges,
                    const kv::ScanFilter* filter, size_t limit,
-                   kv::RowSink* sink, kv::ScanStats* stats,
+                   ScanSink* sink, kv::ScanStats* stats,
                    std::vector<RegionScanStat>* breakdown = nullptr,
                    kv::MultiScanPerf* perf = nullptr,
                    ScanOutcome* outcome = nullptr);

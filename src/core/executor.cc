@@ -6,12 +6,9 @@ namespace tman::core {
 
 Executor::Executor(cluster::ClusterTable* primary,
                    cluster::ClusterTable* tr_table,
-                   cluster::ClusterTable* idt_table, bool push_down,
+                   cluster::ClusterTable* idt_table,
                    obs::MetricsRegistry* registry)
-    : primary_(primary),
-      tr_table_(tr_table),
-      idt_table_(idt_table),
-      push_down_(push_down) {
+    : primary_(primary), tr_table_(tr_table), idt_table_(idt_table) {
   if (registry != nullptr) {
     rows_streamed_ = registry->GetCounter("tman_exec_rows_streamed_total");
     early_terminations_ =
@@ -51,94 +48,107 @@ cluster::ClusterTable* Executor::Table(PlanTable table) const {
 
 namespace {
 
-// Applies a filter on the client side of the scan (push-down disabled).
-class ClientFilterSink : public kv::RowSink {
- public:
-  ClientFilterSink(const kv::ScanFilter* filter, kv::RowSink* inner)
-      : filter_(filter), inner_(inner) {}
-
-  bool Accept(const Slice& key, const Slice& value) override {
-    if (filter_ != nullptr && !filter_->Matches(key, value)) return true;
-    return inner_->Accept(key, value);
-  }
-
- private:
-  const kv::ScanFilter* filter_;
-  kv::RowSink* inner_;
-};
-
-// Enforces a global cross-window row limit through early termination.
-class LimitSink : public kv::RowSink {
- public:
-  LimitSink(size_t limit, kv::RowSink* inner) : limit_(limit), inner_(inner) {}
-
-  bool Accept(const Slice& key, const Slice& value) override {
-    if (accepted_ >= limit_) return false;
-    if (!inner_->Accept(key, value)) return false;
-    return ++accepted_ < limit_;
-  }
-
- private:
-  size_t limit_;
-  kv::RowSink* inner_;
-  size_t accepted_ = 0;
-};
-
 // Fetch stage of secondary-index plans: each streamed secondary row names a
-// primary key in its value; the primary row is fetched, filtered, and
-// forwarded without materializing the secondary result set.
-class FetchPrimarySink : public kv::RowSink {
+// primary key in its value. Each region task of the secondary scan fetches
+// its own primary rows with point Gets, filters them and forwards them to
+// its fork of the inner sink, without materializing the secondary result
+// set.
+class FetchPrimarySink : public cluster::ScanSink {
  public:
   FetchPrimarySink(cluster::ClusterTable* primary,
-                   const kv::ScanFilter* filter, kv::RowSink* inner,
-                   QueryStats* stats)
-      : primary_(primary), filter_(filter), inner_(inner), stats_(stats) {}
+                   const kv::ScanFilter* filter, cluster::ScanSink* inner)
+      : primary_(primary), filter_(filter), inner_(inner) {}
 
-  bool Accept(const Slice& key, const Slice& value) override {
-    (void)key;
-    std::string row_value;
-    Status s = primary_->Get(value, &row_value);
-    if (s.IsNotFound()) return true;  // row rewritten concurrently
-    if (!s.ok()) {
-      status_ = s;
-      return false;
-    }
-    if (stats_ != nullptr) stats_->candidates++;
-    if (filter_ != nullptr && !filter_->Matches(value, row_value)) return true;
-    return inner_->Accept(value, row_value);
+  std::unique_ptr<kv::RowSink> Fork() override {
+    return std::make_unique<RegionFork>(this, inner_->Fork());
   }
 
+  void Join(kv::RowSink* fork) override {
+    auto* f = static_cast<RegionFork*>(fork);
+    fetched_ += f->fetched;
+    if (status_.ok()) status_ = f->status;
+    inner_->Join(f->inner.get());
+  }
+
+  // Primary rows fetched: the candidates of a secondary-index plan.
+  uint64_t fetched() const { return fetched_; }
   const Status& status() const { return status_; }
 
  private:
+  struct RegionFork : public kv::RowSink {
+    RegionFork(const FetchPrimarySink* sink, std::unique_ptr<kv::RowSink> in)
+        : sink(sink), inner(std::move(in)) {}
+
+    bool Accept(const Slice& key, const Slice& value) override {
+      (void)key;
+      Status s = sink->primary_->Get(value, &row_value);
+      if (s.IsNotFound()) return true;  // row rewritten concurrently
+      if (!s.ok()) {
+        status = s;
+        return false;
+      }
+      fetched++;
+      const kv::ScanFilter* filter = sink->filter_;
+      if (filter != nullptr && !filter->Matches(value, row_value)) return true;
+      return inner->Accept(value, row_value);
+    }
+
+    const FetchPrimarySink* sink;
+    std::unique_ptr<kv::RowSink> inner;
+    std::string row_value;
+    uint64_t fetched = 0;
+    Status status;
+  };
+
   cluster::ClusterTable* primary_;
   const kv::ScanFilter* filter_;
-  kv::RowSink* inner_;
-  QueryStats* stats_;
+  cluster::ScanSink* inner_;
+  uint64_t fetched_ = 0;
   Status status_;
 };
 
 // Outermost executor stage (closest to storage): counts rows the storage
-// layer streams into the pipeline and early-termination cutoffs (the
-// downstream chain declining a row). SerializedSink serializes deliveries,
-// so no internal locking is needed.
-class MeterSink : public kv::RowSink {
+// layer streams into the pipeline and whether the downstream chain declined
+// one (an early-termination cutoff). Each fork counts its own; the executor
+// publishes the totals after the join.
+class MeterSink : public cluster::ScanSink {
  public:
-  MeterSink(obs::Counter* rows, obs::Counter* early_terminations,
-            kv::RowSink* inner)
-      : rows_(rows), early_terminations_(early_terminations), inner_(inner) {}
+  explicit MeterSink(cluster::ScanSink* inner) : inner_(inner) {}
 
-  bool Accept(const Slice& key, const Slice& value) override {
-    rows_->Inc();
-    if (inner_->Accept(key, value)) return true;
-    early_terminations_->Inc();
-    return false;
+  std::unique_ptr<kv::RowSink> Fork() override {
+    return std::make_unique<RegionFork>(inner_->Fork());
   }
 
+  void Join(kv::RowSink* fork) override {
+    auto* f = static_cast<RegionFork*>(fork);
+    rows_ += f->rows;
+    declined_ = declined_ || f->declined;
+    inner_->Join(f->inner.get());
+  }
+
+  uint64_t rows() const { return rows_; }
+  bool declined() const { return declined_; }
+
  private:
-  obs::Counter* rows_;
-  obs::Counter* early_terminations_;
-  kv::RowSink* inner_;
+  struct RegionFork : public kv::RowSink {
+    explicit RegionFork(std::unique_ptr<kv::RowSink> in)
+        : inner(std::move(in)) {}
+
+    bool Accept(const Slice& key, const Slice& value) override {
+      rows++;
+      if (inner->Accept(key, value)) return true;
+      declined = true;
+      return false;
+    }
+
+    std::unique_ptr<kv::RowSink> inner;
+    uint64_t rows = 0;
+    bool declined = false;
+  };
+
+  cluster::ScanSink* inner_;
+  uint64_t rows_ = 0;
+  bool declined_ = false;
 };
 
 const char* ScanSpanName(PlanTable table) {
@@ -200,31 +210,16 @@ void FinishScanSpan(
 
 }  // namespace
 
-Status Executor::Execute(const QueryPlan& plan, kv::RowSink* sink,
+Status Executor::Execute(const QueryPlan& plan, cluster::ScanSink* sink,
                          QueryStats* stats, obs::TraceSpan* span) {
-  switch (plan.kind) {
-    case PlanKind::kPrimaryScan:
-      return ExecutePrimaryScan(plan, sink, stats, span);
-    case PlanKind::kSecondaryFetch:
-      return ExecuteSecondaryFetch(plan, sink, stats, span);
-  }
-  return Status::InvalidArgument("unknown plan kind");
-}
-
-Status Executor::ExecutePrimaryScan(const QueryPlan& plan, kv::RowSink* sink,
-                                    QueryStats* stats, obs::TraceSpan* span) {
-  kv::RowSink* stage = sink;
-  LimitSink limiter(plan.limit, stage);
-  if (plan.limit != 0) stage = &limiter;
-  ClientFilterSink client_filter(plan.filter.get(), stage);
-  const kv::ScanFilter* pushed = nullptr;
-  if (push_down_) {
-    pushed = plan.filter.get();
-  } else if (plan.filter != nullptr) {
-    stage = &client_filter;
-  }
-  MeterSink meter(rows_streamed_, early_terminations_, stage);
+  // Secondary-index plans scan the index unfiltered; the filter chain
+  // applies to the fetched primary rows (their values carry the record).
+  const bool fetch_primary = plan.kind == PlanKind::kSecondaryFetch;
+  FetchPrimarySink fetch(primary_, plan.filter.get(), sink);
+  cluster::ScanSink* stage = fetch_primary ? &fetch : sink;
+  MeterSink meter(stage);
   if (rows_streamed_ != nullptr) stage = &meter;
+  const kv::ScanFilter* pushed = fetch_primary ? nullptr : plan.filter.get();
 
   obs::TraceSpan* scan_span =
       span != nullptr ? span->AddChild(ScanSpanName(plan.scan_table)) : nullptr;
@@ -242,44 +237,15 @@ Status Executor::ExecutePrimaryScan(const QueryPlan& plan, kv::RowSink* sink,
                    pushed != nullptr, perf, outcome,
                    s.ok() && outcome.regions_failed > 0);
   }
-  if (stats != nullptr) {
-    stats->windows += plan.windows.size();
-    stats->candidates += scan_stats.scanned;
-  }
-  return s;
-}
-
-Status Executor::ExecuteSecondaryFetch(const QueryPlan& plan,
-                                       kv::RowSink* sink, QueryStats* stats,
-                                       obs::TraceSpan* span) {
-  kv::RowSink* stage = sink;
-  LimitSink limiter(plan.limit, stage);
-  if (plan.limit != 0) stage = &limiter;
-  // The secondary scan is unfiltered; the filter chain applies to the
-  // fetched primary rows (their values carry the trajectory record).
-  FetchPrimarySink fetch(primary_, plan.filter.get(), stage, stats);
-  kv::RowSink* scan_stage = &fetch;
-  MeterSink meter(rows_streamed_, early_terminations_, scan_stage);
-  if (rows_streamed_ != nullptr) scan_stage = &meter;
-
-  obs::TraceSpan* scan_span =
-      span != nullptr ? span->AddChild(ScanSpanName(plan.scan_table)) : nullptr;
-  std::vector<cluster::ClusterTable::RegionScanStat> breakdown;
-  kv::ScanStats scan_stats;
-  kv::MultiScanPerf perf;
-  cluster::ScanOutcome outcome;
-  Status s = Table(plan.scan_table)
-                 ->MultiScan(plan.windows, nullptr, 0, scan_stage, &scan_stats,
-                             scan_span != nullptr ? &breakdown : nullptr,
-                             &perf, &outcome);
-  s = ResolveOutcome(std::move(s), plan, outcome, stats);
-  if (scan_span != nullptr) {
-    FinishScanSpan(scan_span, breakdown, scan_stats, plan.windows.size(),
-                   false, perf, outcome, s.ok() && outcome.regions_failed > 0);
+  if (rows_streamed_ != nullptr) {
+    rows_streamed_->Inc(meter.rows());
+    if (meter.declined()) early_terminations_->Inc();
   }
   if (stats != nullptr) {
     stats->windows += plan.windows.size();
-    stats->candidates += scan_stats.scanned;
+    // For secondary-index plans the candidates are the primary rows
+    // fetched, not the index rows scanned to find them.
+    stats->candidates += fetch_primary ? fetch.fetched() : scan_stats.scanned;
   }
   // Fetch-stage errors (primary Get failures) are the sink's own; degraded
   // mode covers region scan tasks, not the point-fetch path.
@@ -289,90 +255,193 @@ Status Executor::ExecuteSecondaryFetch(const QueryPlan& plan,
 
 // --- Sinks -----------------------------------------------------------------
 
-bool DecodeTrajectoriesSink::Accept(const Slice& key, const Slice& value) {
-  (void)key;
-  traj::Trajectory t;
-  if (!DecodeRecord(value, &t)) {
-    status_ = Status::Corruption("bad trajectory record at key");
-    return false;
+namespace {
+
+class NullFork : public kv::RowSink {
+ public:
+  bool Accept(const Slice& key, const Slice& value) override {
+    (void)key;
+    (void)value;
+    return true;
   }
-  out_->push_back(std::move(t));
-  accepted_++;
-  return limit_ == 0 || accepted_ < limit_;
+};
+
+// A fork's decoded trajectories, appended to the sink's output at the join.
+struct TrajectoriesFork : public kv::RowSink {
+  std::vector<traj::Trajectory> out;
+  Status status;
+};
+
+class DecodeFork : public TrajectoriesFork {
+ public:
+  bool Accept(const Slice& key, const Slice& value) override {
+    (void)key;
+    traj::Trajectory t;
+    if (!DecodeRecord(value, &t)) {
+      status = Status::Corruption("bad trajectory record at key");
+      return false;
+    }
+    out.push_back(std::move(t));
+    return true;
+  }
+};
+
+// Appends a fork's trajectories to `out` and keeps the first error.
+uint64_t JoinTrajectories(TrajectoriesFork* fork,
+                          std::vector<traj::Trajectory>* out,
+                          Status* status) {
+  if (status->ok()) *status = fork->status;
+  out->insert(out->end(), std::make_move_iterator(fork->out.begin()),
+              std::make_move_iterator(fork->out.end()));
+  return fork->out.size();
 }
 
-bool ThresholdVerifySink::Accept(const Slice& key, const Slice& value) {
-  (void)key;
-  RecordHeader header;
-  if (!DecodeRecordHeader(value, &header)) {
-    status_ = Status::Corruption("bad record during similarity query");
-    return false;
+}  // namespace
+
+std::unique_ptr<kv::RowSink> NullSink::Fork() {
+  return std::make_unique<NullFork>();
+}
+
+std::unique_ptr<kv::RowSink> DecodeTrajectoriesSink::Fork() {
+  return std::make_unique<DecodeFork>();
+}
+
+void DecodeTrajectoriesSink::Join(kv::RowSink* fork) {
+  accepted_ +=
+      JoinTrajectories(static_cast<DecodeFork*>(fork), out_, &status_);
+}
+
+class ThresholdVerifySink::RegionFork : public TrajectoriesFork {
+ public:
+  explicit RegionFork(const ThresholdVerifySink* sink) : sink_(sink) {}
+
+  bool Accept(const Slice& key, const Slice& value) override {
+    (void)key;
+    RecordHeader header;
+    if (!DecodeRecordHeader(value, &header)) {
+      status = Status::Corruption("bad record during similarity query");
+      return false;
+    }
+    std::vector<geo::TimedPoint> points;
+    if (!DecodeRecordPoints(header, &points)) {
+      status =
+          Status::Corruption("bad point column during similarity query");
+      return false;
+    }
+    exact_distances++;
+    if (geo::ExactDistanceWithin(sink_->measure_, sink_->query_->points,
+                                 points, sink_->threshold_) <=
+        sink_->threshold_) {
+      traj::Trajectory t;
+      t.oid = header.oid.ToString();
+      t.tid = header.tid.ToString();
+      t.points = std::move(points);
+      out.push_back(std::move(t));
+    }
+    return true;
   }
-  std::vector<geo::TimedPoint> points;
-  if (!DecodeRecordPoints(header, &points)) {
-    status_ = Status::Corruption("bad point column during similarity query");
-    return false;
+
+  uint64_t exact_distances = 0;
+
+ private:
+  const ThresholdVerifySink* sink_;
+};
+
+std::unique_ptr<kv::RowSink> ThresholdVerifySink::Fork() {
+  return std::make_unique<RegionFork>(this);
+}
+
+void ThresholdVerifySink::Join(kv::RowSink* fork) {
+  auto* f = static_cast<RegionFork*>(fork);
+  accepted_ += JoinTrajectories(f, out_, &status_);
+  if (stats_ != nullptr) {
+    stats_->exact_distance_computations += f->exact_distances;
   }
-  if (stats_ != nullptr) stats_->exact_distance_computations++;
-  if (geo::ExactDistanceWithin(measure_, query_->points, points,
-                               threshold_) <= threshold_) {
+}
+
+class TopKSink::RegionFork : public kv::RowSink {
+ public:
+  explicit RegionFork(TopKSink* sink) : sink_(sink) {}
+
+  bool Accept(const Slice& key, const Slice& value) override {
+    (void)key;
+    // Cutoff: with k results at or below it, no row the scan has yet to
+    // deliver (all beyond the previous radius) can improve the result.
+    double kth = sink_->KthBound();
+    if (kth <= sink_->cutoff_) return false;
+
+    RecordHeader header;
+    if (!DecodeRecordHeader(value, &header)) {
+      status = Status::Corruption("bad record during top-k query");
+      return false;
+    }
+    if (header.tid == Slice(sink_->query_->tid)) return true;
+
+    geo::DPFeatures features;
+    if (DecodeRecordFeatures(header, &features) &&
+        geo::DPFeatureLowerBound(sink_->query_features_, features) > kth) {
+      return true;
+    }
+    std::vector<geo::TimedPoint> points;
+    if (!DecodeRecordPoints(header, &points)) {
+      status = Status::Corruption("bad point column during top-k query");
+      return false;
+    }
+    exact_distances++;
+    // Exact while it can still enter the k-best; once it cannot, the kernel
+    // may stop early and return any value above the k-th distance.
+    kth = sink_->KthBound();
+    const double d = geo::ExactDistanceWithin(
+        sink_->measure_, sink_->query_->points, points, kth);
+    if (d >= kth) return true;
+
     traj::Trajectory t;
     t.oid = header.oid.ToString();
     t.tid = header.tid.ToString();
     t.points = std::move(points);
-    out_->push_back(std::move(t));
-    accepted_++;
+    sink_->Offer(d, std::move(t));
+    return sink_->KthBound() > sink_->cutoff_;
   }
-  return true;
+
+  uint64_t exact_distances = 0;
+  Status status;
+
+ private:
+  TopKSink* sink_;
+};
+
+std::unique_ptr<kv::RowSink> TopKSink::Fork() {
+  return std::make_unique<RegionFork>(this);
 }
 
-bool TopKSink::Accept(const Slice& key, const Slice& value) {
-  (void)key;
-  if (!status_.ok()) return false;
-  // Heap cutoff: with k results at or below the cutoff, no row the scan has
-  // yet to deliver (all beyond the previous radius) can improve the result.
-  if (Full() && KthBound() <= cutoff_) return false;
-
-  RecordHeader header;
-  if (!DecodeRecordHeader(value, &header)) {
-    status_ = Status::Corruption("bad record during top-k query");
-    return false;
+void TopKSink::Join(kv::RowSink* fork) {
+  auto* f = static_cast<RegionFork*>(fork);
+  if (status_.ok()) status_ = f->status;
+  if (stats_ != nullptr) {
+    stats_->exact_distance_computations += f->exact_distances;
   }
-  const std::string tid = header.tid.ToString();
-  if (tid == query_->tid || !seen_.insert(tid).second) return true;
+}
 
-  const double kth_bound = Full() ? KthBound() : 1e300;
-  geo::DPFeatures features;
-  if (DecodeRecordFeatures(header, &features) &&
-      geo::DPFeatureLowerBound(query_features_, features) > kth_bound) {
-    return true;
+void TopKSink::Offer(double distance, traj::Trajectory trajectory) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (best_.size() >= k_ && distance >= best_.back().distance) return;
+  for (const Scored& held : best_) {
+    if (held.trajectory.tid == trajectory.tid) return;
   }
-  std::vector<geo::TimedPoint> points;
-  if (!DecodeRecordPoints(header, &points)) {
-    status_ = Status::Corruption("bad point column during top-k query");
-    return false;
-  }
-  if (stats_ != nullptr) stats_->exact_distance_computations++;
-  // Exact while it can still enter the heap; once it cannot, the kernel
-  // may stop early and return any value above the k-th distance.
-  const double d = geo::ExactDistanceWithin(measure_, query_->points, points,
-                                            KthBound());
-  if (d >= kth_bound) return true;
-
-  Scored scored{d, traj::Trajectory{}};
-  scored.trajectory.oid = header.oid.ToString();
-  scored.trajectory.tid = tid;
-  scored.trajectory.points = std::move(points);
+  Scored scored{distance, std::move(trajectory)};
   best_.insert(std::upper_bound(best_.begin(), best_.end(), scored,
                                 [](const Scored& a, const Scored& b) {
                                   return a.distance < b.distance;
                                 }),
                std::move(scored));
-  if (best_.size() > k_) best_.resize(k_);
-  return !(Full() && KthBound() <= cutoff_);
+  if (best_.size() > k_) best_.pop_back();
+  if (best_.size() == k_) {
+    kth_.store(best_.back().distance, std::memory_order_release);
+  }
 }
 
 std::vector<traj::Trajectory> TopKSink::TakeResults() {
+  std::lock_guard<std::mutex> lock(mu_);
   std::vector<traj::Trajectory> results;
   results.reserve(best_.size());
   for (Scored& scored : best_) {

@@ -1,11 +1,12 @@
 #ifndef TMAN_CORE_EXECUTOR_H_
 #define TMAN_CORE_EXECUTOR_H_
 
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -22,31 +23,29 @@
 
 namespace tman::core {
 
-// Streaming executor for QueryPlans. Rows flow region-scan -> merge ->
-// decode -> accumulate through a kv::RowSink without intermediate vector
-// materialization; a sink declining a row terminates every in-flight region
-// scan (global limits, top-k cutoffs).
+// Streaming executor for QueryPlans. Each region task of the scan runs the
+// whole per-row pipeline on its own thread — push-down filter, primary
+// fetch (secondary-index plans), decode and verification — through its
+// fork of the caller's cluster::ScanSink; the forks are joined in region
+// key order once every task has ended. A fork declining a row terminates
+// every region task (top-k cutoffs, decode errors).
 class Executor {
  public:
   // When `registry` is set, rows streamed out of the storage layer and
   // early-termination cutoffs are published under tman_exec_*.
   Executor(cluster::ClusterTable* primary, cluster::ClusterTable* tr_table,
-           cluster::ClusterTable* idt_table, bool push_down,
+           cluster::ClusterTable* idt_table,
            obs::MetricsRegistry* registry = nullptr);
 
-  // Streams the plan's matching primary rows into `sink`, honoring the
-  // plan's push-down filter and global limit. Fills stats->windows and
-  // stats->candidates; timing is the caller's concern. Errors raised by the
-  // sink itself (e.g. decode failures) are returned from here. When `span`
+  // Streams the plan's matching primary rows into `sink`, with the plan's
+  // filter pushed down. Fills stats->windows and stats->candidates; timing
+  // is the caller's concern. Errors raised by the fetch stage (primary Get
+  // failures) are returned from here; the sink keeps its own. When `span`
   // is set, a scan child span with per-region grandchildren is attached.
-  Status Execute(const QueryPlan& plan, kv::RowSink* sink, QueryStats* stats,
-                 obs::TraceSpan* span = nullptr);
+  Status Execute(const QueryPlan& plan, cluster::ScanSink* sink,
+                 QueryStats* stats, obs::TraceSpan* span = nullptr);
 
  private:
-  Status ExecutePrimaryScan(const QueryPlan& plan, kv::RowSink* sink,
-                            QueryStats* stats, obs::TraceSpan* span);
-  Status ExecuteSecondaryFetch(const QueryPlan& plan, kv::RowSink* sink,
-                               QueryStats* stats, obs::TraceSpan* span);
   // Folds a scan's per-region failure accounting into the query result:
   // retries/regions_failed accumulate into `stats`, and when the plan
   // allows degraded execution and a strict subset of regions failed, the
@@ -59,40 +58,40 @@ class Executor {
   cluster::ClusterTable* primary_;
   cluster::ClusterTable* tr_table_;
   cluster::ClusterTable* idt_table_;
-  bool push_down_;
   obs::Counter* rows_streamed_ = nullptr;
   obs::Counter* early_terminations_ = nullptr;
 };
 
 // --- Sinks -----------------------------------------------------------------
+// Every sink forks per region task (cluster::ScanSink): a fork works
+// lock-free on its task's thread, with its own output and its own status,
+// and the join folds it into the sink in region key order. A fork that hits
+// a bad record stops the scan; the join keeps the first error in region
+// order. Per-fork counters reach QueryStats at the join, never per row.
 
 // Discards every row. Count plans (whose CountingFilter rejects all rows in
 // the storage layer) execute against this sink.
-class NullSink : public kv::RowSink {
+class NullSink : public cluster::ScanSink {
  public:
-  bool Accept(const Slice& key, const Slice& value) override {
-    (void)key;
-    (void)value;
-    return true;
-  }
+  std::unique_ptr<kv::RowSink> Fork() override;
+  void Join(kv::RowSink* fork) override { (void)fork; }
 };
 
-// Decodes each streamed record into a trajectory. A `limit` of 0 means
-// unlimited; otherwise the sink stops the scan after `limit` rows.
-class DecodeTrajectoriesSink : public kv::RowSink {
+// Decodes each streamed record into a trajectory; results come out in key
+// order.
+class DecodeTrajectoriesSink : public cluster::ScanSink {
  public:
-  explicit DecodeTrajectoriesSink(std::vector<traj::Trajectory>* out,
-                                  size_t limit = 0)
-      : out_(out), limit_(limit) {}
+  explicit DecodeTrajectoriesSink(std::vector<traj::Trajectory>* out)
+      : out_(out) {}
 
-  bool Accept(const Slice& key, const Slice& value) override;
+  std::unique_ptr<kv::RowSink> Fork() override;
+  void Join(kv::RowSink* fork) override;
 
   const Status& status() const { return status_; }
   uint64_t accepted() const { return accepted_; }
 
  private:
   std::vector<traj::Trajectory>* out_;
-  size_t limit_;
   uint64_t accepted_ = 0;
   Status status_;
 };
@@ -100,7 +99,7 @@ class DecodeTrajectoriesSink : public kv::RowSink {
 // Exact verification stage of the threshold similarity query: rows passing
 // the pushed-down SimilarityFilter stream in; survivors of the exact
 // distance test accumulate into `out`.
-class ThresholdVerifySink : public kv::RowSink {
+class ThresholdVerifySink : public cluster::ScanSink {
  public:
   ThresholdVerifySink(const traj::Trajectory* query,
                       geo::SimilarityMeasure measure, double threshold,
@@ -111,12 +110,15 @@ class ThresholdVerifySink : public kv::RowSink {
         out_(out),
         stats_(stats) {}
 
-  bool Accept(const Slice& key, const Slice& value) override;
+  std::unique_ptr<kv::RowSink> Fork() override;
+  void Join(kv::RowSink* fork) override;
 
   const Status& status() const { return status_; }
   uint64_t accepted() const { return accepted_; }
 
  private:
+  class RegionFork;
+
   const traj::Trajectory* query_;
   geo::SimilarityMeasure measure_;
   double threshold_;
@@ -126,14 +128,20 @@ class ThresholdVerifySink : public kv::RowSink {
   Status status_;
 };
 
-// Accumulator of the expanding-radius top-k search. Maintains the k best
-// trajectories seen so far (heap cutoff: rows that cannot beat the k-th
-// bound are discarded on the header alone). Accept returns false — stopping
-// the scan — once the heap is full and the k-th distance is at or below
-// `cutoff`: every unseen row lies outside the previous search radius
-// (= cutoff), so none can improve the result. A row that fails to decode
-// also stops the scan and sets status().
-class TopKSink : public kv::RowSink {
+// Accumulator of the expanding-radius top-k search. Each fork verifies its
+// region's rows — header, DP lower bound, point decode and bounded exact
+// distance — against one shared k-best: a sorted array of at most k
+// entries under a mutex, taken only when a verified candidate beats the
+// published k-th distance. The k-th distance is published in an atomic
+// (+inf until k results are held) that forks read lock-free for the DP
+// prune, the kernel bound and the cutoff stop. The k-best rejects a tid it
+// already holds: a row that a concurrent re-encode moved to a key outside
+// the previous round's windows is delivered again.
+//
+// A fork declines a row — stopping the scan — once the k-th distance is at
+// or below `cutoff`: every row the round has yet to deliver lies beyond the
+// previous search radius (= cutoff), so none can improve the result.
+class TopKSink : public cluster::ScanSink {
  public:
   TopKSink(const traj::Trajectory* query, geo::SimilarityMeasure measure,
            size_t k, geo::DPFeatures query_features, QueryStats* stats)
@@ -143,28 +151,33 @@ class TopKSink : public kv::RowSink {
         query_features_(std::move(query_features)),
         stats_(stats) {}
 
-  bool Accept(const Slice& key, const Slice& value) override;
+  std::unique_ptr<kv::RowSink> Fork() override;
+  void Join(kv::RowSink* fork) override;
 
   // Distances at or below the cutoff cannot be beaten by rows the current
   // round has not yet streamed (they all lie beyond the previous radius).
+  // Set between rounds, never while a scan runs.
   void set_cutoff(double cutoff) { cutoff_ = cutoff; }
 
   const Status& status() const { return status_; }
 
-  bool Full() const { return best_.size() >= k_; }
-  double KthBound() const {
-    return Full() ? best_[k_ - 1].distance
-                  : std::numeric_limits<double>::infinity();
-  }
+  // The k-th best distance so far; +inf until k results are held.
+  double KthBound() const { return kth_.load(std::memory_order_acquire); }
 
   // Moves the accumulated results out, nearest first.
   std::vector<traj::Trajectory> TakeResults();
 
  private:
+  class RegionFork;
+
   struct Scored {
     double distance;
     traj::Trajectory trajectory;
   };
+
+  // Inserts a verified candidate unless it no longer beats the k-th
+  // distance or its tid is already held, and publishes the new k-th.
+  void Offer(double distance, traj::Trajectory trajectory);
 
   const traj::Trajectory* query_;
   geo::SimilarityMeasure measure_;
@@ -172,8 +185,9 @@ class TopKSink : public kv::RowSink {
   geo::DPFeatures query_features_;
   QueryStats* stats_;
   double cutoff_ = 0;
-  std::vector<Scored> best_;  // kept sorted ascending by distance
-  std::unordered_set<std::string> seen_;
+  std::mutex mu_;
+  std::vector<Scored> best_;  // guarded by mu_; sorted ascending, at most k
+  std::atomic<double> kth_{std::numeric_limits<double>::infinity()};
   Status status_;
 };
 

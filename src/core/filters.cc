@@ -1,5 +1,8 @@
 #include "core/filters.h"
 
+#include <algorithm>
+#include <iterator>
+
 #include "geo/similarity.h"
 
 namespace tman::core {
@@ -24,10 +27,20 @@ bool SpatialRangeFilter::Matches(const Slice& key, const Slice& value) const {
 }
 
 bool MBRDistanceFilter::Matches(const Slice& key, const Slice& value) const {
-  (void)key;
   RecordHeader header;
   if (!DecodeRecordHeader(value, &header)) return false;
-  return geo::MBRLowerBound(header.mbr, query_mbr_) <= radius_;
+  const double lower_bound = geo::MBRLowerBound(header.mbr, query_mbr_);
+  if (lower_bound > radius_) return false;
+  if (lower_bound > previous_radius_) return true;
+  // Sorted, disjoint windows: only the last one starting at or before the
+  // key can hold it.
+  const auto next = std::upper_bound(
+      previous_windows_.begin(), previous_windows_.end(), key,
+      [](const Slice& k, const cluster::KeyRange& w) {
+        return k.compare(w.start) < 0;
+      });
+  return next == previous_windows_.begin() ||
+         !cluster::RangeContains(*std::prev(next), key);
 }
 
 bool SimilarityFilter::Matches(const Slice& key, const Slice& value) const {

@@ -4,8 +4,10 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "cluster/cluster.h"
 #include "core/record.h"
 #include "geo/geometry.h"
 #include "geo/similarity.h"
@@ -60,19 +62,35 @@ class SimilarityFilter : public kv::ScanFilter {
   double threshold_;
 };
 
-// Keeps rows whose trajectory MBR is within `radius` of the query MBR
-// (lower-bound test on the row header only). The pushed-down global filter
-// of the expanding-radius top-k search.
+// The pushed-down global filter of the expanding-radius top-k search. Keeps
+// rows whose trajectory MBR lies within `radius` of the query MBR (a
+// lower-bound test on the row header only), except the rows the previous
+// round already delivered: those inside its windows whose lower bound is
+// at or below its radius. Each row then reaches the top-k sink at most once
+// per query. The previous windows are part of the test because the spatial
+// index prunes by the cells a trajectory visits, not its MBR: a row within
+// the previous radius by MBR may first enter a later round's windows.
+// Round 0 passes no previous windows, so it keeps every row within
+// `radius`, distance 0 included.
 class MBRDistanceFilter : public kv::ScanFilter {
  public:
-  MBRDistanceFilter(const geo::MBR& query_mbr, double radius)
-      : query_mbr_(query_mbr), radius_(radius) {}
+  // `previous_windows` are sorted by start key and disjoint (the planner's
+  // window contract).
+  MBRDistanceFilter(const geo::MBR& query_mbr, double radius,
+                    double previous_radius = 0,
+                    std::vector<cluster::KeyRange> previous_windows = {})
+      : query_mbr_(query_mbr),
+        radius_(radius),
+        previous_radius_(previous_radius),
+        previous_windows_(std::move(previous_windows)) {}
 
   bool Matches(const Slice& key, const Slice& value) const override;
 
  private:
   geo::MBR query_mbr_;
   double radius_;
+  double previous_radius_;
+  std::vector<cluster::KeyRange> previous_windows_;
 };
 
 // Counts matches inside the storage layer and rejects every row, so the

@@ -50,10 +50,6 @@ struct TManOptions {
   size_t index_cache_capacity = 8192;   // LFU entries (elements)
   size_t buffer_shape_threshold = 256;  // re-encode trigger (§IV-C)
 
-  // Push-down (§V-G). Disabling ships all window rows to the client and
-  // filters there (the TrajMesa execution model).
-  bool push_down = true;
-
   // Cluster shape.
   int num_shards = 8;
   int num_servers = 5;

@@ -46,13 +46,9 @@ struct QueryPlan {
   std::vector<cluster::KeyRange> windows;
 
   // Push-down filter chain. For kPrimaryScan it runs inside the region
-  // scans (or client-side when push-down is disabled); for kSecondaryFetch
-  // it is applied to the fetched primary rows.
+  // scans; for kSecondaryFetch it is applied to the fetched primary rows,
+  // inside the region tasks of the secondary scan.
   std::unique_ptr<kv::ScanFilter> filter;
-
-  // Global result limit across all windows (0 = unlimited). Enforced by
-  // the executor through sink early termination, not post-truncation.
-  size_t limit = 0;
 
   // Degraded-mode flag copied from QueryOptions::allow_degraded: when set,
   // the executor tolerates a strict subset of regions failing and marks

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <cmath>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -19,8 +20,9 @@ namespace {
 constexpr size_t kWriteChunk = 4096;  // rows per batch write
 
 // Re-encode's row collector: each primary row read at an old index value
-// is queued for deletion and re-keyed to its shape's new value.
-class MoveCollector : public kv::RowSink {
+// is queued for deletion and re-keyed to its shape's new value. Each region
+// task fills its own fork; the join appends them in region key order.
+class MoveCollector : public cluster::ScanSink {
  public:
   MoveCollector(const std::unordered_map<uint64_t, uint64_t>* new_value_of,
                 std::vector<std::string>* old_keys,
@@ -29,20 +31,44 @@ class MoveCollector : public kv::RowSink {
         old_keys_(old_keys),
         moved_rows_(moved_rows) {}
 
-  bool Accept(const Slice& key, const Slice& value) override {
-    // Primary key layout: shard | BE64 value | tid.
-    const Slice tid = TidOfPrimaryKey(key, 8);
-    if (tid.empty()) return true;
-    const auto it = new_value_of_->find(DecodeBigEndian64(key.data() + 1));
-    if (it == new_value_of_->end()) return true;
-    old_keys_->push_back(key.ToString());
-    moved_rows_->push_back(cluster::Row{
-        PrimaryKey(static_cast<uint8_t>(key[0]), it->second, tid),
-        value.ToString()});
-    return true;
+  std::unique_ptr<kv::RowSink> Fork() override {
+    return std::make_unique<RegionFork>(new_value_of_);
+  }
+
+  void Join(kv::RowSink* fork) override {
+    auto* f = static_cast<RegionFork*>(fork);
+    old_keys_->insert(old_keys_->end(),
+                      std::make_move_iterator(f->old_keys.begin()),
+                      std::make_move_iterator(f->old_keys.end()));
+    moved_rows_->insert(moved_rows_->end(),
+                        std::make_move_iterator(f->moved_rows.begin()),
+                        std::make_move_iterator(f->moved_rows.end()));
   }
 
  private:
+  struct RegionFork : public kv::RowSink {
+    explicit RegionFork(
+        const std::unordered_map<uint64_t, uint64_t>* new_value_of)
+        : new_value_of(new_value_of) {}
+
+    bool Accept(const Slice& key, const Slice& value) override {
+      // Primary key layout: shard | BE64 value | tid.
+      const Slice tid = TidOfPrimaryKey(key, 8);
+      if (tid.empty()) return true;
+      const auto it = new_value_of->find(DecodeBigEndian64(key.data() + 1));
+      if (it == new_value_of->end()) return true;
+      old_keys.push_back(key.ToString());
+      moved_rows.push_back(cluster::Row{
+          PrimaryKey(static_cast<uint8_t>(key[0]), it->second, tid),
+          value.ToString()});
+      return true;
+    }
+
+    const std::unordered_map<uint64_t, uint64_t>* new_value_of;
+    std::vector<std::string> old_keys;
+    std::vector<cluster::Row> moved_rows;
+  };
+
   const std::unordered_map<uint64_t, uint64_t>* new_value_of_;
   std::vector<std::string>* old_keys_;
   std::vector<cluster::Row>* moved_rows_;
@@ -200,7 +226,6 @@ Status TMan::Init() {
       xz2_index_.get(), xzstar_index_.get(),
       options_.use_index_cache ? index_cache_.get() : nullptr);
   executor_ = std::make_unique<Executor>(primary_, tr_table_, idt_table_,
-                                         options_.push_down,
                                          options_.kv.metrics);
 
   if (options_.kv.metrics != nullptr) {
@@ -904,6 +929,7 @@ Status TMan::TopKSimilarityQuery(const traj::Trajectory& query,
   const double max_radius =
       2.0 * std::max(options_.bounds.width(), options_.bounds.height());
   double previous_radius = 0;
+  std::vector<cluster::KeyRange> previous_windows;
   int round = 0;
 
   while (true) {
@@ -914,8 +940,13 @@ Status TMan::TopKSimilarityQuery(const traj::Trajectory& query,
         round_span != nullptr ? round_span->AddChild("planning") : nullptr;
     Stopwatch planning;
     QueryPlan plan;
+    // The filter skips the rows the previous round delivered, which it did
+    // to completion (a round the cutoff stops is always the last), so each
+    // row reaches the sink at most once.
     Status s = planner_->PlanSimilarityCandidates(
-        qmbr, radius, std::make_unique<MBRDistanceFilter>(qmbr, radius),
+        qmbr, radius,
+        std::make_unique<MBRDistanceFilter>(qmbr, radius, previous_radius,
+                                            std::move(previous_windows)),
         "similarity:topk", &plan);
     if (!s.ok()) return s;
     plan.allow_degraded = qopts.allow_degraded;
@@ -925,8 +956,8 @@ Status TMan::TopKSimilarityQuery(const traj::Trajectory& query,
     // Rows the sink has not seen yet all lie beyond the previous radius
     // (smaller windows were scanned to completion, and rows rejected by
     // this round's MBR filter are farther than `radius`), so once the
-    // heap's k-th bound drops to the previous radius the sink terminates
-    // the scan mid-round instead of draining every window.
+    // k-th distance drops to the previous radius the sink terminates the
+    // scan mid-round instead of draining every window.
     sink.set_cutoff(previous_radius);
     obs::TraceSpan* exec_span =
         round_span != nullptr ? round_span->AddChild("execute") : nullptr;
@@ -936,16 +967,18 @@ Status TMan::TopKSimilarityQuery(const traj::Trajectory& query,
     if (round_span != nullptr) {
       round_span->End();
       round_span->Annotate("radius", radius);
-      round_span->Annotate("kth_bound",
-                           sink.Full() ? sink.KthBound() : -1.0);
+      round_span->Annotate("kth_bound", std::isinf(sink.KthBound())
+                                            ? -1.0
+                                            : sink.KthBound());
     }
     if (!s.ok()) return s;
 
     // Stop once the k-th best distance is certainly inside the searched
     // radius (no unexplored trajectory can beat it).
-    if (sink.Full() && sink.KthBound() <= radius) break;
+    if (sink.KthBound() <= radius) break;
     if (radius >= max_radius) break;
     previous_radius = radius;
+    previous_windows = std::move(plan.windows);
     radius *= 2;
     round++;
   }

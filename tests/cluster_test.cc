@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <set>
+#include <thread>
 
 #include "cluster/cluster.h"
 #include "common/coding.h"
@@ -256,43 +258,152 @@ TEST(ClusterTest, RoutingWrapsPastShardCount) {
   }
 }
 
-// Sink scans must stop every in-flight region once the sink declines a row.
-class TakeNSink : public kv::RowSink {
+// Forks that record the threads driving them and the keys they receive.
+// Join copies each fork's record out (forks die with the scan), in join
+// order.
+class RecordingForkSink : public ScanSink {
  public:
-  explicit TakeNSink(size_t n) : n_(n) {}
-  bool Accept(const Slice& key, const Slice&) override {
-    keys.push_back(key.ToString());
-    return keys.size() < n_;
+  struct Record {
+    std::set<std::thread::id> threads;
+    std::vector<std::string> keys;
+    bool declined = false;
+  };
+
+  // A fork whose region holds keys with shard byte `decline_shard` declines
+  // its `decline_after`-th row (0 = never decline).
+  explicit RecordingForkSink(uint8_t decline_shard = 0,
+                             size_t decline_after = 0)
+      : decline_shard_(decline_shard), decline_after_(decline_after) {}
+
+  std::unique_ptr<kv::RowSink> Fork() override {
+    forked_.insert(forks_made_);
+    return std::make_unique<RecordingFork>(this, forks_made_++);
   }
-  std::vector<std::string> keys;
+
+  void Join(kv::RowSink* fork) override {
+    auto* f = static_cast<RecordingFork*>(fork);
+    EXPECT_EQ(forked_.erase(f->id), 1u) << "fork joined twice";
+    joined.push_back(std::move(f->record));
+  }
+
+  size_t forks_made() const { return forks_made_; }
+  size_t unjoined() const { return forked_.size(); }
+
+  std::vector<Record> joined;  // in join order
 
  private:
-  size_t n_;
+  struct RecordingFork : public kv::RowSink {
+    RecordingFork(const RecordingForkSink* sink, size_t id)
+        : sink(sink), id(id) {}
+    bool Accept(const Slice& key, const Slice&) override {
+      record.threads.insert(std::this_thread::get_id());
+      record.keys.push_back(key.ToString());
+      if (sink->decline_after_ != 0 &&
+          static_cast<uint8_t>(key[0]) == sink->decline_shard_ &&
+          record.keys.size() == sink->decline_after_) {
+        record.declined = true;
+        return false;
+      }
+      return true;
+    }
+    const RecordingForkSink* sink;
+    size_t id;
+    Record record;
+  };
+
+  uint8_t decline_shard_;
+  size_t decline_after_;
+  size_t forks_made_ = 0;
+  std::set<size_t> forked_;
 };
 
-TEST(ClusterTest, SinkScanBroadcastsEarlyTermination) {
-  Cluster cluster(TestDir("sink_stop"), 4, kv::Options());
-  ASSERT_TRUE(cluster.CreateTable("t", 4).ok());
+TEST(ClusterTest, ForksRunOnOneThreadAndJoinInRegionKeyOrder) {
+  Cluster cluster(TestDir("fork_join"), 4, kv::Options());
+  ASSERT_TRUE(cluster.CreateTable("t", 8).ok());
   ClusterTable* table = cluster.GetTable("t");
   std::vector<Row> rows;
-  for (uint8_t shard = 0; shard < 4; shard++) {
-    for (uint64_t v = 0; v < 500; v++) {
+  std::vector<std::string> want;
+  for (uint8_t shard = 0; shard < 8; shard++) {
+    for (uint64_t v = 0; v < 300; v++) {
       rows.push_back(Row{Key(shard, v), "x"});
+      if (v % 3 != 0) want.push_back(Key(shard, v));
     }
   }
   ASSERT_TRUE(table->BatchPut(rows).ok());
 
+  // Two windows per shard, listed in reverse shard order: the join must
+  // still hand the rows back in region key order.
   std::vector<KeyRange> windows;
-  for (uint8_t shard = 0; shard < 4; shard++) {
-    windows.push_back(KeyRange{Key(shard, 0), Key(shard, 500)});
+  for (int shard = 7; shard >= 0; shard--) {
+    const uint8_t b = static_cast<uint8_t>(shard);
+    windows.push_back(KeyRange{Key(b, 0), Key(b, 150)});
+    windows.push_back(KeyRange{Key(b, 150), Key(b, 300)});
   }
-  TakeNSink sink(5);
-  kv::ScanStats stats;
-  ASSERT_TRUE(table->MultiScan(windows, nullptr, 0, &sink, &stats).ok());
-  EXPECT_EQ(sink.keys.size(), 5u);
-  // The stop must propagate to all four region scans well before they
-  // drain their 500-row windows.
-  EXPECT_LT(stats.scanned, rows.size() / 2);
+  struct NotMultipleOfThree : public kv::ScanFilter {
+    bool Matches(const Slice& key, const Slice&) const override {
+      return DecodeBigEndian64(key.data() + 1) % 3 != 0;
+    }
+  } filter;
+  RecordingForkSink sink;
+  std::vector<ClusterTable::RegionScanStat> breakdown;
+  ASSERT_TRUE(
+      table->MultiScan(windows, &filter, 0, &sink, nullptr, &breakdown).ok());
+
+  // One fork per region task, each joined exactly once.
+  EXPECT_EQ(sink.forks_made(), 8u);
+  EXPECT_EQ(breakdown.size(), 8u);
+  EXPECT_EQ(sink.unjoined(), 0u);
+  ASSERT_EQ(sink.joined.size(), 8u);
+  std::vector<std::string> got;
+  for (size_t i = 0; i < sink.joined.size(); i++) {
+    const RecordingForkSink::Record& r = sink.joined[i];
+    EXPECT_EQ(r.threads.size(), 1u) << "fork " << i;
+    for (const std::string& key : r.keys) {
+      // Join order is region key order: the i-th fork holds shard i.
+      EXPECT_EQ(static_cast<uint8_t>(key[0]), i);
+      got.push_back(key);
+    }
+  }
+  EXPECT_EQ(got, want);  // the oracle's rows, in key order
+}
+
+// A fork that declines a row stops every task of the scan, and the scan
+// itself succeeds. With one server the calling thread runs the tasks one
+// after another in region order, so the tasks after the declining one must
+// deliver nothing; with four, tasks overlap and may deliver rows before the
+// stop, but the declining fork sees no row past its decline.
+TEST(ClusterTest, DecliningForkStopsEveryTask) {
+  for (const int servers : {1, 4}) {
+    SCOPED_TRACE("servers " + std::to_string(servers));
+    Cluster cluster(TestDir("sink_stop_" + std::to_string(servers)), servers,
+                    kv::Options());
+    ASSERT_TRUE(cluster.CreateTable("t", 4).ok());
+    ClusterTable* table = cluster.GetTable("t");
+    std::vector<Row> rows;
+    for (uint8_t shard = 0; shard < 4; shard++) {
+      for (uint64_t v = 0; v < 2000; v++) {
+        rows.push_back(Row{Key(shard, v), "x"});
+      }
+    }
+    ASSERT_TRUE(table->BatchPut(rows).ok());
+
+    std::vector<KeyRange> windows;
+    for (uint8_t shard = 0; shard < 4; shard++) {
+      windows.push_back(KeyRange{Key(shard, 0), Key(shard, 2000)});
+    }
+    RecordingForkSink sink(/*decline_shard=*/0, /*decline_after=*/5);
+    kv::ScanStats stats;
+    ASSERT_TRUE(table->MultiScan(windows, nullptr, 0, &sink, &stats).ok());
+    ASSERT_EQ(sink.joined.size(), 4u);
+    EXPECT_TRUE(sink.joined[0].declined);
+    EXPECT_EQ(sink.joined[0].keys.size(), 5u);
+    if (servers == 1) {
+      for (size_t i = 1; i < sink.joined.size(); i++) {
+        EXPECT_TRUE(sink.joined[i].keys.empty()) << "region " << i;
+      }
+    }
+    EXPECT_LT(stats.matched, rows.size());
+  }
 }
 
 TEST(ClusterTest, ParallelBatchPutWritesEveryRegion) {

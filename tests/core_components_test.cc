@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <set>
 
 #include "cachestore/redis_like.h"
@@ -213,6 +214,104 @@ TEST(FiltersTest, ChainIsConjunction) {
 TEST(FiltersTest, MalformedValueRejected) {
   EXPECT_FALSE(TemporalRangeFilter(0, 1).Matches("k", "garbage"));
   EXPECT_FALSE(SpatialRangeFilter(geo::MBR{0, 0, 1, 1}).Matches("k", "xx"));
+  EXPECT_FALSE(
+      MBRDistanceFilter(geo::MBR{0, 0, 1, 1}, 10.0).Matches("k", "xx"));
+}
+
+// The top-k rounds' filters over radii r0 * 2^i deliver each row once. The
+// model planner puts a row in round r's windows once radius r reaches its
+// "cell distance", which is at least its MBR lower bound and for half the
+// rows larger, as with TShape's shape pruning: such a row can enter the
+// windows rounds after its lower bound fell inside the radius, and must be
+// delivered then.
+TEST(FiltersTest, MBRDistanceRoundsDeliverEachRowOnce) {
+  const geo::MBR query{116.40, 39.90, 116.41, 39.91};
+  constexpr double kR0 = 0.002;
+  constexpr int kRounds = 8;
+  std::vector<double> radii;
+  for (int i = 0; i < kRounds; i++) radii.push_back(kR0 * (1 << i));
+
+  Random rng(20261019);
+  constexpr int kRows = 2000;
+  std::vector<std::string> keys, values;
+  std::vector<double> lower_bounds, cell_distances;
+  for (int i = 0; i < kRows; i++) {
+    // Random MBRs around the query, from overlapping it to well beyond the
+    // last radius; every tenth one overlaps the query (distance 0).
+    const double cx = i % 10 == 0 ? 116.405 : rng.UniformDouble(115.9, 116.9);
+    const double cy = i % 10 == 0 ? 39.905 : rng.UniformDouble(39.4, 40.4);
+    traj::Trajectory t;
+    t.oid = "o" + std::to_string(i);
+    t.tid = t.oid + "-t";
+    t.points = {geo::TimedPoint{cx, cy, 1000},
+                geo::TimedPoint{cx + rng.UniformDouble(0, 0.01),
+                                cy + rng.UniformDouble(0, 0.01), 1030}};
+    char key[16];
+    snprintf(key, sizeof(key), "k%05d", i);
+    keys.push_back(key);
+    values.push_back(EncodeFor(t));
+    RecordHeader header;
+    ASSERT_TRUE(DecodeRecordHeader(values.back(), &header));
+    lower_bounds.push_back(geo::MBRLowerBound(header.mbr, query));
+    cell_distances.push_back(lower_bounds.back() +
+                             (i % 2 == 0 ? rng.UniformDouble(0, 0.05) : 0));
+  }
+  // Round r's windows: sorted, disjoint ranges over the rows whose cell
+  // distance is within its radius.
+  auto windows_for = [&](double radius) {
+    std::vector<cluster::KeyRange> windows;
+    bool open = false;
+    for (int i = 0; i < kRows; i++) {
+      if (cell_distances[i] > radius) {
+        open = false;
+        continue;
+      }
+      if (open) {
+        windows.back().end = keys[i] + '\0';
+      } else {
+        windows.push_back(cluster::KeyRange{keys[i], keys[i] + '\0'});
+      }
+      open = true;
+    }
+    return windows;
+  };
+
+  std::vector<int> deliveries(kRows, 0), first_round(kRows, -1);
+  std::vector<cluster::KeyRange> previous;
+  for (int r = 0; r < kRounds; r++) {
+    std::vector<cluster::KeyRange> windows = windows_for(radii[r]);
+    const MBRDistanceFilter filter(query, radii[r], r == 0 ? 0 : radii[r - 1],
+                                   previous);
+    for (int i = 0; i < kRows; i++) {
+      if (cell_distances[i] > radii[r]) continue;  // not scanned
+      if (filter.Matches(keys[i], values[i])) {
+        deliveries[i]++;
+        if (first_round[i] < 0) first_round[i] = r;
+      }
+    }
+    previous = std::move(windows);
+  }
+
+  size_t late = 0, beyond = 0;
+  for (int i = 0; i < kRows; i++) {
+    if (cell_distances[i] <= radii.back()) {
+      EXPECT_EQ(deliveries[i], 1) << "row " << i;
+      // Delivered in a round after its lower bound fell inside the radius.
+      if (first_round[i] > 0 && lower_bounds[i] <= radii[first_round[i] - 1]) {
+        late++;
+      }
+    } else {
+      EXPECT_EQ(deliveries[i], 0) << "row " << i;
+      beyond++;
+    }
+    if (lower_bounds[i] == 0 && cell_distances[i] <= radii[0]) {
+      EXPECT_EQ(first_round[i], 0) << "row " << i;
+    }
+  }
+  // The sample covers late rows and both sides of the last radius.
+  EXPECT_GT(late, 0u);
+  EXPECT_GT(beyond, 0u);
+  EXPECT_LT(beyond, static_cast<size_t>(kRows));
 }
 
 // ---------------------------------------------------------------------------

@@ -776,17 +776,28 @@ std::string ShardKey(uint8_t shard, uint64_t value) {
   return key;
 }
 
-class CountingSink : public kv::RowSink {
+// Counts the rows every fork received.
+class CountingSink : public ScanSink {
  public:
-  bool Accept(const Slice& key, const Slice& value) override {
-    (void)key;
-    (void)value;
-    rows_++;
-    return true;
+  std::unique_ptr<kv::RowSink> Fork() override {
+    return std::make_unique<CountingFork>();
+  }
+  void Join(kv::RowSink* fork) override {
+    rows_ += static_cast<CountingFork*>(fork)->rows;
   }
   uint64_t rows() const { return rows_; }
 
  private:
+  struct CountingFork : public kv::RowSink {
+    bool Accept(const Slice& key, const Slice& value) override {
+      (void)key;
+      (void)value;
+      rows++;
+      return true;
+    }
+    uint64_t rows = 0;
+  };
+
   uint64_t rows_ = 0;
 };
 
@@ -864,28 +875,45 @@ TEST(ClusterDegradedTest, RetryPolicyHealsTransientFault) {
 
 // Records every delivered key and, once `arm_after` rows of region
 // `shard` have arrived, arms one read fault on that region's files: the
-// region's next block read fails mid-stream.
-class ArmingSink : public kv::RowSink {
+// region's next block read fails mid-stream. Only that region's fork sees
+// its rows, so the fork counts them on its own.
+class ArmingSink : public ScanSink {
  public:
   ArmingSink(kv::FaultInjectionEnv* env, uint8_t shard, uint64_t arm_after)
       : env_(env), shard_(shard), arm_after_(arm_after) {}
 
-  bool Accept(const Slice& key, const Slice& value) override {
-    (void)value;
-    delivered[key.ToString()]++;
-    if (static_cast<uint8_t>(key[0]) == shard_ && ++shard_rows_ == arm_after_) {
-      env_->FailReads("/t/shard" + std::to_string(shard_) + "/", 1);
+  std::unique_ptr<kv::RowSink> Fork() override {
+    return std::make_unique<ArmingFork>(this);
+  }
+  void Join(kv::RowSink* fork) override {
+    for (const auto& [key, n] : static_cast<ArmingFork*>(fork)->delivered) {
+      delivered[key] += n;
     }
-    return true;
   }
 
   std::map<std::string, int> delivered;
 
  private:
+  struct ArmingFork : public kv::RowSink {
+    explicit ArmingFork(const ArmingSink* sink) : sink(sink) {}
+    bool Accept(const Slice& key, const Slice& value) override {
+      (void)value;
+      delivered[key.ToString()]++;
+      if (static_cast<uint8_t>(key[0]) == sink->shard_ &&
+          ++shard_rows == sink->arm_after_) {
+        sink->env_->FailReads("/t/shard" + std::to_string(sink->shard_) + "/",
+                              1);
+      }
+      return true;
+    }
+    const ArmingSink* sink;
+    std::map<std::string, int> delivered;
+    uint64_t shard_rows = 0;
+  };
+
   kv::FaultInjectionEnv* env_;
   uint8_t shard_;
   uint64_t arm_after_;
-  uint64_t shard_rows_ = 0;
 };
 
 TEST(ClusterDegradedTest, MidStreamRetryResumesPastLastDeliveredKey) {

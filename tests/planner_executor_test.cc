@@ -323,36 +323,6 @@ traj::DatasetSpec* PipelineTest::spec_ = nullptr;
 std::vector<traj::Trajectory>* PipelineTest::data_ = nullptr;
 std::unique_ptr<TMan>* PipelineTest::tman_ = nullptr;
 
-// A plan's global `limit` must stop the scan mid-stream (not truncate a
-// fully materialized result): with limit k the executor may not visit the
-// whole candidate set.
-TEST_F(PipelineTest, GlobalLimitTerminatesScansEarly) {
-  TMan* tman = tman_->get();
-  const geo::MBR everywhere{spec_->bounds.min_lon, spec_->bounds.min_lat,
-                            spec_->bounds.max_lon, spec_->bounds.max_lat};
-
-  QueryPlan unlimited;
-  ASSERT_TRUE(tman->planner()->PlanSpatialRange(everywhere, &unlimited).ok());
-  QueryStats full_stats;
-  std::vector<traj::Trajectory> all;
-  DecodeTrajectoriesSink all_sink(&all);
-  ASSERT_TRUE(tman->executor()->Execute(unlimited, &all_sink, &full_stats).ok());
-  ASSERT_TRUE(all_sink.status().ok());
-  ASSERT_EQ(all.size(), data_->size());
-
-  QueryPlan limited;
-  ASSERT_TRUE(tman->planner()->PlanSpatialRange(everywhere, &limited).ok());
-  limited.limit = 5;
-  QueryStats stats;
-  std::vector<traj::Trajectory> out;
-  DecodeTrajectoriesSink sink(&out);
-  ASSERT_TRUE(tman->executor()->Execute(limited, &sink, &stats).ok());
-  ASSERT_TRUE(sink.status().ok());
-  EXPECT_EQ(out.size(), 5u);
-  // Early termination: far fewer rows were scanned than the full pass saw.
-  EXPECT_LT(stats.candidates, full_stats.candidates);
-}
-
 // The six query types answered through the plan -> streaming-executor
 // pipeline must match an exhaustive in-memory evaluation.
 TEST_F(PipelineTest, SixQueriesMatchBruteForce) {

@@ -201,35 +201,6 @@ TEST(TManEdgeTest, MetadataTableHoldsConfig) {
   EXPECT_GT(tman->redis()->KeyCount(), 0u);
 }
 
-TEST(TManEdgeTest, PushdownAndClientSideAgreeOnCandidates) {
-  const traj::DatasetSpec spec = traj::LorryLikeSpec();
-  const auto data = traj::Generate(spec, 200, 11);
-  const auto window = traj::RandomSpaceWindows(spec, 1, 3000, 3)[0];
-
-  TManOptions push = SmallOptions(spec);
-  std::unique_ptr<TMan> with_push;
-  ASSERT_TRUE(TMan::Open(push, TestDir("pd_on"), &with_push).ok());
-  ASSERT_TRUE(with_push->BulkLoad(data).ok());
-
-  TManOptions nopush = SmallOptions(spec);
-  nopush.push_down = false;
-  std::unique_ptr<TMan> without_push;
-  ASSERT_TRUE(TMan::Open(nopush, TestDir("pd_off"), &without_push).ok());
-  ASSERT_TRUE(without_push->BulkLoad(data).ok());
-
-  std::vector<traj::Trajectory> a, b;
-  QueryStats sa, sb;
-  ASSERT_TRUE(with_push->SpatialRangeQuery(window.rect, &a, &sa).ok());
-  ASSERT_TRUE(without_push->SpatialRangeQuery(window.rect, &b, &sb).ok());
-  // Identical result sets and identical storage-touch counts; push-down
-  // only changes where the filter runs.
-  std::set<std::string> ta, tb;
-  for (const auto& t : a) ta.insert(t.tid);
-  for (const auto& t : b) tb.insert(t.tid);
-  EXPECT_EQ(ta, tb);
-  EXPECT_EQ(sa.candidates, sb.candidates);
-}
-
 TEST(TManEdgeTest, DeleteTrajectoryRemovesAllIndexRows) {
   const traj::DatasetSpec spec = traj::TDriveLikeSpec();
   std::unique_ptr<TMan> tman;

@@ -13,6 +13,7 @@
 #include "core/rowkey.h"
 #include "core/tman.h"
 #include "geo/similarity.h"
+#include "obs/metrics.h"
 #include "traj/generator.h"
 
 namespace tman::core {
@@ -200,6 +201,65 @@ TEST_F(TManQueryTest, TopKSimilarityMatchesBruteForce) {
   }
 }
 
+// Top-k across several regions and several expanding-radius rounds: probes
+// moved out of the city need at least three rounds, so later rounds only
+// see the ring of rows beyond the previous radius while the region tasks
+// verify against one shared k-th distance.
+TEST_F(TManQueryTest, TopKMatchesBruteForceAcrossRoundsAndRegions) {
+  ASSERT_GE((*tman_)->primary_table()->num_shards(), 4);
+  std::vector<traj::Trajectory> probes;
+  const std::vector<std::pair<double, double>> shifts = {
+      {-0.25, -0.2}, {0.25, 0.2}, {-0.25, 0.25}, {0.3, -0.2}};
+  for (size_t i = 0; i < shifts.size(); i++) {
+    traj::Trajectory probe = (*data_)[7 + 13 * i];
+    probe.tid = "probe-" + std::to_string(i);
+    for (auto& p : probe.points) {
+      p.x += shifts[i].first;
+      p.y += shifts[i].second;
+    }
+    probes.push_back(std::move(probe));
+  }
+  for (const auto measure :
+       {geo::SimilarityMeasure::kFrechet, geo::SimilarityMeasure::kDTW,
+        geo::SimilarityMeasure::kHausdorff}) {
+    for (const traj::Trajectory& probe : probes) {
+      std::vector<double> want;
+      for (const auto& t : *data_) {
+        want.push_back(geo::ExactDistance(measure, probe.points, t.points));
+      }
+      std::sort(want.begin(), want.end());
+      for (const size_t k : {size_t{1}, size_t{5}, size_t{20}}) {
+        SCOPED_TRACE(probe.tid + " k=" + std::to_string(k) + " measure " +
+                     std::to_string(static_cast<int>(measure)));
+        std::vector<traj::Trajectory> results;
+        QueryStats stats;
+        QueryOptions qopts;
+        qopts.trace = true;
+        ASSERT_TRUE((*tman_)
+                        ->TopKSimilarityQuery(probe, measure, k, &results,
+                                              &stats, qopts)
+                        .ok());
+        ASSERT_EQ(results.size(), k);
+        std::set<std::string> tids;
+        for (size_t i = 0; i < k; i++) {
+          EXPECT_TRUE(tids.insert(results[i].tid).second)
+              << "tid " << results[i].tid << " twice";
+          EXPECT_EQ(geo::ExactDistance(measure, probe.points,
+                                       results[i].points),
+                    want[i])
+              << "rank " << i;
+        }
+        ASSERT_NE(stats.trace, nullptr);
+        size_t rounds = 0;
+        for (const auto& child : stats.trace->children()) {
+          if (child->name().rfind("round ", 0) == 0) rounds++;
+        }
+        EXPECT_GE(rounds, 3u);
+      }
+    }
+  }
+}
+
 TEST_F(TManQueryTest, StatsArepopulated) {
   std::vector<traj::Trajectory> results;
   QueryStats stats;
@@ -218,7 +278,6 @@ struct ConfigCase {
   TemporalIndexKind temporal;
   PrimaryIndexKind primary;
   bool use_cache;
-  bool push_down;
 };
 
 class TManConfigTest : public ::testing::TestWithParam<ConfigCase> {};
@@ -233,7 +292,6 @@ TEST_P(TManConfigTest, QueriesMatchBruteForce) {
   options.temporal = c.temporal;
   options.primary = c.primary;
   options.use_index_cache = c.use_cache;
-  options.push_down = c.push_down;
 
   std::unique_ptr<TMan> tman;
   ASSERT_TRUE(TMan::Open(options, TestDir(std::string("cfg_") + c.name),
@@ -293,27 +351,19 @@ INSTANTIATE_TEST_SUITE_P(
     Configs, TManConfigTest,
     ::testing::Values(
         ConfigCase{"tshape_tr_spatial", SpatialIndexKind::kTShape,
-                   TemporalIndexKind::kTR, PrimaryIndexKind::kSpatial, true,
-                   true},
+                   TemporalIndexKind::kTR, PrimaryIndexKind::kSpatial, true},
         ConfigCase{"xz2_tr_spatial", SpatialIndexKind::kXZ2,
-                   TemporalIndexKind::kTR, PrimaryIndexKind::kSpatial, true,
-                   true},
+                   TemporalIndexKind::kTR, PrimaryIndexKind::kSpatial, true},
         ConfigCase{"xzstar_tr_spatial", SpatialIndexKind::kXZStar,
-                   TemporalIndexKind::kTR, PrimaryIndexKind::kSpatial, true,
-                   true},
+                   TemporalIndexKind::kTR, PrimaryIndexKind::kSpatial, true},
         ConfigCase{"tshape_xzt_spatial", SpatialIndexKind::kTShape,
-                   TemporalIndexKind::kXZT, PrimaryIndexKind::kSpatial, true,
-                   true},
+                   TemporalIndexKind::kXZT, PrimaryIndexKind::kSpatial, true},
         ConfigCase{"tshape_tr_temporal", SpatialIndexKind::kTShape,
-                   TemporalIndexKind::kTR, PrimaryIndexKind::kTemporal, true,
-                   true},
+                   TemporalIndexKind::kTR, PrimaryIndexKind::kTemporal, true},
         ConfigCase{"tshape_tr_st", SpatialIndexKind::kTShape,
-                   TemporalIndexKind::kTR, PrimaryIndexKind::kST, true, true},
+                   TemporalIndexKind::kTR, PrimaryIndexKind::kST, true},
         ConfigCase{"nocache", SpatialIndexKind::kTShape,
-                   TemporalIndexKind::kTR, PrimaryIndexKind::kSpatial, false,
-                   true},
-        ConfigCase{"nopushdown", SpatialIndexKind::kTShape,
-                   TemporalIndexKind::kTR, PrimaryIndexKind::kSpatial, true,
+                   TemporalIndexKind::kTR, PrimaryIndexKind::kSpatial,
                    false}),
     [](const ::testing::TestParamInfo<ConfigCase>& info) {
       return info.param.name;
@@ -610,6 +660,44 @@ TEST(TManStorageTest, SingleRowPerTrajectoryInPrimary) {
   EXPECT_EQ(results.size(), data.size());
 }
 
+// Secondary-index plans count each candidate once: the primary rows the
+// fetch stage reads, one point Get each, and not also the index rows
+// scanned to find them.
+TEST(TManSecondaryFetchTest, CandidatesEqualPrimaryRowsFetched) {
+  const traj::DatasetSpec spec = traj::TDriveLikeSpec();
+  obs::MetricsRegistry registry;
+  TManOptions options = SmallOptions(spec);
+  options.kv.metrics = &registry;
+  std::unique_ptr<TMan> tman;
+  ASSERT_TRUE(TMan::Open(options, TestDir("fetch_candidates"), &tman).ok());
+  const auto data = traj::Generate(spec, 200, 21);
+  ASSERT_TRUE(tman->BulkLoad(data).ok());
+  ASSERT_TRUE(tman->Flush().ok());
+  obs::Histogram* gets = registry.GetHistogram("tman_kv_get_micros");
+
+  const int64_t ts = spec.t0 + 3600;
+  const int64_t te = spec.t0 + 12 * 3600;
+  std::vector<traj::Trajectory> out;
+  QueryStats trq;
+  uint64_t before = gets->count();
+  ASSERT_TRUE(tman->TemporalRangeQuery(ts, te, &out, &trq).ok());
+  EXPECT_EQ(trq.plan, "secondary:tr");
+  EXPECT_GT(trq.candidates, 0u);
+  EXPECT_EQ(trq.candidates, gets->count() - before);
+  EXPECT_GE(trq.candidates, trq.results);
+
+  QueryStats idt;
+  before = gets->count();
+  ASSERT_TRUE(tman->IDTemporalQuery(data[0].oid, spec.t0,
+                                    spec.t0 + spec.horizon_seconds, &out,
+                                    &idt)
+                  .ok());
+  EXPECT_EQ(idt.plan, "secondary:idt");
+  EXPECT_GT(idt.candidates, 0u);
+  EXPECT_EQ(idt.candidates, gets->count() - before);
+  EXPECT_GE(idt.candidates, idt.results);
+}
+
 TEST(TManStorageTest, RejectsEmptyTrajectory) {
   const traj::DatasetSpec spec = traj::LorryLikeSpec();
   TManOptions options = SmallOptions(spec);
@@ -627,6 +715,9 @@ TEST(TManStorageTest, CorruptPointColumnFailsSimilarityQueries) {
   ASSERT_TRUE(TMan::Open(options, TestDir("corrupt_points"), &tman).ok());
   const auto data = traj::Generate(spec, 100, 4);
   ASSERT_TRUE(tman->BulkLoad(data).ok());
+  // The corrupt row sits in one region of several: its region task's fork
+  // hits the error while the others verify their rows.
+  ASSERT_GE(tman->primary_table()->num_shards(), 4);
 
   // Rewrite one row so that its header, MBR and DP features stay valid
   // (the push-down filters pass it) but its point column claims 0xFFFFFFF0
