@@ -3,9 +3,13 @@
 // (TMan with ST primary, TMan-XZ, TrajMesa, ST-Hadoop).
 
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "baselines/sthadoop.h"
 #include "baselines/trajmesa.h"
@@ -15,6 +19,8 @@
 
 namespace tman::bench {
 namespace {
+
+constexpr int kRepeats = 5;  // timed runs of each Fig. 19(b) query
 
 void RunIDT(const traj::DatasetSpec& spec,
             const std::vector<traj::Trajectory>& data, core::TMan* tman,
@@ -81,7 +87,6 @@ void RunDataset(const char* name, const traj::DatasetSpec& spec,
   core::TMan::Open(st_options, BenchDir(std::string("fig19_st_") + name),
                    &tman_st);
   tman_st->BulkLoad(data);
-  tman_st->Flush();
 
   // TMan-XZ: ST primary built from TR :: XZ-Ordering values.
   core::TManOptions xz_options = DefaultOptions(spec);
@@ -91,7 +96,6 @@ void RunDataset(const char* name, const traj::DatasetSpec& spec,
   core::TMan::Open(xz_options, BenchDir(std::string("fig19_xz_") + name),
                    &tman_xz);
   tman_xz->BulkLoad(data);
-  tman_xz->Flush();
 
   baselines::TrajMesa::Options tm_options;
   tm_options.bounds = spec.bounds;
@@ -100,7 +104,6 @@ void RunDataset(const char* name, const traj::DatasetSpec& spec,
                             BenchDir(std::string("fig19_tm_") + name),
                             &trajmesa);
   trajmesa->Load(data);
-  trajmesa->Flush();
 
   baselines::STHadoop::Options sth_options;
   sth_options.bounds = spec.bounds;
@@ -108,52 +111,87 @@ void RunDataset(const char* name, const traj::DatasetSpec& spec,
   baselines::STHadoop::Open(sth_options,
                             BenchDir(std::string("fig19_sth_") + name), &sth);
   sth->Load(data);
+
+  // Quiesce all four stores before anything is timed: flush, then compact
+  // everything, so no store's background work runs under another's query.
+  tman_st->Flush();
+  tman_st->CompactAll();
+  tman_xz->Flush();
+  tman_xz->CompactAll();
+  trajmesa->Flush();
+  trajmesa->CompactAll();
   sth->Flush();
+  sth->CompactAll();
 
   RunIDT(spec, data, tman_st.get(), trajmesa.get());
 
   // STRQ: random combinations of temporal and spatial windows (paper
   // §VI-D combines the ranges of §VI-B and §VI-C).
-  printf("\nFig 19(b) — spatio-temporal range queries\n");
+  printf("\nFig 19(b) — spatio-temporal range queries (median over "
+         "queries of each query's median over %d runs)\n",
+         kRepeats);
   const auto tws =
       traj::RandomTimeWindows(spec, QueriesPerPoint(), 6 * 3600, 55);
   const auto sws = traj::RandomSpaceWindows(spec, QueriesPerPoint(), 2000, 55);
 
-  PrintHeader({"system", "time_ms", "candidates"});
-  auto report = [&](const std::string& system, auto&& run) {
-    std::vector<double> times, candidates;
-    for (size_t i = 0; i < tws.size(); i++) {
-      core::QueryStats stats;
-      run(sws[i].rect, tws[i].ts, tws[i].te, &stats);
-      times.push_back(stats.execution_ms);
-      candidates.push_back(static_cast<double>(stats.candidates));
-    }
-    PrintCell(system);
-    PrintCell(Median(times));
-    PrintCell(static_cast<uint64_t>(Median(candidates)));
-    EndRow();
+  using RunFn = std::function<void(const geo::MBR&, int64_t, int64_t,
+                                   core::QueryStats*)>;
+  const std::vector<std::pair<std::string, RunFn>> systems = {
+      {"TMan",
+       [&](const geo::MBR& rect, int64_t ts, int64_t te,
+           core::QueryStats* stats) {
+         std::vector<traj::Trajectory> out;
+         tman_st->SpatioTemporalRangeQuery(rect, ts, te, &out, stats);
+       }},
+      {"TMan-XZ",
+       [&](const geo::MBR& rect, int64_t ts, int64_t te,
+           core::QueryStats* stats) {
+         std::vector<traj::Trajectory> out;
+         tman_xz->SpatioTemporalRangeQuery(rect, ts, te, &out, stats);
+       }},
+      {"TrajMesa",
+       [&](const geo::MBR& rect, int64_t ts, int64_t te,
+           core::QueryStats* stats) {
+         std::vector<traj::Trajectory> out;
+         trajmesa->SpatioTemporalRangeQuery(rect, ts, te, &out, stats);
+       }},
+      {"STH", [&](const geo::MBR& rect, int64_t ts, int64_t te,
+                  core::QueryStats* stats) {
+         std::vector<std::string> tids;
+         sth->SpatioTemporalRangeQuery(rect, ts, te, &tids, stats);
+       }},
   };
-
-  report("TMan", [&](const geo::MBR& rect, int64_t ts, int64_t te,
-                     core::QueryStats* stats) {
-    std::vector<traj::Trajectory> out;
-    tman_st->SpatioTemporalRangeQuery(rect, ts, te, &out, stats);
-  });
-  report("TMan-XZ", [&](const geo::MBR& rect, int64_t ts, int64_t te,
-                        core::QueryStats* stats) {
-    std::vector<traj::Trajectory> out;
-    tman_xz->SpatioTemporalRangeQuery(rect, ts, te, &out, stats);
-  });
-  report("TrajMesa", [&](const geo::MBR& rect, int64_t ts, int64_t te,
-                         core::QueryStats* stats) {
-    std::vector<traj::Trajectory> out;
-    trajmesa->SpatioTemporalRangeQuery(rect, ts, te, &out, stats);
-  });
-  report("STH", [&](const geo::MBR& rect, int64_t ts, int64_t te,
-                    core::QueryStats* stats) {
-    std::vector<std::string> tids;
-    sth->SpatioTemporalRangeQuery(rect, ts, te, &tids, stats);
-  });
+  // times[s][i]: system s's runs of query i. Each round runs every query
+  // on every system in turn, so the systems share the host's state; the
+  // order rotates, so no system always runs right after STH's scans have
+  // cooled the caches.
+  std::vector<std::vector<std::vector<double>>> times(
+      systems.size(), std::vector<std::vector<double>>(tws.size()));
+  std::vector<std::vector<double>> candidates(systems.size());
+  for (int round = 0; round < kRepeats; round++) {
+    for (size_t i = 0; i < tws.size(); i++) {
+      for (size_t k = 0; k < systems.size(); k++) {
+        const size_t sys = (k + i + static_cast<size_t>(round)) % systems.size();
+        core::QueryStats stats;
+        systems[sys].second(sws[i].rect, tws[i].ts, tws[i].te, &stats);
+        times[sys][i].push_back(stats.execution_ms);
+        if (round == 0) {
+          candidates[sys].push_back(static_cast<double>(stats.candidates));
+        }
+      }
+    }
+  }
+  PrintHeader({"system", "time_ms", "candidates"});
+  for (size_t sys = 0; sys < systems.size(); sys++) {
+    std::vector<double> medians;
+    for (const std::vector<double>& runs : times[sys]) {
+      medians.push_back(Median(runs));
+    }
+    PrintCell(systems[sys].first);
+    PrintCell(Median(medians));
+    PrintCell(static_cast<uint64_t>(Median(candidates[sys])));
+    EndRow();
+  }
 }
 
 }  // namespace

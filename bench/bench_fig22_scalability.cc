@@ -131,7 +131,6 @@ void RunUpdate() {
   for (auto& t : updates) t.tid += "-u";
 
   core::TManOptions options = DefaultOptions(spec);
-  options.buffer_shape_threshold = 128;
   std::unique_ptr<core::TMan> tman;
   core::TMan::Open(options, BenchDir("fig22_update"), &tman);
   tman->BulkLoad(initial);
@@ -154,9 +153,10 @@ void RunUpdate() {
     PrintCell(static_cast<double>(batch.size()) / (ms / 1000.0));
     EndRow();
   }
-  printf("re-encodes triggered: %llu, rows rewritten: %llu\n",
-         static_cast<unsigned long long>(tman->reencode_count()),
-         static_cast<unsigned long long>(tman->rows_rewritten()));
+  printf("catalog: %llu shapes in %zu elements\n",
+         static_cast<unsigned long long>(
+             tman->index_cache()->registered_shapes()),
+         tman->index_cache()->occupied_elements());
 }
 
 }  // namespace

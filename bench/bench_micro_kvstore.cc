@@ -28,7 +28,11 @@
 // report allocations per row (the zero-copy read path's whole point).
 static std::atomic<uint64_t> g_heap_allocs{0};
 
-void* operator new(std::size_t size) {
+// The unsized new and delete stay out of line and the other forms forward
+// to them: inlined into a caller, malloc() or free() would meet a pointer
+// the compiler takes to belong to the other allocator and warn
+// -Wmismatched-new-delete.
+__attribute__((noinline)) void* operator new(std::size_t size) {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = malloc(size)) return p;
   throw std::bad_alloc();
@@ -36,10 +40,10 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
-void operator delete(void* p) noexcept { free(p); }
-void operator delete[](void* p) noexcept { free(p); }
-void operator delete(void* p, std::size_t) noexcept { free(p); }
-void operator delete[](void* p, std::size_t) noexcept { free(p); }
+__attribute__((noinline)) void operator delete(void* p) noexcept { free(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace tman::kv {
 namespace {

@@ -1,7 +1,7 @@
 // Fleet monitoring: the logistics scenario from the paper's introduction
 // (couriers/lorries generating trajectory logs). Demonstrates:
-//   * continuous ingestion with the buffered update path (§IV-C) — new
-//     shape codes accumulate and trigger background re-encoding;
+//   * continuous ingestion through the update path (§IV-C): unseen shapes
+//     take free codes next to similar shapes, so no stored row moves;
 //   * per-vehicle history lookups (IDT queries);
 //   * a geofence check (which vehicles entered a depot area last night);
 //   * storage accounting as the table grows.
@@ -27,7 +27,6 @@ int main(int argc, char** argv) {
   options.bounds = spec.bounds;
   options.tr.period_seconds = 1800;
   options.tr.max_periods = spec.long_max / 1800 + 2;
-  options.buffer_shape_threshold = 128;  // re-encode often for the demo
 
   std::unique_ptr<TMan> db;
   tman::Status s = TMan::Open(options, dir, &db);
@@ -47,9 +46,9 @@ int main(int argc, char** argv) {
   printf("historical load: %zu trips, %llu bytes\n", history.size(),
          static_cast<unsigned long long>(db->StorageBytes()));
 
-  // Live operation: trips stream in per shift. Unseen shapes receive
-  // provisional codes; once enough accumulate TMan re-encodes the affected
-  // elements and rewrites their rows.
+  // Live operation: trips stream in per shift. Each unseen shape is placed
+  // between the most similar shapes of its element, in a free code that
+  // never changes, so the catalog grows while stored rows stay put.
   auto live = tman::traj::Generate(spec, 1500, 12);
   for (auto& t : live) t.tid += "-live";
   const size_t shift_size = 300;
@@ -62,11 +61,12 @@ int main(int argc, char** argv) {
       fprintf(stderr, "insert failed: %s\n", s.ToString().c_str());
       return 1;
     }
-    printf("shift ingested: %zu trips (re-encodes so far: %llu, rows "
-           "rewritten: %llu)\n",
+    printf("shift ingested: %zu trips (catalog: %llu shapes in %zu "
+           "elements)\n",
            shift.size(),
-           static_cast<unsigned long long>(db->reencode_count()),
-           static_cast<unsigned long long>(db->rows_rewritten()));
+           static_cast<unsigned long long>(
+               db->index_cache()->registered_shapes()),
+           db->index_cache()->occupied_elements());
   }
 
   // Dispatcher view: how busy were the five most active vehicles in the

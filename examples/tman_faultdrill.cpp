@@ -60,7 +60,9 @@ void CrashDrill(const std::string& dir, uint64_t seed) {
   for (int i = 0; i < 400; i++) {
     WriteOptions wo;
     wo.sync = (i % 10 == 9);
-    if (!db->Put(wo, Key(i), "v" + std::to_string(i)).ok()) break;
+    if (!db->Put(wo, Key(i), std::string("v").append(std::to_string(i))).ok()) {
+      break;
+    }
     if (wo.sync) synced = i;
   }
   fenv.Crash();

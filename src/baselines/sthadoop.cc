@@ -108,6 +108,8 @@ Status STHadoop::Load(const std::vector<traj::Trajectory>& trajectories) {
 
 Status STHadoop::Flush() { return db_->Flush(); }
 
+Status STHadoop::CompactAll() { return db_->CompactAll(); }
+
 Status STHadoop::RunJob(int64_t slice_lo, int64_t slice_hi,
                         const geo::MBR* rect, const int64_t* ts,
                         const int64_t* te, std::vector<std::string>* tids,

@@ -38,6 +38,7 @@ class STHadoop {
 
   Status Load(const std::vector<traj::Trajectory>& trajectories);
   Status Flush();
+  Status CompactAll();
 
   // Returns distinct trajectory ids with a point matching the predicate
   // (per-point storage cannot return whole trajectories without a second

@@ -95,6 +95,13 @@ Status TrajMesa::Flush() {
   return s;
 }
 
+Status TrajMesa::CompactAll() {
+  Status s = xzt_table_->CompactAll();
+  if (s.ok()) s = xz2_table_->CompactAll();
+  if (s.ok()) s = idt_table_->CompactAll();
+  return s;
+}
+
 namespace {
 
 Status DecodeRows(const std::vector<cluster::Row>& rows,

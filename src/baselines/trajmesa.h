@@ -40,6 +40,7 @@ class TrajMesa {
 
   Status Load(const std::vector<traj::Trajectory>& trajectories);
   Status Flush();
+  Status CompactAll();
 
   Status TemporalRangeQuery(int64_t ts, int64_t te,
                             std::vector<traj::Trajectory>* out,

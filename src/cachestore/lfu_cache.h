@@ -145,7 +145,7 @@ class LFUShard {
 // trade-off. Small caches (capacity < kShardableCapacity) keep a single
 // shard and therefore exact global LFU order — per-shard capacities of one
 // or two entries would thrash, and exactness at tiny sizes is what unit
-// tests and the re-encode heuristics rely on.
+// tests rely on.
 template <typename K, typename V>
 class LFUCache {
  public:

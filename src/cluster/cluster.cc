@@ -453,33 +453,19 @@ Status ClusterTable::BatchPut(const std::vector<Row>& rows) {
 
 Status ClusterTable::BatchPut(const std::vector<Row>& rows,
                               const kv::WriteOptions& wo) {
-  return BatchWrite({}, rows, wo);
-}
-
-Status ClusterTable::BatchWrite(const std::vector<std::string>& deletes,
-                                const std::vector<Row>& puts,
-                                const kv::WriteOptions& wo) {
   std::shared_lock<std::shared_mutex> gate(write_gate_);
   std::shared_ptr<const RoutingTable> routing = Routing();
   const std::vector<RoutingEntry>& entries = routing->entries();
   std::shared_ptr<MigrationTee> tee = migration_;
   std::vector<kv::WriteBatch> batches(entries.size());
   std::vector<kv::WriteBatch> teed(entries.size());  // subset bound for the tee
-  auto region_of = [&](const std::string& key) {
-    return static_cast<size_t>(&routing->Find(key) - entries.data());
-  };
-  auto teed_key = [&](const std::string& key) {
-    return tee != nullptr && RangeContains(tee->range, key);
-  };
-  for (const std::string& key : deletes) {
-    const size_t idx = region_of(key);
-    batches[idx].Delete(key);
-    if (teed_key(key)) teed[idx].Delete(key);
-  }
-  for (const Row& row : puts) {
-    const size_t idx = region_of(row.key);
+  for (const Row& row : rows) {
+    const RoutingEntry& e = routing->Find(row.key);
+    const size_t idx = static_cast<size_t>(&e - entries.data());
     batches[idx].Put(row.key, row.value);
-    if (teed_key(row.key)) teed[idx].Put(row.key, row.value);
+    if (tee != nullptr && RangeContains(tee->range, row.key)) {
+      teed[idx].Put(row.key, row.value);
+    }
   }
   std::vector<std::future<Status>> futures;
   for (size_t i = 0; i < entries.size(); i++) {

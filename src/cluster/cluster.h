@@ -307,17 +307,6 @@ class ClusterTable {
   // durability level a crash-safe online backfill needs).
   Status BatchPut(const std::vector<Row>& rows, const kv::WriteOptions& wo);
 
-  // Mixed batch: groups `deletes` and `puts` by owning region and writes
-  // one WriteBatch per region (its deletes first, then its puts, so a key
-  // both deleted and put ends up put) in parallel on the cluster pool.
-  // Each region's share commits atomically, so a delete and a put routed
-  // to the same region (e.g. a row moving between keys with the same
-  // shard byte) are never seen half-applied. Writes into a range that a
-  // split or merge is migrating are teed to its new home.
-  Status BatchWrite(const std::vector<std::string>& deletes,
-                    const std::vector<Row>& puts,
-                    const kv::WriteOptions& wo = kv::WriteOptions());
-
   // Offline backfill: groups `rows` by owning region, sorts each group,
   // builds one SSTable per region with kv::SstFileWriter and installs it
   // directly into the region store via DB::IngestExternalFile (move, not

@@ -135,8 +135,7 @@ class ThresholdVerifySink : public cluster::ScanSink {
 // published k-th distance. The k-th distance is published in an atomic
 // (+inf until k results are held) that forks read lock-free for the DP
 // prune, the kernel bound and the cutoff stop. The k-best rejects a tid it
-// already holds: a row that a concurrent re-encode moved to a key outside
-// the previous round's windows is delivered again.
+// already holds, so a trajectory delivered twice is ranked once.
 //
 // A fork declines a row — stopping the scan — once the k-th distance is at
 // or below `cutoff`: every row the round has yet to deliver lies beyond the

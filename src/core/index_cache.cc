@@ -7,8 +7,10 @@
 namespace tman::core {
 
 IndexCache::IndexCache(cache::RedisLikeStore* redis, size_t lfu_capacity,
-                       obs::MetricsRegistry* registry)
-    : redis_(redis), lfu_(lfu_capacity) {
+                       int shape_bits, obs::MetricsRegistry* registry)
+    : redis_(redis),
+      lfu_(lfu_capacity),
+      code_space_(uint64_t{1} << shape_bits) {
   if (registry != nullptr) {
     lfu_.BindMetrics(registry->GetCounter("tman_index_cache_hits_total"),
                      registry->GetCounter("tman_index_cache_misses_total"),
@@ -39,8 +41,12 @@ std::shared_ptr<const ElementShapes> IndexCache::Load(
   if (lfu_.Get(quad_code, &cached)) {
     return cached;
   }
-  // Miss: load the element's tuples from Redis.
   std::lock_guard<std::mutex> lock(ElementLock(quad_code));
+  return LoadLocked(quad_code);
+}
+
+std::shared_ptr<const ElementShapes> IndexCache::LoadLocked(
+    uint64_t quad_code) const {
   redis_loads_.fetch_add(1, std::memory_order_relaxed);
   if (ext_redis_loads_ != nullptr) ext_redis_loads_->Inc();
   auto shapes = std::make_shared<ElementShapes>();
@@ -56,42 +62,51 @@ std::shared_ptr<const ElementShapes> IndexCache::Load(
   return result;
 }
 
-void IndexCache::PutElement(uint64_t quad_code, index::ShapeList shapes) {
-  MarkOccupied(quad_code);
-  auto element = std::make_shared<ElementShapes>();
-  element->shapes = std::move(shapes);
-  std::sort(element->shapes.begin(), element->shapes.end(),
-            [](const auto& a, const auto& b) { return a.second < b.second; });
-  const std::string key = RedisKey(quad_code);
+std::vector<uint32_t> IndexCache::PlaceShapes(
+    uint64_t quad_code, const std::vector<uint32_t>& bits) {
+  std::vector<uint32_t> codes(bits.size());
   std::lock_guard<std::mutex> lock(ElementLock(quad_code));
-  redis_->Del(key);
-  for (const auto& [bits, code] : element->shapes) {
-    std::string field, value;
-    PutFixed32(&field, bits);
-    PutFixed32(&value, code);
-    redis_->HSet(key, field, value);
+  const bool occupied = NextOccupied(quad_code) == quad_code;
+  std::shared_ptr<const ElementShapes> current;
+  if (occupied && !lfu_.Get(quad_code, &current)) {
+    current = LoadLocked(quad_code);
   }
-  lfu_.Put(quad_code, std::shared_ptr<const ElementShapes>(std::move(element)));
-}
-
-void IndexCache::AddShape(uint64_t quad_code, uint32_t bits,
-                          uint32_t final_code) {
-  MarkOccupied(quad_code);
-  std::string field, value;
-  PutFixed32(&field, bits);
-  PutFixed32(&value, final_code);
-  std::lock_guard<std::mutex> lock(ElementLock(quad_code));
-  redis_->HSet(RedisKey(quad_code), field, value);
-  // Refresh the LFU copy if resident.
-  std::shared_ptr<const ElementShapes> cached;
-  if (lfu_.Get(quad_code, &cached)) {
-    auto updated = std::make_shared<ElementShapes>(*cached);
-    updated->shapes.emplace_back(bits, final_code);
-    std::sort(updated->shapes.begin(), updated->shapes.end(),
-              [](const auto& a, const auto& b) { return a.second < b.second; });
+  auto updated = std::make_shared<ElementShapes>();
+  if (current != nullptr) updated->shapes = current->shapes;
+  index::ShapeList& shapes = updated->shapes;
+  const bool fresh = shapes.empty();
+  const std::vector<uint32_t> spread =
+      fresh ? index::SpreadCodes(bits.size(), code_space_)
+            : std::vector<uint32_t>();
+  // Joined before the first shape is written, so before any row is.
+  if (!occupied && !bits.empty()) MarkOccupied(quad_code);
+  const std::string key = RedisKey(quad_code);
+  size_t added = 0;
+  for (size_t i = 0; i < bits.size(); i++) {
+    if (fresh) {
+      codes[i] = spread[i];
+    } else {
+      codes[i] = updated->FinalCodeOf(bits[i]);
+      if (codes[i] != UINT32_MAX) continue;
+      codes[i] = index::PlaceShape(shapes, bits[i], code_space_);
+    }
+    shapes.insert(std::upper_bound(shapes.begin(), shapes.end(), codes[i],
+                                   [](uint32_t code, const auto& shape) {
+                                     return code < shape.second;
+                                   }),
+                  {bits[i], codes[i]});
+    std::string field, value;
+    PutFixed32(&field, bits[i]);
+    PutFixed32(&value, codes[i]);
+    redis_->HSet(key, field, value);
+    added++;
+  }
+  if (added > 0) {
+    registered_shapes_.fetch_add(added, std::memory_order_relaxed);
     lfu_.Put(quad_code,
              std::shared_ptr<const ElementShapes>(std::move(updated)));
   }
+  return codes;
 }
 
 uint64_t IndexCache::NextOccupied(uint64_t quad_code) const {
@@ -122,44 +137,6 @@ size_t IndexCache::occupancy_bytes() const {
   // colour word (allocator overhead not included).
   constexpr size_t kNodeBytes = sizeof(uint64_t) + 4 * sizeof(void*);
   return occupied_elements() * kNodeBytes;
-}
-
-size_t BufferShapeCache::Add(uint64_t quad_code, uint32_t bits) {
-  Stripe& stripe = StripeFor(quad_code);
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  auto& shapes = stripe.buffered[quad_code];
-  if (std::find(shapes.begin(), shapes.end(), bits) == shapes.end()) {
-    shapes.push_back(bits);
-    return count_.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-  return count_.load(std::memory_order_relaxed);
-}
-
-bool BufferShapeCache::Contains(uint64_t quad_code, uint32_t bits) const {
-  const Stripe& stripe = StripeFor(quad_code);
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  auto it = stripe.buffered.find(quad_code);
-  if (it == stripe.buffered.end()) return false;
-  return std::find(it->second.begin(), it->second.end(), bits) !=
-         it->second.end();
-}
-
-std::vector<std::pair<uint64_t, std::vector<uint32_t>>>
-BufferShapeCache::Drain() {
-  // Lock all stripes in index order for a consistent cross-stripe snapshot.
-  std::array<std::unique_lock<std::mutex>, kNumStripes> locks;
-  for (size_t i = 0; i < kNumStripes; i++) {
-    locks[i] = std::unique_lock<std::mutex>(stripes_[i].mu);
-  }
-  std::vector<std::pair<uint64_t, std::vector<uint32_t>>> result;
-  for (auto& stripe : stripes_) {
-    for (auto& [code, shapes] : stripe.buffered) {
-      result.emplace_back(code, std::move(shapes));
-    }
-    stripe.buffered.clear();
-  }
-  count_.store(0, std::memory_order_relaxed);
-  return result;
 }
 
 }  // namespace tman::core

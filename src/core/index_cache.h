@@ -8,8 +8,7 @@
 #include <mutex>
 #include <set>
 #include <shared_mutex>
-#include <unordered_map>
-#include <utility>
+#include <string>
 #include <vector>
 
 #include "cachestore/lfu_cache.h"
@@ -18,8 +17,8 @@
 
 namespace tman::core {
 
-// Shapes actually used inside one enlarged element, with their optimized
-// final codes (paper §IV-B(3): the tuple <element, shape, final code>).
+// Shapes actually used inside one enlarged element, with their final codes
+// (paper §IV-B(3): the tuple <element, shape, final code>).
 struct ElementShapes {
   // (raw bitmap, final code), in final-code order.
   index::ShapeList shapes;
@@ -36,7 +35,11 @@ struct ElementShapes {
 // The index cache: an LFU-managed in-memory view over the durable mapping
 // stored in the Redis-like service. Query processing reads shape maps
 // through it (miss -> load from Redis, §IV-B(3)); ingestion registers new
-// shapes through it.
+// shapes through PlaceShapes, its only write path.
+//
+// A registered shape's code never changes, so no row is ever re-keyed:
+// codes are gapped (index::SpreadCodes) and a later shape takes a free code
+// next to its most similar shapes (index::PlaceShape).
 //
 // It also keeps the occupancy set: the sorted codes of every element a
 // shape was ever registered in. Entries are added before the caller writes
@@ -46,14 +49,17 @@ struct ElementShapes {
 // must start empty. Through the ShapeCatalogView interface the TShape
 // planner uses it to skip empty subtrees and reads shape lists in place.
 //
-// Thread-safe. A Redis load on an LFU miss and a write to the same element
-// are serialized, so a load can never re-install a map older than a
-// concurrent write.
+// Thread-safe. Each element's lock is held across a Redis load and its LFU
+// install, and across PlaceShapes' read, picks and write-through, so a
+// load never re-installs a map older than a concurrent write and two
+// writers never give one bitmap two codes or two bitmaps one code.
 class IndexCache final : public index::ShapeCatalogView {
  public:
-  // When `registry` is set, hit/miss/eviction and Redis-load events are
-  // published under tman_index_cache_*.
-  IndexCache(cache::RedisLikeStore* redis, size_t lfu_capacity,
+  // Elements hold shapes of `shape_bits` cells (TShapeConfig::shape_bits),
+  // so each has 2^shape_bits codes. When `registry` is set,
+  // hit/miss/eviction and Redis-load events are published under
+  // tman_index_cache_*.
+  IndexCache(cache::RedisLikeStore* redis, size_t lfu_capacity, int shape_bits,
              obs::MetricsRegistry* registry = nullptr);
 
   IndexCache(const IndexCache&) = delete;
@@ -64,12 +70,15 @@ class IndexCache final : public index::ShapeCatalogView {
   // Redis round trip).
   std::shared_ptr<const ElementShapes> GetElement(uint64_t quad_code) const;
 
-  // Installs/overwrites the full mapping for an element (bulk-load path and
-  // re-encode path): writes through to Redis and refreshes the LFU entry.
-  void PutElement(uint64_t quad_code, index::ShapeList shapes);
-
-  // Registers a single new shape with the given final code (update path).
-  void AddShape(uint64_t quad_code, uint32_t bits, uint32_t final_code);
+  // Returns the codes of the distinct bitmaps `bits` in element
+  // `quad_code`, in the order of `bits`, registering those the element
+  // does not hold yet. If the element holds no shape, `bits` (in the
+  // caller's optimized order) get codes spread over the code space;
+  // otherwise each new bitmap is placed by cheapest insertion, in turn.
+  // Codes already registered never change. The element is in the
+  // occupancy set when this returns.
+  std::vector<uint32_t> PlaceShapes(uint64_t quad_code,
+                                    const std::vector<uint32_t>& bits);
 
   // index::ShapeCatalogView.
   uint64_t NextOccupied(uint64_t quad_code) const override;
@@ -79,6 +88,11 @@ class IndexCache final : public index::ShapeCatalogView {
   // Elements in the occupancy set, and its approximate heap footprint.
   size_t occupied_elements() const;
   size_t occupancy_bytes() const;
+
+  // Shapes registered over all elements.
+  uint64_t registered_shapes() const {
+    return registered_shapes_.load(std::memory_order_relaxed);
+  }
 
   uint64_t lfu_hits() const { return lfu_.hits(); }
   uint64_t lfu_misses() const { return lfu_.misses(); }
@@ -96,6 +110,9 @@ class IndexCache final : public index::ShapeCatalogView {
   // LFU lookup; on a miss, loads the element's tuples from Redis.
   std::shared_ptr<const ElementShapes> Load(uint64_t quad_code) const;
 
+  // Load with the element's lock already held.
+  std::shared_ptr<const ElementShapes> LoadLocked(uint64_t quad_code) const;
+
   std::mutex& ElementLock(uint64_t quad_code) const {
     return element_mu_[quad_code % kNumElementLocks];
   }
@@ -103,54 +120,16 @@ class IndexCache final : public index::ShapeCatalogView {
   cache::RedisLikeStore* redis_;
   mutable cache::LFUCache<uint64_t, std::shared_ptr<const ElementShapes>>
       lfu_;
+  const uint64_t code_space_;
   // Striped by element: held across a Redis load and its LFU install, and
-  // across a Redis write and its LFU refresh.
+  // across PlaceShapes.
   mutable std::array<std::mutex, kNumElementLocks> element_mu_;
   mutable std::atomic<uint64_t> redis_loads_{0};
+  std::atomic<uint64_t> registered_shapes_{0};
   obs::Counter* ext_redis_loads_ = nullptr;
 
   mutable std::shared_mutex occupied_mu_;
   std::set<uint64_t> occupied_;
-};
-
-// Buffer shape cache (paper §IV-C): holds shapes first seen after the last
-// re-encode, keyed by element. When the total buffered shape count crosses
-// the threshold, the storage layer triggers a re-encode.
-//
-// Striped 16 ways by element so concurrent ingest threads registering
-// shapes for different elements do not serialize on one mutex. The global
-// buffered-shape count is a relaxed atomic; Drain locks every stripe (in
-// index order, so concurrent Drains cannot deadlock) to take a consistent
-// snapshot.
-class BufferShapeCache {
- public:
-  // Records (element, bits); returns the number of buffered shapes.
-  size_t Add(uint64_t quad_code, uint32_t bits);
-
-  bool Contains(uint64_t quad_code, uint32_t bits) const;
-
-  // Elements with buffered shapes and those shapes.
-  std::vector<std::pair<uint64_t, std::vector<uint32_t>>> Drain();
-
-  size_t size() const { return count_.load(std::memory_order_relaxed); }
-
- private:
-  static constexpr size_t kNumStripes = 16;
-
-  struct Stripe {
-    mutable std::mutex mu;
-    std::unordered_map<uint64_t, std::vector<uint32_t>> buffered;
-  };
-
-  Stripe& StripeFor(uint64_t quad_code) {
-    return stripes_[quad_code % kNumStripes];
-  }
-  const Stripe& StripeFor(uint64_t quad_code) const {
-    return stripes_[quad_code % kNumStripes];
-  }
-
-  std::array<Stripe, kNumStripes> stripes_;
-  std::atomic<size_t> count_{0};
 };
 
 }  // namespace tman::core

@@ -47,8 +47,10 @@ struct TManOptions {
 
   // Index cache (§IV-B(3)). Disabling reproduces the Fig. 16 ablation.
   bool use_index_cache = true;
-  size_t index_cache_capacity = 8192;   // LFU entries (elements)
-  size_t buffer_shape_threshold = 256;  // re-encode trigger (§IV-C)
+  size_t index_cache_capacity = 8192;  // LFU entries (elements)
+  // No effect. Shapes get codes that never change at insert time, so
+  // nothing re-encodes; the field is kept for callers that still set it.
+  size_t buffer_shape_threshold = 256;
 
   // Cluster shape.
   int num_shards = 8;

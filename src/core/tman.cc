@@ -1,11 +1,8 @@
 #include "core/tman.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cassert>
 #include <cmath>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/stopwatch.h"
 #include "core/filters.h"
@@ -18,61 +15,6 @@ namespace tman::core {
 namespace {
 
 constexpr size_t kWriteChunk = 4096;  // rows per batch write
-
-// Re-encode's row collector: each primary row read at an old index value
-// is queued for deletion and re-keyed to its shape's new value. Each region
-// task fills its own fork; the join appends them in region key order.
-class MoveCollector : public cluster::ScanSink {
- public:
-  MoveCollector(const std::unordered_map<uint64_t, uint64_t>* new_value_of,
-                std::vector<std::string>* old_keys,
-                std::vector<cluster::Row>* moved_rows)
-      : new_value_of_(new_value_of),
-        old_keys_(old_keys),
-        moved_rows_(moved_rows) {}
-
-  std::unique_ptr<kv::RowSink> Fork() override {
-    return std::make_unique<RegionFork>(new_value_of_);
-  }
-
-  void Join(kv::RowSink* fork) override {
-    auto* f = static_cast<RegionFork*>(fork);
-    old_keys_->insert(old_keys_->end(),
-                      std::make_move_iterator(f->old_keys.begin()),
-                      std::make_move_iterator(f->old_keys.end()));
-    moved_rows_->insert(moved_rows_->end(),
-                        std::make_move_iterator(f->moved_rows.begin()),
-                        std::make_move_iterator(f->moved_rows.end()));
-  }
-
- private:
-  struct RegionFork : public kv::RowSink {
-    explicit RegionFork(
-        const std::unordered_map<uint64_t, uint64_t>* new_value_of)
-        : new_value_of(new_value_of) {}
-
-    bool Accept(const Slice& key, const Slice& value) override {
-      // Primary key layout: shard | BE64 value | tid.
-      const Slice tid = TidOfPrimaryKey(key, 8);
-      if (tid.empty()) return true;
-      const auto it = new_value_of->find(DecodeBigEndian64(key.data() + 1));
-      if (it == new_value_of->end()) return true;
-      old_keys.push_back(key.ToString());
-      moved_rows.push_back(cluster::Row{
-          PrimaryKey(static_cast<uint8_t>(key[0]), it->second, tid),
-          value.ToString()});
-      return true;
-    }
-
-    const std::unordered_map<uint64_t, uint64_t>* new_value_of;
-    std::vector<std::string> old_keys;
-    std::vector<cluster::Row> moved_rows;
-  };
-
-  const std::unordered_map<uint64_t, uint64_t>* new_value_of_;
-  std::vector<std::string>* old_keys_;
-  std::vector<cluster::Row>* moved_rows_;
-};
 
 // Freezes a finished planning span with the plan's cost-model numbers.
 void FinishPlanningSpan(obs::TraceSpan* span, const QueryPlan& plan) {
@@ -219,7 +161,8 @@ Status TMan::Init() {
   xzstar_index_ =
       std::make_unique<index::XZStarIndex>(options_.tshape.max_resolution);
   index_cache_ = std::make_unique<IndexCache>(
-      &redis_, options_.index_cache_capacity, options_.kv.metrics);
+      &redis_, options_.index_cache_capacity, options_.tshape.shape_bits(),
+      options_.kv.metrics);
 
   planner_ = std::make_unique<QueryPlanner>(
       &options_, tr_index_.get(), xzt_index_.get(), tshape_index_.get(),
@@ -241,9 +184,6 @@ Status TMan::Init() {
     q_sim_threshold_micros_ = query_histogram("similarity_threshold");
     q_sim_topk_micros_ = query_histogram("similarity_topk");
     q_count_micros_ = query_histogram("count");
-    reencodes_metric_ = registry->GetCounter("tman_core_reencodes_total");
-    rows_rewritten_metric_ =
-        registry->GetCounter("tman_core_rows_rewritten_total");
     slow_queries_metric_ =
         registry->GetCounter("tman_core_slow_queries_total");
     redis_.BindMetrics(registry->GetCounter("tman_redis_hits_total"),
@@ -304,9 +244,7 @@ uint64_t TMan::TemporalValue(int64_t ts, int64_t te) const {
              : xzt_index_->Encode(ts, te);
 }
 
-uint64_t TMan::SpatialValue(const traj::Trajectory& t, bool allow_register,
-                            bool* registered_new) {
-  if (registered_new != nullptr) *registered_new = false;
+uint64_t TMan::SpatialValue(const traj::Trajectory& t) {
   const std::vector<geo::TimedPoint> norm = Normalize(t.points);
   switch (options_.spatial) {
     case SpatialIndexKind::kXZ2:
@@ -320,24 +258,11 @@ uint64_t TMan::SpatialValue(const traj::Trajectory& t, bool allow_register,
   if (!options_.use_index_cache) {
     return enc.index_value;  // raw bitmap shape code (Eq. 3)
   }
-  auto element = index_cache_->GetElement(enc.quad_code);
-  uint32_t final_code = element->FinalCodeOf(enc.shape);
+  uint32_t final_code =
+      index_cache_->GetElement(enc.quad_code)->FinalCodeOf(enc.shape);
   if (final_code == UINT32_MAX) {
-    if (!allow_register) {
-      return enc.index_value;
-    }
-    // Provisional code: next unused in the element (update path, §IV-C).
-    uint32_t max_code = 0;
-    bool any = false;
-    for (const auto& [bits, code] : element->shapes) {
-      (void)bits;
-      max_code = std::max(max_code, code);
-      any = true;
-    }
-    final_code = any ? max_code + 1 : 0;
-    index_cache_->AddShape(enc.quad_code, enc.shape, final_code);
-    buffer_cache_.Add(enc.quad_code, enc.shape);
-    if (registered_new != nullptr) *registered_new = true;
+    // Update path (§IV-C): a free code next to the most similar shapes.
+    final_code = index_cache_->PlaceShapes(enc.quad_code, {enc.shape})[0];
   }
   return tshape_index_->IndexValue(enc.quad_code, final_code);
 }
@@ -437,54 +362,42 @@ Status TMan::BulkLoad(const std::vector<traj::Trajectory>& trajectories) {
       }
       encodings.push_back(enc);
     } else {
-      spatial_values[i] = SpatialValue(t, /*allow_register=*/false, nullptr);
+      spatial_values[i] = SpatialValue(t);
     }
   }
 
   if (optimizing) {
-    // Pass 2: per-element shape-order optimization (greedy/genetic TSP).
+    // Pass 2: the shapes of elements that hold none yet are put in
+    // optimized order (greedy/genetic TSP) on the cluster pool; the index
+    // cache spreads them over the element's code space. Shapes new to an
+    // element that holds some are placed one by one, as Insert places
+    // them, so no code already written changes.
+    std::vector<std::pair<uint64_t, std::vector<uint32_t>>> elements(
+        std::make_move_iterator(element_shapes.begin()),
+        std::make_move_iterator(element_shapes.end()));
+    std::vector<size_t> fresh;
+    for (size_t i = 0; i < elements.size(); i++) {
+      if (index_cache_->GetElement(elements[i].first)->shapes.empty()) {
+        fresh.push_back(i);
+      }
+    }
+    cluster_->pool()->ParallelFor(fresh.size(), [&](size_t f) {
+      std::vector<uint32_t>& shapes = elements[fresh[f]].second;
+      const std::vector<uint32_t> order = index::OptimizeShapeOrder(
+          shapes, options_.encoding, options_.genetic);
+      std::vector<uint32_t> ordered(order.size());
+      for (size_t p = 0; p < order.size(); p++) ordered[p] = shapes[order[p]];
+      shapes = std::move(ordered);
+    });
     std::unordered_map<uint64_t, std::unordered_map<uint32_t, uint32_t>>
         final_codes;
-    std::vector<std::pair<uint64_t, const std::vector<uint32_t>*>> fresh;
-    for (const auto& [quad_code, shapes] : element_shapes) {
-      // Merge with shapes already known for this element (incremental
-      // loads keep existing codes stable; new shapes are appended).
-      auto existing = index_cache_->GetElement(quad_code);
-      if (existing->shapes.empty()) {
-        fresh.emplace_back(quad_code, &shapes);
-        continue;
+    for (const auto& [quad_code, shapes] : elements) {
+      const std::vector<uint32_t> codes =
+          index_cache_->PlaceShapes(quad_code, shapes);
+      auto& element_codes = final_codes[quad_code];
+      for (size_t j = 0; j < shapes.size(); j++) {
+        element_codes[shapes[j]] = codes[j];
       }
-      std::unordered_map<uint32_t, uint32_t> codes;
-      uint32_t max_code = 0;
-      for (const auto& [bits, code] : existing->shapes) {
-        codes[bits] = code;
-        max_code = std::max(max_code, code);
-      }
-      for (uint32_t bits : shapes) {
-        if (codes.find(bits) == codes.end()) {
-          codes[bits] = ++max_code;
-          index_cache_->AddShape(quad_code, bits, codes[bits]);
-        }
-      }
-      final_codes[quad_code] = std::move(codes);
-    }
-    std::vector<std::vector<uint32_t>> orders(fresh.size());
-    cluster_->pool()->ParallelFor(fresh.size(), [&](size_t i) {
-      orders[i] = index::OptimizeShapeOrder(*fresh[i].second,
-                                            options_.encoding,
-                                            options_.genetic);
-    });
-    for (size_t i = 0; i < fresh.size(); i++) {
-      const auto& [quad_code, shapes] = fresh[i];
-      std::vector<std::pair<uint32_t, uint32_t>> mapping;
-      std::unordered_map<uint32_t, uint32_t> codes;
-      mapping.reserve(orders[i].size());
-      for (uint32_t pos = 0; pos < orders[i].size(); pos++) {
-        mapping.emplace_back((*shapes)[orders[i][pos]], pos);
-        codes[(*shapes)[orders[i][pos]]] = pos;
-      }
-      index_cache_->PutElement(quad_code, std::move(mapping));
-      final_codes[quad_code] = std::move(codes);
     }
     for (size_t i = 0; i < trajectories.size(); i++) {
       const index::TShapeEncoding& enc = encodings[i];
@@ -505,124 +418,9 @@ Status TMan::Insert(const std::vector<traj::Trajectory>& trajectories) {
       return Status::InvalidArgument("empty trajectory " + t.tid);
     }
     temporal_values[i] = TemporalValue(t.start_time(), t.end_time());
-    spatial_values[i] = SpatialValue(t, /*allow_register=*/true, nullptr);
+    spatial_values[i] = SpatialValue(t);
   }
-  Status s = WriteRows(trajectories, temporal_values, spatial_values);
-  if (!s.ok()) return s;
-
-  if (buffer_cache_.size() >= options_.buffer_shape_threshold) {
-    s = ReencodeBufferedElements();
-  }
-  return s;
-}
-
-Status TMan::ReencodeBufferedElements() {
-  // Only the spatial-primary layout supports targeted row rewrites (value
-  // ranges of the primary key are spatial). Other layouts keep the
-  // provisional codes, which stay correct, just sub-optimally ordered.
-  const auto buffered = buffer_cache_.Drain();
-  if (options_.primary != PrimaryIndexKind::kSpatial ||
-      options_.spatial != SpatialIndexKind::kTShape) {
-    return Status::OK();
-  }
-  reencode_count_++;
-  if (reencodes_metric_ != nullptr) reencodes_metric_->Inc();
-
-  // Order: every element's shapes are re-ordered on the cluster pool. A
-  // shape whose final code changed moves its rows from the old index value
-  // to the new one (§IV-C).
-  struct Element {
-    uint64_t quad_code = 0;
-    std::vector<uint32_t> bitmaps;
-    std::vector<uint32_t> old_codes;  // old_codes[i]: code of bitmaps[i]
-    index::ShapeList mapping;         // (bitmap, new code), new-code order
-    std::vector<std::pair<uint64_t, uint64_t>> moved;  // (old, new) value
-  };
-  std::vector<Element> elements;
-  for (const auto& [quad_code, new_bits] : buffered) {
-    (void)new_bits;
-    auto element = index_cache_->GetElement(quad_code);
-    if (element->shapes.empty()) continue;
-    Element e;
-    e.quad_code = quad_code;
-    for (const auto& [bits, code] : element->shapes) {
-      e.bitmaps.push_back(bits);
-      e.old_codes.push_back(code);
-    }
-    elements.push_back(std::move(e));
-  }
-  cluster_->pool()->ParallelFor(elements.size(), [&](size_t i) {
-    Element& e = elements[i];
-    const std::vector<uint32_t> order = index::OptimizeShapeOrder(
-        e.bitmaps, options_.encoding, options_.genetic);
-    e.mapping.reserve(order.size());
-    for (uint32_t pos = 0; pos < order.size(); pos++) {
-      e.mapping.emplace_back(e.bitmaps[order[pos]], pos);
-      const uint32_t old_code = e.old_codes[order[pos]];
-      if (old_code != pos) {
-        e.moved.emplace_back(tshape_index_->IndexValue(e.quad_code, old_code),
-                             tshape_index_->IndexValue(e.quad_code, pos));
-      }
-    }
-  });
-
-  // Collect: one MultiScan over the sorted old values reads every row that
-  // moves. The new order is a permutation of the old codes, so all rows are
-  // read before any is written — a swapped pair of codes would otherwise
-  // clobber each other's rows.
-  std::unordered_map<uint64_t, uint64_t> new_value_of;
-  std::vector<index::ValueRange> old_values;
-  for (const Element& e : elements) {
-    for (const auto& [old_value, new_value] : e.moved) {
-      new_value_of.emplace(old_value, new_value);
-      old_values.push_back(index::ValueRange{old_value, old_value});
-    }
-  }
-  std::vector<std::string> old_keys;
-  std::vector<cluster::Row> moved_rows;
-  if (!old_values.empty()) {
-    MoveCollector collector(&new_value_of, &old_keys, &moved_rows);
-    Status s = primary_->MultiScan(
-        WindowsForRanges(index::MergeRanges(std::move(old_values)),
-                         options_.num_shards),
-        nullptr, 0, &collector, nullptr);
-    if (!s.ok()) return s;
-  }
-
-  // Write: each move is delete-old plus put-new in its region's batch (the
-  // keys share the shard byte, so one region in the default layout). The
-  // secondaries are repointed next, and the new codes are published last:
-  // a query planned on the new catalog finds every row at its new key.
-  Status s = primary_->BatchWrite(old_keys, moved_rows);
-  if (!s.ok()) return s;
-  // Secondary rows key on (tr value, tid)/(oid, tr value, tid), which are
-  // unchanged — but their values are the primary key, which moved.
-  std::vector<cluster::Row> tr_rows, idt_rows;
-  for (const cluster::Row& row : moved_rows) {
-    RecordHeader header;
-    if (!DecodeRecordHeader(row.value, &header)) continue;
-    const uint64_t tr_value = TemporalValue(header.ts, header.te);
-    tr_rows.push_back(cluster::Row{
-        SecondaryTRKey(ShardOfTid(header.tid, options_.num_shards), tr_value,
-                       header.tid),
-        row.key});
-    idt_rows.push_back(cluster::Row{
-        IDTKey(ShardOfOid(header.oid, options_.num_shards), header.oid,
-               tr_value, header.tid),
-        row.key});
-  }
-  s = tr_table_->BatchPut(tr_rows);
-  if (!s.ok()) return s;
-  s = idt_table_->BatchPut(idt_rows);
-  if (!s.ok()) return s;
-  for (Element& e : elements) {
-    index_cache_->PutElement(e.quad_code, std::move(e.mapping));
-  }
-  rows_rewritten_ += moved_rows.size();
-  if (rows_rewritten_metric_ != nullptr) {
-    rows_rewritten_metric_->Inc(moved_rows.size());
-  }
-  return Status::OK();
+  return WriteRows(trajectories, temporal_values, spatial_values);
 }
 
 Status TMan::DeleteTrajectory(const std::string& oid, const std::string& tid) {
@@ -1183,8 +981,7 @@ std::string TMan::StatusJson() {
          std::to_string(index_cache_->occupied_elements());
   out += ",\"occupancy_bytes\":" +
          std::to_string(index_cache_->occupancy_bytes());
-  out += ",\"buffered_shapes\":" + std::to_string(buffer_cache_.size());
-  out += ",\"reencodes\":" + std::to_string(reencode_count());
+  out += ",\"shapes\":" + std::to_string(index_cache_->registered_shapes());
   out += "}";
 
   if (trace_ring_ != nullptr) {

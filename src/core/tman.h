@@ -1,7 +1,6 @@
 #ifndef TMAN_CORE_TMAN_H_
 #define TMAN_CORE_TMAN_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
@@ -37,6 +36,16 @@ namespace tman::core {
 
 // TMan: trajectory storage and query processing over the simulated
 // key-value cluster. One instance manages one dataset.
+//
+// Thread safety: every public method may be called concurrently with any
+// other, including writers with writers (BulkLoad, Insert,
+// DeleteTrajectory) and writers with queries. Writers agree on shape codes
+// through IndexCache::PlaceShapes, which holds the element's lock across
+// reading its shapes, picking codes and registering them, so each bitmap
+// gets exactly one code per element. A written row never moves: its key
+// is fixed by codes that never change. A query sees each row whose write
+// finished before the query started; rows written meanwhile may or may not
+// be returned, and are returned only if they match.
 class TMan {
  public:
   static Status Open(const TManOptions& options, const std::string& path,
@@ -49,13 +58,15 @@ class TMan {
 
   const TManOptions& options() const { return options_; }
 
-  // Bulk load: shape codes of each enlarged element are optimized jointly
-  // (§IV-A2(3)) before rows are written. Use for initial dataset loads.
+  // Bulk load: the shapes of each enlarged element that holds none yet are
+  // ordered jointly (§IV-A2(3)) and given codes spread over the element's
+  // code space before rows are written; shapes new to an element that
+  // holds some are placed as Insert places them. Use for initial loads.
   Status BulkLoad(const std::vector<traj::Trajectory>& trajectories);
 
-  // Incremental insert (§IV-C): unseen shapes get provisional codes via the
-  // buffer shape cache; crossing the threshold triggers a re-encode that
-  // rewrites rows whose codes changed.
+  // Incremental insert (§IV-C's aim without its row moves): an unseen
+  // shape takes a free code between its most similar shapes in its
+  // element's code order. No written row is rewritten.
   Status Insert(const std::vector<traj::Trajectory>& trajectories);
 
   // Removes one trajectory (primary row and secondary index rows).
@@ -132,18 +143,10 @@ class TMan {
   Executor* executor() { return executor_.get(); }
   IndexCache* index_cache() { return index_cache_.get(); }
   cache::RedisLikeStore* redis() { return &redis_; }
-  uint64_t reencode_count() const {
-    return reencode_count_.load(std::memory_order_relaxed);
-  }
 
   // The region balancer (null unless TManOptions::balancer.enabled).
   cluster::RegionBalancer* balancer() { return balancer_.get(); }
   cluster::ClusterTable* primary_table() { return primary_; }
-
-  // Number of re-encoded shape-row rewrites performed so far.
-  uint64_t rows_rewritten() const {
-    return rows_rewritten_.load(std::memory_order_relaxed);
-  }
 
   // Publishes point-in-time storage gauges (memtable/SSTable bytes) to the
   // registry configured in TManOptions::kv.metrics. Event counters and
@@ -165,7 +168,7 @@ class TMan {
   obs::TraceRing* trace_ring() { return trace_ring_.get(); }
 
   // The /statusz document: build info, uptime, storage gauges, the shape
-  // catalog (occupancy set, buffered shapes, re-encodes) and the
+  // catalog (occupancy set, registered shapes) and the
   // per-region DB::Stats breakdown of every table, as JSON.
   std::string StatusJson();
 
@@ -185,9 +188,9 @@ class TMan {
   // Temporal index value of a trajectory (TR or XZT).
   uint64_t TemporalValue(int64_t ts, int64_t te) const;
 
-  // Spatial index value; for TShape with cache this is the optimized code.
-  uint64_t SpatialValue(const traj::Trajectory& t, bool allow_register,
-                        bool* registered_new);
+  // Spatial index value; for TShape with the index cache this carries the
+  // shape's final code, registering the shape if its element lacks it.
+  uint64_t SpatialValue(const traj::Trajectory& t);
 
   // Primary-table rowkey of a trajectory.
   std::string PrimaryKeyOf(const traj::Trajectory& t, uint64_t temporal_value,
@@ -215,9 +218,6 @@ class TMan {
                                  const Stopwatch& total) {
     if (histogram != nullptr) histogram->RecordMicros(total.ElapsedMicros());
   }
-
-  // Re-encode pass over elements with buffered shapes (§IV-C).
-  Status ReencodeBufferedElements();
 
   // Root span of a query: created when the caller asked for a trace (and
   // passed stats to hand it back through) or when slow-query capture is
@@ -267,10 +267,6 @@ class TMan {
   std::unique_ptr<IndexCache> index_cache_;
   std::unique_ptr<QueryPlanner> planner_;
   std::unique_ptr<Executor> executor_;
-  BufferShapeCache buffer_cache_;
-  // Atomic: /statusz reads them while a writer re-encodes.
-  std::atomic<uint64_t> reencode_count_{0};
-  std::atomic<uint64_t> rows_rewritten_{0};
 
   // Registry handles, resolved in Init() from TManOptions::kv.metrics
   // (all null = metrics off).
@@ -281,8 +277,6 @@ class TMan {
   obs::Histogram* q_sim_threshold_micros_ = nullptr;
   obs::Histogram* q_sim_topk_micros_ = nullptr;
   obs::Histogram* q_count_micros_ = nullptr;
-  obs::Counter* reencodes_metric_ = nullptr;
-  obs::Counter* rows_rewritten_metric_ = nullptr;
   obs::Counter* slow_queries_metric_ = nullptr;
 
   // Telemetry plane (all unset when telemetry_port < 0). The server and

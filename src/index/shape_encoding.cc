@@ -174,4 +174,47 @@ std::vector<uint32_t> OptimizeShapeOrder(const std::vector<uint32_t>& shapes,
   return {};
 }
 
+std::vector<uint32_t> SpreadCodes(size_t n, uint64_t code_space) {
+  std::vector<uint32_t> codes(n);
+  for (size_t p = 0; p < n; p++) {
+    codes[p] = static_cast<uint32_t>(((2 * p + 1) * code_space - n) / (2 * n));
+  }
+  return codes;
+}
+
+uint32_t PlaceShape(const ShapeList& shapes, uint32_t bits,
+                    uint64_t code_space) {
+  // Position k puts the shape between shapes[k - 1] and shapes[k]; an end
+  // position gains one neighbour and breaks no link.
+  const size_t m = shapes.size();
+  size_t best = 0;
+  double best_gain = -2;
+  for (size_t k = 0; k <= m; k++) {
+    double gain = 0;
+    if (k > 0) gain += JaccardSimilarity(shapes[k - 1].first, bits);
+    if (k < m) gain += JaccardSimilarity(bits, shapes[k].first);
+    if (k > 0 && k < m) {
+      gain -= JaccardSimilarity(shapes[k - 1].first, shapes[k].first);
+    }
+    if (gain > best_gain) {
+      best_gain = gain;
+      best = k;
+    }
+  }
+  // The free codes between the two neighbours are [lo, hi].
+  const int64_t lo = best > 0 ? int64_t{shapes[best - 1].second} + 1 : 0;
+  const int64_t hi = best < m ? int64_t{shapes[best].second} - 1
+                              : static_cast<int64_t>(code_space) - 1;
+  if (lo <= hi) return static_cast<uint32_t>(lo + (hi - lo) / 2);
+  // No code between them: walk outward over the used codes on each side.
+  int64_t below = lo - 1;
+  for (size_t i = best; i > 0 && shapes[i - 1].second == below; i--) below--;
+  int64_t above = hi + 1;
+  for (size_t j = best; j < m && shapes[j].second == above; j++) above++;
+  const bool use_below =
+      below >= 0 && (above >= static_cast<int64_t>(code_space) ||
+                     lo - below <= above - hi);
+  return static_cast<uint32_t>(use_below ? below : above);
+}
+
 }  // namespace tman::index

@@ -1,7 +1,9 @@
 #ifndef TMAN_INDEX_SHAPE_ENCODING_H_
 #define TMAN_INDEX_SHAPE_ENCODING_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace tman::index {
@@ -12,6 +14,10 @@ namespace tman::index {
 // space. Maximising the cumulative Jaccard similarity of adjacent codes is
 // a longest-Hamiltonian-path variant of the TSP; the paper solves it with
 // a greedy heuristic and a genetic algorithm.
+
+// The shapes used in one enlarged element, as (raw bitmap, final code)
+// pairs.
+using ShapeList = std::vector<std::pair<uint32_t, uint32_t>>;
 
 // Jaccard similarity of two cell bitsets: |a&b| / |a|b|. Two empty shapes
 // are defined as identical (similarity 1).
@@ -39,6 +45,24 @@ struct GeneticParams {
 std::vector<uint32_t> OptimizeShapeOrder(const std::vector<uint32_t>& shapes,
                                          ShapeOrderMethod method,
                                          const GeneticParams& params = {});
+
+// Gapped final codes. Codes are never renumbered once rows carry them, so
+// an element's shapes are not packed into 0..n-1: the n shapes of an
+// element that starts empty, in optimized order, get codes spread evenly
+// over its `code_space` codes, the shape at position p in the middle of
+// the p-th of n equal slots, floor((p + 1/2) * code_space / n - 1/2).
+// Codes are strictly increasing; the last is code_space - 1 only when
+// n == code_space, which gives the dense codes 0..n-1.
+std::vector<uint32_t> SpreadCodes(size_t n, uint64_t code_space);
+
+// The code for a shape `bits` new to an element holding `shapes` (sorted
+// by code; fewer than `code_space` of them): cheapest insertion into the
+// element's code order under the objective OptimizeShapeOrder maximises,
+// i.e. the position whose neighbours gain the most Jaccard similarity,
+// then the middle free code between those neighbours, or the free code
+// nearest to them if no code lies between.
+uint32_t PlaceShape(const ShapeList& shapes, uint32_t bits,
+                    uint64_t code_space);
 
 }  // namespace tman::index
 

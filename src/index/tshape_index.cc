@@ -134,12 +134,20 @@ std::vector<ValueRange> TShapeIndex::QueryRanges(
         // Held for the loop: a concurrent write may drop the catalog's own
         // reference to this list.
         const std::shared_ptr<const ShapeList> shapes = catalog->Shapes(code);
+        bool in_run = false;  // the previous shape touched the query
         for (const auto& [bits, final_code] : *shapes) {
           if (stats != nullptr) stats->shapes_checked++;
-          if (TShapeIntersectsImpl(cfg_, cell, bits, query)) {
-            const uint64_t v = IndexValue(code, final_code);
+          if (!TShapeIntersectsImpl(cfg_, cell, bits, query)) {
+            in_run = false;
+            continue;
+          }
+          const uint64_t v = IndexValue(code, final_code);
+          if (in_run) {
+            ranges.back().hi = v;  // spans the unused codes since the last
+          } else {
             ranges.push_back(ValueRange{v, v});
           }
+          in_run = true;
         }
       }
     } else {

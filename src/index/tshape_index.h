@@ -3,11 +3,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "geo/geometry.h"
 #include "index/quadkey.h"
+#include "index/shape_encoding.h"
 #include "index/value_range.h"
 
 namespace tman::index {
@@ -37,10 +37,6 @@ struct TShapeEncoding {
   uint64_t index_value;  // Eq. 3 with the raw bitmap as shape code
 };
 
-// The shapes used in one enlarged element, as (raw bitmap, final code)
-// pairs.
-using ShapeList = std::vector<std::pair<uint32_t, uint32_t>>;
-
 // Read-only view of a shape catalog (paper §IV-B(3)) as TShape query
 // processing consumes it: where the occupied elements are and which shapes
 // each holds. Backed by TMan's index cache; a null view switches queries to
@@ -54,8 +50,9 @@ class ShapeCatalogView {
   // does.
   virtual uint64_t NextOccupied(uint64_t quad_code) const = 0;
 
-  // The shapes of an occupied element, shared rather than copied; never
-  // null.
+  // The shapes of an occupied element, sorted by final code, shared rather
+  // than copied; never null. The planner relies on the order: the codes
+  // between two consecutive shapes are unused.
   virtual std::shared_ptr<const ShapeList> Shapes(uint64_t quad_code) const = 0;
 
  protected:
@@ -75,7 +72,7 @@ class TShapeIndex {
   // the polyline intersects cell (anchor.x+dx, anchor.y+dy).
   TShapeEncoding Encode(const std::vector<geo::TimedPoint>& points) const;
 
-  // Index value for an element code and a (possibly re-encoded) shape code.
+  // Index value for an element code and a shape code (raw or final).
   uint64_t IndexValue(uint64_t quad_code, uint32_t shape_code) const {
     return (quad_code << cfg_.shape_bits()) | shape_code;
   }
@@ -99,9 +96,13 @@ class TShapeIndex {
 
   // Algorithm 2. With a `catalog`, cells whose subtree holds no occupied
   // element are skipped with everything below them, and intersecting
-  // elements contribute only the used shapes that touch the query; without
-  // one (no index cache) every intersecting element contributes its entire
-  // shape-code range and the storage-layer filter does the pruning.
+  // elements contribute only the used shapes that touch the query: one
+  // range per run of consecutive shapes (in code order) that all touch it,
+  // spanning the unused codes between them. Those codes hold no row when
+  // the plan is made; a row written into one later is dropped by the
+  // plan's exact push-down filter if it misses the query. Without a
+  // catalog (no index cache) every intersecting element contributes its
+  // entire shape-code range and the storage-layer filter does the pruning.
   std::vector<ValueRange> QueryRanges(const geo::MBR& query,
                                       const ShapeCatalogView* catalog,
                                       QueryStats* stats = nullptr) const;

@@ -346,7 +346,8 @@ std::string MetricsRegistry::RenderPrometheus() const {
       out += "# TYPE " + rate_name.substr(0, rate_name.find('{')) + " gauge\n";
       out += rate_name + " ";
       AppendDouble(&out, w.rate_per_sec);
-      out += "\n" + WithSuffix(StripTotal(name), "_window_seconds") + " ";
+      out += "\n";
+      out += WithSuffix(StripTotal(name), "_window_seconds") + " ";
       AppendDouble(&out, w.span_seconds);
       out += "\n";
     }
@@ -371,11 +372,14 @@ std::string MetricsRegistry::RenderPrometheus() const {
     }
     out += WithSuffix(name, "_sum") + " ";
     AppendU64(&out, snap.sum);
-    out += "\n" + WithSuffix(name, "_count") + " ";
+    out += "\n";
+    out += WithSuffix(name, "_count") + " ";
     AppendU64(&out, snap.count);
-    out += "\n" + WithSuffix(name, "_min") + " ";
+    out += "\n";
+    out += WithSuffix(name, "_min") + " ";
     AppendU64(&out, snap.min);
-    out += "\n" + WithSuffix(name, "_max") + " ";
+    out += "\n";
+    out += WithSuffix(name, "_max") + " ";
     AppendU64(&out, snap.max);
     out += "\n";
     if (windows) {

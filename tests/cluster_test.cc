@@ -38,12 +38,14 @@ TEST(ClusterTest, PutGetRoutesByShard) {
   ASSERT_TRUE(cluster.CreateTable("t", 4).ok());
   ClusterTable* table = cluster.GetTable("t");
   for (uint8_t shard = 0; shard < 4; shard++) {
-    ASSERT_TRUE(table->Put(Key(shard, 100), "v" + std::to_string(shard)).ok());
+    ASSERT_TRUE(
+        table->Put(Key(shard, 100), std::string("v").append(std::to_string(shard)))
+            .ok());
   }
   for (uint8_t shard = 0; shard < 4; shard++) {
     std::string value;
     ASSERT_TRUE(table->Get(Key(shard, 100), &value).ok());
-    EXPECT_EQ(value, "v" + std::to_string(shard));
+    EXPECT_EQ(value, std::string("v").append(std::to_string(shard)));
   }
 }
 
@@ -130,55 +132,6 @@ TEST(ClusterTest, BatchPutGroupsAtomicallyPerShard) {
   std::string value;
   EXPECT_TRUE(table->Get(Key(0, 2), &value).ok());
   EXPECT_EQ(value, "c");
-}
-
-TEST(ClusterTest, BatchWriteMixesDeletesAndPutsAcrossRegions) {
-  Cluster cluster(TestDir("batch_write"), 3, kv::Options());
-  ASSERT_TRUE(cluster.CreateTable("t", 4).ok());
-  ClusterTable* table = cluster.GetTable("t");
-  std::vector<Row> rows;
-  for (uint8_t shard = 0; shard < 4; shard++) {
-    for (uint64_t v = 0; v < 10; v++) {
-      rows.push_back(Row{Key(shard, v), "old"});
-    }
-  }
-  ASSERT_TRUE(table->BatchPut(rows).ok());
-
-  // Every region moves its rows at values 0..4 to values 100..104, and
-  // deletes and re-puts value 9 in the same call: the put wins.
-  std::vector<std::string> deletes;
-  std::vector<Row> puts;
-  for (uint8_t shard = 0; shard < 4; shard++) {
-    for (uint64_t v = 0; v < 5; v++) {
-      deletes.push_back(Key(shard, v));
-      puts.push_back(Row{Key(shard, 100 + v), "moved"});
-    }
-    deletes.push_back(Key(shard, 9));
-    puts.push_back(Row{Key(shard, 9), "new"});
-  }
-  ASSERT_TRUE(table->BatchWrite(deletes, puts).ok());
-
-  std::vector<Row> out;
-  CollectRowsSink sink(&out);
-  ASSERT_TRUE(
-      table->MultiScan({KeyRange{"", ""}}, nullptr, 0, &sink, nullptr).ok());
-  std::sort(out.begin(), out.end(),
-            [](const Row& a, const Row& b) { return a.key < b.key; });
-  std::vector<Row> want;
-  for (uint8_t shard = 0; shard < 4; shard++) {
-    for (uint64_t v = 5; v < 9; v++) want.push_back(Row{Key(shard, v), "old"});
-    want.push_back(Row{Key(shard, 9), "new"});
-    for (uint64_t v = 0; v < 5; v++) {
-      want.push_back(Row{Key(shard, 100 + v), "moved"});
-    }
-  }
-  ASSERT_EQ(out.size(), want.size());
-  for (size_t i = 0; i < want.size(); i++) {
-    EXPECT_EQ(out[i].key, want[i].key) << i;
-    EXPECT_EQ(out[i].value, want[i].value) << i;
-  }
-  // An empty call writes nothing and succeeds.
-  EXPECT_TRUE(table->BatchWrite({}, {}).ok());
 }
 
 TEST(ClusterTest, DeleteRemovesRow) {

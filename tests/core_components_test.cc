@@ -10,6 +10,9 @@
 #include "core/index_cache.h"
 #include "core/record.h"
 #include "core/rowkey.h"
+#include "index/quadkey.h"
+#include "index/shape_encoding.h"
+#include "index/tshape_index.h"
 #include "traj/generator.h"
 
 namespace tman::core {
@@ -107,7 +110,7 @@ TEST(RowkeyTest, TidRecovery) {
 TEST(RowkeyTest, ShardsAreStableAndInRange) {
   for (int shards : {1, 4, 8, 16}) {
     for (int i = 0; i < 100; i++) {
-      const std::string tid = "t" + std::to_string(i);
+      const std::string tid = std::string("t").append(std::to_string(i));
       const uint8_t s1 = ShardOfTid(tid, shards);
       const uint8_t s2 = ShardOfTid(tid, shards);
       EXPECT_EQ(s1, s2);
@@ -317,50 +320,61 @@ TEST(FiltersTest, MBRDistanceRoundsDeliverEachRowOnce) {
 // ---------------------------------------------------------------------------
 // IndexCache
 
-TEST(IndexCacheTest, PutAndGetElement) {
+TEST(IndexCacheTest, PlaceShapesSpreadsAFreshElement) {
   cache::RedisLikeStore redis;
-  IndexCache cache(&redis, 16);
-  cache.PutElement(42, {{0b101, 0}, {0b110, 1}, {0b011, 2}});
+  IndexCache cache(&redis, 16, 9);
+  const std::vector<uint32_t> codes = cache.PlaceShapes(42, {0b101, 0b110, 0b011});
+  EXPECT_EQ(codes, index::SpreadCodes(3, 512));
+  EXPECT_EQ(codes, (std::vector<uint32_t>{84, 255, 426}));
   auto element = cache.GetElement(42);
   ASSERT_EQ(element->shapes.size(), 3u);
-  EXPECT_EQ(element->FinalCodeOf(0b101), 0u);
-  EXPECT_EQ(element->FinalCodeOf(0b110), 1u);
+  EXPECT_EQ(element->FinalCodeOf(0b101), 84u);
+  EXPECT_EQ(element->FinalCodeOf(0b110), 255u);
   EXPECT_EQ(element->FinalCodeOf(0b111), UINT32_MAX);
+  EXPECT_EQ(cache.registered_shapes(), 3u);
   // Missing elements yield an empty map, not null.
   EXPECT_TRUE(cache.GetElement(999)->shapes.empty());
 }
 
 TEST(IndexCacheTest, SurvivesLFUEvictionViaRedis) {
   cache::RedisLikeStore redis;
-  IndexCache cache(&redis, 2);  // tiny LFU
+  IndexCache cache(&redis, 2, 9);  // tiny LFU
   for (uint64_t e = 0; e < 10; e++) {
-    cache.PutElement(e, {{static_cast<uint32_t>(e + 1), 0}});
+    cache.PlaceShapes(e, {static_cast<uint32_t>(e + 1)});
   }
   // Everything is still reachable: evicted entries reload from Redis.
   for (uint64_t e = 0; e < 10; e++) {
     auto element = cache.GetElement(e);
     ASSERT_EQ(element->shapes.size(), 1u) << e;
     EXPECT_EQ(element->shapes[0].first, e + 1);
+    EXPECT_EQ(element->shapes[0].second, 255u);
   }
   EXPECT_GT(cache.redis_loads(), 0u);
 }
 
-TEST(IndexCacheTest, AddShapeUpdatesResidentEntry) {
+TEST(IndexCacheTest, PlacedCodesNeverChange) {
   cache::RedisLikeStore redis;
-  IndexCache cache(&redis, 8);
-  cache.PutElement(7, {{0b1, 0}});
-  cache.AddShape(7, 0b10, 1);
+  IndexCache cache(&redis, 8, 9);
+  const uint32_t first = cache.PlaceShapes(7, {0b1})[0];
+  const uint32_t second = cache.PlaceShapes(7, {0b10})[0];
+  EXPECT_NE(first, second);
   auto element = cache.GetElement(7);
-  EXPECT_EQ(element->FinalCodeOf(0b10), 1u);
-  EXPECT_EQ(element->shapes.size(), 2u);
+  ASSERT_EQ(element->shapes.size(), 2u);
+  EXPECT_EQ(element->FinalCodeOf(0b1), first);
+  EXPECT_EQ(element->FinalCodeOf(0b10), second);
+  EXPECT_LT(element->shapes[0].second, element->shapes[1].second);
+  // Known bitmaps keep their codes and register nothing.
+  EXPECT_EQ(cache.PlaceShapes(7, {0b10, 0b1}),
+            (std::vector<uint32_t>{second, first}));
+  EXPECT_EQ(cache.registered_shapes(), 2u);
 }
 
 TEST(IndexCacheTest, CatalogViewSharesShapesAndTracksOccupancy) {
   cache::RedisLikeStore redis;
-  IndexCache cache(&redis, 8);
+  IndexCache cache(&redis, 8, 9);
   EXPECT_EQ(cache.NextOccupied(0), UINT64_MAX);
-  cache.PutElement(3, {{0b11, 0}, {0b101, 1}});
-  cache.AddShape(40, 0b1, 0);
+  cache.PlaceShapes(3, {0b11, 0b101});
+  cache.PlaceShapes(40, {0b1});
   EXPECT_EQ(cache.occupied_elements(), 2u);
   EXPECT_GT(cache.occupancy_bytes(), 0u);
   EXPECT_EQ(cache.NextOccupied(0), 3u);
@@ -368,11 +382,11 @@ TEST(IndexCacheTest, CatalogViewSharesShapesAndTracksOccupancy) {
   EXPECT_EQ(cache.NextOccupied(4), 40u);
   EXPECT_EQ(cache.NextOccupied(41), UINT64_MAX);
 
-  // The view hands out the cached list itself, not a copy.
+  // The view hands out the cached list itself, not a copy, sorted by code.
   const auto shapes = cache.Shapes(3);
   ASSERT_EQ(shapes->size(), 2u);
-  EXPECT_EQ((*shapes)[0].second, 0u);
-  EXPECT_EQ((*shapes)[1].second, 1u);
+  EXPECT_EQ((*shapes)[0], std::make_pair(0b11u, 127u));
+  EXPECT_EQ((*shapes)[1], std::make_pair(0b101u, 383u));
   EXPECT_EQ(shapes.get(), &cache.GetElement(3)->shapes);
 
   // Unoccupied elements are answered without a Redis round trip.
@@ -381,19 +395,54 @@ TEST(IndexCacheTest, CatalogViewSharesShapesAndTracksOccupancy) {
   EXPECT_EQ(cache.redis_loads(), loads);
 }
 
-TEST(BufferShapeCacheTest, CountsDistinctShapesAndDrains) {
-  BufferShapeCache buffer;
-  EXPECT_EQ(buffer.Add(1, 0b01), 1u);
-  EXPECT_EQ(buffer.Add(1, 0b01), 1u);  // duplicate
-  EXPECT_EQ(buffer.Add(1, 0b10), 2u);
-  EXPECT_EQ(buffer.Add(2, 0b01), 3u);
-  EXPECT_TRUE(buffer.Contains(1, 0b10));
-  EXPECT_FALSE(buffer.Contains(2, 0b10));
+// A 2x2 element has 16 codes and 15 possible bitmaps. Filling it, first by
+// a spread batch and then one shape at a time until the gaps run out,
+// still gives every bitmap one distinct code, and the planner reads
+// exactly the shapes that touch each query.
+TEST(IndexCacheTest, FullTwoByTwoElementGetsDistinctCodesAndExactRanges) {
+  const index::TShapeIndex idx(index::TShapeConfig{2, 2, 8});
+  cache::RedisLikeStore redis;
+  IndexCache cache(&redis, 1, idx.config().shape_bits());
+  const index::QuadCell anchor = index::CellContaining(0.3, 0.3, 4);
+  const uint64_t code = index::QuadCode(anchor, 8);
 
-  const auto drained = buffer.Drain();
-  EXPECT_EQ(drained.size(), 2u);
-  EXPECT_EQ(buffer.size(), 0u);
-  EXPECT_FALSE(buffer.Contains(1, 0b01));
+  std::vector<uint32_t> codes = cache.PlaceShapes(code, {0b0011, 0b0111, 0b1111, 0b0101});
+  for (uint32_t bits : {0b0001u, 0b1000u, 0b1110u, 0b0010u, 0b1001u, 0b0110u,
+                        0b1100u, 0b0100u, 0b1011u, 0b1010u, 0b1101u}) {
+    codes.push_back(cache.PlaceShapes(code, {bits})[0]);
+  }
+  const auto shapes = cache.Shapes(code);
+  ASSERT_EQ(shapes->size(), 15u);
+  std::set<uint32_t> bitmaps;
+  for (size_t i = 0; i < shapes->size(); i++) {
+    bitmaps.insert((*shapes)[i].first);
+    EXPECT_LT((*shapes)[i].second, 16u);
+    if (i > 0) {
+      EXPECT_LT((*shapes)[i - 1].second, (*shapes)[i].second);
+    }
+  }
+  EXPECT_EQ(bitmaps.size(), 15u);
+  EXPECT_EQ(std::set<uint32_t>(codes.begin(), codes.end()).size(), 15u);
+
+  Random rnd(5);
+  const geo::MBR element = idx.EnlargedRect(anchor);
+  for (int q = 0; q < 200; q++) {
+    const double x = rnd.UniformDouble(element.min_x - 0.05, element.max_x);
+    const double y = rnd.UniformDouble(element.min_y - 0.05, element.max_y);
+    const geo::MBR query{x, y, x + rnd.UniformDouble(0.001, 0.1),
+                         y + rnd.UniformDouble(0.001, 0.1)};
+    const auto ranges = idx.QueryRanges(query, &cache);
+    const bool whole = query.Contains(element);
+    for (const auto& [bits, final_code] : *shapes) {
+      const uint64_t v = idx.IndexValue(code, final_code);
+      const bool read = std::any_of(ranges.begin(), ranges.end(),
+                                    [v](const index::ValueRange& r) {
+                                      return r.lo <= v && v <= r.hi;
+                                    });
+      EXPECT_EQ(read, whole || idx.ShapeIntersects(anchor, bits, query))
+          << "query " << q << " shape " << bits;
+    }
+  }
 }
 
 }  // namespace

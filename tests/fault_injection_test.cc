@@ -724,7 +724,9 @@ TEST(CrashRecoveryTest, RandomizedCrashesWithIngestAndTtl) {
       io.move_file = true;
       ASSERT_TRUE(db->IngestExternalFile(io, ext).ok());
       ingests_done = r + 1;
-      if (rng.Bernoulli(0.3)) ASSERT_TRUE(db->CompactAll().ok());
+      if (rng.Bernoulli(0.3)) {
+        ASSERT_TRUE(db->CompactAll().ok());
+      }
     }
     if (!fenv.crashed()) fenv.Crash();
     db.reset();

@@ -290,6 +290,111 @@ TEST_P(TShapeSweep, CatalogPruningKeepsEveryOccupiedShape) {
   }
 }
 
+// Algorithm 2 with one range per touching shape, recursively: whole
+// subtrees of contained cells, the touching shapes of intersected occupied
+// elements, nothing below an empty subtree. Ranges are not merged.
+void PerShapeRanges(const TShapeIndex& idx, const ShapeCatalogView& catalog,
+                    const QuadCell& cell, const geo::MBR& query,
+                    std::vector<ValueRange>* out) {
+  const int g = idx.config().max_resolution;
+  const geo::MBR enlarged = idx.EnlargedRect(cell);
+  if (!query.Intersects(enlarged)) return;
+  const uint64_t code = QuadCode(cell, g);
+  const uint64_t end = code + QuadSubtreeCount(cell.r, g);
+  if (catalog.NextOccupied(code) >= end) return;
+  if (query.Contains(enlarged)) {
+    out->push_back(ValueRange{idx.IndexValue(code, 0),
+                              idx.IndexValue(end, 0) - 1});
+    return;
+  }
+  if (catalog.NextOccupied(code) == code) {
+    for (const auto& [bits, final_code] : *catalog.Shapes(code)) {
+      if (!idx.ShapeIntersects(cell, bits, query)) continue;
+      const uint64_t v = idx.IndexValue(code, final_code);
+      out->push_back(ValueRange{v, v});
+    }
+  }
+  if (cell.r == g) return;
+  for (int q = 0; q < 4; q++) {
+    PerShapeRanges(idx, catalog, cell.Child(q), query, out);
+  }
+}
+
+// With dense codes 0..n-1 the planner's runs of touching shapes are
+// exactly the per-shape ranges merged. The same orders spread over gaps
+// (as BulkLoad assigns codes) give the same number of ranges, covering the
+// same shapes: spanning unused codes costs no window.
+TEST_P(TShapeSweep, GappedCodesKeepTheDenseRanges) {
+  const auto [alpha, beta] = GetParam();
+  TShapeIndex idx(TShapeConfig{alpha, beta, 12});
+  const uint64_t code_space = uint64_t{1} << idx.config().shape_bits();
+  Random rnd(alpha * 17 + beta);
+  for (int trial = 0; trial < 20; trial++) {
+    // A few elements, each with up to 30 distinct shapes in random order.
+    std::map<uint64_t, std::pair<QuadCell, std::vector<uint32_t>>> orders;
+    const int elements = 1 + static_cast<int>(rnd.Uniform(8));
+    for (int e = 0; e < elements; e++) {
+      const QuadCell anchor = CellContaining(
+          rnd.UniformDouble(0.2, 0.7), rnd.UniformDouble(0.2, 0.7),
+          1 + static_cast<int>(rnd.Uniform(12)));
+      auto& [cell, bitmaps] = orders[QuadCode(anchor, 12)];
+      cell = anchor;
+      const size_t n = 1 + rnd.Uniform(std::min<uint64_t>(30, code_space - 1));
+      while (bitmaps.size() < n) {
+        const uint32_t bits =
+            1 + static_cast<uint32_t>(rnd.Uniform(code_space - 1));
+        if (std::find(bitmaps.begin(), bitmaps.end(), bits) == bitmaps.end()) {
+          bitmaps.push_back(bits);
+        }
+      }
+    }
+    std::map<uint64_t, ShapeList> dense_elements, gapped_elements;
+    for (const auto& [code, element] : orders) {
+      const std::vector<uint32_t>& bitmaps = element.second;
+      const std::vector<uint32_t> spread =
+          SpreadCodes(bitmaps.size(), code_space);
+      for (uint32_t p = 0; p < bitmaps.size(); p++) {
+        dense_elements[code].emplace_back(bitmaps[p], p);
+        gapped_elements[code].emplace_back(bitmaps[p], spread[p]);
+      }
+    }
+    const MapCatalog dense(dense_elements);
+    const MapCatalog gapped(gapped_elements);
+
+    for (int q = 0; q < 10; q++) {
+      const double qx = rnd.UniformDouble(0.15, 0.7);
+      const double qy = rnd.UniformDouble(0.15, 0.7);
+      const geo::MBR query{qx, qy, qx + rnd.UniformDouble(0.005, 0.3),
+                           qy + rnd.UniformDouble(0.005, 0.3)};
+      std::vector<ValueRange> per_shape;
+      for (int c = 0; c < 4; c++) {
+        PerShapeRanges(idx, dense,
+                       QuadCell{1, static_cast<uint32_t>(c >> 1),
+                                static_cast<uint32_t>(c & 1)},
+                       query, &per_shape);
+      }
+      const auto dense_ranges = idx.QueryRanges(query, &dense);
+      EXPECT_EQ(dense_ranges, MergeRanges(per_shape))
+          << "trial " << trial << " query " << q;
+
+      const auto gapped_ranges = idx.QueryRanges(query, &gapped);
+      EXPECT_EQ(gapped_ranges.size(), dense_ranges.size())
+          << "trial " << trial << " query " << q;
+      for (const auto& [code, shapes] : dense_elements) {
+        const ShapeList& spread = gapped_elements.at(code);
+        for (size_t p = 0; p < shapes.size(); p++) {
+          EXPECT_EQ(
+              Covers(dense_ranges, idx.IndexValue(code, shapes[p].second),
+                     idx.IndexValue(code, shapes[p].second)),
+              Covers(gapped_ranges, idx.IndexValue(code, spread[p].second),
+                     idx.IndexValue(code, spread[p].second)))
+              << "trial " << trial << " query " << q << " shape " << p;
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Sizes, TShapeSweep,
                          ::testing::Values(ABCase{2, 2}, ABCase{2, 3},
                                            ABCase{3, 3}, ABCase{3, 4},

@@ -49,7 +49,8 @@ TEST(AsyncDBTest, GroupCommitConcurrentWriters) {
     threads.emplace_back([&, t] {
       WriteOptions wo;
       for (int i = 0; i < kWrites; i++) {
-        if (!db->Put(wo, Key(t, i), "v" + std::to_string(i)).ok()) {
+        if (!db->Put(wo, Key(t, i), std::string("v").append(std::to_string(i)))
+                 .ok()) {
           failures.fetch_add(1);
         }
       }
@@ -64,7 +65,7 @@ TEST(AsyncDBTest, GroupCommitConcurrentWriters) {
       std::string value;
       ASSERT_TRUE(db->Get(ReadOptions(), Key(t, i), &value).ok())
           << Key(t, i);
-      EXPECT_EQ(value, "v" + std::to_string(i));
+      EXPECT_EQ(value, std::string("v").append(std::to_string(i)));
     }
   }
   DB::Stats stats = db->GetStats();
@@ -160,7 +161,7 @@ TEST(AsyncDBTest, IteratorStableDuringFlushAndCompaction) {
   constexpr int kStable = 200;
   WriteOptions wo;
   for (int i = 0; i < kStable; i++) {
-    ASSERT_TRUE(db->Put(wo, "a" + Key(0, i), "stable").ok());
+    ASSERT_TRUE(db->Put(wo, std::string("a").append(Key(0, i)), "stable").ok());
   }
 
   // Snapshot *before* the churn starts.
@@ -173,13 +174,13 @@ TEST(AsyncDBTest, IteratorStableDuringFlushAndCompaction) {
     // completion so the flush count below is deterministic).
     for (int i = 0; i < 4000; i++) {
       std::string value(256, 'x');
-      ASSERT_TRUE(db->Put(wo, "b" + Key(1, i), value).ok());
+      ASSERT_TRUE(db->Put(wo, std::string("b").append(Key(1, i)), value).ok());
     }
   });
   std::thread readers([&] {
     while (!stop.load()) {
       std::string value;
-      Status s = db->Get(ReadOptions(), "a" + Key(0, 7), &value);
+      Status s = db->Get(ReadOptions(), std::string("a").append(Key(0, 7)), &value);
       ASSERT_TRUE(s.ok());
       ASSERT_EQ(value, "stable");
     }
@@ -366,7 +367,9 @@ TEST(AsyncDBTest, SynchronousModeMatchesAsync) {
 
     WriteOptions wo;
     for (int i = 0; i < 400; i++) {
-      ASSERT_TRUE(db->Put(wo, Key(0, i), "v" + std::to_string(i)).ok());
+      ASSERT_TRUE(
+          db->Put(wo, Key(0, i), std::string("v").append(std::to_string(i)))
+              .ok());
     }
     for (int i = 0; i < 400; i += 3) {
       ASSERT_TRUE(db->Delete(wo, Key(0, i)).ok());
@@ -380,7 +383,7 @@ TEST(AsyncDBTest, SynchronousModeMatchesAsync) {
         EXPECT_TRUE(s.IsNotFound()) << Key(0, i);
       } else {
         ASSERT_TRUE(s.ok()) << Key(0, i);
-        EXPECT_EQ(value, "v" + std::to_string(i));
+        EXPECT_EQ(value, std::string("v").append(std::to_string(i)));
       }
     }
   }

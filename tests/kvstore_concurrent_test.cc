@@ -38,7 +38,10 @@ std::string Key(int thread, int i) {
 }
 
 std::string Value(int thread, int i) {
-  return "v" + std::to_string(thread) + "-" + std::to_string(i);
+  return std::string("v")
+      .append(std::to_string(thread))
+      .append("-")
+      .append(std::to_string(i));
 }
 
 // ---------------------------------------------------------------------------

@@ -269,13 +269,15 @@ TEST(DBTest, SurvivesFlushAndReopen) {
     Options options;
     ASSERT_TRUE(DB::Open(options, dir, &db).ok());
     for (int i = 0; i < 500; i++) {
-      ASSERT_TRUE(
-          db->Put(wo, "k" + std::to_string(i), "v" + std::to_string(i)).ok());
+      ASSERT_TRUE(db->Put(wo, std::string("k").append(std::to_string(i)),
+                          std::string("v").append(std::to_string(i)))
+                      .ok());
     }
     ASSERT_TRUE(db->Flush().ok());
     for (int i = 500; i < 1000; i++) {  // these stay in the WAL/memtable
-      ASSERT_TRUE(
-          db->Put(wo, "k" + std::to_string(i), "v" + std::to_string(i)).ok());
+      ASSERT_TRUE(db->Put(wo, std::string("k").append(std::to_string(i)),
+                          std::string("v").append(std::to_string(i)))
+                      .ok());
     }
   }
   {
@@ -305,7 +307,7 @@ TEST(DBTest, IteratorSeesSortedUserKeys) {
     char key[16];
     snprintf(key, sizeof(key), "%08llu",
              static_cast<unsigned long long>(rnd.Uniform(1000)));
-    std::string value = "v" + std::to_string(i);
+    std::string value = std::string("v").append(std::to_string(i));
     model[key] = value;
     ASSERT_TRUE(db->Put(wo, key, value).ok());
   }

@@ -1,21 +1,27 @@
 #ifndef TMAN_TESTS_MAP_CATALOG_H_
 #define TMAN_TESTS_MAP_CATALOG_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <utility>
 
 #include "index/tshape_index.h"
 
 namespace tman::index {
 
 // A shape catalog over a plain map of element code -> shapes, for index
-// tests that run without TMan's index cache.
+// tests that run without TMan's index cache. Shapes are handed out sorted
+// by final code, as ShapeCatalogView::Shapes promises.
 class MapCatalog final : public ShapeCatalogView {
  public:
   explicit MapCatalog(const std::map<uint64_t, ShapeList>& elements) {
     for (const auto& [code, shapes] : elements) {
-      elements_.emplace(code, std::make_shared<const ShapeList>(shapes));
+      ShapeList sorted = shapes;
+      std::sort(sorted.begin(), sorted.end(),
+                [](const auto& a, const auto& b) { return a.second < b.second; });
+      elements_.emplace(code, std::make_shared<const ShapeList>(std::move(sorted)));
     }
   }
 

@@ -87,7 +87,8 @@ void LoadTieredDB(DB* db, uint32_t n, Random* rng) {
   auto put_range = [&](uint32_t lo, uint32_t hi) {
     for (uint32_t i = lo; i < hi; i++) {
       ASSERT_TRUE(db->Put(WriteOptions(), Key(i),
-                          "v" + std::to_string(rng->Uniform(1000)))
+                          std::string("v").append(
+                              std::to_string(rng->Uniform(1000))))
                       .ok());
     }
   };
@@ -281,8 +282,10 @@ TEST(MultiScanTest, DifferentialUnderConcurrentBackgroundWork) {
       Random wrng(100 + t);
       uint64_t i = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        std::string key = "z" + std::to_string(t) + "-" +
-                          std::to_string(wrng.Uniform(4096));
+        std::string key = std::string("z")
+                              .append(std::to_string(t))
+                              .append("-")
+                              .append(std::to_string(wrng.Uniform(4096)));
         EXPECT_TRUE(db->Put(WriteOptions(), key,
                             std::string(256, 'x') + std::to_string(i++))
                         .ok());
@@ -358,8 +361,9 @@ TEST(ClusterMultiScanTest, DifferentialAgainstOracle) {
   std::vector<cluster::Row> rows;
   for (int lead = 0; lead < kLeadBytes; lead++) {
     for (uint32_t i = 0; i < kPerByte; i++) {
-      cluster::Row row{std::string(1, static_cast<char>(lead)) + Key(i),
-                       "v" + std::to_string(rng.Uniform(1000))};
+      cluster::Row row{std::string(1, static_cast<char>(lead)).append(Key(i)),
+                       std::string("v").append(
+                           std::to_string(rng.Uniform(1000)))};
       data[row.key] = row.value;
       rows.push_back(std::move(row));
     }
@@ -374,7 +378,8 @@ TEST(ClusterMultiScanTest, DifferentialAgainstOracle) {
       ASSERT_TRUE(table->Delete(key).ok());
       data.erase(key);
     } else {
-      const std::string value = "w" + std::to_string(rng.Uniform(1000));
+      const std::string value =
+          std::string("w").append(std::to_string(rng.Uniform(1000)));
       ASSERT_TRUE(table->Put(key, value).ok());
       data[key] = value;
     }

@@ -51,7 +51,7 @@ class PlannerHarness {
         tshape_(options_.tshape),
         xz2_(options_.xz2),
         xzstar_(options_.tshape.max_resolution),
-        catalog_(&redis_, 1024),
+        catalog_(&redis_, 1024, options_.tshape.shape_bits()),
         planner_(&options_, &tr_, &xzt_, &tshape_, &xz2_, &xzstar_,
                  options_.use_index_cache ? &catalog_ : nullptr) {}
 
@@ -67,11 +67,7 @@ class PlannerHarness {
         norm.push_back(geo::TimedPoint{np.x, np.y, p.t});
       }
       const index::TShapeEncoding enc = tshape_.Encode(norm);
-      const auto element = catalog_.GetElement(enc.quad_code);
-      if (element->FinalCodeOf(enc.shape) == UINT32_MAX) {
-        catalog_.AddShape(enc.quad_code, enc.shape,
-                          static_cast<uint32_t>(element->shapes.size()));
-      }
+      catalog_.PlaceShapes(enc.quad_code, {enc.shape});
     }
   }
 

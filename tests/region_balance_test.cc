@@ -292,10 +292,10 @@ TEST(RegionConcurrencyTest, SplitAndMergeUnderConcurrentWritesAndScans) {
 
   // Writer: unique keys spread over the whole keyspace, each written once
   // with a value derivable from the key (so scanners can verify rows
-  // without synchronizing with the writer). Alongside, a mixed batch puts
-  // a temporary key and deletes the previous one, so deletes that land in
-  // a migrating range must be teed and replayed for the temporaries to
-  // vanish.
+  // without synchronizing with the writer). Alongside, a batch puts a
+  // temporary key and the previous one is deleted, so puts and deletes
+  // that land in a migrating range must be teed and replayed for the
+  // temporaries to vanish.
   constexpr int kKeys = 3000;
   auto temp_key = [](int i) {
     return Key(static_cast<uint8_t>((i * 53) % 8),
@@ -308,11 +308,13 @@ TEST(RegionConcurrencyTest, SplitAndMergeUnderConcurrentWritesAndScans) {
                                 static_cast<uint64_t>(i));
       Status s = table->Put(k, ValueFor(k));
       ASSERT_TRUE(s.ok()) << s.ToString();
-      std::vector<std::string> deletes;
-      if (i > 0) deletes.push_back(temp_key(i - 1));
       const std::string t = temp_key(i);
-      s = table->BatchWrite(deletes, {Row{t, ValueFor(t)}});
+      s = table->BatchPut({Row{t, ValueFor(t)}});
       ASSERT_TRUE(s.ok()) << s.ToString();
+      if (i > 0) {
+        s = table->Delete(temp_key(i - 1));
+        ASSERT_TRUE(s.ok()) << s.ToString();
+      }
     }
     Status s = table->Delete(temp_key(kKeys - 1));
     ASSERT_TRUE(s.ok()) << s.ToString();

@@ -196,8 +196,8 @@ namespace {
 
 traj::Trajectory MakeTrajectory(double x0, double y0, int n) {
   traj::Trajectory t;
-  t.oid = "o";
-  t.tid = "t";
+  t.oid = std::string("o");
+  t.tid = std::string("t");
   for (int i = 0; i < n; i++) {
     t.points.push_back(geo::TimedPoint{x0 + i * 0.01, y0, i * 30});
   }

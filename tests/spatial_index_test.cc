@@ -449,6 +449,34 @@ TEST(ShapeEncodingTest, OrdersArePermutations) {
   }
 }
 
+TEST(ShapeEncodingTest, SpreadCodesCentreEachSlot) {
+  EXPECT_EQ(SpreadCodes(1, 512), (std::vector<uint32_t>{255}));
+  EXPECT_EQ(SpreadCodes(4, 512), (std::vector<uint32_t>{63, 191, 319, 447}));
+  // A full code space is the dense codes.
+  EXPECT_EQ(SpreadCodes(4, 4), (std::vector<uint32_t>{0, 1, 2, 3}));
+  // Below full, the last code leaves room at the top.
+  EXPECT_EQ(SpreadCodes(15, 16).back(), 14u);
+}
+
+TEST(ShapeEncodingTest, PlaceShapeJoinsItsMostSimilarNeighbours) {
+  // 0b0110 shares a cell with each of 0b0011 and 0b1100, which share none:
+  // it goes between them, in the middle of the free codes 101..299.
+  EXPECT_EQ(PlaceShape({{0b0011, 100}, {0b1100, 300}}, 0b0110, 512), 200u);
+  // Joining the last shape gains more than splitting a similar pair:
+  // after it, in the middle of 301..511.
+  EXPECT_EQ(PlaceShape({{0b0011, 100}, {0b0110, 300}}, 0b1100, 512), 406u);
+  // Most like the first shape: before it, in the middle of 0..99.
+  EXPECT_EQ(PlaceShape({{0b0011, 100}, {0b0110, 300}}, 0b0001, 512), 49u);
+  // No code left between the neighbours: the nearest free code, below on
+  // a tie.
+  EXPECT_EQ(PlaceShape({{0b0011, 100}, {0b1100, 101}}, 0b0110, 512), 99u);
+  EXPECT_EQ(PlaceShape({{0b0001, 99}, {0b0011, 100}, {0b1100, 101}}, 0b0110,
+                       512),
+            102u);
+  // An empty element: the middle of the code space.
+  EXPECT_EQ(PlaceShape({}, 0b0110, 512), 255u);
+}
+
 // ---------------------------------------------------------------------------
 // ValueRange
 

@@ -327,7 +327,7 @@ TEST(EventLogTest, BoundedRingEvictsOldest) {
   obs::EventLog log(4);
   for (int i = 0; i < 10; i++) {
     obs::Event e;
-    e.type = "t" + std::to_string(i);
+    e.type = std::string("t").append(std::to_string(i));
     log.Append(std::move(e));
   }
   EXPECT_EQ(log.total_appended(), 10u);
@@ -612,8 +612,8 @@ TEST(TManTelemetryTest, AllEndpointsServeUnderLiveWorkload) {
   EXPECT_NE(status.find("\"name\":\"primary\""), std::string::npos);
   EXPECT_NE(status.find("\"uptime_seconds\""), std::string::npos);
 
-  // /statusz: the shape catalog block tracks the occupancy set, buffered
-  // shapes and re-encodes.
+  // /statusz: the shape catalog block tracks the occupancy set and the
+  // registered shapes.
   auto catalog_field = [](const std::string& doc, const std::string& name) {
     const size_t block = doc.find("\"catalog\":{");
     if (block == std::string::npos) return std::string("missing");
@@ -629,13 +629,18 @@ TEST(TManTelemetryTest, AllEndpointsServeUnderLiveWorkload) {
             std::to_string(occupied));
   EXPECT_EQ(catalog_field(status, "occupancy_bytes"),
             std::to_string(tman->index_cache()->occupancy_bytes()));
-  EXPECT_EQ(catalog_field(status, "buffered_shapes"), "0");
-  EXPECT_EQ(catalog_field(status, "reencodes"), "0");
+  const uint64_t shapes = tman->index_cache()->registered_shapes();
+  EXPECT_GT(shapes, 0u);
+  EXPECT_EQ(catalog_field(status, "shapes"), std::to_string(shapes));
+  EXPECT_EQ(catalog_field(status, "buffered_shapes"), "missing");
+  EXPECT_EQ(catalog_field(status, "reencodes"), "missing");
   auto more = traj::Generate(spec, 20, 8);
   for (auto& t : more) t.tid += "-new";
   ASSERT_TRUE(tman->Insert(more).ok());
   const std::string after_insert = HttpGet(port, "/statusz").body;
-  EXPECT_NE(catalog_field(after_insert, "buffered_shapes"), "0");
+  EXPECT_GT(tman->index_cache()->registered_shapes(), shapes);
+  EXPECT_EQ(catalog_field(after_insert, "shapes"),
+            std::to_string(tman->index_cache()->registered_shapes()));
   EXPECT_EQ(catalog_field(after_insert, "occupied_elements"),
             std::to_string(tman->index_cache()->occupied_elements()));
 

@@ -4,11 +4,13 @@
 #include <atomic>
 #include <filesystem>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <set>
 #include <thread>
 
 #include "common/coding.h"
+#include "common/random.h"
 #include "core/record.h"
 #include "core/rowkey.h"
 #include "core/tman.h"
@@ -416,6 +418,8 @@ void ExpectThresholdMatchesBruteForce(TMan* tman,
 
 // tid -> primary key of every row in the primary table.
 std::map<std::string, std::string> PrimaryKeysByTid(TMan* tman) {
+  const size_t value_bytes =
+      tman->options().primary == PrimaryIndexKind::kST ? 16 : 8;
   std::vector<cluster::Row> rows;
   cluster::CollectRowsSink sink(&rows);
   EXPECT_TRUE(tman->primary_table()
@@ -424,152 +428,329 @@ std::map<std::string, std::string> PrimaryKeysByTid(TMan* tman) {
                   .ok());
   std::map<std::string, std::string> keys;
   for (const cluster::Row& row : rows) {
-    keys[TidOfPrimaryKey(row.key, 8).ToString()] = row.key;
+    keys[TidOfPrimaryKey(row.key, value_bytes).ToString()] = row.key;
   }
   return keys;
 }
 
-TEST(TManUpdateTest, InsertTriggersReencodeAndStaysQueryable) {
-  const traj::DatasetSpec spec = traj::TDriveLikeSpec();
-  TManOptions options = SmallOptions(spec);
-  options.buffer_shape_threshold = 16;  // force re-encodes quickly
-  std::unique_ptr<TMan> tman;
-  ASSERT_TRUE(TMan::Open(options, TestDir("update"), &tman).ok());
-
-  const auto initial = traj::Generate(spec, 100, 1);
-  ASSERT_TRUE(tman->BulkLoad(initial).ok());
-  const size_t bulk_elements = tman->index_cache()->occupied_elements();
-
-  // Insert in several batches; new shapes accumulate in the buffer shape
-  // cache and trigger re-encoding. A trajectory whose primary key changes
-  // across a batch was moved by a re-encode.
-  auto more = traj::Generate(spec, 300, 2);
-  for (auto& t : more) t.tid += "-new";
-  std::map<std::string, std::string> keys = PrimaryKeysByTid(tman.get());
-  std::set<std::string> moved;
-  for (size_t off = 0; off < more.size(); off += 50) {
-    std::vector<traj::Trajectory> batch(
-        more.begin() + off,
-        more.begin() + std::min(off + 50, more.size()));
-    ASSERT_TRUE(tman->Insert(batch).ok());
-    const std::map<std::string, std::string> now = PrimaryKeysByTid(tman.get());
-    for (const auto& [tid, key] : keys) {
-      const auto it = now.find(tid);
-      ASSERT_NE(it, now.end()) << tid << " lost by a re-encode";
-      if (it->second != key) moved.insert(tid);
-    }
-    keys = now;
-  }
-  EXPECT_GT(tman->reencode_count(), 0u);
-  ASSERT_FALSE(moved.empty());
-  EXPECT_LE(moved.size(), tman->rows_rewritten());
-  // Inserts landed in elements that were empty at BulkLoad, which the
-  // planner must stop pruning.
-  EXPECT_GT(tman->index_cache()->occupied_elements(), bulk_elements);
-
-  // After re-encoding every trajectory must still be retrievable.
-  std::vector<traj::Trajectory> all_data = initial;
-  all_data.insert(all_data.end(), more.begin(), more.end());
-  for (const auto& w : traj::RandomSpaceWindows(spec, 5, 4000, 3)) {
-    ExpectSpatialMatchesBruteForce(tman.get(), all_data, w.rect);
-  }
-
-  const auto tws = traj::RandomTimeWindows(spec, 5, 12 * 3600, 4);
-  const auto sws = traj::RandomSpaceWindows(spec, 5, 5000, 4);
+// All six queries and the three counts against brute force over `data`.
+// Queries that need a spatial primary index must refuse other layouts.
+void ExpectQueriesMatchBruteForce(TMan* tman, const traj::DatasetSpec& spec,
+                                  const std::vector<traj::Trajectory>& data,
+                                  const std::vector<traj::Trajectory>& probes) {
+  const bool spatial = tman->options().primary == PrimaryIndexKind::kSpatial;
+  const auto tws = traj::RandomTimeWindows(spec, 4, 12 * 3600, 4);
+  const auto sws = traj::RandomSpaceWindows(spec, 4, 5000, 4);
   for (size_t i = 0; i < tws.size(); i++) {
+    const int64_t ts = tws[i].ts;
+    const int64_t te = tws[i].te;
+    const geo::MBR& rect = sws[i].rect;
+    const auto in_time = TidsWhere(data, [&](const traj::Trajectory& t) {
+      return t.IntersectsTimeRange(ts, te);
+    });
+    const auto in_rect = TidsWhere(data, [&](const traj::Trajectory& t) {
+      return geo::PolylineIntersectsRect(t.points, rect);
+    });
+    const auto in_both = TidsWhere(data, [&](const traj::Trajectory& t) {
+      return t.IntersectsTimeRange(ts, te) &&
+             geo::PolylineIntersectsRect(t.points, rect);
+    });
     std::vector<traj::Trajectory> results;
-    ASSERT_TRUE(tman->SpatioTemporalRangeQuery(sws[i].rect, tws[i].ts,
-                                               tws[i].te, &results, nullptr)
-                    .ok());
-    EXPECT_EQ(TidsOf(results),
-              TidsWhere(all_data, [&](const traj::Trajectory& t) {
-                return t.IntersectsTimeRange(tws[i].ts, tws[i].te) &&
-                       geo::PolylineIntersectsRect(t.points, sws[i].rect);
-              }))
-        << "window " << i;
+    ASSERT_TRUE(tman->TemporalRangeQuery(ts, te, &results).ok());
+    EXPECT_EQ(TidsOf(results), in_time) << "TRQ " << i;
+    results.clear();
+    ASSERT_TRUE(tman->SpatioTemporalRangeQuery(rect, ts, te, &results).ok());
+    EXPECT_EQ(TidsOf(results), in_both) << "STRQ " << i;
+    uint64_t count = 0;
+    ASSERT_TRUE(tman->TemporalRangeCount(ts, te, &count).ok());
+    EXPECT_EQ(count, in_time.size()) << "TRQ count " << i;
+    ASSERT_TRUE(tman->SpatioTemporalRangeCount(rect, ts, te, &count).ok());
+    EXPECT_EQ(count, in_both.size()) << "STRQ count " << i;
+    results.clear();
+    const Status srq = tman->SpatialRangeQuery(rect, &results);
+    const Status srq_count = tman->SpatialRangeCount(rect, &count);
+    if (!spatial) {
+      EXPECT_EQ(srq.code(), Status::Code::kNotSupported);
+      EXPECT_EQ(srq_count.code(), Status::Code::kNotSupported);
+      continue;
+    }
+    ASSERT_TRUE(srq.ok());
+    EXPECT_EQ(TidsOf(results), in_rect) << "SRQ " << i;
+    ASSERT_TRUE(srq_count.ok());
+    EXPECT_EQ(count, in_rect.size()) << "SRQ count " << i;
   }
 
-  for (size_t i = 0; i < more.size(); i += 60) {
-    const traj::Trajectory& probe = more[i];
-    ExpectThresholdMatchesBruteForce(tman.get(), all_data, probe, 0.02);
-
-    const size_t k = 5;
-    std::vector<traj::Trajectory> results;
-    ASSERT_TRUE(tman->TopKSimilarityQuery(probe,
-                                          geo::SimilarityMeasure::kFrechet, k,
-                                          &results, nullptr)
-                    .ok());
-    std::vector<double> want;
-    for (const auto& t : all_data) {
-      if (t.tid != probe.tid) {
-        want.push_back(geo::DiscreteFrechet(probe.points, t.points));
-      }
-    }
-    std::sort(want.begin(), want.end());
-    ASSERT_EQ(results.size(), k);
-    std::vector<double> got;
-    for (const auto& t : results) {
-      got.push_back(geo::DiscreteFrechet(probe.points, t.points));
-    }
-    std::sort(got.begin(), got.end());
-    for (size_t j = 0; j < k; j++) {
-      EXPECT_NEAR(got[j], want[j], 1e-12) << probe.tid << " rank " << j;
-    }
-  }
-
-  // TRQ and IDT read the secondary tables, whose values must name the
-  // moved rows' new keys: a primary fetch that misses is skipped silently.
-  for (const auto& tw : tws) {
-    std::vector<traj::Trajectory> results;
-    QueryStats stats;
-    ASSERT_TRUE(
-        tman->TemporalRangeQuery(tw.ts, tw.te, &results, &stats).ok());
-    EXPECT_EQ(stats.plan, "secondary:tr");
-    EXPECT_EQ(TidsOf(results),
-              TidsWhere(all_data, [&](const traj::Trajectory& t) {
-                return t.IntersectsTimeRange(tw.ts, tw.te);
-              }));
-  }
-  std::set<std::string> moved_oids;
-  for (const auto& t : all_data) {
-    if (moved.count(t.tid) > 0) moved_oids.insert(t.oid);
-  }
+  std::set<std::string> oids;
+  for (const auto& p : probes) oids.insert(p.oid);
   const int64_t ts = spec.t0;
   const int64_t te = spec.t0 + spec.horizon_seconds;
-  for (const std::string& oid : moved_oids) {
+  for (const std::string& oid : oids) {
     std::vector<traj::Trajectory> results;
-    QueryStats stats;
-    ASSERT_TRUE(tman->IDTemporalQuery(oid, ts, te, &results, &stats).ok());
-    EXPECT_EQ(stats.plan, "secondary:idt");
+    ASSERT_TRUE(tman->IDTemporalQuery(oid, ts, te, &results).ok());
     EXPECT_EQ(TidsOf(results),
-              TidsWhere(all_data, [&](const traj::Trajectory& t) {
+              TidsWhere(data, [&](const traj::Trajectory& t) {
                 return t.oid == oid && t.IntersectsTimeRange(ts, te);
               }))
         << oid;
   }
 
-  // DeleteTrajectory finds a row through the IDT table: deleting moved
-  // trajectories must remove their rows at the new keys.
-  std::vector<traj::Trajectory> deleted;
-  for (const auto& t : all_data) {
-    if (moved.count(t.tid) > 0 && deleted.size() < 5) deleted.push_back(t);
-  }
-  for (const auto& t : deleted) {
-    ASSERT_TRUE(tman->DeleteTrajectory(t.oid, t.tid).ok()) << t.tid;
-  }
-  std::vector<traj::Trajectory> remaining;
-  for (const auto& t : all_data) {
-    if (std::none_of(deleted.begin(), deleted.end(),
-                     [&](const traj::Trajectory& d) {
-                       return d.tid == t.tid;
-                     })) {
-      remaining.push_back(t);
+  for (const traj::Trajectory& probe : probes) {
+    std::vector<traj::Trajectory> results;
+    const Status topk = tman->TopKSimilarityQuery(
+        probe, geo::SimilarityMeasure::kFrechet, 5, &results);
+    if (!spatial) {
+      EXPECT_EQ(topk.code(), Status::Code::kNotSupported);
+      EXPECT_EQ(tman->ThresholdSimilarityQuery(
+                        probe, geo::SimilarityMeasure::kFrechet, 0.02, &results)
+                    .code(),
+                Status::Code::kNotSupported);
+      continue;
+    }
+    ASSERT_TRUE(topk.ok());
+    ExpectThresholdMatchesBruteForce(tman, data, probe, 0.02);
+    std::vector<double> want;
+    for (const auto& t : data) {
+      if (t.tid != probe.tid) {
+        want.push_back(geo::DiscreteFrechet(probe.points, t.points));
+      }
+    }
+    std::sort(want.begin(), want.end());
+    ASSERT_EQ(results.size(), 5u);
+    std::vector<double> got;
+    for (const auto& t : results) {
+      got.push_back(geo::DiscreteFrechet(probe.points, t.points));
+    }
+    std::sort(got.begin(), got.end());
+    for (size_t j = 0; j < got.size(); j++) {
+      EXPECT_NEAR(got[j], want[j], 1e-12) << probe.tid << " rank " << j;
     }
   }
-  keys = PrimaryKeysByTid(tman.get());
-  for (const auto& t : deleted) {
-    EXPECT_EQ(keys.count(t.tid), 0u) << t.tid;
-    ExpectSpatialMatchesBruteForce(tman.get(), remaining, t.ComputeMBR());
+}
+
+// Inserts give unseen shapes codes that never change, so every row keeps
+// the key it was written under: bulk-loaded and earlier-inserted rows are
+// never moved by later Inserts, in every primary layout and with the index
+// cache on or off, and every query still matches brute force.
+TEST(TManUpdateTest, InsertsMoveNoRowAndStayQueryable) {
+  const traj::DatasetSpec spec = traj::TDriveLikeSpec();
+  const auto initial = traj::Generate(spec, 100, 1);
+  auto more = traj::Generate(spec, 300, 2);
+  for (auto& t : more) t.tid += "-new";
+  std::vector<traj::Trajectory> all_data = initial;
+  all_data.insert(all_data.end(), more.begin(), more.end());
+  const struct {
+    PrimaryIndexKind primary;
+    const char* name;
+  } layouts[] = {{PrimaryIndexKind::kSpatial, "spatial"},
+                 {PrimaryIndexKind::kST, "st"},
+                 {PrimaryIndexKind::kTemporal, "temporal"}};
+  for (const auto& layout : layouts) {
+    for (const bool use_index_cache : {true, false}) {
+      const std::string name = std::string(layout.name) +
+                               (use_index_cache ? "_cache" : "_nocache");
+      SCOPED_TRACE(name);
+      TManOptions options = SmallOptions(spec);
+      options.primary = layout.primary;
+      options.use_index_cache = use_index_cache;
+      std::unique_ptr<TMan> tman;
+      ASSERT_TRUE(TMan::Open(options, TestDir("update_" + name), &tman).ok());
+      ASSERT_TRUE(tman->BulkLoad(initial).ok());
+      const size_t bulk_elements = tman->index_cache()->occupied_elements();
+
+      std::map<std::string, std::string> keys = PrimaryKeysByTid(tman.get());
+      ASSERT_EQ(keys.size(), initial.size());
+      for (size_t off = 0; off < more.size(); off += 50) {
+        std::vector<traj::Trajectory> batch(
+            more.begin() + off,
+            more.begin() + std::min(off + 50, more.size()));
+        ASSERT_TRUE(tman->Insert(batch).ok());
+        const std::map<std::string, std::string> now =
+            PrimaryKeysByTid(tman.get());
+        for (const auto& [tid, key] : keys) {
+          const auto it = now.find(tid);
+          ASSERT_NE(it, now.end()) << tid << " lost";
+          EXPECT_EQ(it->second, key) << tid << " moved";
+        }
+        EXPECT_EQ(now.size(), keys.size() + batch.size());
+        keys = now;
+      }
+      if (use_index_cache) {
+        // Inserts landed in elements that were empty at BulkLoad, which the
+        // planner must stop pruning.
+        EXPECT_GT(tman->index_cache()->occupied_elements(), bulk_elements);
+      }
+
+      std::vector<traj::Trajectory> probes;
+      for (size_t i = 0; i < all_data.size(); i += 80) {
+        probes.push_back(all_data[i]);
+      }
+      ExpectQueriesMatchBruteForce(tman.get(), spec, all_data, probes);
+
+      // DeleteTrajectory finds rows through the IDT table, bulk-loaded and
+      // inserted alike.
+      std::vector<traj::Trajectory> remaining;
+      std::set<std::string> deleted;
+      for (size_t i = 0; i < all_data.size(); i++) {
+        if (i % 97 == 3) {
+          ASSERT_TRUE(
+              tman->DeleteTrajectory(all_data[i].oid, all_data[i].tid).ok());
+          deleted.insert(all_data[i].tid);
+        } else {
+          remaining.push_back(all_data[i]);
+        }
+      }
+      keys = PrimaryKeysByTid(tman.get());
+      EXPECT_EQ(keys.size(), remaining.size());
+      for (const std::string& tid : deleted) EXPECT_EQ(keys.count(tid), 0u);
+      ExpectQueriesMatchBruteForce(tman.get(), spec, remaining, probes);
+    }
+  }
+}
+
+// Writers racing on the same few elements, with an index cache of one
+// entry so elements keep being reloaded from Redis between writes. Every
+// trip brings a shape its element has not seen. Threads 0 and 2 insert
+// the same trips (under their own tids) in step, racing to register one
+// bitmap; threads 1 and 3 insert, in step with them, other trips of the
+// same elements, racing to pick codes next to it. Each element must list
+// each bitmap once, under distinct codes, and queries must find every row.
+TEST(TManConcurrencyTest, ConcurrentInsertsGiveEachShapeOneCode) {
+  const traj::DatasetSpec spec = traj::TDriveLikeSpec();
+  TManOptions options = SmallOptions(spec);
+  options.index_cache_capacity = 1;
+  std::unique_ptr<TMan> tman;
+  ASSERT_TRUE(TMan::Open(options, TestDir("writers"), &tman).ok());
+
+  // Trips that walk a 3x3 element's cell centres from its lower-left
+  // corner and reach its far column or row: each lands in that element
+  // (resolution 10, which a trip that wide selects) with the walked cells
+  // as its shape. Walk j belongs to element j % 16.
+  const int r = 10;
+  const double w = 1.0 / (1 << r);
+  const index::QuadCell anchors[] = {
+      {r, 300, 400}, {r, 301, 400}, {r, 302, 401}, {r, 700, 120},
+      {r, 310, 400}, {r, 311, 400}, {r, 312, 401}, {r, 710, 120},
+      {r, 320, 400}, {r, 321, 400}, {r, 322, 401}, {r, 720, 120},
+      {r, 330, 400}, {r, 331, 400}, {r, 332, 401}, {r, 730, 120}};
+  constexpr size_t kElements = std::size(anchors);
+  constexpr size_t kShapesPerElement = 30;
+  Random rnd(17);
+  std::vector<std::vector<std::vector<std::pair<int, int>>>> paths(kElements);
+  for (auto& element_paths : paths) {
+    std::set<uint32_t> seen;
+    for (int attempt = 0;
+         attempt < 2000 && element_paths.size() < kShapesPerElement;
+         attempt++) {
+      std::vector<std::pair<int, int>> cells = {{0, 0}};
+      uint32_t bits = 1;
+      const int steps = 2 + static_cast<int>(rnd.Uniform(9));
+      for (int i = 0; i < steps; i++) {
+        auto [cx, cy] = cells.back();
+        const int step = static_cast<int>(rnd.Uniform(4));
+        cx = std::clamp(cx + (step == 0) - (step == 1), 0, 2);
+        cy = std::clamp(cy + (step == 2) - (step == 3), 0, 2);
+        cells.emplace_back(cx, cy);
+        bits |= 1u << (cy * 3 + cx);
+      }
+      const bool wide = (bits & 0b100100100) != 0 || (bits & 0b111000000) != 0;
+      if (wide && seen.insert(bits).second) element_paths.push_back(cells);
+    }
+    ASSERT_EQ(element_paths.size(), kShapesPerElement);
+  }
+  std::vector<traj::Trajectory> walks;
+  for (size_t i = 0; i < kShapesPerElement; i++) {
+    for (size_t e = 0; e < kElements; e++) {
+      const index::QuadCell& anchor = anchors[e];
+      traj::Trajectory t;
+      t.oid = "walker" + std::to_string(walks.size() % 5);
+      t.tid = "walk" + std::to_string(walks.size());
+      const int64_t t0 = spec.t0 + 600 * static_cast<int64_t>(walks.size());
+      auto add = [&](double nx, double ny) {
+        t.points.push_back(geo::TimedPoint{
+            spec.bounds.min_lon + nx * spec.bounds.width(),
+            spec.bounds.min_lat + ny * spec.bounds.height(),
+            t0 + 30 * static_cast<int64_t>(t.points.size())});
+      };
+      add((anchor.x + 0.05) * w, (anchor.y + 0.05) * w);
+      for (const auto& [cx, cy] : paths[e][i]) {
+        add((anchor.x + cx + 0.5) * w, (anchor.y + cy + 0.5) * w);
+      }
+      walks.push_back(std::move(t));
+    }
+  }
+
+  constexpr int kThreads = 4;
+  std::atomic<int> ready{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> writers;
+  for (int id = 0; id < kThreads; id++) {
+    writers.emplace_back([&, id] {
+      ready++;
+      while (ready.load() < kThreads) std::this_thread::yield();
+      const size_t offset = (id % 2) * kElements;
+      for (size_t i = 0; i < walks.size(); i++) {
+        traj::Trajectory t = walks[(i + offset) % walks.size()];
+        t.tid.append("-").append(std::to_string(id));
+        if (!tman->Insert({t}).ok()) failures++;
+      }
+    });
+  }
+  for (auto& writer : writers) writer.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  std::vector<traj::Trajectory> data;
+  for (int id = 0; id < kThreads; id++) {
+    for (traj::Trajectory t : walks) {
+      t.tid += "-" + std::to_string(id);
+      data.push_back(std::move(t));
+    }
+  }
+  const index::TShapeIndex tshape(options.tshape);
+  std::map<uint64_t, std::multiset<uint32_t>> want;
+  for (const traj::Trajectory& t : walks) {
+    std::vector<geo::TimedPoint> norm;
+    for (const geo::TimedPoint& p : t.points) {
+      const geo::Point np = spec.bounds.Normalize(geo::Point{p.x, p.y});
+      norm.push_back(geo::TimedPoint{np.x, np.y, p.t});
+    }
+    const index::TShapeEncoding enc = tshape.Encode(norm);
+    want[enc.quad_code].insert(enc.shape);
+  }
+  ASSERT_EQ(want.size(), kElements);
+  for (const auto& [quad_code, bitmaps] : want) {
+    ASSERT_EQ(bitmaps.size(), kShapesPerElement);
+    const auto element = tman->index_cache()->GetElement(quad_code);
+    std::multiset<uint32_t> listed;
+    std::set<uint32_t> codes;
+    for (const auto& [bits, code] : element->shapes) {
+      listed.insert(bits);
+      codes.insert(code);
+    }
+    EXPECT_EQ(listed, bitmaps) << "element " << quad_code;
+    EXPECT_EQ(codes.size(), element->shapes.size()) << "element " << quad_code;
+  }
+  EXPECT_EQ(PrimaryKeysByTid(tman.get()).size(), data.size());
+
+  const double cw = w * spec.bounds.width();
+  const double ch = w * spec.bounds.height();
+  for (const index::QuadCell& anchor : anchors) {
+    // The element, each of its cells, and a strip into its neighbours.
+    const double x0 = spec.bounds.min_lon + anchor.x * cw;
+    const double y0 = spec.bounds.min_lat + anchor.y * ch;
+    ExpectSpatialMatchesBruteForce(tman.get(), data,
+                                   geo::MBR{x0, y0, x0 + 3 * cw, y0 + 3 * ch});
+    for (int c = 0; c < 9; c++) {
+      const double cx = x0 + (c % 3 + 0.25) * cw;
+      const double cy = y0 + (c / 3 + 0.25) * ch;
+      ExpectSpatialMatchesBruteForce(
+          tman.get(), data, geo::MBR{cx, cy, cx + 0.5 * cw, cy + 0.5 * ch});
+    }
+    ExpectSpatialMatchesBruteForce(
+        tman.get(), data,
+        geo::MBR{x0 + 2.2 * cw, y0, x0 + 4.5 * cw, y0 + 0.7 * ch});
+  }
+  for (size_t i = 0; i < walks.size(); i += 7) {
+    ExpectThresholdMatchesBruteForce(tman.get(), data, walks[i], 0.3 * cw);
   }
 }
 
@@ -579,10 +760,6 @@ TEST(TManUpdateTest, InsertTriggersReencodeAndStaysQueryable) {
 TEST(TManConcurrencyTest, QueriesDuringInsertsSucceedAndConverge) {
   const traj::DatasetSpec spec = traj::TDriveLikeSpec();
   TManOptions options = SmallOptions(spec);
-  // Above the number of shapes inserted below: re-encode moves rows before
-  // it publishes their new codes, so a query planned on the old catalog
-  // can miss a moved row.
-  options.buffer_shape_threshold = 100000;
   std::unique_ptr<TMan> tman;
   ASSERT_TRUE(TMan::Open(options, TestDir("concurrent"), &tman).ok());
 
@@ -628,7 +805,6 @@ TEST(TManConcurrencyTest, QueriesDuringInsertsSucceedAndConverge) {
   reader.join();
   ASSERT_TRUE(insert_status.ok()) << insert_status.ToString();
   EXPECT_EQ(query_failures.load(), 0) << "of " << queries_run.load();
-  EXPECT_EQ(tman->reencode_count(), 0u);
   EXPECT_GT(tman->index_cache()->occupied_elements(), bulk_elements);
 
   std::vector<traj::Trajectory> all_data = initial;

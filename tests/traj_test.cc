@@ -48,7 +48,9 @@ TEST(GeneratorTest, DeterministicAndWellFormed) {
       EXPECT_LE(p.x, spec.bounds.max_lon);
       EXPECT_GE(p.y, spec.bounds.min_lat);
       EXPECT_LE(p.y, spec.bounds.max_lat);
-      if (j > 0) EXPECT_GT(p.t, a[i].points[j - 1].t);
+      if (j > 0) {
+        EXPECT_GT(p.t, a[i].points[j - 1].t);
+      }
     }
   }
 }
