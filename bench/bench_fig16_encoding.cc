@@ -2,12 +2,15 @@
 //  (a) number of used shapes per enlarged element (alpha=beta=5);
 //  (b) SRQ time under bitmap / greedy / genetic encodings, XZ*, the
 //      inverted-list alternative, and TShape without the index cache;
-//  (c) storage (bulk load) time of each encoding.
+//  (c) storage (bulk load + flush) time of each encoding: the median and
+//      IQR of repeated loads into fresh stores.
 
 #include <cstdio>
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "common/stopwatch.h"
@@ -21,6 +24,8 @@
 
 namespace tman::bench {
 namespace {
+
+constexpr int kLoads = 5;  // timed loads of each configuration
 
 // The "inverted list" alternative from Fig. 16: instead of one shape code,
 // a trajectory row is stored once per intersected cell; queries scan the
@@ -122,6 +127,11 @@ class InvertedListStore {
     }
   }
 
+  void Quiesce() {
+    table_->Flush();
+    table_->CompactAll();
+  }
+
   uint64_t StorageBytes() { return table_->TotalBytes(); }
 
  private:
@@ -184,17 +194,13 @@ void Run() {
 
   UsedShapesPerElement(spec, data);
 
-  printf("\nFig 16(b)(c) — encodings: SRQ query time and storage time\n");
-  PrintHeader(
-      {"encoding", "query_ms", "candidates", "storage_ms", "bytes"});
-
   struct Config {
     std::string name;
     core::SpatialIndexKind spatial;
     index::ShapeOrderMethod method;
     bool cache;
   };
-  const Config configs[] = {
+  const std::vector<Config> configs = {
       {"bitmap", core::SpatialIndexKind::kTShape,
        index::ShapeOrderMethod::kBitmap, true},
       {"greedy", core::SpatialIndexKind::kTShape,
@@ -207,54 +213,90 @@ void Run() {
        index::ShapeOrderMethod::kBitmap, false},
   };
 
-  for (const Config& config : configs) {
-    core::TManOptions options = DefaultOptions(spec);
-    options.tshape = index::TShapeConfig{5, 5, 15};
-    options.spatial = config.spatial;
-    options.encoding = config.method;
-    options.use_index_cache = config.cache;
-    std::unique_ptr<core::TMan> tman;
-    Status s =
-        core::TMan::Open(options, BenchDir("fig16_" + config.name), &tman);
-    if (!s.ok()) continue;
-    Stopwatch load_watch;
-    if (!tman->BulkLoad(data).ok()) continue;
-    tman->Flush();
-    const double storage_ms = load_watch.ElapsedMillis();
-
+  // Every configuration, the inverted list last, loads kLoads times, each
+  // time into a fresh store, and only one store is open at a time. Each
+  // round loads all of them, in an order that rotates with the round, so
+  // host drift spreads over every configuration. (c) is the load + flush
+  // time; (b) times the SRQs on each configuration's last store, once it
+  // is compacted so no background work runs under the queries.
+  const size_t n = configs.size() + 1;
+  struct Measured {
+    std::vector<double> storage_ms;
+    double query_ms = 0;
+    uint64_t candidates = 0;
+    uint64_t bytes = 0;
+  };
+  std::vector<Measured> measured(n);
+  auto time_queries = [&](Measured* m, auto&& query) {
     std::vector<double> times, candidates;
     for (const auto& q : queries) {
       std::vector<traj::Trajectory> out;
       core::QueryStats stats;
-      tman->SpatialRangeQuery(q.rect, &out, &stats);
+      query(q.rect, &out, &stats);
       times.push_back(stats.execution_ms);
       candidates.push_back(static_cast<double>(stats.candidates));
     }
-    PrintCell(config.name);
-    PrintCell(Median(times));
-    PrintCell(static_cast<uint64_t>(Median(candidates)));
-    PrintCell(storage_ms);
-    PrintCell(tman->StorageBytes());
-    EndRow();
+    m->query_ms = Median(times);
+    m->candidates = static_cast<uint64_t>(Median(candidates));
+  };
+  for (int round = 0; round < kLoads; round++) {
+    const bool last = round == kLoads - 1;
+    for (size_t j = 0; j < n; j++) {
+      const size_t c = (j + static_cast<size_t>(round)) % n;
+      Measured* m = &measured[c];
+      if (c == configs.size()) {
+        InvertedListStore inverted(spec, BenchDir("fig16_inverted"));
+        m->storage_ms.push_back(inverted.Load(data));
+        if (!last) continue;
+        inverted.Quiesce();
+        time_queries(m, [&](const geo::MBR& rect,
+                            std::vector<traj::Trajectory>* out,
+                            core::QueryStats* stats) {
+          inverted.Query(rect, out, stats);
+        });
+        m->bytes = inverted.StorageBytes();
+        continue;
+      }
+      const Config& config = configs[c];
+      core::TManOptions options = DefaultOptions(spec);
+      options.tshape = index::TShapeConfig{5, 5, 15};
+      options.spatial = config.spatial;
+      options.encoding = config.method;
+      options.use_index_cache = config.cache;
+      std::unique_ptr<core::TMan> tman;
+      if (!core::TMan::Open(options, BenchDir("fig16_" + config.name), &tman)
+               .ok()) {
+        continue;
+      }
+      Stopwatch load_watch;
+      if (!tman->BulkLoad(data).ok()) continue;
+      tman->Flush();
+      m->storage_ms.push_back(load_watch.ElapsedMillis());
+      if (!last) continue;
+      tman->CompactAll();
+      time_queries(m, [&](const geo::MBR& rect,
+                          std::vector<traj::Trajectory>* out,
+                          core::QueryStats* stats) {
+        tman->SpatialRangeQuery(rect, out, stats);
+      });
+      m->bytes = tman->StorageBytes();
+    }
   }
 
-  // Inverted list.
-  {
-    InvertedListStore inv(spec, BenchDir("fig16_inverted"));
-    const double storage_ms = inv.Load(data);
-    std::vector<double> times, candidates;
-    for (const auto& q : queries) {
-      std::vector<traj::Trajectory> out;
-      core::QueryStats stats;
-      inv.Query(q.rect, &out, &stats);
-      times.push_back(stats.execution_ms);
-      candidates.push_back(static_cast<double>(stats.candidates));
-    }
-    PrintCell(std::string("inverted"));
-    PrintCell(Median(times));
-    PrintCell(static_cast<uint64_t>(Median(candidates)));
-    PrintCell(storage_ms);
-    PrintCell(inv.StorageBytes());
+  printf("\nFig 16(b)(c) — encodings: SRQ query time; storage time over "
+         "%d loads\n",
+         kLoads);
+  PrintHeader({"encoding", "query_ms", "candidates", "storage_ms",
+               "storage_iqr", "bytes"});
+  for (size_t c = 0; c < n; c++) {
+    const Measured& m = measured[c];
+    if (m.storage_ms.empty()) continue;
+    PrintCell(c == configs.size() ? std::string("inverted") : configs[c].name);
+    PrintCell(m.query_ms);
+    PrintCell(m.candidates);
+    PrintCell(Median(m.storage_ms));
+    PrintCell(Percentile(m.storage_ms, 75) - Percentile(m.storage_ms, 25));
+    PrintCell(m.bytes);
     EndRow();
   }
 }

@@ -751,6 +751,7 @@ Status ClusterTable::MultiScan(const std::vector<KeyRange>& ranges,
                                              &task.perf);
       }
     }
+    sink->Finish(task.fork.get());
     if (timed) task.scan_micros = run.ElapsedMicros();
   });
 

@@ -42,6 +42,10 @@ struct KeyRange {
 //     the per-row path.
 //   - A fork returning false from Accept stops the scan: every task checks
 //     one shared flag before delivering its next row.
+//   - Finish(fork) runs once per fork on its task's thread, after the
+//     task's last row and any retry, whatever the task's status (a failed
+//     or stopped task gets it too), and before any Join. A fork that holds
+//     rows back does its deferred work here, still inside its task.
 //   - After every task has ended, the caller joins each fork, in region key
 //     order. Rows joined this way come out in key order: region order, then
 //     window order within a region (key order for sorted windows).
@@ -54,6 +58,7 @@ class ScanSink {
 
   virtual std::unique_ptr<kv::RowSink> Fork() = 0;
   // `fork` is one this sink returned from Fork().
+  virtual void Finish(kv::RowSink* fork) { (void)fork; }
   virtual void Join(kv::RowSink* fork) = 0;
 };
 
@@ -323,9 +328,10 @@ class ClusterTable {
   // task executing its whole batch over a single iterator stack
   // (kv::DB::MultiScan). The tasks run through ThreadPool::ParallelFor, so
   // the calling thread is one of the workers and a one-region scan runs
-  // inline. `sink` is forked once per task and the forks are joined in
-  // region key order after every task has ended (see ScanSink); a fork
-  // declining a row stops every task before its next row.
+  // inline. `sink` is forked once per task, each task finishes its own fork
+  // after its last row, and the forks are joined in region key order after
+  // every task has ended (see ScanSink); a fork declining a row stops every
+  // task before its next row.
   //
   // A non-zero `limit` applies per window per region; windows that overlap
   // deliver their overlap once per window, and unsorted windows just

@@ -63,6 +63,10 @@ class FetchPrimarySink : public cluster::ScanSink {
     return std::make_unique<RegionFork>(this, inner_->Fork());
   }
 
+  void Finish(kv::RowSink* fork) override {
+    inner_->Finish(static_cast<RegionFork*>(fork)->inner.get());
+  }
+
   void Join(kv::RowSink* fork) override {
     auto* f = static_cast<RegionFork*>(fork);
     fetched_ += f->fetched;
@@ -117,6 +121,10 @@ class MeterSink : public cluster::ScanSink {
 
   std::unique_ptr<kv::RowSink> Fork() override {
     return std::make_unique<RegionFork>(inner_->Fork());
+  }
+
+  void Finish(kv::RowSink* fork) override {
+    inner_->Finish(static_cast<RegionFork*>(fork)->inner.get());
   }
 
   void Join(kv::RowSink* fork) override {
@@ -367,7 +375,7 @@ class TopKSink::RegionFork : public kv::RowSink {
     (void)key;
     // Cutoff: with k results at or below it, no row the scan has yet to
     // deliver (all beyond the previous radius) can improve the result.
-    double kth = sink_->KthBound();
+    const double kth = sink_->KthBound();
     if (kth <= sink_->cutoff_) return false;
 
     RecordHeader header;
@@ -377,41 +385,90 @@ class TopKSink::RegionFork : public kv::RowSink {
     }
     if (header.tid == Slice(sink_->query_->tid)) return true;
 
-    geo::DPFeatures features;
-    if (DecodeRecordFeatures(header, &features) &&
-        geo::DPFeatureLowerBound(sink_->query_features_, features) > kth) {
-      return true;
+    // A row whose feature column does not decode has no bound: it is
+    // verified, never pruned.
+    double bound = 0;
+    if (DecodeRecordFeatures(header, &features_)) {
+      bound = geo::DPFeatureLowerBound(sink_->query_features_, features_);
     }
-    std::vector<geo::TimedPoint> points;
-    if (!DecodeRecordPoints(header, &points)) {
-      status = Status::Corruption("bad point column during top-k query");
-      return false;
+    if (bound > kth) return true;
+    if (bound <= sink_->cutoff_) {
+      return Verify(header) && sink_->KthBound() > sink_->cutoff_;
     }
-    exact_distances++;
-    // Exact while it can still enter the k-best; once it cannot, the kernel
-    // may stop early and return any value above the k-th distance.
-    kth = sink_->KthBound();
-    const double d = geo::ExactDistanceWithin(
-        sink_->measure_, sink_->query_->points, points, kth);
-    if (d >= kth) return true;
+    if (held_ == buffer_.size()) buffer_.emplace_back();
+    buffer_[held_].bound = bound;
+    buffer_[held_].value.assign(value.data(), value.size());
+    return ++held_ < kForkBufferRows || Drain();
+  }
 
-    traj::Trajectory t;
-    t.oid = header.oid.ToString();
-    t.tid = header.tid.ToString();
-    t.points = std::move(points);
-    sink_->Offer(d, std::move(t));
-    return sink_->KthBound() > sink_->cutoff_;
+  // Verifies the buffered rows in ascending bound order and empties the
+  // buffer. Returns false when the scan should stop: the k-th distance
+  // reached the cutoff, or a row is corrupt.
+  bool Drain() {
+    std::sort(buffer_.begin(), buffer_.begin() + held_,
+              [](const Held& a, const Held& b) { return a.bound < b.bound; });
+    bool more = status.ok();
+    for (size_t i = 0; more && i < held_; i++) {
+      const double kth = sink_->KthBound();
+      if (kth <= sink_->cutoff_) {
+        more = false;
+      } else if (buffer_[i].bound > kth) {
+        break;  // and so is every later row's
+      } else {
+        RecordHeader header;
+        DecodeRecordHeader(buffer_[i].value, &header);  // parsed in Accept
+        more = Verify(header);
+      }
+    }
+    held_ = 0;
+    return more;
   }
 
   uint64_t exact_distances = 0;
   Status status;
 
  private:
+  struct Held {
+    double bound = 0;
+    std::string value;  // capacity is reused across drains
+  };
+
+  // Decodes the row's points and offers it to the k-best if its exact
+  // distance beats the k-th. False (with `status` set) on a corrupt row.
+  bool Verify(const RecordHeader& header) {
+    if (!DecodeRecordPoints(header, &points_)) {
+      status = Status::Corruption("bad point column during top-k query");
+      return false;
+    }
+    exact_distances++;
+    // Exact while it can still enter the k-best; once it cannot, the kernel
+    // may stop early and return any value above the k-th distance.
+    const double kth = sink_->KthBound();
+    const double d = geo::ExactDistanceWithin(
+        sink_->measure_, sink_->query_->points, points_, kth);
+    if (d >= kth) return true;
+
+    traj::Trajectory t;
+    t.oid = header.oid.ToString();
+    t.tid = header.tid.ToString();
+    t.points = std::move(points_);
+    sink_->Offer(d, std::move(t));
+    return true;
+  }
+
   TopKSink* sink_;
+  geo::DPFeatures features_;
+  std::vector<geo::TimedPoint> points_;
+  std::vector<Held> buffer_;  // the first held_ entries are live
+  size_t held_ = 0;
 };
 
 std::unique_ptr<kv::RowSink> TopKSink::Fork() {
   return std::make_unique<RegionFork>(this);
+}
+
+void TopKSink::Finish(kv::RowSink* fork) {
+  static_cast<RegionFork*>(fork)->Drain();
 }
 
 void TopKSink::Join(kv::RowSink* fork) {

@@ -129,19 +129,36 @@ class ThresholdVerifySink : public cluster::ScanSink {
 };
 
 // Accumulator of the expanding-radius top-k search. Each fork verifies its
-// region's rows — header, DP lower bound, point decode and bounded exact
-// distance — against one shared k-best: a sorted array of at most k
-// entries under a mutex, taken only when a verified candidate beats the
-// published k-th distance. The k-th distance is published in an atomic
-// (+inf until k results are held) that forks read lock-free for the DP
-// prune, the kernel bound and the cutoff stop. The k-best rejects a tid it
-// already holds, so a trajectory delivered twice is ranked once.
+// region's rows — point decode and bounded exact distance — against one
+// shared k-best: a sorted array of at most k entries under a mutex, taken
+// only when a verified candidate beats the published k-th distance. The
+// k-th distance is published in an atomic (+inf until k results are held)
+// that forks read lock-free for the DP prune, the kernel bound and the
+// cutoff stop. The k-best rejects a tid it already holds, so a trajectory
+// delivered twice is ranked once.
+//
+// A fork verifies in ascending DP-lower-bound order (Hjaltason and Samet's
+// distance browsing), so the k-th distance tightens before the rows it can
+// prune are reached. Per row, the fork decodes the header and DP features
+// and then
+//   - drops the row if its bound exceeds the k-th distance;
+//   - verifies it at once if its bound is at or below `cutoff` (it would be
+//     verified anyway unless the round stops first);
+//   - otherwise copies it into the fork's buffer of kForkBufferRows rows.
+// When the buffer fills, and at Finish, the fork sorts it by bound and
+// verifies in that order, stopping at the first bound above the k-th
+// distance or once the k-th distance reaches the cutoff.
 //
 // A fork declines a row — stopping the scan — once the k-th distance is at
 // or below `cutoff`: every row the round has yet to deliver lies beyond the
-// previous search radius (= cutoff), so none can improve the result.
+// previous search radius (= cutoff), and every buffered row's bound exceeds
+// the cutoff, so none can improve the result.
 class TopKSink : public cluster::ScanSink {
  public:
+  // Rows a fork holds back for bound-ordered verification before it drains
+  // them mid-scan.
+  static constexpr size_t kForkBufferRows = 256;
+
   TopKSink(const traj::Trajectory* query, geo::SimilarityMeasure measure,
            size_t k, geo::DPFeatures query_features, QueryStats* stats)
       : query_(query),
@@ -151,6 +168,8 @@ class TopKSink : public cluster::ScanSink {
         stats_(stats) {}
 
   std::unique_ptr<kv::RowSink> Fork() override;
+  // Verifies the fork's buffered rows in bound order.
+  void Finish(kv::RowSink* fork) override;
   void Join(kv::RowSink* fork) override;
 
   // Distances at or below the cutoff cannot be beaten by rows the current

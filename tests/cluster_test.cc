@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <filesystem>
 #include <set>
 #include <thread>
@@ -211,15 +213,21 @@ TEST(ClusterTest, RoutingWrapsPastShardCount) {
   }
 }
 
-// Forks that record the threads driving them and the keys they receive.
-// Join copies each fork's record out (forks die with the scan), in join
-// order.
+// Forks that record the threads driving them, the keys they receive and
+// when (on one scan-wide clock) their rows, their Finish and their Join
+// happen. Join copies each fork's record out (forks die with the scan), in
+// join order.
 class RecordingForkSink : public ScanSink {
  public:
   struct Record {
     std::set<std::thread::id> threads;
     std::vector<std::string> keys;
     bool declined = false;
+    int finishes = 0;
+    std::thread::id finish_thread;
+    uint64_t last_row_tick = 0;  // 0 = no row delivered
+    uint64_t finish_tick = 0;
+    uint64_t join_tick = 0;
   };
 
   // A fork whose region holds keys with shard byte `decline_shard` declines
@@ -233,24 +241,52 @@ class RecordingForkSink : public ScanSink {
     return std::make_unique<RecordingFork>(this, forks_made_++);
   }
 
+  void Finish(kv::RowSink* fork) override {
+    Record& r = static_cast<RecordingFork*>(fork)->record;
+    r.finishes++;
+    r.finish_thread = std::this_thread::get_id();
+    r.finish_tick = Tick();
+  }
+
   void Join(kv::RowSink* fork) override {
     auto* f = static_cast<RecordingFork*>(fork);
     EXPECT_EQ(forked_.erase(f->id), 1u) << "fork joined twice";
+    f->record.join_tick = Tick();
     joined.push_back(std::move(f->record));
   }
 
   size_t forks_made() const { return forks_made_; }
   size_t unjoined() const { return forked_.size(); }
 
+  // Checks the Finish contract on every joined fork: exactly one Finish, on
+  // the thread that delivered the fork's rows, after its last row and
+  // before the first Join.
+  void ExpectEachForkFinishedOnceBeforeAnyJoin() const {
+    uint64_t first_join = UINT64_MAX;
+    for (const Record& r : joined) {
+      first_join = std::min(first_join, r.join_tick);
+    }
+    for (size_t i = 0; i < joined.size(); i++) {
+      const Record& r = joined[i];
+      EXPECT_EQ(r.finishes, 1) << "fork " << i;
+      EXPECT_LT(r.last_row_tick, r.finish_tick) << "fork " << i;
+      EXPECT_LT(r.finish_tick, first_join) << "fork " << i;
+      if (!r.threads.empty()) {
+        EXPECT_EQ(r.threads.size(), 1u) << "fork " << i;
+        EXPECT_EQ(*r.threads.begin(), r.finish_thread) << "fork " << i;
+      }
+    }
+  }
+
   std::vector<Record> joined;  // in join order
 
  private:
   struct RecordingFork : public kv::RowSink {
-    RecordingFork(const RecordingForkSink* sink, size_t id)
-        : sink(sink), id(id) {}
+    RecordingFork(RecordingForkSink* sink, size_t id) : sink(sink), id(id) {}
     bool Accept(const Slice& key, const Slice&) override {
       record.threads.insert(std::this_thread::get_id());
       record.keys.push_back(key.ToString());
+      record.last_row_tick = sink->Tick();
       if (sink->decline_after_ != 0 &&
           static_cast<uint8_t>(key[0]) == sink->decline_shard_ &&
           record.keys.size() == sink->decline_after_) {
@@ -259,15 +295,18 @@ class RecordingForkSink : public ScanSink {
       }
       return true;
     }
-    const RecordingForkSink* sink;
+    RecordingForkSink* sink;
     size_t id;
     Record record;
   };
+
+  uint64_t Tick() { return ++clock_; }
 
   uint8_t decline_shard_;
   size_t decline_after_;
   size_t forks_made_ = 0;
   std::set<size_t> forked_;
+  std::atomic<uint64_t> clock_{0};
 };
 
 TEST(ClusterTest, ForksRunOnOneThreadAndJoinInRegionKeyOrder) {
@@ -302,11 +341,13 @@ TEST(ClusterTest, ForksRunOnOneThreadAndJoinInRegionKeyOrder) {
   ASSERT_TRUE(
       table->MultiScan(windows, &filter, 0, &sink, nullptr, &breakdown).ok());
 
-  // One fork per region task, each joined exactly once.
+  // One fork per region task, each finished once on its task's thread
+  // after its last row, and joined exactly once after every Finish.
   EXPECT_EQ(sink.forks_made(), 8u);
   EXPECT_EQ(breakdown.size(), 8u);
   EXPECT_EQ(sink.unjoined(), 0u);
   ASSERT_EQ(sink.joined.size(), 8u);
+  sink.ExpectEachForkFinishedOnceBeforeAnyJoin();
   std::vector<std::string> got;
   for (size_t i = 0; i < sink.joined.size(); i++) {
     const RecordingForkSink::Record& r = sink.joined[i];
@@ -324,7 +365,8 @@ TEST(ClusterTest, ForksRunOnOneThreadAndJoinInRegionKeyOrder) {
 // itself succeeds. With one server the calling thread runs the tasks one
 // after another in region order, so the tasks after the declining one must
 // deliver nothing; with four, tasks overlap and may deliver rows before the
-// stop, but the declining fork sees no row past its decline.
+// stop, but the declining fork sees no row past its decline. Every task
+// still finishes its fork.
 TEST(ClusterTest, DecliningForkStopsEveryTask) {
   for (const int servers : {1, 4}) {
     SCOPED_TRACE("servers " + std::to_string(servers));
@@ -350,6 +392,9 @@ TEST(ClusterTest, DecliningForkStopsEveryTask) {
     ASSERT_EQ(sink.joined.size(), 4u);
     EXPECT_TRUE(sink.joined[0].declined);
     EXPECT_EQ(sink.joined[0].keys.size(), 5u);
+    // Tasks ended by the shared stop flag, even ones that delivered no row,
+    // still finish their forks.
+    sink.ExpectEachForkFinishedOnceBeforeAnyJoin();
     if (servers == 1) {
       for (size_t i = 1; i < sink.joined.size(); i++) {
         EXPECT_TRUE(sink.joined[i].keys.empty()) << "region " << i;

@@ -878,7 +878,8 @@ TEST(ClusterDegradedTest, RetryPolicyHealsTransientFault) {
 // Records every delivered key and, once `arm_after` rows of region
 // `shard` have arrived, arms one read fault on that region's files: the
 // region's next block read fails mid-stream. Only that region's fork sees
-// its rows, so the fork counts them on its own.
+// its rows, so the fork counts them on its own. Each fork also records its
+// Finish calls and the rows it had received by the first.
 class ArmingSink : public ScanSink {
  public:
   ArmingSink(kv::FaultInjectionEnv* env, uint8_t shard, uint64_t arm_after)
@@ -887,13 +888,23 @@ class ArmingSink : public ScanSink {
   std::unique_ptr<kv::RowSink> Fork() override {
     return std::make_unique<ArmingFork>(this);
   }
+  void Finish(kv::RowSink* fork) override {
+    auto* f = static_cast<ArmingFork*>(fork);
+    if (f->finishes++ == 0) f->rows_at_finish = f->rows;
+  }
   void Join(kv::RowSink* fork) override {
-    for (const auto& [key, n] : static_cast<ArmingFork*>(fork)->delivered) {
-      delivered[key] += n;
-    }
+    auto* f = static_cast<ArmingFork*>(fork);
+    for (const auto& [key, n] : f->delivered) delivered[key] += n;
+    finishes.push_back(f->finishes);
+    rows.push_back(f->rows);
+    rows_at_finish.push_back(f->rows_at_finish);
   }
 
   std::map<std::string, int> delivered;
+  // Per fork, in join (region key) order.
+  std::vector<int> finishes;
+  std::vector<uint64_t> rows;
+  std::vector<uint64_t> rows_at_finish;
 
  private:
   struct ArmingFork : public kv::RowSink {
@@ -901,6 +912,7 @@ class ArmingSink : public ScanSink {
     bool Accept(const Slice& key, const Slice& value) override {
       (void)value;
       delivered[key.ToString()]++;
+      rows++;
       if (static_cast<uint8_t>(key[0]) == sink->shard_ &&
           ++shard_rows == sink->arm_after_) {
         sink->env_->FailReads("/t/shard" + std::to_string(sink->shard_) + "/",
@@ -911,6 +923,9 @@ class ArmingSink : public ScanSink {
     const ArmingSink* sink;
     std::map<std::string, int> delivered;
     uint64_t shard_rows = 0;
+    uint64_t rows = 0;
+    int finishes = 0;
+    uint64_t rows_at_finish = 0;
   };
 
   kv::FaultInjectionEnv* env_;
@@ -964,6 +979,14 @@ TEST(ClusterDegradedTest, MidStreamRetryResumesPastLastDeliveredKey) {
   EXPECT_GE(outcome.retries, 1u);
   EXPECT_EQ(outcome.regions_failed, 0u);
   EXPECT_EQ(sink.delivered, want);  // every row exactly once
+  // Every task, the retried one included, finished its fork exactly once,
+  // after its last row: for region 1, after the resumed attempt.
+  ASSERT_EQ(sink.finishes.size(), static_cast<size_t>(kShards));
+  for (int i = 0; i < kShards; i++) {
+    EXPECT_EQ(sink.finishes[i], 1) << "region " << i;
+    EXPECT_EQ(sink.rows_at_finish[i], sink.rows[i]) << "region " << i;
+  }
+  EXPECT_EQ(sink.rows[1], want.size() / kShards);
   fenv.ClearFaults();
 }
 

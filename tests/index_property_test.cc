@@ -10,7 +10,6 @@
 #include <set>
 
 #include "common/random.h"
-#include "index/fixed_bin_index.h"
 #include "index/quadkey.h"
 #include "index/shape_encoding.h"
 #include "index/tr_index.h"
@@ -83,41 +82,6 @@ TEST(TRvsXZTProperty, DeadRegionComparison) {
   }
   // On average the TR representation is much tighter.
   EXPECT_LT(tr_slack_total / trials, xzt_slack_total / trials / 2);
-}
-
-// ---------------------------------------------------------------------------
-// Fixed-bin duplication vs TR single storage.
-
-TEST(FixedBinProperty, DuplicatesLongRanges) {
-  FixedBinIndex idx(FixedBinConfig{0, 3600});
-  // A 5-hour trajectory is stored 6 times (crossing 6 hourly bins).
-  const auto bins = idx.EncodeAll(1800, 1800 + 5 * 3600);
-  EXPECT_EQ(bins.size(), 6u);
-  // TR stores it once.
-  TRIndex tr(TRConfig{0, 3600, 24});
-  (void)tr.Encode(1800, 1800 + 5 * 3600);  // one value by construction
-}
-
-TEST(FixedBinProperty, QueryCoversEveryStoredCopy) {
-  FixedBinIndex idx(FixedBinConfig{0, 1800});
-  Random rnd(3);
-  for (int trial = 0; trial < 200; trial++) {
-    const int64_t t_ts = static_cast<int64_t>(rnd.Uniform(1u << 24));
-    const int64_t t_te = t_ts + static_cast<int64_t>(rnd.Uniform(20000));
-    const int64_t q_ts = static_cast<int64_t>(rnd.Uniform(1u << 24));
-    const int64_t q_te = q_ts + static_cast<int64_t>(rnd.Uniform(20000));
-    if (t_ts > q_te || t_te < q_ts) continue;
-    // At least one stored copy falls in a queried bin.
-    const auto bins = idx.EncodeAll(t_ts, t_te);
-    const auto ranges = idx.QueryRanges(q_ts, q_te);
-    bool covered = false;
-    for (uint64_t bin : bins) {
-      for (const auto& r : ranges) {
-        if (r.Contains(bin)) covered = true;
-      }
-    }
-    EXPECT_TRUE(covered);
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,15 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/coding.h"
 #include "core/executor.h"
 #include "core/filters.h"
 #include "core/planner.h"
+#include "core/record.h"
 #include "core/tman.h"
 #include "geo/similarity.h"
 #include "traj/generator.h"
@@ -502,6 +506,180 @@ TEST(TopKEarlyStopTest, SinkCutoffStopsScanMidRound) {
   EXPECT_EQ(stats.plan, "similarity:topk");
   EXPECT_LT(stats.candidates, rows.size() / 2);
   EXPECT_GE(stats.candidates, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// TopKSink bound order: one fork, fed rows farthest first, verifies its
+// buffered rows nearest bound first.
+
+constexpr size_t kTestDPFeatures = 8;
+
+traj::Trajectory BoundOrderProbe() {
+  traj::Trajectory query;
+  query.oid = "probe";
+  query.tid = "probe-t0";
+  for (int i = 0; i < 20; i++) {
+    query.points.push_back(
+        geo::TimedPoint{116.40 + 0.0001 * i, 39.90 + 0.0001 * (i % 5),
+                        1700000000 + 30 * i});
+  }
+  return query;
+}
+
+// `n` copies of `query`, the i-th shifted (i + 1) * 0.01 degrees east, so
+// its Fréchet distance to the query and its DP lower bound both grow with
+// i. Returned farthest first, each encoded as a primary-table value.
+struct ShiftedRows {
+  std::vector<traj::Trajectory> copies;
+  std::vector<std::string> values;
+};
+
+ShiftedRows FarthestFirst(const traj::Trajectory& query, size_t n) {
+  ShiftedRows rows;
+  for (size_t i = n; i-- > 0;) {
+    traj::Trajectory copy = query;
+    copy.oid = "copy-" + std::to_string(i);
+    copy.tid = copy.oid + "-t0";
+    for (geo::TimedPoint& p : copy.points) p.x += 0.01 * (i + 1);
+    std::string value;
+    EXPECT_TRUE(EncodeRecord(copy, kTestDPFeatures, &value));
+    rows.copies.push_back(std::move(copy));
+    rows.values.push_back(std::move(value));
+  }
+  return rows;
+}
+
+// Feeds every row into `fork`, farthest first; checks each is accepted.
+void FeedFarthestFirst(kv::RowSink* fork, const ShiftedRows& rows) {
+  for (size_t i = 0; i < rows.values.size(); i++) {
+    EXPECT_TRUE(fork->Accept(rows.copies[i].tid, rows.values[i])) << i;
+  }
+}
+
+// The k nearest copies by exact distance, nearest first.
+std::vector<std::string> BruteForceTopK(const traj::Trajectory& query,
+                                        const ShiftedRows& rows,
+                                        geo::SimilarityMeasure measure,
+                                        size_t k) {
+  std::vector<std::pair<double, std::string>> scored;
+  for (const traj::Trajectory& t : rows.copies) {
+    scored.emplace_back(geo::ExactDistance(measure, query.points, t.points),
+                        t.tid);
+  }
+  std::sort(scored.begin(), scored.end());
+  std::vector<std::string> tids;
+  for (size_t i = 0; i < k && i < scored.size(); i++) {
+    tids.push_back(scored[i].second);
+  }
+  return tids;
+}
+
+std::vector<std::string> TidsInOrder(const std::vector<traj::Trajectory>& v) {
+  std::vector<std::string> tids;
+  for (const traj::Trajectory& t : v) tids.push_back(t.tid);
+  return tids;
+}
+
+// A streaming fork verifies each of these rows: every row is nearer than
+// all before it, so none is ever pruned. Buffered, the fork verifies
+// nothing until Finish, then the k nearest bounds and only the rows whose
+// bound does not exceed the k-th distance.
+TEST(TopKBoundOrderTest, FinishVerifiesBufferedRowsNearestBoundFirst) {
+  const traj::Trajectory query = BoundOrderProbe();
+  const geo::DPFeatures query_features =
+      geo::ExtractDPFeatures(query.points, kTestDPFeatures);
+  const size_t n = 200;
+  ASSERT_LT(n, TopKSink::kForkBufferRows);
+  const ShiftedRows rows = FarthestFirst(query, n);
+  const geo::SimilarityMeasure measure = geo::SimilarityMeasure::kFrechet;
+
+  for (const size_t k : {size_t{1}, size_t{5}, size_t{20}}) {
+    SCOPED_TRACE("k " + std::to_string(k));
+    QueryStats stats;
+    TopKSink sink(&query, measure, k, query_features, &stats);
+    std::unique_ptr<kv::RowSink> fork = sink.Fork();
+    FeedFarthestFirst(fork.get(), rows);
+    EXPECT_TRUE(std::isinf(sink.KthBound())) << "verified before Finish";
+    sink.Finish(fork.get());
+    sink.Join(fork.get());
+    ASSERT_TRUE(sink.status().ok());
+
+    const double kth = sink.KthBound();
+    const std::vector<traj::Trajectory> results = sink.TakeResults();
+    EXPECT_EQ(TidsInOrder(results), BruteForceTopK(query, rows, measure, k));
+    size_t within = 0;
+    for (const traj::Trajectory& t : rows.copies) {
+      const double bound = geo::DPFeatureLowerBound(
+          query_features, geo::ExtractDPFeatures(t.points, kTestDPFeatures));
+      if (bound <= kth) within++;
+    }
+    EXPECT_GE(stats.exact_distance_computations, k);
+    EXPECT_LE(stats.exact_distance_computations, k + within);
+    EXPECT_LT(stats.exact_distance_computations, n);
+  }
+}
+
+// More rows than the buffer holds: the fork drains mid-scan whenever the
+// buffer fills, so the k-best fills before Finish, and the answer is still
+// exact.
+TEST(TopKBoundOrderTest, FullBufferDrainsMidScan) {
+  const traj::Trajectory query = BoundOrderProbe();
+  const geo::DPFeatures query_features =
+      geo::ExtractDPFeatures(query.points, kTestDPFeatures);
+  const size_t n = 2 * TopKSink::kForkBufferRows + 88;
+  const ShiftedRows rows = FarthestFirst(query, n);
+  const geo::SimilarityMeasure measure = geo::SimilarityMeasure::kFrechet;
+  const size_t k = 5;
+
+  QueryStats stats;
+  TopKSink sink(&query, measure, k, query_features, &stats);
+  std::unique_ptr<kv::RowSink> fork = sink.Fork();
+  FeedFarthestFirst(fork.get(), rows);
+  EXPECT_FALSE(std::isinf(sink.KthBound())) << "no mid-scan drain";
+  sink.Finish(fork.get());
+  sink.Join(fork.get());
+  ASSERT_TRUE(sink.status().ok());
+  EXPECT_EQ(TidsInOrder(sink.TakeResults()),
+            BruteForceTopK(query, rows, measure, k));
+  // Each of the three drains verifies its k nearest bounds first; the
+  // rows behind them are pruned by the k-th distance.
+  EXPECT_GE(stats.exact_distance_computations, k);
+  EXPECT_LT(stats.exact_distance_computations, n / 10);
+}
+
+// A buffered row whose header and DP features decode but whose point
+// column does not still fails the query with Corruption once verified.
+TEST(TopKBoundOrderTest, CorruptBufferedRowFailsWithCorruption) {
+  const traj::Trajectory query = BoundOrderProbe();
+  ShiftedRows rows = FarthestFirst(query, 10);
+  // The nearest copy (fed last) gets a point column that claims 0xFFFFFFF0
+  // points.
+  std::string& value = rows.values.back();
+  RecordHeader header;
+  ASSERT_TRUE(DecodeRecordHeader(value, &header));
+  Slice columns = header.points_blob;
+  uint32_t count = 0;
+  ASSERT_TRUE(GetVarint32(&columns, &count));
+  std::string points;
+  PutVarint32(&points, 0xFFFFFFF0u);
+  points.append(columns.data(), columns.size());
+  const size_t points_at =
+      static_cast<size_t>(header.points_blob.data() - value.data()) -
+      VarintLength(header.points_blob.size());
+  std::string corrupt = value.substr(0, points_at);
+  PutLengthPrefixedSlice(&corrupt, points);
+  PutLengthPrefixedSlice(&corrupt, header.dp_blob);
+  value = corrupt;
+
+  TopKSink sink(&query, geo::SimilarityMeasure::kFrechet, 3,
+                geo::ExtractDPFeatures(query.points, kTestDPFeatures),
+                nullptr);
+  std::unique_ptr<kv::RowSink> fork = sink.Fork();
+  FeedFarthestFirst(fork.get(), rows);  // buffered: nothing verified yet
+  ASSERT_TRUE(sink.status().ok());
+  sink.Finish(fork.get());
+  sink.Join(fork.get());
+  EXPECT_TRUE(sink.status().IsCorruption()) << sink.status().ToString();
 }
 
 }  // namespace
