@@ -131,42 +131,41 @@ bool GorillaDecoder::ReadBits(int bits, uint64_t* value) {
   return true;
 }
 
-bool GorillaDecoder::Decode(size_t count, std::vector<double>* out) {
-  out->clear();
-  if (count == 0) return true;
-  // The first value takes 64 bits and every later one at least 1; reject
-  // a count the blob cannot hold before reserving for it.
-  if (size_ < 8 || count - 1 > size_ * 8 - 64) return false;
-  out->reserve(count);
-
-  uint64_t prev;
-  if (!ReadBits(64, &prev)) return false;
-  out->push_back(BitsToDouble(prev));
-
-  int leading = 0;
-  int meaningful = 0;
-  while (out->size() < count) {
-    bool changed;
-    if (!ReadBit(&changed)) return false;
-    if (!changed) {
-      out->push_back(BitsToDouble(prev));
-      continue;
-    }
-    bool new_window;
+bool GorillaDecoder::Next(double* value) {
+  if (bit_pos_ == 0) {
+    if (!ReadBits(64, &prev_)) return false;
+    *value = BitsToDouble(prev_);
+    return true;
+  }
+  bool changed = false;
+  if (!ReadBit(&changed)) return false;
+  if (changed) {
+    bool new_window = false;
     if (!ReadBit(&new_window)) return false;
     if (new_window) {
-      uint64_t window;  // 5 bits leading, 6 bits length
+      uint64_t window = 0;  // 5 bits leading, 6 bits length
       if (!ReadBits(11, &window)) return false;
-      leading = static_cast<int>(window >> 6);
-      meaningful = static_cast<int>(window & 63);
-      if (meaningful == 0) meaningful = 64;  // 6-bit overflow encoding
+      leading_ = static_cast<int>(window >> 6);
+      meaningful_ = static_cast<int>(window & 63);
+      if (meaningful_ == 0) meaningful_ = 64;  // 6-bit overflow encoding
     }
-    if (meaningful == 0 || leading + meaningful > 64) return false;
-    uint64_t xor_bits;
-    if (!ReadBits(meaningful, &xor_bits)) return false;
-    const int trailing = 64 - leading - meaningful;
-    prev ^= xor_bits << trailing;
-    out->push_back(BitsToDouble(prev));
+    if (meaningful_ == 0 || leading_ + meaningful_ > 64) return false;
+    uint64_t xor_bits = 0;
+    if (!ReadBits(meaningful_, &xor_bits)) return false;
+    prev_ ^= xor_bits << (64 - leading_ - meaningful_);
+  }
+  *value = BitsToDouble(prev_);
+  return true;
+}
+
+bool GorillaDecoder::Decode(size_t count, std::vector<double>* out) {
+  out->clear();
+  if (!Fits(count)) return false;
+  out->reserve(count);
+  double value = 0;
+  for (size_t i = 0; i < count; i++) {
+    if (!Next(&value)) return false;
+    out->push_back(value);
   }
   return true;
 }

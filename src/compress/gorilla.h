@@ -30,13 +30,24 @@ class GorillaEncoder {
   size_t count_ = 0;
 };
 
+// Reads a Gorilla bitstream one value at a time. Never reads past `size`.
 class GorillaDecoder {
  public:
   GorillaDecoder(const char* data, size_t size)
       : data_(data), size_(size) {}
 
-  // Decodes exactly `count` doubles; false on malformed input, including a
-  // count the blob is too short to hold. Never reads past `size`.
+  // False when the blob is too short to hold `count` values: the first
+  // takes 64 bits and every later one at least 1. Callers check it before
+  // allocating for the values.
+  bool Fits(size_t count) const {
+    return count == 0 || (size_ >= 8 && count - 1 <= size_ * 8 - 64);
+  }
+
+  // Reads the next value; false on malformed input or at the blob's end.
+  bool Next(double* value);
+
+  // Decodes exactly `count` doubles with Next; false on malformed input,
+  // including a count that does not fit.
   bool Decode(size_t count, std::vector<double>* out);
 
  private:
@@ -47,6 +58,9 @@ class GorillaDecoder {
   const char* data_;
   size_t size_;
   size_t bit_pos_ = 0;  // bits consumed
+  uint64_t prev_ = 0;   // the last value's bits
+  int leading_ = 0;     // the current XOR window
+  int meaningful_ = 0;
 };
 
 }  // namespace tman::compress

@@ -84,32 +84,37 @@ bool Simple8bEncode(const std::vector<uint64_t>& values, std::string* out) {
   return true;
 }
 
+bool Simple8bReader::Next(uint64_t* value) {
+  if (left_ == 0) {
+    if (offset_ + 8 > size_) return false;
+    word_ = DecodeFixed64(data_ + offset_);
+    offset_ += 8;
+    const Packing p = kPackings[word_ >> 60];
+    left_ = p.n;
+    bits_ = p.bits;
+  }
+  left_--;
+  if (bits_ == 0) {
+    *value = 0;
+    return true;
+  }
+  *value = word_ & ((uint64_t{1} << bits_) - 1);
+  word_ >>= bits_;
+  return true;
+}
+
 bool Simple8bDecode(const char* data, size_t size, size_t count,
                     std::vector<uint64_t>* out) {
   out->clear();
-  // A word holds at most 240 values; reject a count the blob cannot hold
-  // before reserving for it.
-  if (count > size / 8 * 240) return false;
+  Simple8bReader reader(data, size);
+  if (!reader.Fits(count)) return false;
   out->reserve(count);
-  size_t offset = 0;
-  while (out->size() < count) {
-    if (offset + 8 > size) return false;
-    const uint64_t word = DecodeFixed64(data + offset);
-    offset += 8;
-    const int sel = static_cast<int>(word >> 60);
-    const Packing p = kPackings[sel];
-    if (p.bits == 0) {
-      for (uint32_t i = 0; i < p.n && out->size() < count; i++) {
-        out->push_back(0);
-      }
-      continue;
-    }
-    const uint64_t mask = (p.bits >= 64) ? UINT64_MAX : ((1ULL << p.bits) - 1);
-    for (uint32_t i = 0; i < p.n && out->size() < count; i++) {
-      out->push_back((word >> (p.bits * i)) & mask);
-    }
+  uint64_t value = 0;
+  for (size_t i = 0; i < count; i++) {
+    if (!reader.Next(&value)) return false;
+    out->push_back(value);
   }
-  return out->size() == count;
+  return true;
 }
 
 }  // namespace tman::compress

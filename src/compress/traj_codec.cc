@@ -6,6 +6,21 @@
 
 namespace tman::compress {
 
+namespace {
+
+// One step of delta-of-delta decoding: folds `encoded` into the running
+// value and delta and returns the value. Wraps instead of overflowing on
+// malformed input.
+int64_t DeltaOfDeltaStep(uint64_t encoded, int64_t* value, int64_t* delta) {
+  *delta = static_cast<int64_t>(static_cast<uint64_t>(*delta) +
+                                static_cast<uint64_t>(ZigZagDecode64(encoded)));
+  *value = static_cast<int64_t>(static_cast<uint64_t>(*value) +
+                                static_cast<uint64_t>(*delta));
+  return *value;
+}
+
+}  // namespace
+
 void DeltaOfDeltaEncode(const std::vector<int64_t>& values,
                         std::vector<uint64_t>* out) {
   out->clear();
@@ -25,14 +40,10 @@ void DeltaOfDeltaDecode(const std::vector<uint64_t>& encoded,
                         std::vector<int64_t>* out) {
   out->clear();
   out->reserve(encoded.size());
-  int64_t prev = 0;
-  int64_t prev_delta = 0;
+  int64_t value = 0;
+  int64_t delta = 0;
   for (uint64_t e : encoded) {
-    const int64_t dod = ZigZagDecode64(e);
-    const int64_t delta = prev_delta + dod;
-    prev += delta;
-    out->push_back(prev);
-    prev_delta = delta;
+    out->push_back(DeltaOfDeltaStep(e, &value, &delta));
   }
 }
 
@@ -60,25 +71,60 @@ bool EncodePoints(const PointColumns& columns, std::string* out) {
   return true;
 }
 
-bool DecodePoints(const char* data, size_t size, PointColumns* columns) {
+PointReader::Layout PointReader::Parse(const char* data, size_t size) {
+  Layout layout;
   Slice input(data, size);
-  uint32_t n;
-  if (!GetVarint32(&input, &n)) return false;
-  Slice ts_blob, lon_blob, lat_blob;
-  if (!GetLengthPrefixedSlice(&input, &ts_blob) ||
-      !GetLengthPrefixedSlice(&input, &lon_blob) ||
-      !GetLengthPrefixedSlice(&input, &lat_blob)) {
-    return false;
+  layout.ok = GetVarint32(&input, &layout.count) &&
+              GetLengthPrefixedSlice(&input, &layout.ts) &&
+              GetLengthPrefixedSlice(&input, &layout.lon) &&
+              GetLengthPrefixedSlice(&input, &layout.lat);
+  return layout;
+}
+
+PointReader::PointReader(const char* data, size_t size, bool timestamps)
+    : PointReader(Parse(data, size), timestamps) {}
+
+PointReader::PointReader(const Layout& layout, bool timestamps)
+    : timestamps_(timestamps),
+      count_(layout.count),
+      ts_(layout.ts.data(), layout.ts.size()),
+      lon_(layout.lon.data(), layout.lon.size()),
+      lat_(layout.lat.data(), layout.lat.size()) {
+  ok_ = layout.ok && (!timestamps || ts_.Fits(count_)) &&
+        lon_.Fits(count_) && lat_.Fits(count_);
+}
+
+bool PointReader::Next(double* lon, double* lat, int64_t* t) {
+  if (!ok_ || read_ == count_) return false;
+  if (timestamps_) {
+    uint64_t encoded = 0;
+    if (!ts_.Next(&encoded)) return false;
+    DeltaOfDeltaStep(encoded, &t_, &delta_);
+    if (t != nullptr) *t = t_;
   }
+  if (!lon_.Next(lon) || !lat_.Next(lat)) return false;
+  read_++;
+  return true;
+}
 
-  std::vector<uint64_t> dod;
-  if (!Simple8bDecode(ts_blob.data(), ts_blob.size(), n, &dod)) return false;
-  DeltaOfDeltaDecode(dod, &columns->timestamps);
-
-  GorillaDecoder lon_dec(lon_blob.data(), lon_blob.size());
-  if (!lon_dec.Decode(n, &columns->lons)) return false;
-  GorillaDecoder lat_dec(lat_blob.data(), lat_blob.size());
-  if (!lat_dec.Decode(n, &columns->lats)) return false;
+bool DecodePoints(const char* data, size_t size, PointColumns* columns) {
+  PointReader reader(data, size, /*timestamps=*/true);
+  if (!reader.ok()) return false;
+  const uint32_t n = reader.count();
+  columns->timestamps.clear();
+  columns->lons.clear();
+  columns->lats.clear();
+  columns->timestamps.reserve(n);
+  columns->lons.reserve(n);
+  columns->lats.reserve(n);
+  double lon = 0, lat = 0;
+  int64_t t = 0;
+  for (uint32_t i = 0; i < n; i++) {
+    if (!reader.Next(&lon, &lat, &t)) return false;
+    columns->timestamps.push_back(t);
+    columns->lons.push_back(lon);
+    columns->lats.push_back(lat);
+  }
   return true;
 }
 

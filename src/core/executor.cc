@@ -330,20 +330,19 @@ class ThresholdVerifySink::RegionFork : public TrajectoriesFork {
       status = Status::Corruption("bad record during similarity query");
       return false;
     }
-    std::vector<geo::TimedPoint> points;
-    if (!DecodeRecordPoints(header, &points)) {
+    if (!DecodeRecordPoints(header, &points_)) {
       status =
           Status::Corruption("bad point column during similarity query");
       return false;
     }
     exact_distances++;
     if (geo::ExactDistanceWithin(sink_->measure_, sink_->query_->points,
-                                 points, sink_->threshold_) <=
+                                 points_, sink_->threshold_) <=
         sink_->threshold_) {
       traj::Trajectory t;
       t.oid = header.oid.ToString();
       t.tid = header.tid.ToString();
-      t.points = std::move(points);
+      t.points = std::move(points_);
       out.push_back(std::move(t));
     }
     return true;
@@ -353,6 +352,7 @@ class ThresholdVerifySink::RegionFork : public TrajectoriesFork {
 
  private:
   const ThresholdVerifySink* sink_;
+  std::vector<geo::TimedPoint> points_;  // capacity reused across rows
 };
 
 std::unique_ptr<kv::RowSink> ThresholdVerifySink::Fork() {
@@ -388,8 +388,10 @@ class TopKSink::RegionFork : public kv::RowSink {
     // A row whose feature column does not decode has no bound: it is
     // verified, never pruned.
     double bound = 0;
-    if (DecodeRecordFeatures(header, &features_)) {
-      bound = geo::DPFeatureLowerBound(sink_->query_features_, features_);
+    if (!geo::DPFeatureLowerBound(sink_->query_features_,
+                                  header.dp_blob.data(),
+                                  header.dp_blob.size(), &bound)) {
+      bound = 0;
     }
     if (bound > kth) return true;
     if (bound <= sink_->cutoff_) {
@@ -457,8 +459,7 @@ class TopKSink::RegionFork : public kv::RowSink {
   }
 
   TopKSink* sink_;
-  geo::DPFeatures features_;
-  std::vector<geo::TimedPoint> points_;
+  std::vector<geo::TimedPoint> points_;  // capacity reused across rows
   std::vector<Held> buffer_;  // the first held_ entries are live
   size_t held_ = 0;
 };

@@ -139,8 +139,8 @@ class ThresholdVerifySink : public cluster::ScanSink {
 //
 // A fork verifies in ascending DP-lower-bound order (Hjaltason and Samet's
 // distance browsing), so the k-th distance tightens before the rows it can
-// prune are reached. Per row, the fork decodes the header and DP features
-// and then
+// prune are reached. Per row, the fork parses the header, bounds the row
+// from its DP-feature column in place, and then
 //   - drops the row if its bound exceeds the k-th distance;
 //   - verifies it at once if its bound is at or below `cutoff` (it would be
 //     verified anyway unless the round stops first);

@@ -32,9 +32,14 @@ class TemporalRangeFilter : public kv::ScanFilter {
   int64_t te_;
 };
 
-// Keeps rows whose trajectory actually visits `rect` (in data coordinates).
-// Fast path: MBR disjoint -> reject; MBR contained -> accept; otherwise
-// decompress the points and run the exact polyline test.
+// Keeps rows whose trajectory actually visits `rect` (in data coordinates),
+// in three stages that each read the row in place:
+//   1. header MBR: disjoint -> reject; contained -> accept;
+//   2. DP-feature boxes: reject when the boxes that miss `rect` span every
+//      segment (geo::DPBoxesMissRect), which the exact test would reject;
+//   3. stream lon/lat and accept at the first segment that meets `rect`.
+// A row whose point column does not decode is kept, so the sink that
+// decodes it reports the corruption.
 class SpatialRangeFilter : public kv::ScanFilter {
  public:
   explicit SpatialRangeFilter(const geo::MBR& rect) : rect_(rect) {}

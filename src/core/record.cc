@@ -82,24 +82,18 @@ bool DecodeRecordHeader(const Slice& value, RecordHeader* header) {
 
 bool DecodeRecordPoints(const RecordHeader& header,
                         std::vector<geo::TimedPoint>* points) {
-  compress::PointColumns columns;
-  if (!compress::DecodePoints(header.points_blob.data(),
-                              header.points_blob.size(), &columns)) {
-    return false;
-  }
-  points->clear();
-  points->reserve(columns.timestamps.size());
-  for (size_t i = 0; i < columns.timestamps.size(); i++) {
-    points->push_back(geo::TimedPoint{columns.lons[i], columns.lats[i],
-                                      columns.timestamps[i]});
+  compress::PointReader reader(header.points_blob.data(),
+                               header.points_blob.size(),
+                               /*timestamps=*/true);
+  if (!reader.ok()) return false;
+  points->resize(reader.count());
+  for (geo::TimedPoint& p : *points) {
+    if (!reader.Next(&p.x, &p.y, &p.t)) {
+      points->clear();
+      return false;
+    }
   }
   return true;
-}
-
-bool DecodeRecordFeatures(const RecordHeader& header,
-                          geo::DPFeatures* features) {
-  return geo::DecodeDPFeatures(header.dp_blob.data(), header.dp_blob.size(),
-                               features);
 }
 
 bool DecodeRecord(const Slice& value, traj::Trajectory* trajectory) {

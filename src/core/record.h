@@ -38,13 +38,10 @@ bool EncodeRecord(const traj::Trajectory& trajectory, size_t max_dp_features,
 // `value`, which must outlive the header.
 bool DecodeRecordHeader(const Slice& value, RecordHeader* header);
 
-// Decompresses the point column of a parsed header.
+// Decompresses the point column of a parsed header straight into *points,
+// reusing its capacity; empties it on a malformed column.
 bool DecodeRecordPoints(const RecordHeader& header,
                         std::vector<geo::TimedPoint>* points);
-
-// Decodes the DP-feature column.
-bool DecodeRecordFeatures(const RecordHeader& header,
-                          geo::DPFeatures* features);
 
 // Full decode into a Trajectory.
 bool DecodeRecord(const Slice& value, traj::Trajectory* trajectory);

@@ -148,40 +148,92 @@ void EncodeDPFeatures(const DPFeatures& features, std::string* out) {
   }
 }
 
-bool DecodeDPFeatures(const char* data, size_t size, DPFeatures* features) {
-  Slice input(data, size);
-  auto get_double = [&input](double* d) {
-    if (input.size() < 8) return false;
-    uint64_t bits = DecodeFixed64(input.data());
-    input.remove_prefix(8);
-    memcpy(d, &bits, sizeof(*d));
-    return true;
-  };
-  if (!get_double(&features->mbr.min_x) || !get_double(&features->mbr.min_y) ||
-      !get_double(&features->mbr.max_x) || !get_double(&features->mbr.max_y)) {
+namespace {
+
+bool GetDouble(Slice* input, double* d) {
+  if (input->size() < 8) return false;
+  const uint64_t bits = DecodeFixed64(input->data());
+  input->remove_prefix(8);
+  memcpy(d, &bits, sizeof(*d));
+  return true;
+}
+
+bool GetBox(Slice* input, MBR* box) {
+  return GetDouble(input, &box->min_x) && GetDouble(input, &box->min_y) &&
+         GetDouble(input, &box->max_x) && GetDouble(input, &box->max_y);
+}
+
+// A feature takes at least 51 bytes: six doubles and three varints.
+constexpr size_t kMinFeatureBytes = 51;
+
+}  // namespace
+
+DPFeatureReader::DPFeatureReader(const char* data, size_t size)
+    : input_(data, size) {
+  ok_ = GetBox(&input_, &mbr_) && GetVarint32(&input_, &count_) &&
+        count_ <= input_.size() / kMinFeatureBytes;
+}
+
+bool DPFeatureReader::Next(DPFeature* feature) {
+  if (!ok_ || read_ == count_) return false;
+  uint64_t t = 0;
+  if (!GetDouble(&input_, &feature->rep.x) ||
+      !GetDouble(&input_, &feature->rep.y) || !GetVarint64(&input_, &t) ||
+      !GetBox(&input_, &feature->box) ||
+      !GetVarint32(&input_, &feature->start) ||
+      !GetVarint32(&input_, &feature->end)) {
     return false;
   }
-  uint32_t count;
-  if (!GetVarint32(&input, &count)) return false;
-  // A feature takes at least 51 bytes (six doubles and three varints);
-  // reject a count the blob cannot hold before reserving for it.
-  if (count > input.size() / 51) return false;
-  features->features.clear();
-  features->features.reserve(count);
-  for (uint32_t i = 0; i < count; i++) {
-    DPFeature f;
-    uint64_t t;
-    if (!get_double(&f.rep.x) || !get_double(&f.rep.y) ||
-        !GetVarint64(&input, &t) || !get_double(&f.box.min_x) ||
-        !get_double(&f.box.min_y) || !get_double(&f.box.max_x) ||
-        !get_double(&f.box.max_y) || !GetVarint32(&input, &f.start) ||
-        !GetVarint32(&input, &f.end)) {
-      return false;
-    }
-    f.rep.t = static_cast<int64_t>(t);
-    features->features.push_back(f);
+  feature->rep.t = static_cast<int64_t>(t);
+  read_++;
+  return true;
+}
+
+bool DecodeDPFeatures(const char* data, size_t size, DPFeatures* features) {
+  DPFeatureReader reader(data, size);
+  if (!reader.ok()) return false;
+  features->mbr = reader.mbr();
+  features->features.resize(reader.count());
+  for (DPFeature& f : features->features) {
+    if (!reader.Next(&f)) return false;
   }
   return true;
+}
+
+bool DPBoxesMissRect(const char* column, size_t size, uint32_t num_points,
+                     const MBR& rect) {
+  if (num_points == 0) return false;
+  DPFeatureReader reader(column, size);
+  if (!reader.ok()) return false;
+  // The spans of the missing boxes, up to a fixed number; dropping spans
+  // past it can only leave a gap, never hide one.
+  constexpr uint32_t kMaxSpans = 32;
+  uint32_t starts[kMaxSpans] = {}, ends[kMaxSpans] = {};
+  uint32_t spans = 0;
+  DPFeature f{};
+  for (uint32_t i = 0; i < reader.count(); i++) {
+    if (!reader.Next(&f)) return false;
+    if (spans < kMaxSpans && !f.box.Intersects(rect)) {
+      starts[spans] = f.start;
+      ends[spans] = f.end;
+      spans++;
+    }
+  }
+  // Sweep: the missing spans cover point 0 and every segment before point
+  // `reach`. Spans come in split-tree order, not by start, so sweep until
+  // no span extends the reach.
+  const int64_t last = static_cast<int64_t>(num_points) - 1;
+  int64_t reach = -1;  // nothing covered yet, not even point 0
+  for (bool grew = true; grew && reach < last;) {
+    grew = false;
+    for (uint32_t i = 0; i < spans; i++) {
+      if (starts[i] <= std::max<int64_t>(reach, 0) && ends[i] > reach) {
+        reach = ends[i];
+        grew = true;
+      }
+    }
+  }
+  return reach >= last;
 }
 
 }  // namespace tman::geo

@@ -169,21 +169,46 @@ double MBRLowerBound(const MBR& a, const MBR& b) {
   return std::sqrt(a.MinSquaredDistance(b));
 }
 
+namespace {
+
+// The bound's terms that need only the candidate's MBR, in
+// DPFeatureLowerBound's order (max is not commutative over NaN).
+double QuerySideLowerBound(const DPFeatures& query, const MBR& candidate) {
+  double lb = MBRLowerBound(query.mbr, candidate);
+  for (const DPFeature& f : query.features) {
+    lb = std::max(lb, PointToRectDistance(Point{f.rep.x, f.rep.y}, candidate));
+  }
+  return lb;
+}
+
+}  // namespace
+
 double DPFeatureLowerBound(const DPFeatures& query,
                            const DPFeatures& candidate) {
   // Every representative point is a real trajectory point; its match must
   // lie inside the other trajectory's MBR, so the point-to-MBR distance is
   // a valid lower bound in both directions.
-  double lb = MBRLowerBound(query.mbr, candidate.mbr);
-  for (const DPFeature& f : query.features) {
-    lb = std::max(lb, PointToRectDistance(Point{f.rep.x, f.rep.y},
-                                          candidate.mbr));
-  }
+  double lb = QuerySideLowerBound(query, candidate.mbr);
   for (const DPFeature& f : candidate.features) {
     lb = std::max(lb,
                   PointToRectDistance(Point{f.rep.x, f.rep.y}, query.mbr));
   }
   return lb;
+}
+
+bool DPFeatureLowerBound(const DPFeatures& query, const char* column,
+                         size_t size, double* bound) {
+  DPFeatureReader reader(column, size);
+  if (!reader.ok()) return false;
+  double lb = QuerySideLowerBound(query, reader.mbr());
+  DPFeature f{};
+  for (uint32_t i = 0; i < reader.count(); i++) {
+    if (!reader.Next(&f)) return false;
+    lb = std::max(lb,
+                  PointToRectDistance(Point{f.rep.x, f.rep.y}, query.mbr));
+  }
+  *bound = lb;
+  return true;
 }
 
 }  // namespace tman::geo

@@ -40,11 +40,22 @@ double ExactDistanceWithin(SimilarityMeasure measure,
 // below as well since DTW sums >= max step >= gap).
 double MBRLowerBound(const MBR& a, const MBR& b);
 
-// Tighter lower bound from DP-features (TraSS local filter): the maximum
-// over query features of the distance from the feature box to the
-// candidate's box. Never exceeds the true Fréchet/Hausdorff distance.
+// Tighter lower bound from DP-features (TraSS local filter): the largest of
+// the MBR gap, the distance from each query representative point to the
+// candidate's MBR, and the distance from each candidate representative
+// point to the query's MBR. Each representative is a real trajectory point,
+// and every measure matches it to a point inside the other trajectory's
+// MBR, so the bound never exceeds the true Fréchet, DTW or Hausdorff
+// distance. The feature boxes play no part.
 double DPFeatureLowerBound(const DPFeatures& query,
                            const DPFeatures& candidate);
+
+// DPFeatureLowerBound against a stored `features` column, read in place
+// (DPFeatureReader): bit-identical to the bound over the decoded column.
+// False when DecodeDPFeatures would reject the column; the candidate cannot
+// be bounded then.
+bool DPFeatureLowerBound(const DPFeatures& query, const char* column,
+                         size_t size, double* bound);
 
 }  // namespace tman::geo
 

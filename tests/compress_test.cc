@@ -11,6 +11,7 @@
 #include "compress/gorilla.h"
 #include "compress/simple8b.h"
 #include "compress/traj_codec.h"
+#include "core/record.h"
 
 namespace tman::compress {
 namespace {
@@ -71,6 +72,9 @@ TEST(Simple8bTest, RejectsCountBeyondBlob) {
     EXPECT_FALSE(
         Simple8bDecode(blob.data(), blob.size(), 0xFFFFFFF0u, &decoded));
   });
+  // Rejected before anything is allocated for the values.
+  EXPECT_EQ(decoded.capacity(), 0u);
+  EXPECT_FALSE(Simple8bReader(blob.data(), blob.size()).Fits(0xFFFFFFF0u));
 }
 
 TEST(Simple8bTest, EmptyInput) {
@@ -140,10 +144,14 @@ TEST(GorillaTest, RejectsCountBeyondBlob) {
   EXPECT_TRUE(GorillaDecoder(blob.data(), blob.size()).Decode(1, &decoded));
   EXPECT_FALSE(GorillaDecoder(blob.data(), blob.size()).Decode(2, &decoded));
   EXPECT_FALSE(GorillaDecoder(blob.data(), 7).Decode(1, &decoded));
+  std::vector<double> untouched;
   EXPECT_NO_THROW({
     EXPECT_FALSE(GorillaDecoder(blob.data(), blob.size())
-                     .Decode(0xFFFFFFF0u, &decoded));
+                     .Decode(0xFFFFFFF0u, &untouched));
   });
+  // Rejected before anything is allocated for the values.
+  EXPECT_EQ(untouched.capacity(), 0u);
+  EXPECT_FALSE(GorillaDecoder(blob.data(), blob.size()).Fits(0xFFFFFFF0u));
 }
 
 TEST(GorillaTest, DecodesEveryWindowWidth) {
@@ -384,6 +392,59 @@ TEST(TrajCodecTest, EncodingMatchesRecordedHash) {
   EXPECT_EQ(Hash64(all.data(), all.size()), 0x5fd25ffefef91c06ULL);
 }
 
+// The streaming readers yield, bit for bit, the series that the batch
+// decoders returned before they became loops over the readers: the 300
+// recorded series above.
+TEST(TrajCodecTest, StreamingReadersMatchTheRecordedSeries) {
+  auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  for (uint64_t i = 0; i < 300; i++) {
+    const PointColumns columns = SeededColumns(i);
+    const size_t n = columns.lons.size();
+    std::string blob;
+    ASSERT_TRUE(EncodePoints(columns, &blob));
+    for (bool timestamps : {false, true}) {
+      PointReader reader(blob.data(), blob.size(), timestamps);
+      ASSERT_TRUE(reader.ok()) << i;
+      ASSERT_EQ(reader.count(), n) << i;
+      for (size_t j = 0; j < n; j++) {
+        double lon, lat;
+        int64_t t = -1;
+        ASSERT_TRUE(reader.Next(&lon, &lat, &t)) << i << " " << j;
+        EXPECT_TRUE(same_bits(lon, columns.lons[j])) << i << " " << j;
+        EXPECT_TRUE(same_bits(lat, columns.lats[j])) << i << " " << j;
+        EXPECT_EQ(t, timestamps ? columns.timestamps[j] : -1) << i << " " << j;
+      }
+      double lon, lat;
+      EXPECT_FALSE(reader.Next(&lon, &lat)) << i;
+    }
+
+    // The column readers on their own.
+    GorillaEncoder enc;
+    for (double v : columns.lats) enc.Add(v);
+    const std::string gorilla = enc.Finish();
+    GorillaDecoder lats(gorilla.data(), gorilla.size());
+    ASSERT_TRUE(lats.Fits(n)) << i;
+    for (size_t j = 0; j < n; j++) {
+      double v;
+      ASSERT_TRUE(lats.Next(&v)) << i << " " << j;
+      EXPECT_TRUE(same_bits(v, columns.lats[j])) << i << " " << j;
+    }
+    std::vector<uint64_t> dod;
+    DeltaOfDeltaEncode(columns.timestamps, &dod);
+    std::string packed;
+    ASSERT_TRUE(Simple8bEncode(dod, &packed));
+    Simple8bReader values(packed.data(), packed.size());
+    ASSERT_TRUE(values.Fits(n)) << i;
+    for (size_t j = 0; j < n; j++) {
+      uint64_t v;
+      ASSERT_TRUE(values.Next(&v)) << i << " " << j;
+      EXPECT_EQ(v, dod[j]) << i << " " << j;
+    }
+  }
+}
+
 TEST(TrajCodecTest, RejectsCorruptCount) {
   const PointColumns columns = SeededColumns(50);
   std::string blob;
@@ -397,21 +458,63 @@ TEST(TrajCodecTest, RejectsCorruptCount) {
   EXPECT_NO_THROW({
     EXPECT_FALSE(DecodePoints(corrupt.data(), corrupt.size(), &decoded));
   });
+  // Rejected before anything is allocated or read: by the readers, with
+  // and without the timestamp column, and by the record decoder.
+  EXPECT_EQ(decoded.timestamps.capacity(), 0u);
+  EXPECT_EQ(decoded.lons.capacity(), 0u);
+  EXPECT_EQ(decoded.lats.capacity(), 0u);
+  EXPECT_FALSE(PointReader(corrupt.data(), corrupt.size(), true).ok());
+  EXPECT_FALSE(PointReader(corrupt.data(), corrupt.size(), false).ok());
+  core::RecordHeader header;
+  header.points_blob = Slice(corrupt);
+  std::vector<geo::TimedPoint> points;
+  EXPECT_FALSE(core::DecodeRecordPoints(header, &points));
+  EXPECT_EQ(points.capacity(), 0u);
 }
 
 // Decodes `input` and checks the contract for malformed blobs: either
-// false, or exactly the count the blob declares in every column.
+// false, or exactly the count the blob declares in every column. The
+// streaming readers, with and without timestamps, and the record decoder
+// agree with DecodePoints, point for point.
 void ExpectDecodesCleanly(const std::vector<char>& input) {
   PointColumns decoded;
   bool ok = false;
   EXPECT_NO_THROW(ok = DecodePoints(input.data(), input.size(), &decoded));
+
+  core::RecordHeader header;
+  header.points_blob = Slice(input.data(), input.size());
+  std::vector<geo::TimedPoint> points;
+  EXPECT_EQ(core::DecodeRecordPoints(header, &points), ok);
+
+  // Without timestamps the reader never touches their column, so it may
+  // read every point of a blob whose timestamp column is malformed; it
+  // never yields a point DecodePoints would not.
+  PointReader xy(input.data(), input.size(), /*timestamps=*/false);
+  size_t streamed = 0;
+  double lon, lat;
+  while (xy.Next(&lon, &lat)) {
+    if (ok) {
+      EXPECT_EQ(std::memcmp(&lon, &decoded.lons[streamed], 8), 0);
+      EXPECT_EQ(std::memcmp(&lat, &decoded.lats[streamed], 8), 0);
+    }
+    streamed++;
+  }
+  EXPECT_LE(streamed, xy.count());
   if (!ok) return;
-  Slice header(input.data(), input.size());
+  EXPECT_EQ(streamed, decoded.lons.size());
+
+  Slice blob(input.data(), input.size());
   uint32_t count = 0;
-  ASSERT_TRUE(GetVarint32(&header, &count));
+  ASSERT_TRUE(GetVarint32(&blob, &count));
   EXPECT_EQ(decoded.timestamps.size(), count);
   EXPECT_EQ(decoded.lons.size(), count);
   EXPECT_EQ(decoded.lats.size(), count);
+  ASSERT_EQ(points.size(), count);
+  for (size_t i = 0; i < count; i++) {
+    EXPECT_EQ(points[i].t, decoded.timestamps[i]);
+    EXPECT_EQ(std::memcmp(&points[i].x, &decoded.lons[i], 8), 0);
+    EXPECT_EQ(std::memcmp(&points[i].y, &decoded.lats[i], 8), 0);
+  }
 }
 
 TEST(TrajCodecTest, MalformedInputNeverReadsPastTheBlob) {
@@ -454,6 +557,12 @@ TEST(TrajCodecTest, MalformedInputNeverReadsPastTheBlob) {
     if (ok) {
       EXPECT_EQ(values.size(), columns.lons.size());
     }
+    // The reader alone, read until it refuses: never past the prefix.
+    GorillaDecoder reader(prefix.data(), prefix.size());
+    size_t read = 0;
+    double v;
+    while (reader.Next(&v)) read++;
+    EXPECT_LE(read, len * 8 < 64 ? 0 : len * 8 - 63);
   }
   for (size_t len = 0; len <= packed.size(); len++) {
     const std::vector<char> prefix(packed.begin(), packed.begin() + len);
@@ -464,6 +573,11 @@ TEST(TrajCodecTest, MalformedInputNeverReadsPastTheBlob) {
     if (ok) {
       EXPECT_EQ(values.size(), dod.size());
     }
+    Simple8bReader reader(prefix.data(), prefix.size());
+    size_t read = 0;
+    uint64_t v;
+    while (reader.Next(&v)) read++;
+    EXPECT_LE(read, len / 8 * 240);
   }
 }
 

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <set>
+#include <thread>
 
 #include "cachestore/redis_like.h"
+#include "common/coding.h"
 #include "common/random.h"
 #include "core/filters.h"
 #include "core/index_cache.h"
@@ -56,7 +59,8 @@ TEST(RecordTest, FeaturesDecode) {
   RecordHeader header;
   ASSERT_TRUE(DecodeRecordHeader(value, &header));
   geo::DPFeatures features;
-  ASSERT_TRUE(DecodeRecordFeatures(header, &features));
+  ASSERT_TRUE(geo::DecodeDPFeatures(header.dp_blob.data(),
+                                    header.dp_blob.size(), &features));
   EXPECT_GE(features.features.size(), 1u);
   EXPECT_LE(features.features.size(), 6u);
   EXPECT_DOUBLE_EQ(features.mbr.min_x, header.mbr.min_x);
@@ -197,6 +201,208 @@ TEST(FiltersTest, SpatialFilterUsesExactGeometryNotJustMBR) {
   // Window straddling the diagonal matches.
   EXPECT_TRUE(
       SpatialRangeFilter(geo::MBR{0.05, 0.05, 0.07, 0.07}).Matches("k", value));
+}
+
+// A seeded trip of 1 to 60 points on a 1/64 grid, one point in ten trips
+// and two in another ten, so rects built from its coordinates touch its
+// vertices and DP boxes exactly.
+std::vector<geo::TimedPoint> GridTrip(Random* rnd) {
+  const uint64_t kind = rnd->Uniform(10);
+  const size_t n = kind == 0 ? 1 : kind == 1 ? 2 : 3 + rnd->Uniform(58);
+  double x = static_cast<double>(rnd->Uniform(64)) / 64;
+  double y = static_cast<double>(rnd->Uniform(64)) / 64;
+  std::vector<geo::TimedPoint> points;
+  for (size_t i = 0; i < n; i++) {
+    points.push_back(
+        geo::TimedPoint{x, y, 1000 + 30 * static_cast<int64_t>(i)});
+    x += (static_cast<double>(rnd->Uniform(9)) - 4) / 64;
+    y += (static_cast<double>(rnd->Uniform(9)) - 4) / 64;
+  }
+  return points;
+}
+
+// A rect of one of six kinds around a trip with DP features `features`:
+// random near its MBR; touching a feature box's edge from outside;
+// cornered at a vertex; inside a feature box; a zero-width line through a
+// vertex; or small and inside the MBR.
+geo::MBR RectNear(const std::vector<geo::TimedPoint>& points,
+                  const geo::DPFeatures& features, uint64_t kind,
+                  Random* rnd) {
+  const geo::MBR& box =
+      features.features[rnd->Uniform(features.features.size())].box;
+  const geo::TimedPoint& v = points[rnd->Uniform(points.size())];
+  const double w = static_cast<double>(rnd->Uniform(16)) / 64;
+  const double h = static_cast<double>(rnd->Uniform(16)) / 64;
+  switch (kind) {
+    case 0: {
+      const geo::MBR near = features.mbr.Expanded(0.1);
+      const double cx = rnd->UniformDouble(near.min_x, near.max_x);
+      const double cy = rnd->UniformDouble(near.min_y, near.max_y);
+      return geo::MBR{cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2};
+    }
+    case 1: {
+      // The rect's y (or x) range starts anywhere from one h below the box
+      // to its top, so it often spans the vertex that makes the edge.
+      const double lo_y = rnd->UniformDouble(box.min_y - h, box.max_y);
+      const double lo_x = rnd->UniformDouble(box.min_x - w, box.max_x);
+      switch (rnd->Uniform(4)) {
+        case 0:
+          return geo::MBR{box.max_x, lo_y, box.max_x + w, lo_y + h};
+        case 1:
+          return geo::MBR{box.min_x - w, lo_y, box.min_x, lo_y + h};
+        case 2:
+          return geo::MBR{lo_x, box.max_y, lo_x + w, box.max_y + h};
+        default:
+          return geo::MBR{lo_x, box.min_y - h, lo_x + w, box.min_y};
+      }
+    }
+    case 2: {
+      const double x0 = rnd->Bernoulli(0.5) ? v.x : v.x - w;
+      const double y0 = rnd->Bernoulli(0.5) ? v.y : v.y - h;
+      return geo::MBR{x0, y0, x0 + w, y0 + h};
+    }
+    case 3: {
+      const double x0 = rnd->UniformDouble(box.min_x, box.max_x);
+      const double y0 = rnd->UniformDouble(box.min_y, box.max_y);
+      return geo::MBR{x0, y0, rnd->UniformDouble(x0, box.max_x),
+                      rnd->UniformDouble(y0, box.max_y)};
+    }
+    case 4:
+      return rnd->Bernoulli(0.5) ? geo::MBR{v.x, v.y - h, v.x, v.y + h}
+                                 : geo::MBR{v.x - w, v.y, v.x + w, v.y};
+    default: {
+      const geo::MBR& mbr = features.mbr;
+      const double x0 = rnd->UniformDouble(mbr.min_x, mbr.max_x);
+      const double y0 = rnd->UniformDouble(mbr.min_y, mbr.max_y);
+      return geo::MBR{x0, y0, x0 + w / 4, y0 + h / 4};
+    }
+  }
+}
+
+// The record `value` with its DP-feature column (the last field) replaced.
+std::string WithFeatureColumn(const std::string& value,
+                              const std::string& column) {
+  RecordHeader header;
+  EXPECT_TRUE(DecodeRecordHeader(value, &header));
+  const size_t at =
+      static_cast<size_t>(header.dp_blob.data() - value.data()) -
+      VarintLength(header.dp_blob.size());
+  std::string out = value.substr(0, at);
+  PutLengthPrefixedSlice(&out, column);
+  return out;
+}
+
+// A feature column that DecodeDPFeatures rejects: truncated, or claiming
+// one feature more than it holds, or 0xFFFFFFF0 of them.
+std::string UndecodableColumn(const Slice& column, Random* rnd) {
+  switch (rnd->Uniform(3)) {
+    case 0:
+      return std::string(column.data(), rnd->Uniform(column.size()));
+    default: {
+      Slice body(column.data() + 32, column.size() - 32);
+      uint32_t count = 0;
+      EXPECT_TRUE(GetVarint32(&body, &count));
+      std::string out(column.data(), 32);
+      PutVarint32(&out, rnd->Bernoulli(0.5) ? count + 1 : 0xFFFFFFF0u);
+      out.append(body.data(), body.size());
+      return out;
+    }
+  }
+}
+
+// The three stages of SpatialRangeFilter (header MBR, DP boxes, streamed
+// lon/lat) give the exact answer on every seeded (trip, rect) pair,
+// including one- and two-point trips, rects that touch a DP box or a vertex
+// and rects inside one box, and rows whose feature column does not decode,
+// which fall through to the stream.
+TEST(FiltersTest, SpatialRangeFilterMatchesExactPolylineTest) {
+  Random rnd(20261019);
+  constexpr int kTrips = 1200;
+  constexpr int kRectsPerTrip = 6;
+  int pairs = 0, box_decided = 0, streamed_hits = 0, streamed_misses = 0,
+      undecodable = 0;
+  for (int trip = 0; trip < kTrips; trip++) {
+    traj::Trajectory t;
+    t.points = GridTrip(&rnd);
+    const size_t max_features = size_t{1} << rnd.Uniform(5);  // 1 .. 16
+    std::string value;
+    ASSERT_TRUE(EncodeRecord(t, max_features, &value));
+    const geo::DPFeatures features =
+        geo::ExtractDPFeatures(t.points, max_features);
+    RecordHeader header;
+    ASSERT_TRUE(DecodeRecordHeader(value, &header));
+    const bool corrupt = trip % 8 == 7;
+    if (corrupt) {
+      value = WithFeatureColumn(value, UndecodableColumn(header.dp_blob, &rnd));
+      ASSERT_TRUE(DecodeRecordHeader(value, &header));
+      geo::DPFeatures rejected;
+      ASSERT_FALSE(geo::DecodeDPFeatures(header.dp_blob.data(),
+                                         header.dp_blob.size(), &rejected));
+    }
+    std::vector<geo::TimedPoint> decoded;
+    ASSERT_TRUE(DecodeRecordPoints(header, &decoded));
+
+    for (int r = 0; r < kRectsPerTrip; r++) {
+      const geo::MBR rect = RectNear(t.points, features, r, &rnd);
+      const bool expected = header.mbr.Intersects(rect) &&
+                            geo::PolylineIntersectsRect(decoded, rect);
+      ASSERT_EQ(SpatialRangeFilter(rect).Matches("k", value), expected)
+          << "trip " << trip << " rect kind " << r << " [" << rect.min_x
+          << ", " << rect.min_y << ", " << rect.max_x << ", " << rect.max_y
+          << "]";
+      pairs++;
+      if (!header.mbr.Intersects(rect) || rect.Contains(header.mbr)) continue;
+      undecodable += corrupt;
+      if (geo::DPBoxesMissRect(header.dp_blob.data(), header.dp_blob.size(),
+                               static_cast<uint32_t>(decoded.size()), rect)) {
+        ASSERT_FALSE(corrupt);
+        box_decided++;
+      } else {
+        (expected ? streamed_hits : streamed_misses)++;
+      }
+    }
+  }
+  EXPECT_GE(pairs, 5000);
+  // Every stage decides a share of the pairs: the DP boxes more than one
+  // in twenty of the borderline misses (seed 20261019: 182 of 1,694).
+  EXPECT_GT(box_decided, (box_decided + streamed_misses) / 20);
+  EXPECT_GT(streamed_hits, 0);
+  EXPECT_GT(streamed_misses, 0);
+  EXPECT_GT(undecodable, 0);
+}
+
+// One SpatialRangeFilter serves every region task of a scan at once, so the
+// state of its borderline stages lives inside each call.
+TEST(FiltersTest, SpatialRangeFilterIsSharedAcrossThreads) {
+  Random rnd(23);
+  const geo::MBR rect{0.3, 0.3, 0.6, 0.6};
+  std::vector<std::string> values;
+  std::vector<bool> expected;
+  int borderline = 0;
+  for (int i = 0; i < 400; i++) {
+    traj::Trajectory t;
+    t.points = GridTrip(&rnd);
+    values.push_back(EncodeFor(t));
+    const geo::MBR mbr = geo::ComputeMBR(t.points);
+    borderline += mbr.Intersects(rect) && !rect.Contains(mbr);
+    expected.push_back(mbr.Intersects(rect) &&
+                       geo::PolylineIntersectsRect(t.points, rect));
+  }
+  ASSERT_GT(borderline, 40);
+  const SpatialRangeFilter filter(rect);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 4; w++) {
+    threads.emplace_back([&] {
+      for (int rep = 0; rep < 3; rep++) {
+        for (size_t i = 0; i < values.size(); i++) {
+          if (filter.Matches("k", values[i]) != expected[i]) mismatches++;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(FiltersTest, ChainIsConjunction) {

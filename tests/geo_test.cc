@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "common/coding.h"
 #include "common/random.h"
@@ -259,6 +261,64 @@ TEST(SimilarityTest, DPFeatureBoundTighterThanOrEqualMBRBound) {
     EXPECT_LE(dp_lb, DiscreteFrechet(a, b) + 1e-9);
     EXPECT_LE(dp_lb, HausdorffDistance(a, b) + 1e-9);
   }
+}
+
+// The DP lower bound read in place from a stored feature column equals
+// DPFeatureLowerBound over the decoded column, bit for bit, and the reader
+// refuses exactly the columns DecodeDPFeatures rejects: truncations and
+// byte flips included, whose doubles may be NaN or infinite.
+TEST(SimilarityTest, InPlaceDPBoundMatchesDecodedBitForBit) {
+  Random rnd(47);
+  int bounded = 0, refused = 0;
+  for (int trial = 0; trial < 400; trial++) {
+    std::vector<TimedPoint> a, b;
+    const int na = 1 + static_cast<int>(rnd.Uniform(30));
+    const int nb = 1 + static_cast<int>(rnd.Uniform(30));
+    const double bx = rnd.UniformDouble(-1, 2);
+    for (int i = 0; i < na; i++) {
+      a.push_back(TimedPoint{rnd.UniformDouble(0, 1), rnd.UniformDouble(0, 1),
+                             i});
+    }
+    for (int i = 0; i < nb; i++) {
+      b.push_back(TimedPoint{bx + rnd.UniformDouble(0, 1),
+                             rnd.UniformDouble(0, 1), i});
+    }
+    const DPFeatures query = ExtractDPFeatures(a, 1 + rnd.Uniform(16));
+    std::string column;
+    EncodeDPFeatures(ExtractDPFeatures(b, 1 + rnd.Uniform(16)), &column);
+
+    std::vector<std::string> columns = {column};
+    columns.push_back(column.substr(0, rnd.Uniform(column.size())));
+    for (int flip = 0; flip < 4; flip++) {
+      std::string corrupt = column;
+      corrupt[rnd.Uniform(corrupt.size())] ^=
+          static_cast<char>(1 + rnd.Uniform(255));
+      columns.push_back(corrupt);
+    }
+    for (const std::string& c : columns) {
+      // An exactly sized heap copy, so a sanitizer build flags any read
+      // past the column.
+      const std::vector<char> bytes(c.begin(), c.end());
+      DPFeatures decoded;
+      const bool decodes =
+          DecodeDPFeatures(bytes.data(), bytes.size(), &decoded);
+      double in_place = -1;
+      ASSERT_EQ(DPFeatureLowerBound(query, bytes.data(), bytes.size(),
+                                    &in_place),
+                decodes)
+          << trial;
+      if (!decodes) {
+        refused++;
+        continue;
+      }
+      bounded++;
+      const double expected = DPFeatureLowerBound(query, decoded);
+      EXPECT_EQ(std::memcmp(&in_place, &expected, sizeof(double)), 0)
+          << trial << ": " << in_place << " vs " << expected;
+    }
+  }
+  EXPECT_GT(bounded, 400);
+  EXPECT_GT(refused, 400);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <limits>
 #include <utility>
 
+#include "common/coding.h"
 #include "common/random.h"
 #include "core/filters.h"
 #include "core/record.h"
@@ -234,6 +235,40 @@ TEST(SimilarityFilterTest, NeverRejectsTrueMatches) {
       EXPECT_TRUE(filter.Matches("k", value)) << "dy=" << dy;
     }
   }
+}
+
+// A row whose DP-feature column does not decode cannot be bounded, so the
+// filter keeps it for exact verification instead of judging it by the
+// column.
+TEST(SimilarityFilterTest, UndecodableFeatureColumnKeepsTheRow) {
+  // An L-shaped query whose corner (1, 0) is a representative point, and a
+  // candidate inside the query's MBR, far from that corner: the MBR bound
+  // is 0, the DP bound about 1.27.
+  traj::Trajectory query;
+  query.points = {geo::TimedPoint{0, 0, 0}, geo::TimedPoint{1, 0, 10},
+                  geo::TimedPoint{1, 1, 20}};
+  const geo::DPFeatures query_features =
+      geo::ExtractDPFeatures(query.points, 4);
+  traj::Trajectory candidate;
+  candidate.points = {geo::TimedPoint{0, 0.9, 0},
+                      geo::TimedPoint{0.1, 1, 10}};
+  std::string value;
+  ASSERT_TRUE(EncodeRecord(candidate, 4, &value));
+  SimilarityFilter filter(query_features, 0.5);
+  EXPECT_FALSE(filter.Matches("k", value));
+
+  // The feature column is the last field: drop its last byte.
+  RecordHeader header;
+  ASSERT_TRUE(DecodeRecordHeader(value, &header));
+  const std::string column(header.dp_blob.data(), header.dp_blob.size() - 1);
+  geo::DPFeatures rejected;
+  ASSERT_FALSE(
+      geo::DecodeDPFeatures(column.data(), column.size(), &rejected));
+  std::string corrupt = value.substr(
+      0, static_cast<size_t>(header.dp_blob.data() - value.data()) -
+             VarintLength(header.dp_blob.size()));
+  PutLengthPrefixedSlice(&corrupt, column);
+  EXPECT_TRUE(filter.Matches("k", corrupt));
 }
 
 }  // namespace

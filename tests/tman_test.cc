@@ -884,22 +884,11 @@ TEST(TManStorageTest, RejectsEmptyTrajectory) {
   EXPECT_FALSE(tman->BulkLoad({empty}).ok());
 }
 
-TEST(TManStorageTest, CorruptPointColumnFailsSimilarityQueries) {
-  const traj::DatasetSpec spec = traj::LorryLikeSpec();
-  TManOptions options = SmallOptions(spec);
-  std::unique_ptr<TMan> tman;
-  ASSERT_TRUE(TMan::Open(options, TestDir("corrupt_points"), &tman).ok());
-  const auto data = traj::Generate(spec, 100, 4);
-  ASSERT_TRUE(tman->BulkLoad(data).ok());
-  // The corrupt row sits in one region of several: its region task's fork
-  // hits the error while the others verify their rows.
-  ASSERT_GE(tman->primary_table()->num_shards(), 4);
-
-  // Rewrite one row so that its header, MBR and DP features stay valid
-  // (the push-down filters pass it) but its point column claims 0xFFFFFFF0
-  // points.
-  const traj::Trajectory& victim = data[10];
-  const std::string key = PrimaryKeysByTid(tman.get()).at(victim.tid);
+// Rewrites the primary row of `victim` so that its header, MBR and DP
+// features stay valid (the push-down filters pass it) but its point column
+// claims 0xFFFFFFF0 points.
+void CorruptPointCount(TMan* tman, const traj::Trajectory& victim) {
+  const std::string key = PrimaryKeysByTid(tman).at(victim.tid);
   std::string value;
   ASSERT_TRUE(tman->primary_table()->Get(key, &value).ok());
   RecordHeader header;
@@ -918,6 +907,20 @@ TEST(TManStorageTest, CorruptPointColumnFailsSimilarityQueries) {
   PutLengthPrefixedSlice(&corrupt, points);
   PutLengthPrefixedSlice(&corrupt, header.dp_blob);
   ASSERT_TRUE(tman->primary_table()->Put(key, corrupt).ok());
+}
+
+TEST(TManStorageTest, CorruptPointColumnFailsSimilarityQueries) {
+  const traj::DatasetSpec spec = traj::LorryLikeSpec();
+  TManOptions options = SmallOptions(spec);
+  std::unique_ptr<TMan> tman;
+  ASSERT_TRUE(TMan::Open(options, TestDir("corrupt_points"), &tman).ok());
+  const auto data = traj::Generate(spec, 100, 4);
+  ASSERT_TRUE(tman->BulkLoad(data).ok());
+  // The corrupt row sits in one region of several: its region task's fork
+  // hits the error while the others verify their rows.
+  ASSERT_GE(tman->primary_table()->num_shards(), 4);
+  const traj::Trajectory& victim = data[10];
+  ASSERT_NO_FATAL_FAILURE(CorruptPointCount(tman.get(), victim));
 
   std::vector<traj::Trajectory> results;
   EXPECT_TRUE(tman->ThresholdSimilarityQuery(victim,
@@ -933,6 +936,42 @@ TEST(TManStorageTest, CorruptPointColumnFailsSimilarityQueries) {
                                         geo::SimilarityMeasure::kFrechet, 5,
                                         &results, nullptr)
                   .IsCorruption());
+}
+
+// The spatial filter keeps a borderline row whose point column does not
+// decode, so the sink that decodes it fails the query instead of the
+// filter dropping the row.
+TEST(TManStorageTest, CorruptPointColumnFailsSpatialQueries) {
+  const traj::DatasetSpec spec = traj::LorryLikeSpec();
+  TManOptions options = SmallOptions(spec);
+  std::unique_ptr<TMan> tman;
+  ASSERT_TRUE(
+      TMan::Open(options, TestDir("corrupt_points_spatial"), &tman).ok());
+  const auto data = traj::Generate(spec, 100, 4);
+  ASSERT_TRUE(tman->BulkLoad(data).ok());
+  ASSERT_GE(tman->primary_table()->num_shards(), 4);
+  const traj::Trajectory& victim = data[10];
+  ASSERT_NO_FATAL_FAILURE(CorruptPointCount(tman.get(), victim));
+
+  // A small rect around a middle vertex crosses the victim's polyline
+  // without containing its MBR, so the filter must read the point column.
+  const geo::TimedPoint& v = victim.points[victim.points.size() / 2];
+  const geo::MBR rect{v.x - 1e-4, v.y - 1e-4, v.x + 1e-4, v.y + 1e-4};
+  ASSERT_TRUE(geo::PolylineIntersectsRect(victim.points, rect));
+  ASSERT_FALSE(rect.Contains(geo::ComputeMBR(victim.points)));
+
+  std::vector<traj::Trajectory> results;
+  EXPECT_TRUE(
+      tman->SpatialRangeQuery(rect, &results, nullptr).IsCorruption());
+  results.clear();
+  EXPECT_TRUE(tman->SpatioTemporalRangeQuery(rect, victim.start_time(),
+                                             victim.end_time(), &results,
+                                             nullptr)
+                  .IsCorruption());
+  // A count has no sink to fail: it counts the row.
+  uint64_t count = 0;
+  ASSERT_TRUE(tman->SpatialRangeCount(rect, &count).ok());
+  EXPECT_GE(count, 1u);
 }
 
 TEST(TManStorageTest, RecordRoundTrip) {
