@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <map>
 #include <unordered_map>
 
 #include "common/stopwatch.h"
@@ -34,6 +36,62 @@ void FinishPlanningSpan(obs::TraceSpan* span, const QueryPlan& plan) {
     span->Annotate("est_fine_windows",
                    static_cast<double>(plan.estimated_fine_windows));
   }
+}
+
+// "name=value;" for each option that decides a row key or a shape code, in
+// a fixed order.
+std::string KeyLayout(const TManOptions& o) {
+  char bounds[128];
+  snprintf(bounds, sizeof(bounds), "bounds=%.17g,%.17g,%.17g,%.17g;",
+           o.bounds.min_lon, o.bounds.min_lat, o.bounds.max_lon,
+           o.bounds.max_lat);
+  const std::pair<const char*, int64_t> fields[] = {
+      {"primary", static_cast<int>(o.primary)},
+      {"spatial", static_cast<int>(o.spatial)},
+      {"temporal", static_cast<int>(o.temporal)},
+      {"tshape.alpha", o.tshape.alpha},
+      {"tshape.beta", o.tshape.beta},
+      {"tshape.max_resolution", o.tshape.max_resolution},
+      {"tr.origin", o.tr.origin},
+      {"tr.period_seconds", o.tr.period_seconds},
+      {"tr.max_periods", o.tr.max_periods},
+      {"xzt.origin", o.xzt.origin},
+      {"xzt.period_seconds", o.xzt.period_seconds},
+      {"xzt.max_resolution", o.xzt.max_resolution},
+      {"xz2.max_resolution", o.xz2.max_resolution},
+      {"num_shards", o.num_shards},
+      {"use_index_cache", o.use_index_cache},
+  };
+  std::string row = bounds;
+  for (const auto& [name, value] : fields) {
+    row += std::string(name) + "=" + std::to_string(value) + ";";
+  }
+  return row;
+}
+
+// Compares the key layout with the meta table's config row (§IV-B(4):
+// the index parameters and user configuration a store's keys were built
+// with), or writes the row if the store has none.
+Status CheckKeyLayout(cluster::ClusterTable* meta, const TManOptions& options,
+                      const std::string& path) {
+  const std::string key("\0config", 7);
+  const std::string row = KeyLayout(options);
+  std::string stored;
+  Status s = meta->Get(key, &stored);
+  if (s.IsNotFound()) return meta->Put(key, row);
+  if (!s.ok() || stored == row) return s;
+  // Name the first field that differs.
+  size_t start = 0;
+  for (size_t end = row.find(';'); end != std::string::npos &&
+                                   stored.compare(start, end + 1 - start, row,
+                                                  start, end + 1 - start) == 0;
+       end = row.find(';', start)) {
+    start = end + 1;
+  }
+  return Status::InvalidArgument(
+      "store at " + path + " was built with " +
+      stored.substr(start, stored.find(';', start) - start) + ", not " +
+      row.substr(start, row.find(';', start) - start));
 }
 
 }  // namespace
@@ -108,7 +166,13 @@ Status TMan::Init() {
   }
   cluster_ = std::make_unique<cluster::Cluster>(path_, options_.num_servers,
                                                 options_.kv);
-  Status s;
+  // The meta table first: a store built with another key layout is refused
+  // before any other table opens.
+  Status s = cluster_->CreateTable("meta", 1);
+  if (!s.ok()) return s;
+  meta_table_ = cluster_->GetTable("meta");
+  s = CheckKeyLayout(meta_table_, options_, path_);
+  if (!s.ok()) return s;
   if (options_.retention_seconds > 0) {
     // Retention applies to the primary table only; secondary tables store
     // primary-key strings as values, which the record decoder must never
@@ -127,12 +191,9 @@ Status TMan::Init() {
   if (!s.ok()) return s;
   s = cluster_->CreateTable("idt_idx", options_.num_shards);
   if (!s.ok()) return s;
-  s = cluster_->CreateTable("meta", 1);
-  if (!s.ok()) return s;
   primary_ = cluster_->GetTable("primary");
   tr_table_ = cluster_->GetTable("tr_idx");
   idt_table_ = cluster_->GetTable("idt_idx");
-  meta_table_ = cluster_->GetTable("meta");
   if (options_.region_retry.max_retries > 0) {
     // Region-task retries on the tables query scans fan out over; the meta
     // table is point-read only and stays strict.
@@ -161,8 +222,10 @@ Status TMan::Init() {
   xzstar_index_ =
       std::make_unique<index::XZStarIndex>(options_.tshape.max_resolution);
   index_cache_ = std::make_unique<IndexCache>(
-      &redis_, options_.index_cache_capacity, options_.tshape.shape_bits(),
+      meta_table_, options_.index_cache_capacity, options_.tshape.shape_bits(),
       options_.kv.metrics);
+  s = index_cache_->Open();
+  if (!s.ok()) return s;
 
   planner_ = std::make_unique<QueryPlanner>(
       &options_, tr_index_.get(), xzt_index_.get(), tshape_index_.get(),
@@ -186,22 +249,7 @@ Status TMan::Init() {
     q_count_micros_ = query_histogram("count");
     slow_queries_metric_ =
         registry->GetCounter("tman_core_slow_queries_total");
-    redis_.BindMetrics(registry->GetCounter("tman_redis_hits_total"),
-                       registry->GetCounter("tman_redis_misses_total"),
-                       registry->GetCounter("tman_redis_ops_total"));
   }
-
-  // Metadata table (§IV-B(4)): index parameters and user configuration.
-  std::string meta;
-  meta += "alpha=" + std::to_string(options_.tshape.alpha);
-  meta += ";beta=" + std::to_string(options_.tshape.beta);
-  meta += ";g=" + std::to_string(options_.tshape.max_resolution);
-  meta += ";tr_period=" + std::to_string(options_.tr.period_seconds);
-  meta += ";tr_N=" + std::to_string(options_.tr.max_periods);
-  std::string meta_key(1, '\0');
-  meta_key += "config";
-  s = meta_table_->Put(meta_key, meta);
-  if (!s.ok()) return s;
 
   if (options_.telemetry_port >= 0) {
     if (options_.kv.metrics != nullptr) {
@@ -244,27 +292,38 @@ uint64_t TMan::TemporalValue(int64_t ts, int64_t te) const {
              : xzt_index_->Encode(ts, te);
 }
 
-uint64_t TMan::SpatialValue(const traj::Trajectory& t) {
-  const std::vector<geo::TimedPoint> norm = Normalize(t.points);
-  switch (options_.spatial) {
-    case SpatialIndexKind::kXZ2:
-      return xz2_index_->Encode(geo::ComputeMBR(norm));
-    case SpatialIndexKind::kXZStar:
-      return xzstar_index_->Encode(norm);
-    case SpatialIndexKind::kTShape:
-      break;
+Status TMan::EncodeBatch(const std::vector<traj::Trajectory>& trajectories,
+                         std::vector<uint64_t>* temporal_values,
+                         std::vector<uint64_t>* spatial_values,
+                         std::vector<index::TShapeEncoding>* encodings) const {
+  temporal_values->resize(trajectories.size());
+  spatial_values->resize(trajectories.size());
+  for (size_t i = 0; i < trajectories.size(); i++) {
+    const traj::Trajectory& t = trajectories[i];
+    if (t.points.empty()) {
+      return Status::InvalidArgument("empty trajectory " + t.tid);
+    }
+    (*temporal_values)[i] = TemporalValue(t.start_time(), t.end_time());
+    const std::vector<geo::TimedPoint> norm = Normalize(t.points);
+    switch (options_.spatial) {
+      case SpatialIndexKind::kXZ2:
+        (*spatial_values)[i] = xz2_index_->Encode(geo::ComputeMBR(norm));
+        break;
+      case SpatialIndexKind::kXZStar:
+        (*spatial_values)[i] = xzstar_index_->Encode(norm);
+        break;
+      case SpatialIndexKind::kTShape: {
+        const index::TShapeEncoding enc = tshape_index_->Encode(norm);
+        if (options_.use_index_cache) {
+          encodings->push_back(enc);
+        } else {
+          (*spatial_values)[i] = enc.index_value;  // raw bitmap code (Eq. 3)
+        }
+        break;
+      }
+    }
   }
-  const index::TShapeEncoding enc = tshape_index_->Encode(norm);
-  if (!options_.use_index_cache) {
-    return enc.index_value;  // raw bitmap shape code (Eq. 3)
-  }
-  uint32_t final_code =
-      index_cache_->GetElement(enc.quad_code)->FinalCodeOf(enc.shape);
-  if (final_code == UINT32_MAX) {
-    // Update path (§IV-C): a free code next to the most similar shapes.
-    final_code = index_cache_->PlaceShapes(enc.quad_code, {enc.shape})[0];
-  }
-  return tshape_index_->IndexValue(enc.quad_code, final_code);
+  return Status::OK();
 }
 
 std::string TMan::PrimaryKeyOf(const traj::Trajectory& t,
@@ -337,66 +396,52 @@ Status TMan::WriteRows(const std::vector<traj::Trajectory>& trajectories,
 }
 
 Status TMan::BulkLoad(const std::vector<traj::Trajectory>& trajectories) {
-  // Pass 1: spatial encodings; group shapes by enlarged element so each
-  // element's shape order is optimized jointly.
-  std::vector<uint64_t> temporal_values(trajectories.size());
-  std::vector<uint64_t> spatial_values(trajectories.size());
-
-  const bool optimizing = options_.spatial == SpatialIndexKind::kTShape &&
-                          options_.use_index_cache;
+  std::vector<uint64_t> temporal_values, spatial_values;
   std::vector<index::TShapeEncoding> encodings;
-  std::unordered_map<uint64_t, std::vector<uint32_t>> element_shapes;
+  Status s = EncodeBatch(trajectories, &temporal_values, &spatial_values,
+                         &encodings);
+  if (!s.ok()) return s;
 
-  for (size_t i = 0; i < trajectories.size(); i++) {
-    const traj::Trajectory& t = trajectories[i];
-    if (t.points.empty()) {
-      return Status::InvalidArgument("empty trajectory " + t.tid);
-    }
-    temporal_values[i] = TemporalValue(t.start_time(), t.end_time());
-    if (optimizing) {
-      const index::TShapeEncoding enc =
-          tshape_index_->Encode(Normalize(t.points));
+  if (!encodings.empty()) {
+    // One request per enlarged element, so each element's shape order is
+    // optimized jointly. The shapes of elements that hold none yet are put
+    // in optimized order (greedy/genetic TSP) on the cluster pool; the
+    // index cache spreads them over the element's code space. Shapes new
+    // to an element that holds some are placed one by one, as Insert
+    // places them, so no code already written changes.
+    std::unordered_map<uint64_t, std::vector<uint32_t>> element_shapes;
+    for (const index::TShapeEncoding& enc : encodings) {
       auto& shapes = element_shapes[enc.quad_code];
       if (std::find(shapes.begin(), shapes.end(), enc.shape) == shapes.end()) {
         shapes.push_back(enc.shape);
       }
-      encodings.push_back(enc);
-    } else {
-      spatial_values[i] = SpatialValue(t);
     }
-  }
-
-  if (optimizing) {
-    // Pass 2: the shapes of elements that hold none yet are put in
-    // optimized order (greedy/genetic TSP) on the cluster pool; the index
-    // cache spreads them over the element's code space. Shapes new to an
-    // element that holds some are placed one by one, as Insert places
-    // them, so no code already written changes.
-    std::vector<std::pair<uint64_t, std::vector<uint32_t>>> elements(
-        std::make_move_iterator(element_shapes.begin()),
-        std::make_move_iterator(element_shapes.end()));
+    std::vector<ShapeRequest> requests;
+    requests.reserve(element_shapes.size());
     std::vector<size_t> fresh;
-    for (size_t i = 0; i < elements.size(); i++) {
-      if (index_cache_->GetElement(elements[i].first)->shapes.empty()) {
-        fresh.push_back(i);
+    for (auto& [quad_code, shapes] : element_shapes) {
+      if (index_cache_->GetElement(quad_code)->shapes.empty()) {
+        fresh.push_back(requests.size());
       }
+      requests.push_back(ShapeRequest{quad_code, std::move(shapes)});
     }
     cluster_->pool()->ParallelFor(fresh.size(), [&](size_t f) {
-      std::vector<uint32_t>& shapes = elements[fresh[f]].second;
+      std::vector<uint32_t>& shapes = requests[fresh[f]].bits;
       const std::vector<uint32_t> order = index::OptimizeShapeOrder(
           shapes, options_.encoding, options_.genetic);
       std::vector<uint32_t> ordered(order.size());
       for (size_t p = 0; p < order.size(); p++) ordered[p] = shapes[order[p]];
       shapes = std::move(ordered);
     });
+    std::vector<std::vector<uint32_t>> codes;
+    s = index_cache_->PlaceShapes(requests, &codes);
+    if (!s.ok()) return s;
     std::unordered_map<uint64_t, std::unordered_map<uint32_t, uint32_t>>
         final_codes;
-    for (const auto& [quad_code, shapes] : elements) {
-      const std::vector<uint32_t> codes =
-          index_cache_->PlaceShapes(quad_code, shapes);
-      auto& element_codes = final_codes[quad_code];
-      for (size_t j = 0; j < shapes.size(); j++) {
-        element_codes[shapes[j]] = codes[j];
+    for (size_t r = 0; r < requests.size(); r++) {
+      auto& element_codes = final_codes[requests[r].quad_code];
+      for (size_t j = 0; j < codes[r].size(); j++) {
+        element_codes[requests[r].bits[j]] = codes[r][j];
       }
     }
     for (size_t i = 0; i < trajectories.size(); i++) {
@@ -410,16 +455,43 @@ Status TMan::BulkLoad(const std::vector<traj::Trajectory>& trajectories) {
 }
 
 Status TMan::Insert(const std::vector<traj::Trajectory>& trajectories) {
-  std::vector<uint64_t> temporal_values(trajectories.size());
-  std::vector<uint64_t> spatial_values(trajectories.size());
-  for (size_t i = 0; i < trajectories.size(); i++) {
-    const traj::Trajectory& t = trajectories[i];
-    if (t.points.empty()) {
-      return Status::InvalidArgument("empty trajectory " + t.tid);
+  std::vector<uint64_t> temporal_values, spatial_values;
+  std::vector<index::TShapeEncoding> encodings;
+  Status s = EncodeBatch(trajectories, &temporal_values, &spatial_values,
+                         &encodings);
+  if (!s.ok()) return s;
+
+  if (!encodings.empty()) {
+    // Update path (§IV-C): each shape its element lacks takes a free code
+    // next to its most similar shapes. One request per unseen shape, in
+    // trajectory order, all placed with one catalog write.
+    std::vector<uint32_t> final_codes(encodings.size());
+    std::vector<ShapeRequest> requests;
+    std::map<std::pair<uint64_t, uint32_t>, size_t> request_of;
+    for (size_t i = 0; i < encodings.size(); i++) {
+      const index::TShapeEncoding& enc = encodings[i];
+      final_codes[i] =
+          index_cache_->GetElement(enc.quad_code)->FinalCodeOf(enc.shape);
+      if (final_codes[i] == UINT32_MAX &&
+          request_of.emplace(std::make_pair(enc.quad_code, enc.shape),
+                             requests.size())
+              .second) {
+        requests.push_back(ShapeRequest{enc.quad_code, {enc.shape}});
+      }
     }
-    temporal_values[i] = TemporalValue(t.start_time(), t.end_time());
-    spatial_values[i] = SpatialValue(t);
+    std::vector<std::vector<uint32_t>> codes;
+    s = index_cache_->PlaceShapes(requests, &codes);
+    if (!s.ok()) return s;
+    for (size_t i = 0; i < encodings.size(); i++) {
+      const index::TShapeEncoding& enc = encodings[i];
+      if (final_codes[i] == UINT32_MAX) {
+        final_codes[i] = codes[request_of[{enc.quad_code, enc.shape}]][0];
+      }
+      spatial_values[i] = tshape_index_->IndexValue(enc.quad_code,
+                                                    final_codes[i]);
+    }
   }
+
   return WriteRows(trajectories, temporal_values, spatial_values);
 }
 
@@ -468,7 +540,8 @@ Status TMan::DeleteTrajectory(const std::string& oid, const std::string& tid) {
 }
 
 Status TMan::Flush() {
-  Status s = primary_->Flush();
+  Status s = meta_table_->Flush();
+  if (s.ok()) s = primary_->Flush();
   if (s.ok()) s = tr_table_->Flush();
   if (s.ok()) s = idt_table_->Flush();
   return s;
@@ -936,8 +1009,6 @@ void TMan::PublishMetrics() {
       ->Set(static_cast<double>(s.sstable_bytes));
   registry->GetGauge("tman_storage_memtable_bytes")
       ->Set(static_cast<double>(s.memtable_bytes));
-  registry->GetGauge("tman_redis_keys")
-      ->Set(static_cast<double>(redis_.KeyCount()));
 }
 
 
@@ -982,6 +1053,10 @@ std::string TMan::StatusJson() {
   out += ",\"occupancy_bytes\":" +
          std::to_string(index_cache_->occupancy_bytes());
   out += ",\"shapes\":" + std::to_string(index_cache_->registered_shapes());
+  const IndexCache::OpenStats& loaded = index_cache_->open_stats();
+  out += ",\"loaded_elements\":" + std::to_string(loaded.elements);
+  out += ",\"loaded_shapes\":" + std::to_string(loaded.shapes);
+  out += ",\"load_ms\":" + std::to_string(loaded.ms);
   out += "}";
 
   if (trace_ring_ != nullptr) {

@@ -8,7 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "cachestore/redis_like.h"
 #include "cluster/cluster.h"
 #include "cluster/region_balancer.h"
 #include "common/status.h"
@@ -40,14 +39,20 @@ namespace tman::core {
 // Thread safety: every public method may be called concurrently with any
 // other, including writers with writers (BulkLoad, Insert,
 // DeleteTrajectory) and writers with queries. Writers agree on shape codes
-// through IndexCache::PlaceShapes, which holds the element's lock across
-// reading its shapes, picking codes and registering them, so each bitmap
-// gets exactly one code per element. A written row never moves: its key
-// is fixed by codes that never change. A query sees each row whose write
+// through IndexCache::PlaceShapes, which holds the catalog lock across
+// reading shapes, picking codes, writing the catalog rows and publishing
+// them, so each bitmap gets exactly one code per element. A written row
+// never moves: its key is fixed by codes that never change. A query sees each row whose write
 // finished before the query started; rows written meanwhile may or may not
 // be returned, and are returned only if they match.
 class TMan {
  public:
+  // Opens the store at `path`, creating it if there is none. A store keeps
+  // the options that decide a row key or a shape code (bounds, the index
+  // kinds, tshape, tr, xzt, xz2, num_shards, use_index_cache) for life:
+  // when they differ from the ones it was created with, Open returns
+  // InvalidArgument naming the first that differs. The shape catalog and
+  // its occupancy set are read back from the meta table.
   static Status Open(const TManOptions& options, const std::string& path,
                      std::unique_ptr<TMan>* out);
 
@@ -73,6 +78,8 @@ class TMan {
   // Returns NotFound if the object has no such trajectory.
   Status DeleteTrajectory(const std::string& oid, const std::string& tid);
 
+  // Flushes the meta table (the shape catalog) to SSTables, then the
+  // primary and secondary tables, so no flushed row outlives its codes.
   Status Flush();
   Status CompactAll();
 
@@ -142,7 +149,6 @@ class TMan {
   const QueryPlanner* planner() const { return planner_.get(); }
   Executor* executor() { return executor_.get(); }
   IndexCache* index_cache() { return index_cache_.get(); }
-  cache::RedisLikeStore* redis() { return &redis_; }
 
   // The region balancer (null unless TManOptions::balancer.enabled).
   cluster::RegionBalancer* balancer() { return balancer_.get(); }
@@ -168,7 +174,7 @@ class TMan {
   obs::TraceRing* trace_ring() { return trace_ring_.get(); }
 
   // The /statusz document: build info, uptime, storage gauges, the shape
-  // catalog (occupancy set, registered shapes) and the
+  // catalog (occupancy set, registered shapes, what Open loaded) and the
   // per-region DB::Stats breakdown of every table, as JSON.
   std::string StatusJson();
 
@@ -188,9 +194,14 @@ class TMan {
   // Temporal index value of a trajectory (TR or XZT).
   uint64_t TemporalValue(int64_t ts, int64_t te) const;
 
-  // Spatial index value; for TShape with the index cache this carries the
-  // shape's final code, registering the shape if its element lacks it.
-  uint64_t SpatialValue(const traj::Trajectory& t);
+  // Checks a batch and computes each trajectory's temporal value and, where
+  // it needs no catalog code, its spatial value. With TShape and the index
+  // cache, `encodings` gets every trajectory's encoding instead, and the
+  // caller places its shapes.
+  Status EncodeBatch(const std::vector<traj::Trajectory>& trajectories,
+                     std::vector<uint64_t>* temporal_values,
+                     std::vector<uint64_t>* spatial_values,
+                     std::vector<index::TShapeEncoding>* encodings) const;
 
   // Primary-table rowkey of a trajectory.
   std::string PrimaryKeyOf(const traj::Trajectory& t, uint64_t temporal_value,
@@ -263,7 +274,6 @@ class TMan {
   std::unique_ptr<index::XZ2Index> xz2_index_;
   std::unique_ptr<index::XZStarIndex> xzstar_index_;
 
-  cache::RedisLikeStore redis_;
   std::unique_ptr<IndexCache> index_cache_;
   std::unique_ptr<QueryPlanner> planner_;
   std::unique_ptr<Executor> executor_;

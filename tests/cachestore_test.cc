@@ -3,52 +3,9 @@
 #include <string>
 
 #include "cachestore/lfu_cache.h"
-#include "cachestore/redis_like.h"
 
 namespace tman::cache {
 namespace {
-
-TEST(RedisLikeTest, HashOps) {
-  RedisLikeStore store;
-  EXPECT_TRUE(store.HSet("h", "f1", "v1"));
-  EXPECT_FALSE(store.HSet("h", "f1", "v2"));  // overwrite, not new
-  std::string value;
-  ASSERT_TRUE(store.HGet("h", "f1", &value));
-  EXPECT_EQ(value, "v2");
-  EXPECT_FALSE(store.HGet("h", "nope", &value));
-  EXPECT_FALSE(store.HGet("nope", "f1", &value));
-
-  store.HSet("h", "f2", "x");
-  EXPECT_EQ(store.HLen("h"), 2u);
-  const auto all = store.HGetAll("h");
-  EXPECT_EQ(all.size(), 2u);
-
-  EXPECT_TRUE(store.HDel("h", "f1"));
-  EXPECT_FALSE(store.HDel("h", "f1"));
-  EXPECT_EQ(store.HLen("h"), 1u);
-  EXPECT_TRUE(store.Del("h"));
-  EXPECT_FALSE(store.Exists("h"));
-}
-
-TEST(RedisLikeTest, BinarySafeKeys) {
-  RedisLikeStore store;
-  const std::string key("k\0ey", 4);
-  const std::string field("\x01\x02\x03\x04", 4);
-  store.HSet(key, field, "bin");
-  std::string value;
-  ASSERT_TRUE(store.HGet(key, field, &value));
-  EXPECT_EQ(value, "bin");
-}
-
-TEST(RedisLikeTest, OpsCounter) {
-  RedisLikeStore store;
-  store.ResetOps();
-  store.HSet("a", "b", "c");
-  std::string v;
-  store.HGet("a", "b", &v);
-  store.HGetAll("a");
-  EXPECT_EQ(store.ops(), 3u);
-}
 
 TEST(LFUCacheTest, BasicGetPut) {
   LFUCache<int, std::string> cache(3);
@@ -143,24 +100,6 @@ TEST(LFUCacheTest, BoundMetricsMirrorInternalCounters) {
   EXPECT_EQ(registry.GetCounter("misses")->value(), cache.misses());
   EXPECT_EQ(registry.GetCounter("evictions")->value(), cache.evictions());
   EXPECT_EQ(cache.evictions(), 1u);
-}
-
-TEST(RedisLikeTest, BoundMetricsCountReadsAndOps) {
-  obs::MetricsRegistry registry;
-  RedisLikeStore store;
-  store.BindMetrics(registry.GetCounter("hits"), registry.GetCounter("misses"),
-                    registry.GetCounter("ops"));
-  store.HSet("h", "f", "v");
-  std::string v;
-  EXPECT_TRUE(store.HGet("h", "f", &v));    // hit
-  EXPECT_FALSE(store.HGet("h", "nf", &v));  // miss: absent field
-  EXPECT_FALSE(store.HGet("nh", "f", &v));  // miss: absent key
-  EXPECT_EQ(registry.GetCounter("hits")->value(), 1u);
-  EXPECT_EQ(registry.GetCounter("misses")->value(), 2u);
-  // Every command counts as an op: HSet + 3x HGet.
-  EXPECT_EQ(registry.GetCounter("ops")->value(), 4u);
-  EXPECT_EQ(store.hits(), 1u);
-  EXPECT_EQ(store.misses(), 2u);
 }
 
 }  // namespace

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
+#include <map>
 #include <set>
 #include <thread>
 
-#include "cachestore/redis_like.h"
+#include "cluster/cluster.h"
 #include "common/coding.h"
 #include "common/random.h"
 #include "core/filters.h"
@@ -526,10 +528,42 @@ TEST(FiltersTest, MBRDistanceRoundsDeliverEachRowOnce) {
 // ---------------------------------------------------------------------------
 // IndexCache
 
+// A meta table in a fresh temp dir, opened as TMan opens it.
+class MetaTable {
+ public:
+  explicit MetaTable(const std::string& name)
+      : cluster_(FreshDir(name), 1, kv::Options()) {
+    EXPECT_TRUE(cluster_.CreateTable("meta", 1).ok());
+  }
+
+  cluster::ClusterTable* get() { return cluster_.GetTable("meta"); }
+
+ private:
+  static std::string FreshDir(const std::string& name) {
+    const std::string dir =
+        std::string(::testing::TempDir()) + "tman_catalog_" + name;
+    std::filesystem::remove_all(dir);
+    return dir;
+  }
+
+  cluster::Cluster cluster_;
+};
+
+// One PlaceShapes call with one request; returns its codes.
+std::vector<uint32_t> Place(IndexCache* cache, uint64_t quad_code,
+                            std::vector<uint32_t> bits) {
+  std::vector<std::vector<uint32_t>> codes;
+  const Status s =
+      cache->PlaceShapes({ShapeRequest{quad_code, std::move(bits)}}, &codes);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return s.ok() ? codes[0] : std::vector<uint32_t>();
+}
+
 TEST(IndexCacheTest, PlaceShapesSpreadsAFreshElement) {
-  cache::RedisLikeStore redis;
-  IndexCache cache(&redis, 16, 9);
-  const std::vector<uint32_t> codes = cache.PlaceShapes(42, {0b101, 0b110, 0b011});
+  MetaTable meta("spread");
+  IndexCache cache(meta.get(), 16, 9);
+  ASSERT_TRUE(cache.Open().ok());
+  const std::vector<uint32_t> codes = Place(&cache, 42, {0b101, 0b110, 0b011});
   EXPECT_EQ(codes, index::SpreadCodes(3, 512));
   EXPECT_EQ(codes, (std::vector<uint32_t>{84, 255, 426}));
   auto element = cache.GetElement(42);
@@ -542,27 +576,30 @@ TEST(IndexCacheTest, PlaceShapesSpreadsAFreshElement) {
   EXPECT_TRUE(cache.GetElement(999)->shapes.empty());
 }
 
-TEST(IndexCacheTest, SurvivesLFUEvictionViaRedis) {
-  cache::RedisLikeStore redis;
-  IndexCache cache(&redis, 2, 9);  // tiny LFU
+TEST(IndexCacheTest, SurvivesLFUEvictionViaMetaTable) {
+  MetaTable meta("eviction");
+  IndexCache cache(meta.get(), 2, 9);  // tiny LFU
+  ASSERT_TRUE(cache.Open().ok());
   for (uint64_t e = 0; e < 10; e++) {
-    cache.PlaceShapes(e, {static_cast<uint32_t>(e + 1)});
+    Place(&cache, e, {static_cast<uint32_t>(e + 1)});
   }
-  // Everything is still reachable: evicted entries reload from Redis.
+  // Everything is still reachable: evicted entries reload from the meta
+  // table.
   for (uint64_t e = 0; e < 10; e++) {
     auto element = cache.GetElement(e);
     ASSERT_EQ(element->shapes.size(), 1u) << e;
     EXPECT_EQ(element->shapes[0].first, e + 1);
     EXPECT_EQ(element->shapes[0].second, 255u);
   }
-  EXPECT_GT(cache.redis_loads(), 0u);
+  EXPECT_GT(cache.catalog_loads(), 0u);
 }
 
 TEST(IndexCacheTest, PlacedCodesNeverChange) {
-  cache::RedisLikeStore redis;
-  IndexCache cache(&redis, 8, 9);
-  const uint32_t first = cache.PlaceShapes(7, {0b1})[0];
-  const uint32_t second = cache.PlaceShapes(7, {0b10})[0];
+  MetaTable meta("never_change");
+  IndexCache cache(meta.get(), 8, 9);
+  ASSERT_TRUE(cache.Open().ok());
+  const uint32_t first = Place(&cache, 7, {0b1})[0];
+  const uint32_t second = Place(&cache, 7, {0b10})[0];
   EXPECT_NE(first, second);
   auto element = cache.GetElement(7);
   ASSERT_EQ(element->shapes.size(), 2u);
@@ -570,17 +607,80 @@ TEST(IndexCacheTest, PlacedCodesNeverChange) {
   EXPECT_EQ(element->FinalCodeOf(0b10), second);
   EXPECT_LT(element->shapes[0].second, element->shapes[1].second);
   // Known bitmaps keep their codes and register nothing.
-  EXPECT_EQ(cache.PlaceShapes(7, {0b10, 0b1}),
+  EXPECT_EQ(Place(&cache, 7, {0b10, 0b1}),
             (std::vector<uint32_t>{second, first}));
   EXPECT_EQ(cache.registered_shapes(), 2u);
 }
 
+// One call handles its requests in order under the rules of one call per
+// request, so it gives every bitmap the code a sequence of calls would.
+TEST(IndexCacheTest, OneCallPlacesRequestsAsSeparateCallsWould) {
+  const std::vector<ShapeRequest> requests = {
+      {5, {0b1}}, {9, {0b11, 0b110, 0b1100}}, {5, {0b10}},
+      {9, {0b1000, 0b11}}, {5, {0b1, 0b100}}};
+  MetaTable one_meta("one_call");
+  IndexCache one(one_meta.get(), 8, 9);
+  ASSERT_TRUE(one.Open().ok());
+  std::vector<std::vector<uint32_t>> codes;
+  ASSERT_TRUE(one.PlaceShapes(requests, &codes).ok());
+
+  MetaTable many_meta("many_calls");
+  IndexCache many(many_meta.get(), 8, 9);
+  ASSERT_TRUE(many.Open().ok());
+  ASSERT_EQ(codes.size(), requests.size());
+  for (size_t r = 0; r < requests.size(); r++) {
+    EXPECT_EQ(codes[r], Place(&many, requests[r].quad_code, requests[r].bits))
+        << "request " << r;
+  }
+  EXPECT_EQ(one.registered_shapes(), 7u);
+  EXPECT_EQ(many.registered_shapes(), 7u);
+  for (uint64_t e : {5u, 9u}) {
+    EXPECT_EQ(one.GetElement(e)->shapes, many.GetElement(e)->shapes);
+  }
+}
+
+// The meta table is the catalog's only store: a new cache over it sees
+// every element and shape, each list in code order, and plans the same.
+TEST(IndexCacheTest, OpenRebuildsTheCatalogFromTheMetaTable) {
+  MetaTable meta("reopen");
+  std::map<uint64_t, index::ShapeList> before;
+  {
+    IndexCache cache(meta.get(), 8, 9);
+    ASSERT_TRUE(cache.Open().ok());
+    EXPECT_EQ(cache.open_stats().elements, 0u);
+    Place(&cache, 3, {0b11, 0b101});
+    Place(&cache, 40, {0b1});
+    Place(&cache, 3, {0b111});
+    for (uint64_t e : {3u, 40u}) before[e] = cache.GetElement(e)->shapes;
+  }
+  // An LFU of one entry, so the lists keep loading from the meta table.
+  IndexCache cache(meta.get(), 1, 9);
+  ASSERT_TRUE(cache.Open().ok());
+  EXPECT_EQ(cache.open_stats().elements, 2u);
+  EXPECT_EQ(cache.open_stats().shapes, 4u);
+  EXPECT_EQ(cache.occupied_elements(), 2u);
+  EXPECT_EQ(cache.registered_shapes(), 4u);
+  EXPECT_EQ(cache.NextOccupied(0), 3u);
+  EXPECT_EQ(cache.NextOccupied(4), 40u);
+  for (const auto& [e, shapes] : before) {
+    EXPECT_EQ(cache.GetElement(e)->shapes, shapes) << "element " << e;
+  }
+  EXPECT_GT(cache.catalog_loads(), 0u);
+  // A placement after the reopen keeps the stored codes.
+  const std::vector<uint32_t> codes = Place(&cache, 3, {0b11, 0b1001});
+  ASSERT_EQ(codes.size(), 2u);
+  EXPECT_EQ(codes[0], 127u);
+  EXPECT_EQ(cache.GetElement(3)->shapes.size(), 4u);
+  EXPECT_EQ(cache.registered_shapes(), 5u);
+}
+
 TEST(IndexCacheTest, CatalogViewSharesShapesAndTracksOccupancy) {
-  cache::RedisLikeStore redis;
-  IndexCache cache(&redis, 8, 9);
+  MetaTable meta("view");
+  IndexCache cache(meta.get(), 8, 9);
+  ASSERT_TRUE(cache.Open().ok());
   EXPECT_EQ(cache.NextOccupied(0), UINT64_MAX);
-  cache.PlaceShapes(3, {0b11, 0b101});
-  cache.PlaceShapes(40, {0b1});
+  Place(&cache, 3, {0b11, 0b101});
+  Place(&cache, 40, {0b1});
   EXPECT_EQ(cache.occupied_elements(), 2u);
   EXPECT_GT(cache.occupancy_bytes(), 0u);
   EXPECT_EQ(cache.NextOccupied(0), 3u);
@@ -595,10 +695,10 @@ TEST(IndexCacheTest, CatalogViewSharesShapesAndTracksOccupancy) {
   EXPECT_EQ((*shapes)[1], std::make_pair(0b101u, 383u));
   EXPECT_EQ(shapes.get(), &cache.GetElement(3)->shapes);
 
-  // Unoccupied elements are answered without a Redis round trip.
-  const uint64_t loads = cache.redis_loads();
+  // Unoccupied elements are answered without reading the meta table.
+  const uint64_t loads = cache.catalog_loads();
   EXPECT_TRUE(cache.GetElement(5)->shapes.empty());
-  EXPECT_EQ(cache.redis_loads(), loads);
+  EXPECT_EQ(cache.catalog_loads(), loads);
 }
 
 // A 2x2 element has 16 codes and 15 possible bitmaps. Filling it, first by
@@ -607,15 +707,16 @@ TEST(IndexCacheTest, CatalogViewSharesShapesAndTracksOccupancy) {
 // exactly the shapes that touch each query.
 TEST(IndexCacheTest, FullTwoByTwoElementGetsDistinctCodesAndExactRanges) {
   const index::TShapeIndex idx(index::TShapeConfig{2, 2, 8});
-  cache::RedisLikeStore redis;
-  IndexCache cache(&redis, 1, idx.config().shape_bits());
+  MetaTable meta("two_by_two");
+  IndexCache cache(meta.get(), 1, idx.config().shape_bits());
+  ASSERT_TRUE(cache.Open().ok());
   const index::QuadCell anchor = index::CellContaining(0.3, 0.3, 4);
   const uint64_t code = index::QuadCode(anchor, 8);
 
-  std::vector<uint32_t> codes = cache.PlaceShapes(code, {0b0011, 0b0111, 0b1111, 0b0101});
+  std::vector<uint32_t> codes = Place(&cache, code, {0b0011, 0b0111, 0b1111, 0b0101});
   for (uint32_t bits : {0b0001u, 0b1000u, 0b1110u, 0b0010u, 0b1001u, 0b0110u,
                         0b1100u, 0b0100u, 0b1011u, 0b1010u, 0b1101u}) {
-    codes.push_back(cache.PlaceShapes(code, {bits})[0]);
+    codes.push_back(Place(&cache, code, {bits})[0]);
   }
   const auto shapes = cache.Shapes(code);
   ASSERT_EQ(shapes->size(), 15u);

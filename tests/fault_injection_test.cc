@@ -8,12 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <memory>
 #include <string>
 #include <vector>
@@ -1137,6 +1139,156 @@ TEST_F(TManDegradedTest, RegionRetryHealsTransientFaultWithoutDegrading) {
   std::vector<traj::Trajectory> baseline;
   ASSERT_TRUE(tman_->TemporalRangeQuery(ts, te, &baseline).ok());
   EXPECT_EQ(out.size(), baseline.size());
+}
+
+// ---------------------------------------------------------------------------
+// The shape catalog under faults.
+
+// SRQ, STRQ, TRQ and threshold answers over a few windows and probes, as
+// result counts, plus the catalog's counts.
+std::vector<uint64_t> CatalogAnswers(TMan* tman, const traj::DatasetSpec& spec,
+                                     const std::vector<traj::Trajectory>& data) {
+  std::vector<uint64_t> answers = {
+      tman->index_cache()->occupied_elements(),
+      tman->index_cache()->registered_shapes()};
+  std::vector<traj::Trajectory> out;
+  for (const auto& w : traj::RandomSpaceWindows(spec, 4, 5000, 3)) {
+    EXPECT_TRUE(tman->SpatialRangeQuery(w.rect, &out).ok());
+    answers.push_back(out.size());
+    out.clear();
+    EXPECT_TRUE(tman->SpatioTemporalRangeQuery(
+                        w.rect, spec.t0, spec.t0 + 24 * 3600, &out)
+                    .ok());
+    answers.push_back(out.size());
+    out.clear();
+  }
+  uint64_t count = 0;
+  EXPECT_TRUE(tman->TemporalRangeCount(spec.t0, spec.t0 + spec.horizon_seconds,
+                                       &count)
+                  .ok());
+  answers.push_back(count);
+  for (size_t i = 0; i < data.size(); i += 50) {
+    EXPECT_TRUE(tman->ThresholdSimilarityQuery(
+                        data[i], geo::SimilarityMeasure::kFrechet, 0.02, &out)
+                    .ok());
+    answers.push_back(out.size());
+    out.clear();
+  }
+  return answers;
+}
+
+// Each occupied element's shape list.
+std::map<uint64_t, index::ShapeList> CatalogLists(TMan* tman) {
+  std::map<uint64_t, index::ShapeList> lists;
+  IndexCache* cache = tman->index_cache();
+  for (uint64_t e = cache->NextOccupied(0); e != UINT64_MAX;
+       e = cache->NextOccupied(e + 1)) {
+    lists[e] = cache->GetElement(e)->shapes;
+  }
+  return lists;
+}
+
+// A power loss right after Flush keeps the catalog: Flush makes the meta
+// table's rows durable along with the rows that use their codes, so the
+// reopened store answers as before. Without the meta table in Flush its
+// rows sit only in an unsynced WAL, and the spatial answers drop to 0.
+TEST(TManCrashTest, PowerLossRightAfterFlushKeepsTheCatalog) {
+  kv::FaultInjectionEnv fenv(kv::Env::Default());
+  const traj::DatasetSpec spec = traj::TDriveLikeSpec();
+  TManOptions options = FaultOptions(spec, &fenv);
+  options.primary = PrimaryIndexKind::kSpatial;
+  const std::string dir = CoreDir("power_loss");
+  const auto data = traj::Generate(spec, 200, 9);
+  auto more = traj::Generate(spec, 100, 10);
+  for (auto& t : more) t.tid += "-new";
+  std::vector<traj::Trajectory> all = data;
+  all.insert(all.end(), more.begin(), more.end());
+
+  std::vector<uint64_t> before;
+  {
+    std::unique_ptr<TMan> tman;
+    ASSERT_TRUE(TMan::Open(options, dir, &tman).ok());
+    ASSERT_TRUE(tman->BulkLoad(data).ok());
+    ASSERT_TRUE(tman->Insert(more).ok());
+    ASSERT_TRUE(tman->Flush().ok());
+    before = CatalogAnswers(tman.get(), spec, all);
+    fenv.Crash();
+  }
+  ASSERT_TRUE(fenv.DropUnsyncedAndReset().ok());
+  ASSERT_GT(before[0], 0u);
+  ASSERT_GT(before[2], 0u);  // the first SRQ finds rows
+
+  std::unique_ptr<TMan> tman;
+  ASSERT_TRUE(TMan::Open(options, dir, &tman).ok());
+  EXPECT_EQ(CatalogAnswers(tman.get(), spec, all), before);
+}
+
+// A catalog write that fails fails the Insert that needed it and
+// publishes nothing: no row is written and no element's list changes. A
+// retry once the fault clears places every shape, one code per bitmap,
+// and keeps every code placed before.
+TEST(TManCrashTest, FailedCatalogWriteFailsTheInsertAndPublishesNothing) {
+  kv::FaultInjectionEnv fenv(kv::Env::Default());
+  const traj::DatasetSpec spec = traj::TDriveLikeSpec();
+  TManOptions options = FaultOptions(spec, &fenv);
+  options.primary = PrimaryIndexKind::kSpatial;
+  std::unique_ptr<TMan> tman;
+  ASSERT_TRUE(TMan::Open(options, CoreDir("catalog_write"), &tman).ok());
+  const auto data = traj::Generate(spec, 150, 11);
+  ASSERT_TRUE(tman->BulkLoad(data).ok());
+  auto more = traj::Generate(spec, 100, 12);
+  for (auto& t : more) t.tid += "-new";
+
+  const int64_t ts = spec.t0;
+  const int64_t te = spec.t0 + spec.horizon_seconds;
+  uint64_t trq = 0;
+  ASSERT_TRUE(tman->TemporalRangeCount(ts, te, &trq).ok());
+  ASSERT_EQ(trq, data.size());
+  const auto lists = CatalogLists(tman.get());
+  const uint64_t shapes = tman->index_cache()->registered_shapes();
+
+  fenv.FailAppends("/meta/", 1);
+  const Status failed = tman->Insert(more);
+  EXPECT_FALSE(failed.ok());
+  EXPECT_EQ(fenv.faults_injected(), 1u);
+  uint64_t count = 0;
+  ASSERT_TRUE(tman->TemporalRangeCount(ts, te, &count).ok());
+  EXPECT_EQ(count, trq);
+  EXPECT_EQ(CatalogLists(tman.get()), lists);
+  EXPECT_EQ(tman->index_cache()->registered_shapes(), shapes);
+
+  fenv.ClearFaults();
+  ASSERT_TRUE(tman->Insert(more).ok());
+  ASSERT_TRUE(tman->TemporalRangeCount(ts, te, &count).ok());
+  EXPECT_EQ(count, data.size() + more.size());
+  const auto now = CatalogLists(tman.get());
+  EXPECT_GT(now.size(), lists.size());
+  uint64_t listed = 0;
+  for (const auto& [e, list] : now) {
+    std::set<uint32_t> bitmaps, codes;
+    for (const auto& [bits, code] : list) {
+      bitmaps.insert(bits);
+      codes.insert(code);
+    }
+    EXPECT_EQ(bitmaps.size(), list.size()) << "element " << e;
+    EXPECT_EQ(codes.size(), list.size()) << "element " << e;
+    const auto it = lists.find(e);
+    if (it != lists.end()) {
+      for (const auto& shape : it->second) {
+        EXPECT_NE(std::find(list.begin(), list.end(), shape), list.end())
+            << "element " << e << " lost or moved bitmap " << shape.first;
+      }
+    }
+    listed += list.size();
+  }
+  EXPECT_EQ(tman->index_cache()->registered_shapes(), listed);
+  EXPECT_GT(listed, shapes);
+  const traj::SpatialBounds& b = spec.bounds;
+  ASSERT_TRUE(tman->SpatialRangeCount(
+                      geo::MBR{b.min_lon, b.min_lat, b.max_lon, b.max_lat},
+                      &count)
+                  .ok());
+  EXPECT_EQ(count, data.size() + more.size());
 }
 
 }  // namespace

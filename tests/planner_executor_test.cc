@@ -43,8 +43,8 @@ TManOptions SmallOptions(const traj::DatasetSpec& spec) {
 }
 
 // ---------------------------------------------------------------------------
-// Planner unit tests: plans are produced from indexes + options alone, with
-// no cluster or storage behind them.
+// Planner unit tests: plans are produced from indexes + options alone; the
+// only storage behind them is the shape catalog's meta table.
 
 class PlannerHarness {
  public:
@@ -55,15 +55,20 @@ class PlannerHarness {
         tshape_(options_.tshape),
         xz2_(options_.xz2),
         xzstar_(options_.tshape.max_resolution),
-        catalog_(&redis_, 1024, options_.tshape.shape_bits()),
+        cluster_(TestDir("catalog_" + std::to_string(instances_++)), 1,
+                 kv::Options()),
+        catalog_(MetaTable(&cluster_), 1024, options_.tshape.shape_bits()),
         planner_(&options_, &tr_, &xzt_, &tshape_, &xz2_, &xzstar_,
-                 options_.use_index_cache ? &catalog_ : nullptr) {}
+                 options_.use_index_cache ? &catalog_ : nullptr) {
+    EXPECT_TRUE(catalog_.Open().ok());
+  }
 
   const QueryPlanner& planner() const { return planner_; }
 
   // Registers each trajectory's TShape element and shape in the catalog,
-  // as TMan's Insert does.
+  // one request per trajectory in one call.
   void Register(const std::vector<traj::Trajectory>& data) {
+    std::vector<ShapeRequest> requests;
     for (const traj::Trajectory& t : data) {
       std::vector<geo::TimedPoint> norm;
       for (const geo::TimedPoint& p : t.points) {
@@ -71,18 +76,27 @@ class PlannerHarness {
         norm.push_back(geo::TimedPoint{np.x, np.y, p.t});
       }
       const index::TShapeEncoding enc = tshape_.Encode(norm);
-      catalog_.PlaceShapes(enc.quad_code, {enc.shape});
+      requests.push_back(ShapeRequest{enc.quad_code, {enc.shape}});
     }
+    std::vector<std::vector<uint32_t>> codes;
+    EXPECT_TRUE(catalog_.PlaceShapes(requests, &codes).ok());
   }
 
  private:
+  static cluster::ClusterTable* MetaTable(cluster::Cluster* cluster) {
+    EXPECT_TRUE(cluster->CreateTable("meta", 1).ok());
+    return cluster->GetTable("meta");
+  }
+
+  static inline int instances_ = 0;
+
   TManOptions options_;
   index::TRIndex tr_;
   index::XZTIndex xzt_;
   index::TShapeIndex tshape_;
   index::XZ2Index xz2_;
   index::XZStarIndex xzstar_;
-  cache::RedisLikeStore redis_;
+  cluster::Cluster cluster_;
   IndexCache catalog_;
   QueryPlanner planner_;
 };

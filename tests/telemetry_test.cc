@@ -559,8 +559,9 @@ TEST(TManTelemetryTest, AllEndpointsServeUnderLiveWorkload) {
   options.slow_query_micros = 1;    // capture every query as "slow"
   options.event_log_capacity = 64;
 
+  const std::string dir = TestDir("e2e");
   std::unique_ptr<core::TMan> tman;
-  ASSERT_TRUE(core::TMan::Open(options, TestDir("e2e"), &tman).ok());
+  ASSERT_TRUE(core::TMan::Open(options, dir, &tman).ok());
   const int port = tman->telemetry_port();
   ASSERT_GT(port, 0);
 
@@ -634,6 +635,10 @@ TEST(TManTelemetryTest, AllEndpointsServeUnderLiveWorkload) {
   EXPECT_EQ(catalog_field(status, "shapes"), std::to_string(shapes));
   EXPECT_EQ(catalog_field(status, "buffered_shapes"), "missing");
   EXPECT_EQ(catalog_field(status, "reencodes"), "missing");
+  // A new store's Open loaded no catalog rows.
+  EXPECT_EQ(catalog_field(status, "loaded_elements"), "0");
+  EXPECT_EQ(catalog_field(status, "loaded_shapes"), "0");
+  EXPECT_NE(catalog_field(status, "load_ms"), "missing");
   auto more = traj::Generate(spec, 20, 8);
   for (auto& t : more) t.tid += "-new";
   ASSERT_TRUE(tman->Insert(more).ok());
@@ -664,9 +669,27 @@ TEST(TManTelemetryTest, AllEndpointsServeUnderLiveWorkload) {
   }
   for (auto& t : publishers) t.join();
 
+  const size_t occupied_at_close = tman->index_cache()->occupied_elements();
+  const uint64_t shapes_at_close = tman->index_cache()->registered_shapes();
   const int stale_port = port;
   tman.reset();  // clean shutdown joins the reporter + server threads
   EXPECT_LT(ConnectTo(stale_port), 0);
+
+  // Reopened, the catalog block reports what Open read back from the meta
+  // table: every element and shape registered before the close.
+  ASSERT_TRUE(core::TMan::Open(options, dir, &tman).ok());
+  const std::string reopened = HttpGet(tman->telemetry_port(), "/statusz").body;
+  EXPECT_EQ(catalog_field(reopened, "loaded_elements"),
+            std::to_string(occupied_at_close));
+  EXPECT_EQ(catalog_field(reopened, "loaded_shapes"),
+            std::to_string(shapes_at_close));
+  EXPECT_EQ(catalog_field(reopened, "occupied_elements"),
+            std::to_string(occupied_at_close));
+  EXPECT_EQ(catalog_field(reopened, "shapes"), std::to_string(shapes_at_close));
+  const std::string load_ms = catalog_field(reopened, "load_ms");
+  EXPECT_NE(load_ms, "missing");
+  EXPECT_GE(std::stod(load_ms), 0.0);
+  tman.reset();
   delete options.kv.metrics;
 }
 

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
+#include <map>
 #include <set>
 
+#include "common/coding.h"
 #include "core/tman.h"
 #include "traj/generator.h"
 
@@ -187,18 +190,111 @@ TEST(TManEdgeTest, TemporalPlanStringsReflectRBO) {
   EXPECT_EQ(ststats.plan, "primary:st-prefix");
 }
 
+// The meta table holds the config row and one catalog row per occupied
+// element: the catalog prefix and the element code in big-endian, then the
+// element's (bitmap, final code) pairs in code order, fixed32 each.
 TEST(TManEdgeTest, MetadataTableHoldsConfig) {
   const traj::DatasetSpec spec = traj::TDriveLikeSpec();
   TManOptions options = SmallOptions(spec);
   options.tshape = index::TShapeConfig{4, 4, 14};
+  const std::string dir = TestDir("meta");
+  std::map<uint64_t, index::ShapeList> catalog;
+  {
+    std::unique_ptr<TMan> tman;
+    ASSERT_TRUE(TMan::Open(options, dir, &tman).ok());
+    IndexCache* cache = tman->index_cache();
+    EXPECT_EQ(cache->occupied_elements(), 0u);
+    ASSERT_TRUE(tman->BulkLoad(traj::Generate(spec, 30, 10)).ok());
+    for (uint64_t e = cache->NextOccupied(0); e != UINT64_MAX;
+         e = cache->NextOccupied(e + 1)) {
+      catalog[e] = cache->GetElement(e)->shapes;
+    }
+    EXPECT_EQ(catalog.size(), cache->occupied_elements());
+    EXPECT_GT(catalog.size(), 0u);
+  }
+
+  cluster::Cluster cluster(dir, 1, kv::Options());
+  ASSERT_TRUE(cluster.CreateTable("meta", 1).ok());
+  std::vector<cluster::Row> rows;
+  cluster::CollectRowsSink collect(&rows);
+  ASSERT_TRUE(cluster.GetTable("meta")
+                  ->MultiScan({cluster::KeyRange{}}, nullptr, 0, &collect,
+                              nullptr)
+                  .ok());
+  ASSERT_EQ(rows.size(), catalog.size() + 1);
+  EXPECT_EQ(rows[0].key, std::string("\0config", 7));
+  for (const char* field :
+       {"tshape.alpha=4;tshape.beta=4;tshape.max_resolution=14;",
+        "tr.period_seconds=3600;tr.max_periods=24;", "num_shards=4;",
+        "use_index_cache=1;"}) {
+    EXPECT_NE(rows[0].value.find(field), std::string::npos)
+        << field << " in " << rows[0].value;
+  }
+  for (size_t i = 1; i < rows.size(); i++) {
+    const std::string& key = rows[i].key;
+    ASSERT_EQ(key.size(), 9u);
+    EXPECT_EQ(key[0], IndexCache::kCatalogPrefix);
+    const auto it = catalog.find(DecodeBigEndian64(key.data() + 1));
+    ASSERT_NE(it, catalog.end());
+    const std::string& value = rows[i].value;
+    ASSERT_EQ(value.size(), 8 * it->second.size());
+    for (size_t j = 0; j < it->second.size(); j++) {
+      EXPECT_EQ(DecodeFixed32(value.data() + 8 * j), it->second[j].first);
+      EXPECT_EQ(DecodeFixed32(value.data() + 8 * j + 4), it->second[j].second);
+    }
+  }
+}
+
+// A store keeps the options that decide its keys and codes for life:
+// reopening it with one of them changed fails and names the option, and
+// reopening it with the same options finds every row as before.
+TEST(TManEdgeTest, ReopenRefusesAnotherKeyLayout) {
+  const traj::DatasetSpec spec = traj::TDriveLikeSpec();
+  const TManOptions options = SmallOptions(spec);
+  const std::string dir = TestDir("layout");
+  const geo::MBR window{116.2, 39.8, 116.6, 40.1};
+  const int64_t ts = spec.t0;
+  const int64_t te = spec.t0 + 6 * 3600;
+  uint64_t trq = 0, srq = 0;
+  {
+    std::unique_ptr<TMan> tman;
+    ASSERT_TRUE(TMan::Open(options, dir, &tman).ok());
+    ASSERT_TRUE(tman->BulkLoad(traj::Generate(spec, 80, 21)).ok());
+    ASSERT_TRUE(tman->TemporalRangeCount(ts, te, &trq).ok());
+    ASSERT_TRUE(tman->SpatialRangeCount(window, &srq).ok());
+    ASSERT_GT(trq, 0u);
+    ASSERT_GT(srq, 0u);
+  }
+
+  const struct {
+    const char* field;
+    std::function<void(TManOptions*)> change;
+  } changes[] = {
+      {"tshape.alpha", [](TManOptions* o) { o->tshape.alpha = 4; }},
+      {"num_shards", [](TManOptions* o) { o->num_shards = 8; }},
+      {"use_index_cache", [](TManOptions* o) { o->use_index_cache = false; }},
+      {"tr.period_seconds", [](TManOptions* o) { o->tr.period_seconds = 1800; }},
+      {"bounds", [](TManOptions* o) { o->bounds.max_lon += 1e-9; }},
+      {"primary", [](TManOptions* o) { o->primary = PrimaryIndexKind::kST; }},
+  };
+  for (const auto& change : changes) {
+    TManOptions changed = options;
+    change.change(&changed);
+    std::unique_ptr<TMan> tman;
+    const Status s = TMan::Open(changed, dir, &tman);
+    EXPECT_TRUE(s.IsInvalidArgument()) << change.field << ": " << s.ToString();
+    EXPECT_NE(s.ToString().find(change.field), std::string::npos)
+        << s.ToString();
+    EXPECT_EQ(tman, nullptr);
+  }
+
   std::unique_ptr<TMan> tman;
-  ASSERT_TRUE(TMan::Open(options, TestDir("meta"), &tman).ok());
-  // The metadata row is written during Init; the redis-backed index cache
-  // is empty until shapes register.
-  EXPECT_EQ(tman->redis()->KeyCount(), 0u);
-  const auto data = traj::Generate(spec, 30, 10);
-  ASSERT_TRUE(tman->BulkLoad(data).ok());
-  EXPECT_GT(tman->redis()->KeyCount(), 0u);
+  ASSERT_TRUE(TMan::Open(options, dir, &tman).ok());
+  uint64_t count = 0;
+  ASSERT_TRUE(tman->TemporalRangeCount(ts, te, &count).ok());
+  EXPECT_EQ(count, trq);
+  ASSERT_TRUE(tman->SpatialRangeCount(window, &count).ok());
+  EXPECT_EQ(count, srq);
 }
 
 TEST(TManEdgeTest, DeleteTrajectoryRemovesAllIndexRows) {

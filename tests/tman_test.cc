@@ -608,18 +608,20 @@ TEST(TManUpdateTest, InsertsMoveNoRowAndStayQueryable) {
 }
 
 // Writers racing on the same few elements, with an index cache of one
-// entry so elements keep being reloaded from Redis between writes. Every
-// trip brings a shape its element has not seen. Threads 0 and 2 insert
-// the same trips (under their own tids) in step, racing to register one
-// bitmap; threads 1 and 3 insert, in step with them, other trips of the
-// same elements, racing to pick codes next to it. Each element must list
-// each bitmap once, under distinct codes, and queries must find every row.
+// entry so elements keep being reloaded from the meta table between
+// writes. Every trip brings a shape its element has not seen. Threads 0
+// and 2 insert the same trips (under their own tids) in step, racing to
+// register one bitmap; threads 1 and 3 insert, in step with them, other
+// trips of the same elements, racing to pick codes next to it. Each
+// element must list each bitmap once, under distinct codes, queries must
+// find every row, and a reopened store must list the same shapes.
 TEST(TManConcurrencyTest, ConcurrentInsertsGiveEachShapeOneCode) {
   const traj::DatasetSpec spec = traj::TDriveLikeSpec();
   TManOptions options = SmallOptions(spec);
   options.index_cache_capacity = 1;
+  const std::string dir = TestDir("writers");
   std::unique_ptr<TMan> tman;
-  ASSERT_TRUE(TMan::Open(options, TestDir("writers"), &tman).ok());
+  ASSERT_TRUE(TMan::Open(options, dir, &tman).ok());
 
   // Trips that walk a 3x3 element's cell centres from its lower-left
   // corner and reach its far column or row: each lands in that element
@@ -752,6 +754,17 @@ TEST(TManConcurrencyTest, ConcurrentInsertsGiveEachShapeOneCode) {
   for (size_t i = 0; i < walks.size(); i += 7) {
     ExpectThresholdMatchesBruteForce(tman.get(), data, walks[i], 0.3 * cw);
   }
+
+  std::map<uint64_t, index::ShapeList> lists;
+  for (const auto& [quad_code, bitmaps] : want) {
+    lists[quad_code] = tman->index_cache()->GetElement(quad_code)->shapes;
+  }
+  tman.reset();
+  ASSERT_TRUE(TMan::Open(options, dir, &tman).ok());
+  for (const auto& [quad_code, shapes] : lists) {
+    EXPECT_EQ(tman->index_cache()->GetElement(quad_code)->shapes, shapes)
+        << "element " << quad_code;
+  }
 }
 
 // One thread inserts batches that register new elements while another runs
@@ -815,6 +828,240 @@ TEST(TManConcurrencyTest, QueriesDuringInsertsSucceedAndConverge) {
   for (size_t i = 0; i < more.size(); i += 50) {
     ExpectThresholdMatchesBruteForce(tman.get(), all_data, more[i], threshold);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Durability: the shape catalog lives in the meta table, so a reopened
+// store answers as it did before the close.
+
+// One line per call of the six queries and the three counts: the call,
+// its status, and the sorted result tids or the count. `results` sums the
+// result rows per query type.
+struct Answers {
+  std::vector<std::string> lines;
+  std::map<std::string, size_t> results;
+};
+
+Answers CollectAnswers(TMan* tman, const traj::DatasetSpec& spec,
+                       const std::vector<traj::Trajectory>& probes) {
+  Answers answers;
+  using Run = std::function<Status(std::vector<traj::Trajectory>*)>;
+  auto rows = [&](const std::string& type, const std::string& call,
+                  const Run& run) {
+    std::vector<traj::Trajectory> out;
+    const Status s = run(&out);
+    std::string line = type + " " + call + " " + s.ToString();
+    for (const std::string& tid : TidsOf(out)) line += " " + tid;
+    answers.lines.push_back(line);
+    answers.results[type] += out.size();
+  };
+  auto count = [&](const std::string& call,
+                   const std::function<Status(uint64_t*)>& run) {
+    uint64_t n = 0;
+    const Status s = run(&n);
+    answers.lines.push_back(call + " " + s.ToString() + " " +
+                            std::to_string(n));
+  };
+  const auto tws = traj::RandomTimeWindows(spec, 4, 12 * 3600, 4);
+  const auto sws = traj::RandomSpaceWindows(spec, 4, 5000, 4);
+  for (size_t i = 0; i < tws.size(); i++) {
+    const std::string at = std::to_string(i);
+    const int64_t ts = tws[i].ts;
+    const int64_t te = tws[i].te;
+    const geo::MBR& rect = sws[i].rect;
+    rows("TRQ", at, [&](auto* out) {
+      return tman->TemporalRangeQuery(ts, te, out);
+    });
+    rows("SRQ", at, [&](auto* out) {
+      return tman->SpatialRangeQuery(rect, out);
+    });
+    rows("STRQ", at, [&](auto* out) {
+      return tman->SpatioTemporalRangeQuery(rect, ts, te, out);
+    });
+    count("TRQ count " + at, [&](uint64_t* n) {
+      return tman->TemporalRangeCount(ts, te, n);
+    });
+    count("SRQ count " + at, [&](uint64_t* n) {
+      return tman->SpatialRangeCount(rect, n);
+    });
+    count("STRQ count " + at, [&](uint64_t* n) {
+      return tman->SpatioTemporalRangeCount(rect, ts, te, n);
+    });
+  }
+  for (const traj::Trajectory& probe : probes) {
+    rows("IDT", probe.oid, [&](auto* out) {
+      return tman->IDTemporalQuery(probe.oid, spec.t0,
+                                   spec.t0 + spec.horizon_seconds, out);
+    });
+    rows("threshold", probe.tid, [&](auto* out) {
+      return tman->ThresholdSimilarityQuery(
+          probe, geo::SimilarityMeasure::kFrechet, 0.02, out);
+    });
+    rows("top-k", probe.tid, [&](auto* out) {
+      return tman->TopKSimilarityQuery(probe, geo::SimilarityMeasure::kFrechet,
+                                       5, out);
+    });
+  }
+  return answers;
+}
+
+void ExpectSameAnswers(const Answers& after, const Answers& before) {
+  ASSERT_EQ(after.lines.size(), before.lines.size());
+  for (size_t i = 0; i < before.lines.size(); i++) {
+    EXPECT_EQ(after.lines[i], before.lines[i]);
+  }
+}
+
+// Each occupied element's shape list.
+std::map<uint64_t, index::ShapeList> CatalogOf(TMan* tman) {
+  std::map<uint64_t, index::ShapeList> catalog;
+  IndexCache* cache = tman->index_cache();
+  for (uint64_t e = cache->NextOccupied(0); e != UINT64_MAX;
+       e = cache->NextOccupied(e + 1)) {
+    catalog[e] = cache->GetElement(e)->shapes;
+  }
+  return catalog;
+}
+
+// Close and reopen in every primary layout, with and without Inserts that
+// add shapes to bulk-loaded elements and create new elements, and with the
+// index cache off: all six queries, the three counts and the catalog's
+// counts are as before the close, and an Insert after the reopen keeps
+// every answer matching brute force.
+TEST(TManDurabilityTest, ReopenGivesTheSameAnswers) {
+  const traj::DatasetSpec spec = traj::TDriveLikeSpec();
+  const auto initial = traj::Generate(spec, 150, 31);
+  auto more = traj::Generate(spec, 150, 32);
+  for (auto& t : more) t.tid += "-new";
+  auto late = traj::Generate(spec, 40, 33);
+  for (auto& t : late) t.tid += "-late";
+  const struct {
+    PrimaryIndexKind primary;
+    bool use_index_cache;
+    const char* name;
+  } layouts[] = {{PrimaryIndexKind::kSpatial, true, "spatial"},
+                 {PrimaryIndexKind::kST, true, "st"},
+                 {PrimaryIndexKind::kTemporal, true, "temporal"},
+                 {PrimaryIndexKind::kSpatial, false, "spatial_nocache"}};
+  for (const auto& layout : layouts) {
+    for (const bool inserts : {false, true}) {
+      const std::string name =
+          std::string(layout.name) + (inserts ? "_inserts" : "");
+      SCOPED_TRACE(name);
+      TManOptions options = SmallOptions(spec);
+      options.primary = layout.primary;
+      options.use_index_cache = layout.use_index_cache;
+      const std::string dir = TestDir("reopen_" + name);
+      std::vector<traj::Trajectory> data = initial;
+      std::vector<traj::Trajectory> probes = {initial[0], initial[70],
+                                              initial[140]};
+      Answers before;
+      size_t occupied = 0;
+      uint64_t shapes = 0;
+      {
+        std::unique_ptr<TMan> tman;
+        ASSERT_TRUE(TMan::Open(options, dir, &tman).ok());
+        ASSERT_TRUE(tman->BulkLoad(initial).ok());
+        if (inserts) {
+          const auto bulk = CatalogOf(tman.get());
+          for (size_t off = 0; off < more.size(); off += 50) {
+            ASSERT_TRUE(tman->Insert({more.begin() + off,
+                                      more.begin() + off + 50})
+                            .ok());
+          }
+          data.insert(data.end(), more.begin(), more.end());
+          probes.push_back(more[10]);
+          probes.push_back(more[90]);
+          if (layout.use_index_cache) {
+            const auto now = CatalogOf(tman.get());
+            size_t grown = 0;
+            for (const auto& [e, list] : bulk) {
+              grown += now.at(e).size() > list.size();
+            }
+            EXPECT_GT(grown, 0u) << "no bulk-loaded element gained a shape";
+            EXPECT_GT(now.size(), bulk.size()) << "no new element";
+          }
+        }
+        occupied = tman->index_cache()->occupied_elements();
+        shapes = tman->index_cache()->registered_shapes();
+        before = CollectAnswers(tman.get(), spec, probes);
+      }
+      EXPECT_GT(before.results["TRQ"], 0u);
+      EXPECT_GT(before.results["STRQ"], 0u);
+      EXPECT_GT(before.results["IDT"], 0u);
+      if (layout.primary == PrimaryIndexKind::kSpatial) {
+        EXPECT_GT(before.results["SRQ"], 0u);
+        EXPECT_GT(before.results["threshold"], 0u);
+        EXPECT_GT(before.results["top-k"], 0u);
+      }
+
+      std::unique_ptr<TMan> tman;
+      ASSERT_TRUE(TMan::Open(options, dir, &tman).ok());
+      EXPECT_EQ(tman->index_cache()->occupied_elements(), occupied);
+      EXPECT_EQ(tman->index_cache()->registered_shapes(), shapes);
+      ExpectSameAnswers(CollectAnswers(tman.get(), spec, probes), before);
+
+      ASSERT_TRUE(tman->Insert(late).ok());
+      data.insert(data.end(), late.begin(), late.end());
+      probes.push_back(late[0]);
+      ExpectQueriesMatchBruteForce(tman.get(), spec, data, probes);
+    }
+  }
+}
+
+// The quickstart store (examples/quickstart.cpp: 2,000 TDrive-like trips,
+// seed 7), flushed, closed and reopened, gives its queries the answers it
+// gave before the close.
+TEST(TManDurabilityTest, QuickstartStoreAnswersTheSameAfterReopen) {
+  const traj::DatasetSpec spec = traj::TDriveLikeSpec();
+  TManOptions options;
+  options.bounds = spec.bounds;
+  options.tr.period_seconds = 1800;
+  options.tr.max_periods = 48;
+  options.tshape = index::TShapeConfig{3, 3, 15};
+  const std::string dir = TestDir("quickstart");
+  const auto data = traj::Generate(spec, 2000, 7);
+
+  // Result counts of the quickstart's queries, in its order.
+  auto run = [&](TMan* db) {
+    std::vector<uint64_t> counts;
+    std::vector<traj::Trajectory> out;
+    auto take = [&](const Status& s) {
+      EXPECT_TRUE(s.ok()) << s.ToString();
+      counts.push_back(out.size());
+      out.clear();
+    };
+    const int64_t day = spec.t0 + 24 * 3600;
+    take(db->TemporalRangeQuery(day, day + 2 * 3600, &out));
+    const geo::MBR window{116.39, 39.90, 116.41, 39.92};
+    take(db->SpatialRangeQuery(window, &out));
+    const int64_t day2 = spec.t0 + 2 * 24 * 3600;
+    const geo::MBR district{116.3, 39.85, 116.5, 39.95};
+    take(db->SpatioTemporalRangeQuery(district, day2, day2 + 6 * 3600, &out));
+    take(db->IDTemporalQuery(data[0].oid, spec.t0,
+                             spec.t0 + spec.horizon_seconds / 2, &out));
+    take(db->ThresholdSimilarityQuery(
+        data[10], geo::SimilarityMeasure::kFrechet, 0.02, &out));
+    take(db->TopKSimilarityQuery(data[10], geo::SimilarityMeasure::kFrechet, 5,
+                                 &out));
+    uint64_t count = 0;
+    EXPECT_TRUE(db->SpatialRangeCount(district, &count).ok());
+    counts.push_back(count);
+    return counts;
+  };
+
+  std::vector<uint64_t> before;
+  {
+    std::unique_ptr<TMan> db;
+    ASSERT_TRUE(TMan::Open(options, dir, &db).ok());
+    ASSERT_TRUE(db->BulkLoad(data).ok());
+    ASSERT_TRUE(db->Flush().ok());
+    before = run(db.get());
+  }
+  for (uint64_t count : before) EXPECT_GT(count, 0u);
+  std::unique_ptr<TMan> db;
+  ASSERT_TRUE(TMan::Open(options, dir, &db).ok());
+  EXPECT_EQ(run(db.get()), before);
 }
 
 TEST(TManStorageTest, SingleRowPerTrajectoryInPrimary) {
