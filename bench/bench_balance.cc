@@ -151,7 +151,6 @@ RunResult RunOne(const Workload& w, bool balance) {
                                    (balance ? "_on" : "_off"));
   kv::Options kv_options;
   kv_options.write_buffer_size = 256 * 1024;
-  kv_options.background_flush = true;
   cluster::Cluster cluster(dir, kInitialShards, kv_options);
   Status s = cluster.CreateTable("t", kInitialShards);
   if (!s.ok()) {

@@ -1,10 +1,10 @@
 // Sustained-ingest benchmark for the background flush/compaction pipeline
 // and the multicore write path.
 //
-// Section 1 streams BatchPut batches into a 4-shard cluster table twice:
-// once with the legacy synchronous write path (flush + compaction inline
-// in the writing thread) and once with the asynchronous pipeline
-// (group-commit WAL, background flush/compaction, write backpressure).
+// Section 1 streams BatchPut batches into a 4-shard cluster table through
+// the write pipeline (group-commit WAL, background flush/compaction, write
+// backpressure) and reports throughput, batch latency and the flush,
+// compaction and stall counts.
 //
 // Section 2 hammers a single kv::DB with N client threads issuing
 // WriteBatch writes (group commit: the leader folds queued batches into one
@@ -52,13 +52,11 @@ struct IngestResult {
 // Rowkeys mimic TMan's layout: a one-byte shard prefix (round-robin across
 // the 4 shards, as the shard function spreads real trajectory keys) plus a
 // fixed-width payload key. Values model encoded trajectory elements.
-IngestResult RunIngest(bool background, int batches, int rows_per_batch,
-                       obs::MetricsRegistry* metrics = nullptr) {
-  const std::string dir =
-      BenchDir(background ? "ingest_pipelined" : "ingest_sync");
+IngestResult RunIngest(int batches, int rows_per_batch,
+                       obs::MetricsRegistry* metrics) {
+  const std::string dir = BenchDir("ingest_pipelined");
   kv::Options kv_options;
   kv_options.write_buffer_size = 256 * 1024;
-  kv_options.background_flush = background;
   kv_options.metrics = metrics;
   cluster::Cluster cluster(dir, 4, kv_options);
   Status s = cluster.CreateTable("ingest", 4);
@@ -94,7 +92,7 @@ IngestResult RunIngest(bool background, int batches, int rows_per_batch,
     batch_ms.push_back(
         std::chrono::duration<double, std::milli>(t1 - t0).count());
   }
-  // Include the drain so both modes account for the same total work.
+  // Include the drain, so the time covers every flush and compaction.
   s = table->Flush();
   if (!s.ok()) {
     fprintf(stderr, "flush: %s\n", s.ToString().c_str());
@@ -244,24 +242,13 @@ int main(int argc, char** argv) {
   printf("Sustained ingest: %d batches x %d rows (%d total), 4 shards\n\n",
          batches, rows_per_batch, batches * rows_per_batch);
 
-  // The pipelined run records into a metrics registry; its dump lands next
-  // to BENCH_ingest.json so CI archives both.
+  // The run records into a metrics registry; its dump lands next to
+  // BENCH_ingest.json so CI archives both.
   tman::obs::MetricsRegistry registry;
-  IngestResult sync = RunIngest(false, batches, rows_per_batch);
-  IngestResult pipelined = RunIngest(true, batches, rows_per_batch, &registry);
+  IngestResult pipelined = RunIngest(batches, rows_per_batch, &registry);
 
   PrintHeader({"write path", "rows/s", "p50 ms", "p99 ms", "p99.9 ms",
                "max ms", "flushes", "compactions", "stall ms"});
-  PrintCell("synchronous");
-  PrintCell(sync.rows_per_sec);
-  PrintCell(sync.p50_ms);
-  PrintCell(sync.p99_ms);
-  PrintCell(sync.p999_ms);
-  PrintCell(sync.max_ms);
-  PrintCell(sync.storage.flush_count);
-  PrintCell(sync.storage.compaction_count);
-  PrintCell(static_cast<double>(sync.storage.stall_micros) / 1000.0);
-  EndRow();
   PrintCell("pipelined");
   PrintCell(pipelined.rows_per_sec);
   PrintCell(pipelined.p50_ms);
@@ -273,17 +260,7 @@ int main(int argc, char** argv) {
   PrintCell(static_cast<double>(pipelined.storage.stall_micros) / 1000.0);
   EndRow();
 
-  const double speedup = pipelined.rows_per_sec / sync.rows_per_sec;
   const unsigned cores = std::thread::hardware_concurrency();
-  printf("\nthroughput speedup: %.2fx   max-latency ratio: %.2fx   "
-         "(%u core%s)\n",
-         speedup, sync.max_ms / pipelined.max_ms, cores,
-         cores == 1 ? "" : "s");
-  if (cores <= 1) {
-    printf("note: single-CPU host -- flush/compaction CPU cannot overlap "
-           "foreground writes,\nso the pipeline's throughput gain is "
-           "bounded here; the tail-latency bound remains.\n");
-  }
 
   // Section 2: multicore write scaling against one DB.
   const int mc_rows = 100000 * Scale();
@@ -310,16 +287,6 @@ int main(int argc, char** argv) {
             "  \"cpu_cores\": %u,\n"
             "  \"batches\": %d,\n"
             "  \"rows_per_batch\": %d,\n"
-            "  \"baseline_sync\": {\n"
-            "    \"rows_per_sec\": %.1f,\n"
-            "    \"p50_batch_ms\": %.3f,\n"
-            "    \"p99_batch_ms\": %.3f,\n"
-            "    \"p999_batch_ms\": %.3f,\n"
-            "    \"max_batch_ms\": %.3f,\n"
-            "    \"flushes\": %" PRIu64 ",\n"
-            "    \"compactions\": %" PRIu64 ",\n"
-            "    \"stall_ms\": %.1f\n"
-            "  },\n"
             "  \"pipelined\": {\n"
             "    \"rows_per_sec\": %.1f,\n"
             "    \"p50_batch_ms\": %.3f,\n"
@@ -329,20 +296,12 @@ int main(int argc, char** argv) {
             "    \"flushes\": %" PRIu64 ",\n"
             "    \"compactions\": %" PRIu64 ",\n"
             "    \"stall_ms\": %.1f\n"
-            "  },\n"
-            "  \"throughput_speedup\": %.3f,\n"
-            "  \"p99_ratio_sync_over_pipelined\": %.3f,\n"
-            "  \"max_latency_ratio_sync_over_pipelined\": %.3f,\n",
-            cores, batches, rows_per_batch, sync.rows_per_sec, sync.p50_ms,
-            sync.p99_ms, sync.p999_ms, sync.max_ms, sync.storage.flush_count,
-            sync.storage.compaction_count,
-            static_cast<double>(sync.storage.stall_micros) / 1000.0,
-            pipelined.rows_per_sec, pipelined.p50_ms, pipelined.p99_ms,
-            pipelined.p999_ms, pipelined.max_ms, pipelined.storage.flush_count,
+            "  },\n",
+            cores, batches, rows_per_batch, pipelined.rows_per_sec,
+            pipelined.p50_ms, pipelined.p99_ms, pipelined.p999_ms,
+            pipelined.max_ms, pipelined.storage.flush_count,
             pipelined.storage.compaction_count,
-            static_cast<double>(pipelined.storage.stall_micros) / 1000.0,
-            speedup, sync.p99_ms / pipelined.p99_ms,
-            sync.max_ms / pipelined.max_ms);
+            static_cast<double>(pipelined.storage.stall_micros) / 1000.0);
     // Multicore rows: speedups are relative to the first thread count run
     // on this host (cpu_cores above qualifies them).
     fprintf(json,

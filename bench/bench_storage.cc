@@ -1,14 +1,13 @@
-// Storage-lifecycle benchmark: per-block compression and bulk ingestion.
+// Storage-lifecycle benchmark: on-disk size of TMan's rows and bulk
+// ingestion.
 //
-// Section 1 loads TMan's primary-table rows into two stores (no compression
-// / generic byte LZ): Lorry-like trajectories are bulk-loaded into a TMan,
-// whose primary table keys them and encodes each whole trajectory through
-// core::EncodeRecord (points already column-coded), and every primary row
-// is copied into each store. Each store is compacted to its final shape and
-// reports on-disk bytes per trajectory plus full-scan throughput (cold =
-// first scan pays block decode, warm = cache holds the uncompressed
-// blocks; the median of several warm passes). "none" is the record codec
-// alone; "byte_lz" adds byte-LZ blocks on top.
+// Section 1 loads TMan's primary-table rows into one store: Lorry-like
+// trajectories are bulk-loaded into a TMan, whose primary table keys them
+// and encodes each whole trajectory through core::EncodeRecord (points
+// column-coded), and every primary row is copied into the store. The store
+// is compacted to its final shape and reports on-disk bytes per trajectory
+// plus full-scan throughput (cold = first scan reads the blocks from the
+// file, warm = the cache holds them; the median of several warm passes).
 //
 // Section 2 loads 24-byte GPS point rows into a 4-shard cluster table
 // twice: once through BatchPut (WAL + memtable + flush + compaction to
@@ -17,11 +16,9 @@
 // memtable / compaction debt), and reports rows/s for both.
 //
 // Flags:
-//   --check   gate the results (CI smoke mode): warm scan throughput of the
-//             byte_lz store within 10% of the uncompressed store, every
-//             scan must see every row back byte-identical, and bulk load
-//             must beat BatchPut by >= 10x rows/s. Exits nonzero on any
-//             violation.
+//   --check   gate the results (CI smoke mode): every scan must see every
+//             row back byte-identical, and bulk load must beat BatchPut by
+//             >= 10x rows/s. Exits nonzero on any violation.
 //
 // Scale with TMAN_SCALE (default 1). Results land in BENCH_storage.json.
 
@@ -39,7 +36,6 @@
 #include "cluster/cluster.h"
 #include "common/coding.h"
 #include "common/random.h"
-#include "kvstore/compression.h"
 #include "kvstore/db.h"
 #include "kvstore/options.h"
 
@@ -78,7 +74,6 @@ std::vector<cluster::Row> PrimaryRows(size_t count) {
 }
 
 struct StoreResult {
-  const char* label = nullptr;
   uint64_t sst_bytes = 0;
   double bytes_per_trajectory = 0;
   double cold_scan_rows_per_sec = 0;
@@ -94,14 +89,10 @@ uint64_t SstBytes(const std::string& dir) {
   return total;
 }
 
-StoreResult RunStore(const char* label, kv::CompressionType type,
-                     const std::vector<cluster::Row>& rows) {
+StoreResult RunStore(const std::vector<cluster::Row>& rows) {
   StoreResult result;
-  result.label = label;
-  const std::string dir = BenchDir(std::string("storage_") + label);
+  const std::string dir = BenchDir("storage_rows");
   kv::Options options;
-  options.compression = type;
-  options.background_flush = false;
   options.write_buffer_size = 4 * 1024 * 1024;
   options.block_cache_bytes = 256 * 1024 * 1024;  // warm scans fully cached
 
@@ -121,9 +112,9 @@ StoreResult RunStore(const char* label, kv::CompressionType type,
   result.bytes_per_trajectory =
       static_cast<double>(result.sst_bytes) / rows.size();
 
-  // Full scans via the cursor API; the first (cold) pass pays per-block
-  // decode, the warm passes read the uncompressed blocks straight out of
-  // the cache. Every pass checks every row byte for byte.
+  // Full scans via the cursor API; the first (cold) pass reads every block
+  // from the file, the warm passes read them straight out of the cache.
+  // Every pass checks every row byte for byte.
   constexpr int kWarmPasses = 7;
   std::vector<double> warm_rates;
   for (int pass = 0; pass <= kWarmPasses; pass++) {
@@ -299,27 +290,21 @@ int main(int argc, char** argv) {
   }
   const double record_bytes_per_trajectory =
       static_cast<double>(record_bytes) / primary_rows.size();
-  printf("Per-block compression: %zu TMan primary rows (Lorry-like, "
+  printf("Primary-row storage: %zu TMan primary rows (Lorry-like, "
          "%.0f B/trajectory as encoded records)\n\n",
          primary_rows.size(), record_bytes_per_trajectory);
 
-  StoreResult stores[2] = {
-      RunStore("none", tman::kv::kNoCompression, primary_rows),
-      RunStore("byte_lz", tman::kv::kByteCompression, primary_rows),
-  };
+  const StoreResult store = RunStore(primary_rows);
 
-  PrintHeader({"compression", "sst bytes", "B/traj", "vs raw", "cold scan/s",
+  PrintHeader({"compression", "sst bytes", "B/traj", "cold scan/s",
                "warm scan/s", "roundtrip"});
-  for (const StoreResult& r : stores) {
-    PrintCell(r.label);
-    PrintCell(r.sst_bytes);
-    PrintCell(r.bytes_per_trajectory);
-    PrintCell(static_cast<double>(stores[0].sst_bytes) / r.sst_bytes);
-    PrintCell(r.cold_scan_rows_per_sec);
-    PrintCell(r.warm_scan_rows_per_sec);
-    PrintCell(r.roundtrip_ok ? "ok" : "MISMATCH");
-    EndRow();
-  }
+  PrintCell("none");
+  PrintCell(store.sst_bytes);
+  PrintCell(store.bytes_per_trajectory);
+  PrintCell(store.cold_scan_rows_per_sec);
+  PrintCell(store.warm_scan_rows_per_sec);
+  PrintCell(store.roundtrip_ok ? "ok" : "MISMATCH");
+  EndRow();
 
   const int rows_per_shard = 150000 * Scale();
   printf("\nBulk load vs BatchPut: %d rows, 4 shards\n\n", 4 * rows_per_shard);
@@ -341,11 +326,6 @@ int main(int argc, char** argv) {
   PrintCell(speedup);
   EndRow();
 
-  const double lz_reduction =
-      static_cast<double>(stores[0].sst_bytes) / stores[1].sst_bytes;
-  const double warm_ratio =
-      stores[1].warm_scan_rows_per_sec / stores[0].warm_scan_rows_per_sec;
-
   FILE* json = fopen("BENCH_storage.json", "w");
   if (json != nullptr) {
     fprintf(json,
@@ -354,25 +334,12 @@ int main(int argc, char** argv) {
             "  \"dataset\": \"tman_primary_rows_lorry_like\",\n"
             "  \"trajectories\": %zu,\n"
             "  \"record_bytes_per_trajectory\": %.1f,\n"
-            "  \"compression\": [\n",
-            primary_rows.size(), record_bytes_per_trajectory);
-    for (int i = 0; i < 2; i++) {
-      const StoreResult& r = stores[i];
-      fprintf(json,
-              "    {\"type\": \"%s\", \"sst_bytes\": %llu, "
-              "\"bytes_per_trajectory\": %.1f, \"reduction_vs_raw\": %.3f, "
-              "\"cold_scan_rows_per_sec\": %.0f, "
-              "\"warm_scan_rows_per_sec\": %.0f, \"roundtrip_ok\": %s}%s\n",
-              r.label, static_cast<unsigned long long>(r.sst_bytes),
-              r.bytes_per_trajectory,
-              static_cast<double>(stores[0].sst_bytes) / r.sst_bytes,
-              r.cold_scan_rows_per_sec, r.warm_scan_rows_per_sec,
-              r.roundtrip_ok ? "true" : "false", i < 1 ? "," : "");
-    }
-    fprintf(json,
+            "  \"compression\": [\n"
+            "    {\"type\": \"none\", \"sst_bytes\": %llu, "
+            "\"bytes_per_trajectory\": %.1f, "
+            "\"cold_scan_rows_per_sec\": %.0f, "
+            "\"warm_scan_rows_per_sec\": %.0f, \"roundtrip_ok\": %s}\n"
             "  ],\n"
-            "  \"byte_lz_reduction_vs_raw\": %.3f,\n"
-            "  \"byte_lz_warm_scan_over_raw\": %.3f,\n"
             "  \"bulk_load\": {\n"
             "    \"rows\": %d,\n"
             "    \"batchput_rows_per_sec\": %.0f,\n"
@@ -381,7 +348,11 @@ int main(int argc, char** argv) {
             "  },\n"
             "  \"checked\": %s\n"
             "}\n",
-            lz_reduction, warm_ratio, 4 * rows_per_shard,
+            primary_rows.size(), record_bytes_per_trajectory,
+            static_cast<unsigned long long>(store.sst_bytes),
+            store.bytes_per_trajectory, store.cold_scan_rows_per_sec,
+            store.warm_scan_rows_per_sec,
+            store.roundtrip_ok ? "true" : "false", 4 * rows_per_shard,
             batchput.rows_per_sec, bulkload.rows_per_sec, speedup,
             check ? "true" : "false");
     fclose(json);
@@ -390,21 +361,12 @@ int main(int argc, char** argv) {
 
   if (check) {
     int failures = 0;
-    for (const StoreResult& r : stores) {
-      if (!r.roundtrip_ok) {
-        fprintf(stderr, "CHECK FAIL: %s store scan mismatch\n", r.label);
-        failures++;
-      }
+    if (!store.roundtrip_ok) {
+      fprintf(stderr, "CHECK FAIL: primary-row store scan mismatch\n");
+      failures++;
     }
     if (!batchput.roundtrip_ok || !bulkload.roundtrip_ok) {
       fprintf(stderr, "CHECK FAIL: cluster load path error\n");
-      failures++;
-    }
-    if (warm_ratio < 0.9) {
-      fprintf(stderr,
-              "CHECK FAIL: warm scan over byte_lz tables %.2fx of raw "
-              "(< 0.9)\n",
-              warm_ratio);
       failures++;
     }
     if (speedup < 10.0) {

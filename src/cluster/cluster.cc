@@ -1324,8 +1324,8 @@ Cluster::Cluster(std::string base_dir, int num_servers, kv::Options options)
       pool_(static_cast<size_t>(num_servers)),
       bg_pool_(static_cast<size_t>(num_servers)) {
   // All region stores share the cluster's maintenance pool unless the
-  // caller wired a specific one (or disabled background work entirely).
-  if (options_.background_flush && options_.background_pool == nullptr) {
+  // caller wired a specific one.
+  if (options_.background_pool == nullptr) {
     options_.background_pool = &bg_pool_;
   }
   std::filesystem::create_directories(base_dir_);
@@ -1338,7 +1338,7 @@ Status Cluster::CreateTable(const std::string& name, int num_shards,
     return Status::InvalidArgument("table exists: " + name);
   }
   kv::Options opt = options_override != nullptr ? *options_override : options_;
-  if (opt.background_flush && opt.background_pool == nullptr) {
+  if (opt.background_pool == nullptr) {
     opt.background_pool = &bg_pool_;  // same wiring as the cluster defaults
   }
   std::unique_ptr<ClusterTable> table;

@@ -540,9 +540,9 @@ class Cluster {
 
   // Creates a table of `num_shards` regions. `options_override` (borrowed
   // for the call) replaces the cluster-wide kv::Options for this table's
-  // region stores — e.g. a per-table compaction filter or compression
-  // choice; the cluster's maintenance pool is still wired in when the
-  // override leaves background_pool unset.
+  // region stores — e.g. a per-table compaction filter or memtable size;
+  // the cluster's maintenance pool is still wired in when the override
+  // leaves background_pool unset.
   Status CreateTable(const std::string& name, int num_shards,
                      const kv::Options* options_override = nullptr);
   Status DropTable(const std::string& name);

@@ -902,33 +902,13 @@ Status TMan::TemporalRangeCount(int64_t ts, int64_t te, uint64_t* count,
   Status s = planner_->PlanTemporalRange(ts, te, &plan);
   if (!s.ok()) return s;
   plan.allow_degraded = qopts.allow_degraded;
-
-  if (plan.kind == PlanKind::kPrimaryScan) {
-    FinishPlanningSpan(plan_span, plan);
-    MergePlanningStats(plan, planning, stats);
-    obs::TraceSpan* exec_span =
-        root != nullptr ? root->AddChild("execute") : nullptr;
-    s = ExecuteCount(std::move(plan), "count:temporal", count, stats,
-                     exec_span);
-  } else {
-    // Through the secondary: count distinct matching primary rows. The
-    // sub-query owns this path's trace tree.
-    root.reset();
-    std::vector<traj::Trajectory> out;
-    QueryStats sub;
-    s = TemporalRangeQuery(ts, te, &out, &sub, qopts);
-    *count = out.size();
-    if (stats != nullptr) {
-      stats->windows += sub.windows;
-      stats->index_values += sub.index_values;
-      stats->candidates += sub.candidates;
-      stats->elements_visited += sub.elements_visited;
-      stats->shapes_checked += sub.shapes_checked;
-      stats->planning_ms += sub.planning_ms;
-      stats->plan = "count:temporal";
-      stats->trace = std::move(sub.trace);
-    }
-  }
+  FinishPlanningSpan(plan_span, plan);
+  MergePlanningStats(plan, planning, stats);
+  obs::TraceSpan* exec_span =
+      root != nullptr ? root->AddChild("execute") : nullptr;
+  // A secondary plan fetches each primary row and applies the counting
+  // filter to it, so no row is decoded.
+  s = ExecuteCount(std::move(plan), "count:temporal", count, stats, exec_span);
   if (stats != nullptr) {
     stats->results = *count;
     stats->execution_ms += total.ElapsedMillis();
@@ -995,7 +975,7 @@ Status TMan::SpatioTemporalRangeCount(const geo::MBR& rect, int64_t ts,
 
 uint64_t TMan::StorageBytes() {
   return primary_->TotalBytes() + tr_table_->TotalBytes() +
-         idt_table_->TotalBytes();
+         idt_table_->TotalBytes() + meta_table_->TotalBytes();
 }
 
 void TMan::PublishMetrics() {

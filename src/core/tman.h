@@ -145,6 +145,8 @@ class TMan {
 
   // --- Introspection ---
 
+  // SSTable and memtable bytes of all four tables (primary, tr_idx,
+  // idt_idx and the meta table that holds the catalog).
   uint64_t StorageBytes();
   const QueryPlanner* planner() const { return planner_.get(); }
   Executor* executor() { return executor_.get(); }

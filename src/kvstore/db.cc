@@ -23,6 +23,12 @@ namespace {
 constexpr size_t kMaxGroupBytes = 1 << 20;
 constexpr size_t kSmallBatchBytes = 128 << 10;
 
+// Sequential block readahead budget of DB::MultiScan when the caller's
+// ReadOptions leave readahead_bytes at 0. Readahead only triggers on a
+// detected sequential block pattern, so point-ish window batches never
+// over-read.
+constexpr size_t kMultiScanReadaheadBytes = 64 * 1024;
+
 uint64_t NowMicros() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -127,15 +133,14 @@ class DBIter final : public Iterator {
 
 // Builds an SSTable from a memtable iterator. Pure I/O: needs no DB state
 // beyond the pre-assigned file number in `meta`.
-Status BuildTableFromMem(const Options& options, Env* env,
-                         const std::string& dbname, MemTable* mem,
+Status BuildTableFromMem(Env* env, const std::string& dbname, MemTable* mem,
                          FileMetaData* meta) {
   const std::string fname = TableFileName(dbname, meta->number);
   std::unique_ptr<WritableFile> file;
   Status s = env->NewWritableFile(fname, &file);
   if (!s.ok()) return s;
   {
-    TableBuilder builder(options, file.get());
+    TableBuilder builder(file.get());
     std::unique_ptr<Iterator> iter(mem->NewIterator());
     iter->SeekToFirst();
     assert(iter->Valid());  // callers flush only non-empty memtables
@@ -216,8 +221,7 @@ DB::DB(const Options& options, std::string name)
         options_.metrics->GetCounter("tman_kv_block_cache_misses_total"));
   }
   mem_ = std::make_shared<MemTable>(icmp_);
-  versions_ = std::make_unique<VersionSet>(name_, options_, env_,
-                                           block_cache_.get());
+  versions_ = std::make_unique<VersionSet>(name_, env_, block_cache_.get());
   // The one metrics invariant: metrics_ mirrors Options::metrics exactly,
   // and every later dereference is null-guarded at the use site.
   assert((metrics_ != nullptr) == (options_.metrics != nullptr));
@@ -252,13 +256,11 @@ Status DB::Open(const Options& options, const std::string& name,
   Status s = db->Recover();
   if (!s.ok()) return s;
   db->DrainEvents();  // flush/compaction events from WAL replay
-  if (db->options_.background_flush) {
-    if (db->options_.background_pool != nullptr) {
-      db->bg_pool_ = db->options_.background_pool;
-    } else {
-      db->owned_pool_ = std::make_unique<ThreadPool>(1);
-      db->bg_pool_ = db->owned_pool_.get();
-    }
+  if (db->options_.background_pool != nullptr) {
+    db->bg_pool_ = db->options_.background_pool;
+  } else {
+    db->owned_pool_ = std::make_unique<ThreadPool>(1);
+    db->bg_pool_ = db->owned_pool_.get();
   }
   *dbptr = std::move(db);
   return Status::OK();
@@ -458,13 +460,6 @@ Status DB::WriteImpl(const WriteOptions& wo, WriteBatch* batch) {
       versions_->SetLastSequence(seq + count - 1);
     }
     if (group == &tmp_batch_) tmp_batch_.Clear();
-
-    // Legacy synchronous mode: pay flush + compaction inline.
-    if (s.ok() && !options_.background_flush &&
-        mem_->ApproximateMemoryUsage() >= options_.write_buffer_size) {
-      s = FlushActiveLocked();
-      if (s.ok()) s = CompactLoopLocked();
-    }
   }
 
   while (true) {
@@ -511,7 +506,6 @@ WriteBatch* DB::BuildBatchGroup(Writer** last_writer) {
 }
 
 Status DB::MakeRoomForWrite(std::unique_lock<std::mutex>& lock) {
-  if (!options_.background_flush) return bg_error_;
   bool allow_delay = true;
   while (true) {
     if (!bg_error_.ok()) return bg_error_;
@@ -734,7 +728,7 @@ Status DB::MultiScan(const ReadOptions& ro,
   Stopwatch watch;  // read only when metrics are on
   ReadOptions opts = ro;
   if (opts.readahead_bytes == 0) {
-    opts.readahead_bytes = options_.multiscan_readahead_bytes;
+    opts.readahead_bytes = kMultiScanReadaheadBytes;
   }
   MultiScanPerf local_perf;
   opts.perf = &local_perf;
@@ -811,7 +805,7 @@ Status DB::CompactAll() {
     if (imm_ != nullptr) s = FlushImmutable(nullptr);
     if (s.ok()) s = FlushActiveLocked();
     if (!s.ok()) return s;
-    for (int level = 0; level < options_.num_levels - 1; level++) {
+    for (int level = 0; level < kNumLevels - 1; level++) {
       VersionPtr current = versions_->current();
       CompactionJob job;
       job.level = level;
@@ -887,7 +881,7 @@ Status DB::IngestExternalFile(const IngestOptions& io,
   s = env_->NewRandomAccessFile(file_path, &ext_raf);
   if (!s.ok()) return s;
   std::unique_ptr<Table> ext_table;
-  s = Table::Open(options_, /*table_id=*/0, std::move(ext_raf), ext_size,
+  s = Table::Open(/*table_id=*/0, std::move(ext_raf), ext_size,
                   /*cache=*/nullptr, &ext_table);
   if (!s.ok()) return s;
 
@@ -1062,7 +1056,7 @@ Status DB::WriteLevel0Table(const std::shared_ptr<MemTable>& mem,
 
   Stopwatch watch;
   if (lock != nullptr) lock->unlock();
-  Status s = BuildTableFromMem(options_, env_, name_, mem.get(), meta.get());
+  Status s = BuildTableFromMem(env_, name_, mem.get(), meta.get());
   if (s.ok()) s = versions_->OpenTable(meta.get());
   if (lock != nullptr) lock->lock();
 
@@ -1169,7 +1163,7 @@ bool DB::PickCompaction(const VersionPtr& current, CompactionJob* job) const {
 
   // Size pressure on deeper levels.
   int level = -1;
-  for (int l = 1; l < options_.num_levels - 1; l++) {
+  for (int l = 1; l < kNumLevels - 1; l++) {
     if (current->NumLevelBytes(l) > MaxBytesForLevel(l)) {
       level = l;
       break;
@@ -1324,7 +1318,7 @@ Status DB::RunCompaction(const CompactionJob& job,
       s = env_->NewWritableFile(TableFileName(name_, out_meta->number),
                                 &out_file);
       if (!s.ok()) break;
-      builder = std::make_unique<TableBuilder>(options_, out_file.get());
+      builder = std::make_unique<TableBuilder>(out_file.get());
       out_meta->smallest.DecodeFrom(emit_key);
     }
     builder->Add(emit_key, emit_value);

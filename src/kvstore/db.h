@@ -47,9 +47,7 @@ namespace tman::kv {
 // also runs leveled compactions; reads are served from consistent
 // {mem, imm, version} snapshots throughout. Writers are throttled with
 // short sleeps once L0 grows past l0_slowdown_trigger and stall completely
-// at l0_stop_trigger (see Stats). Setting Options::background_flush=false
-// restores the legacy synchronous behaviour (flush/compaction inline in the
-// writing thread), kept as the benchmark baseline.
+// at l0_stop_trigger (see Stats).
 class DB {
  public:
   static Status Open(const Options& options, const std::string& name,
@@ -64,7 +62,7 @@ class DB {
   const std::string& name() const { return name_; }
 
   // Effective options (env resolved). Lets callers build SstFileWriters
-  // that match this DB's block format, compression and environment.
+  // that write through this DB's environment.
   const Options& options() const { return options_; }
 
   Status Put(const WriteOptions& wo, const Slice& key, const Slice& value);
@@ -101,9 +99,8 @@ class DB {
   // exhausted iterator proves all remaining in-order windows empty without
   // touching storage. Unsorted or overlapping batches are still correct —
   // they just fall back to a fresh Seek per window. Sequential block
-  // readahead is enabled from Options::multiscan_readahead_bytes unless
-  // ro.readahead_bytes is already set. `perf` (optional) receives the
-  // read-path counters for this call.
+  // readahead (64 KiB) is enabled unless ro.readahead_bytes is already set.
+  // `perf` (optional) receives the read-path counters for this call.
   Status MultiScan(const ReadOptions& ro, const std::vector<ScanWindow>& windows,
                    const ScanFilter* filter, size_t limit, RowSink* sink,
                    ScanStats* stats, MultiScanPerf* perf = nullptr);
@@ -316,7 +313,7 @@ class DB {
   Status FlushImmutable(std::unique_lock<std::mutex>* lock);
 
   // Flushes the active memtable inline and rotates the WAL (synchronous
-  // paths: Flush/CompactAll/close and background_flush=false mode).
+  // paths: Flush, CompactAll, IngestExternalFile and close).
   Status FlushActiveLocked();
 
   // Picks the next compaction round against `current`; false if none.
@@ -384,7 +381,7 @@ class DB {
   WriteBatch tmp_batch_;
 
   // Background worker state.
-  ThreadPool* bg_pool_ = nullptr;          // null in synchronous mode
+  ThreadPool* bg_pool_ = nullptr;          // null until Open installs it
   std::unique_ptr<ThreadPool> owned_pool_;  // when no shared pool was given
   bool bg_active_ = false;       // a background task is scheduled/running
   bool shutting_down_ = false;

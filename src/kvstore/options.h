@@ -5,8 +5,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "kvstore/compression.h"
-
 namespace tman {
 class ThreadPool;
 }  // namespace tman
@@ -25,15 +23,6 @@ struct Options {
   // Size at which the memtable is flushed to an L0 SSTable.
   size_t write_buffer_size = 4 * 1024 * 1024;
 
-  // Target uncompressed size of SSTable data blocks.
-  size_t block_size = 4 * 1024;
-
-  // Restart-point interval inside data blocks.
-  int block_restart_interval = 16;
-
-  // Bits per key for the per-table bloom filter; 0 disables filters.
-  int bloom_bits_per_key = 10;
-
   // Capacity of the shared block cache in bytes.
   size_t block_cache_bytes = 8 * 1024 * 1024;
 
@@ -48,19 +37,10 @@ struct Options {
   // reduces L0 (hard backpressure).
   int l0_stop_trigger = 12;
 
-  // If true (default), memtable flushes and compactions run on a background
-  // worker and the write path only pays the WAL append + memtable insert.
-  // If false, both run synchronously inside the writing thread (the
-  // deterministic legacy behaviour, kept as the benchmark baseline).
-  bool background_flush = true;
-
   // Thread pool for background flushes/compactions, shared across DBs (the
   // cluster passes its maintenance pool here). nullptr means each DB owns a
-  // private single worker thread. Ignored when background_flush is false.
+  // private single worker thread.
   tman::ThreadPool* background_pool = nullptr;
-
-  // Number of levels (L0..Lmax-1).
-  int num_levels = 7;
 
   // Size budget of L1; each deeper level is 10x larger.
   uint64_t base_level_bytes = 8 * 1024 * 1024;
@@ -68,24 +48,10 @@ struct Options {
   // Max SSTable file size produced by compactions.
   uint64_t max_file_bytes = 2 * 1024 * 1024;
 
-  // Per-block compression applied when tables are built (flush, compaction,
-  // SstFileWriter). Stored in each block's trailer byte, so readers never
-  // consult this option and a table may mix block encodings; the block
-  // cache always holds uncompressed blocks, keeping zero-copy iteration
-  // unchanged. kByteCompression falls back per block to none when the
-  // codec does not actually shrink the block.
-  CompressionType compression = kNoCompression;
-
   // When set, leveled compactions consult this filter on the newest version
   // of each surviving user key (TTL/retention). Borrowed pointer; must be
   // thread-safe and outlive the DB. See kvstore/compaction_filter.h.
   const CompactionFilter* compaction_filter = nullptr;
-
-  // Sequential block readahead budget applied by DB::MultiScan when the
-  // caller's ReadOptions leave readahead_bytes at 0. Readahead only
-  // triggers on a detected sequential block pattern, so point-ish window
-  // batches never over-read. 0 disables it.
-  size_t multiscan_readahead_bytes = 64 * 1024;
 
   bool create_if_missing = true;
 
@@ -124,8 +90,8 @@ struct ReadOptions {
   // iterator detects a sequential block access pattern (the next data block
   // starts where the previous one ended), it reads up to this many further
   // contiguous data blocks with one I/O and parks them in the block cache.
-  // 0 disables readahead. Set by the MultiScan path (from
-  // Options::multiscan_readahead_bytes); plain scans leave it 0.
+  // 0 disables readahead. DB::MultiScan sets it to 64 KiB when the caller
+  // left it 0; plain scans leave it 0.
   size_t readahead_bytes = 0;
 
   // When non-null, table iterators fold block-reuse and readahead events

@@ -5,8 +5,7 @@
 namespace tman::kv {
 
 SstFileWriter::SstFileWriter(const Options& options)
-    : options_(options),
-      env_(options.env != nullptr ? options.env : Env::Default()) {}
+    : env_(options.env != nullptr ? options.env : Env::Default()) {}
 
 SstFileWriter::~SstFileWriter() = default;
 
@@ -17,7 +16,7 @@ Status SstFileWriter::Open(const std::string& file_path) {
   Status s = env_->NewWritableFile(file_path, &file_);
   if (!s.ok()) return s;
   file_path_ = file_path;
-  builder_ = std::make_unique<TableBuilder>(options_, file_.get());
+  builder_ = std::make_unique<TableBuilder>(file_.get());
   return Status::OK();
 }
 

@@ -27,8 +27,7 @@ struct ExternalSstFileInfo {
 // LSM rules "older than every write the target DB has ever accepted" — so
 // ingestion only has to check that the file's key range does not overlap
 // live data (DB::IngestExternalFile enforces this). The file uses the same
-// v2 block format as flushes and compactions, including per-block
-// compression per Options::compression.
+// v2 block format as flushes and compactions.
 //
 // Usage:
 //   SstFileWriter writer(options);
@@ -58,7 +57,6 @@ class SstFileWriter {
   uint64_t num_entries() const { return num_entries_; }
 
  private:
-  Options options_;
   Env* env_;
   std::string file_path_;
   std::unique_ptr<WritableFile> file_;

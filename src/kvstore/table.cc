@@ -27,13 +27,11 @@ bool BlockHandle::DecodeFrom(Slice* input) {
 // ---------------------------------------------------------------------------
 // TableBuilder
 
-TableBuilder::TableBuilder(const Options& options, WritableFile* file)
-    : options_(options),
-      file_(file),
-      data_block_(options.block_restart_interval),
+TableBuilder::TableBuilder(WritableFile* file)
+    : file_(file),
+      data_block_(kBlockRestartInterval),
       index_block_(1),
-      bloom_(options.bloom_bits_per_key > 0 ? options.bloom_bits_per_key : 10) {
-}
+      bloom_(kBloomBitsPerKey) {}
 
 TableBuilder::~TableBuilder() = default;
 
@@ -49,15 +47,13 @@ void TableBuilder::Add(const Slice& key, const Slice& value) {
     pending_index_entry_ = false;
   }
 
-  if (options_.bloom_bits_per_key > 0) {
-    filter_keys_.emplace_back(ExtractUserKey(key).ToString());
-  }
+  filter_keys_.emplace_back(ExtractUserKey(key).ToString());
 
   last_key_.assign(key.data(), key.size());
   data_block_.Add(key, value);
   num_entries_++;
 
-  if (data_block_.CurrentSizeEstimate() >= options_.block_size) {
+  if (data_block_.CurrentSizeEstimate() >= kBlockSize) {
     FlushDataBlock();
   }
 }
@@ -72,20 +68,13 @@ void TableBuilder::FlushDataBlock() {
 
 Status TableBuilder::WriteBlock(const Slice& contents, BlockHandle* handle) {
   handle->offset = offset_;
-  Slice payload = contents;
-  std::string compressed;
-  const CompressionType type =
-      CompressBlock(options_.compression, contents, &compressed);
-  if (type != kNoCompression) payload = Slice(compressed);
-  handle->size = payload.size();
-  Status s = file_->Append(payload);
+  handle->size = contents.size();
+  Status s = file_->Append(contents);
   if (s.ok()) {
-    // The crc covers the on-disk bytes, so integrity checks never need to
-    // decompress. The trailer leads with the compression type byte.
-    std::string trailer(1, static_cast<char>(type));
-    PutFixed32(&trailer, Crc32c(payload.data(), payload.size()));
+    std::string trailer(1, '\0');  // type byte: a raw block
+    PutFixed32(&trailer, Crc32c(contents.data(), contents.size()));
     s = file_->Append(trailer);
-    if (s.ok()) offset_ += payload.size() + trailer.size();
+    if (s.ok()) offset_ += contents.size() + trailer.size();
   }
   return s;
 }
@@ -106,12 +95,10 @@ Status TableBuilder::Finish() {
   BlockHandle filter_handle;
   filter_handle.offset = offset_;
   std::string filter_contents;
-  if (options_.bloom_bits_per_key > 0) {
-    std::vector<Slice> key_slices;
-    key_slices.reserve(filter_keys_.size());
-    for (const auto& k : filter_keys_) key_slices.emplace_back(k);
-    bloom_.CreateFilter(key_slices, &filter_contents);
-  }
+  std::vector<Slice> key_slices;
+  key_slices.reserve(filter_keys_.size());
+  for (const auto& k : filter_keys_) key_slices.emplace_back(k);
+  bloom_.CreateFilter(key_slices, &filter_contents);
   filter_handle.size = filter_contents.size();
   status_ = file_->Append(filter_contents);
   if (!status_.ok()) return status_;
@@ -137,9 +124,9 @@ Status TableBuilder::Finish() {
 // ---------------------------------------------------------------------------
 // Table
 
-Status Table::Open(const Options& options, uint64_t table_id,
-                   std::unique_ptr<RandomAccessFile> file, uint64_t file_size,
-                   BlockCache* cache, std::unique_ptr<Table>* table) {
+Status Table::Open(uint64_t table_id, std::unique_ptr<RandomAccessFile> file,
+                   uint64_t file_size, BlockCache* cache,
+                   std::unique_ptr<Table>* table) {
   table->reset();
   if (file_size < kFooterSize) {
     return Status::Corruption("file is too short to be an sstable");
@@ -162,8 +149,7 @@ Status Table::Open(const Options& options, uint64_t table_id,
     return Status::Corruption("bad footer handles");
   }
 
-  auto t = std::unique_ptr<Table>(
-      new Table(options, table_id, std::move(file), cache));
+  auto t = std::unique_ptr<Table>(new Table(table_id, std::move(file), cache));
 
   // Load the bloom filter (small; kept pinned in memory).
   if (filter_handle.size > 0) {
@@ -218,15 +204,9 @@ Status Table::DecodeBlockContents(const char* payload, uint64_t payload_size,
   if (stored_crc != Crc32c(payload, payload_size)) {
     return Status::Corruption("data block checksum mismatch");
   }
-  if (!IsValidCompressionType(type)) {
-    return Status::Corruption("unknown block compression type");
-  }
-  if (type == kNoCompression) {
-    raw->append(payload, payload_size);
-    return Status::OK();
-  }
-  return UncompressBlock(static_cast<CompressionType>(type), payload,
-                         payload_size, raw);
+  if (type != 0) return Status::Corruption("unknown block type");
+  raw->append(payload, payload_size);
+  return Status::OK();
 }
 
 Status Table::ReadBlock(const BlockHandle& handle, bool fill_cache,
@@ -272,8 +252,7 @@ Status Table::VerifyChecksums(uint64_t* blocks_checked) const {
       break;
     }
     // Direct read, never through the cache: a cached copy proves nothing
-    // about the bytes on disk. The crc covers the on-disk (compressed)
-    // payload; decoding additionally proves the block decompresses.
+    // about the bytes on disk.
     std::string buffer(handle.size + kBlockTrailerSize, '\0');
     Slice input;
     Status s =

@@ -28,20 +28,29 @@ struct BlockHandle {
   bool DecodeFrom(Slice* input);
 };
 
-// Per-block trailer: one CompressionType byte followed by fixed32 crc over
-// the on-disk (possibly compressed) payload. The footer magic names this
-// format (v2); any other magic, including the retired v1, is Corruption.
+// Per-block trailer: one type byte, always 0 (a raw block), followed by
+// fixed32 crc over the payload. A reader takes any other type byte as
+// Corruption. The footer magic names this format (v2); any other magic,
+// including the retired v1, is Corruption.
 inline constexpr size_t kBlockTrailerSize = 5;
 
+// Target size of SSTable data blocks.
+inline constexpr size_t kBlockSize = 4 * 1024;
+
+// Restart-point interval inside data blocks.
+inline constexpr int kBlockRestartInterval = 16;
+
+// Bits per key of each table's bloom filter.
+inline constexpr int kBloomBitsPerKey = 10;
+
 // SSTable file layout:
-//   data block*           (each followed by the trailer above; payloads may
-//                          be per-block compressed)
+//   data block*           (each followed by the trailer above)
 //   filter block          (one bloom filter over all user keys; no trailer)
 //   index block           (separator key -> BlockHandle; same trailer)
 //   footer                (filter handle | index handle | padding | magic)
 class TableBuilder {
  public:
-  TableBuilder(const Options& options, WritableFile* file);
+  explicit TableBuilder(WritableFile* file);
   ~TableBuilder();
 
   TableBuilder(const TableBuilder&) = delete;
@@ -60,7 +69,6 @@ class TableBuilder {
   void FlushDataBlock();
   Status WriteBlock(const Slice& contents, BlockHandle* handle);
 
-  const Options options_;
   WritableFile* file_;
   uint64_t offset_ = 0;
   uint64_t num_entries_ = 0;
@@ -81,8 +89,7 @@ using BlockCache = ShardedLRUCache<Block>;
 class Table {
  public:
   // Takes ownership of `file`. cache may be nullptr.
-  static Status Open(const Options& options, uint64_t table_id,
-                     std::unique_ptr<RandomAccessFile> file,
+  static Status Open(uint64_t table_id, std::unique_ptr<RandomAccessFile> file,
                      uint64_t file_size, BlockCache* cache,
                      std::unique_ptr<Table>* table);
 
@@ -108,10 +115,9 @@ class Table {
   bool has_filter() const { return !filter_data_.empty(); }
 
   // Re-reads every data block from disk (bypassing the block cache, which
-  // would mask on-disk damage), verifies its CRC trailer over the on-disk
-  // (compressed) bytes, and proves it decompresses cleanly. *blocks_checked
-  // (may be nullptr) receives the number of blocks read. Returns the first
-  // corruption found.
+  // would mask on-disk damage) and verifies its trailer: the CRC over the
+  // on-disk bytes and the type byte. *blocks_checked (may be nullptr)
+  // receives the number of blocks read. Returns the first corruption found.
   Status VerifyChecksums(uint64_t* blocks_checked) const;
 
   // Appends the user-key portion of every index-block separator key that
@@ -127,23 +133,20 @@ class Table {
  private:
   friend class TableIterator;
 
-  Table(const Options& options, uint64_t table_id,
-        std::unique_ptr<RandomAccessFile> file, BlockCache* cache)
-      : options_(options),
-        table_id_(table_id),
+  Table(uint64_t table_id, std::unique_ptr<RandomAccessFile> file,
+        BlockCache* cache)
+      : table_id_(table_id),
         file_(std::move(file)),
         cache_(cache),
-        bloom_(options.bloom_bits_per_key > 0 ? options.bloom_bits_per_key
-                                              : 10) {}
+        bloom_(kBloomBitsPerKey) {}
 
   // Verifies the trailer (located at payload + handle-size) against the
-  // on-disk payload bytes and appends the uncompressed block contents to
-  // *raw. `payload` must have at least payload_size + kBlockTrailerSize bytes.
+  // on-disk payload bytes and appends the block contents to *raw.
+  // `payload` must have at least payload_size + kBlockTrailerSize bytes.
   Status DecodeBlockContents(const char* payload, uint64_t payload_size,
                              std::string* raw) const;
 
-  // Reads (or fetches from cache) the block at `handle`. Cached blocks are
-  // always the uncompressed contents.
+  // Reads (or fetches from cache) the block at `handle`.
   Status ReadBlock(const BlockHandle& handle, bool fill_cache,
                    std::shared_ptr<Block>* block) const;
 
@@ -162,7 +165,6 @@ class Table {
                       const std::vector<BlockHandle>& more, bool fill_cache,
                       std::shared_ptr<Block>* block, uint64_t* cached) const;
 
-  const Options options_;
   const uint64_t table_id_;
   std::unique_ptr<RandomAccessFile> file_;
   BlockCache* cache_;

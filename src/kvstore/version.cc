@@ -160,21 +160,19 @@ bool Version::OverlapsRange(int level, const Slice& smallest_user_key,
 // ---------------------------------------------------------------------------
 // VersionSet
 
-VersionSet::VersionSet(std::string dbname, const Options& options, Env* env,
-                       BlockCache* cache)
+VersionSet::VersionSet(std::string dbname, Env* env, BlockCache* cache)
     : dbname_(std::move(dbname)),
-      options_(options),
       env_(env),
       cache_(cache),
-      current_(std::make_shared<Version>(options.num_levels)) {}
+      current_(std::make_shared<Version>()) {}
 
 Status VersionSet::OpenTable(FileMetaData* meta) {
   std::unique_ptr<RandomAccessFile> file;
   Status s = env_->NewRandomAccessFile(TableFileName(dbname_, meta->number),
                                        &file);
   if (!s.ok()) return s;
-  return Table::Open(options_, meta->number, std::move(file), meta->file_size,
-                     cache_, &meta->table);
+  return Table::Open(meta->number, std::move(file), meta->file_size, cache_,
+                     &meta->table);
 }
 
 Status VersionSet::Recover() {
@@ -202,15 +200,16 @@ Status VersionSet::Recover() {
     return Status::Corruption("bad MANIFEST header");
   }
   // Sanity caps: the CRC already screens random corruption, but a valid-CRC
-  // record from the wrong file (or a bug) must not drive huge allocations.
-  if (num_levels > 64) {
+  // record from the wrong file (or a bug) must neither drive huge
+  // allocations nor place a table below the tree's last level.
+  if (num_levels > static_cast<uint32_t>(kNumLevels)) {
     return Status::Corruption("bad MANIFEST level count");
   }
   next_file_number_.store(next_file, std::memory_order_relaxed);
   last_sequence_ = last_seq;
   wal_number_ = wal_number;
 
-  auto v = std::make_shared<Version>(options_.num_levels);
+  auto v = std::make_shared<Version>();
   for (uint32_t level = 0; level < num_levels; level++) {
     uint32_t count;
     if (!GetVarint32(&input, &count) || count > (1u << 20)) {
@@ -235,9 +234,7 @@ Status VersionSet::Recover() {
       }
       s = OpenTable(meta.get());
       if (!s.ok()) return s;
-      if (level < static_cast<uint32_t>(options_.num_levels)) {
-        v->files_[level].push_back(std::move(meta));
-      }
+      v->files_[level].push_back(std::move(meta));
     }
   }
   std::sort(v->files_[0].begin(), v->files_[0].end(), NewestFirst);
@@ -283,7 +280,7 @@ Status VersionSet::InstallVersion(int level, std::vector<FileMetaPtr> added,
                                   const std::vector<uint64_t>& removed_numbers,
                                   int removed_level_hint) {
   (void)removed_level_hint;
-  auto v = std::make_shared<Version>(options_.num_levels);
+  auto v = std::make_shared<Version>();
   for (int l = 0; l < current_->num_levels(); l++) {
     for (const FileMetaPtr& f : current_->LevelFiles(l)) {
       if (std::find(removed_numbers.begin(), removed_numbers.end(),

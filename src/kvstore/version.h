@@ -29,6 +29,10 @@ struct FileMetaData {
 
 using FileMetaPtr = std::shared_ptr<FileMetaData>;
 
+// Number of levels in the tree (L0..L6). The MANIFEST records it, and
+// recovery refuses an implausible count.
+inline constexpr int kNumLevels = 7;
+
 // Per-lookup read-path breakdown, filled by Version::Get when requested
 // (allocation-free: fixed arrays, lives on the caller's stack). Levels
 // deeper than kMaxLevels-1 fold into the last slot.
@@ -43,7 +47,7 @@ struct GetPerf {
 // shared_ptr<Version>; flush/compaction install a new Version.
 class Version {
  public:
-  explicit Version(int num_levels) : files_(num_levels) {}
+  Version() : files_(kNumLevels) {}
 
   const std::vector<FileMetaPtr>& LevelFiles(int level) const {
     return files_[level];
@@ -84,8 +88,7 @@ using VersionPtr = std::shared_ptr<const Version>;
 // can number output files while the mutex is released.
 class VersionSet {
  public:
-  VersionSet(std::string dbname, const Options& options, Env* env,
-             BlockCache* cache);
+  VersionSet(std::string dbname, Env* env, BlockCache* cache);
 
   // Loads the MANIFEST (if present) and opens all referenced tables.
   Status Recover();
@@ -134,7 +137,6 @@ class VersionSet {
 
  private:
   std::string dbname_;
-  Options options_;
   Env* env_;
   BlockCache* cache_;
   VersionPtr current_;

@@ -327,6 +327,52 @@ TEST(ManifestRecoveryTest, BadLevelCountIsCorruption) {
   EXPECT_NE(s.ToString().find("level count"), std::string::npos);
 }
 
+TEST(ManifestRecoveryTest, TableBelowTheLastLevelIsCorruption) {
+  const std::string dir = TestDir("manifest_deep_level");
+  {
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(Options(), dir, &db).ok());
+    ASSERT_TRUE(db->Put(WriteOptions(), Key(1), Value(1)).ok());
+    ASSERT_TRUE(db->Flush().ok());
+  }
+  std::string sst;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".sst") sst = entry.path().string();
+  }
+  ASSERT_FALSE(sst.empty());
+  uint64_t number = 0;
+  std::string suffix;
+  ASSERT_TRUE(ParseFileName(std::filesystem::path(sst).filename().string(),
+                            &number, &suffix));
+
+  // A valid-CRC record that lists the live table one level below the
+  // tree's last level (L7 of 8): opening must not drop it silently.
+  std::string key;
+  AppendInternalKey(&key, Key(1), 1, kTypeValue);
+  std::string record;
+  PutVarint64(&record, number + 10);  // next_file
+  PutVarint64(&record, 1);            // last_sequence
+  PutVarint64(&record, 0);            // wal_number
+  PutVarint32(&record, 8);            // num_levels
+  for (int level = 0; level < 7; level++) PutVarint32(&record, 0);
+  PutVarint32(&record, 1);
+  PutVarint64(&record, number);
+  PutVarint64(&record, std::filesystem::file_size(sst));
+  PutLengthPrefixedSlice(&record, key);
+  PutLengthPrefixedSlice(&record, key);
+  std::unique_ptr<WritableFile> file;
+  ASSERT_TRUE(
+      Env::Default()->NewWritableFile(ManifestFileName(dir), &file).ok());
+  LogWriter writer(std::move(file));
+  ASSERT_TRUE(writer.AddRecord(record).ok());
+  ASSERT_TRUE(writer.Close().ok());
+
+  std::unique_ptr<DB> db;
+  Status s = DB::Open(Options(), dir, &db);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_TRUE(std::filesystem::exists(sst));
+}
+
 TEST(ManifestRecoveryTest, MissingReferencedTableIsCorruption) {
   const std::string dir = TestDir("manifest_missing_sst");
   {

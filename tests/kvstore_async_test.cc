@@ -353,38 +353,34 @@ TEST(AsyncDBTest, BackpressureSlowsButNeverLosesData) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy synchronous mode
+// Deletes across background flushes
 
-TEST(AsyncDBTest, SynchronousModeMatchesAsync) {
-  for (bool background : {false, true}) {
-    std::string dir =
-        TestDir(background ? "mode_async" : "mode_sync");
-    Options options;
-    options.background_flush = background;
-    options.write_buffer_size = 8 * 1024;
-    std::unique_ptr<DB> db;
-    ASSERT_TRUE(DB::Open(options, dir, &db).ok());
+TEST(AsyncDBTest, DeletesSurviveBackgroundFlushesAndCompactAll) {
+  std::string dir = TestDir("mode_async");
+  Options options;
+  options.write_buffer_size = 8 * 1024;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, dir, &db).ok());
 
-    WriteOptions wo;
-    for (int i = 0; i < 400; i++) {
-      ASSERT_TRUE(
-          db->Put(wo, Key(0, i), std::string("v").append(std::to_string(i)))
-              .ok());
-    }
-    for (int i = 0; i < 400; i += 3) {
-      ASSERT_TRUE(db->Delete(wo, Key(0, i)).ok());
-    }
-    ASSERT_TRUE(db->CompactAll().ok());
+  WriteOptions wo;
+  for (int i = 0; i < 400; i++) {
+    ASSERT_TRUE(
+        db->Put(wo, Key(0, i), std::string("v").append(std::to_string(i)))
+            .ok());
+  }
+  for (int i = 0; i < 400; i += 3) {
+    ASSERT_TRUE(db->Delete(wo, Key(0, i)).ok());
+  }
+  ASSERT_TRUE(db->CompactAll().ok());
 
-    for (int i = 0; i < 400; i++) {
-      std::string value;
-      Status s = db->Get(ReadOptions(), Key(0, i), &value);
-      if (i % 3 == 0) {
-        EXPECT_TRUE(s.IsNotFound()) << Key(0, i);
-      } else {
-        ASSERT_TRUE(s.ok()) << Key(0, i);
-        EXPECT_EQ(value, std::string("v").append(std::to_string(i)));
-      }
+  for (int i = 0; i < 400; i++) {
+    std::string value;
+    Status s = db->Get(ReadOptions(), Key(0, i), &value);
+    if (i % 3 == 0) {
+      EXPECT_TRUE(s.IsNotFound()) << Key(0, i);
+    } else {
+      ASSERT_TRUE(s.ok()) << Key(0, i);
+      EXPECT_EQ(value, std::string("v").append(std::to_string(i)));
     }
   }
 }

@@ -284,9 +284,7 @@ TEST(TableTest, DetectsCorruptMagic) {
   std::unique_ptr<RandomAccessFile> file;
   ASSERT_TRUE(env->NewRandomAccessFile(fname, &file).ok());
   std::unique_ptr<Table> table;
-  Options options;
-  const Status s =
-      Table::Open(options, 1, std::move(file), 100, nullptr, &table);
+  const Status s = Table::Open(1, std::move(file), 100, nullptr, &table);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
 

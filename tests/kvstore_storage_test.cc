@@ -10,11 +10,8 @@
 
 #include "cluster/cluster.h"
 #include "common/coding.h"
-#include "common/random.h"
-#include "compress/byte_codec.h"
 #include "core/ttl_filter.h"
 #include "kvstore/compaction_filter.h"
-#include "kvstore/compression.h"
 #include "kvstore/db.h"
 #include "kvstore/env.h"
 #include "kvstore/scan_filter.h"
@@ -36,178 +33,19 @@ std::string RowKey(int i) {
   return buf;
 }
 
-// Compressible under the byte codec: a short varying header plus a run.
 std::string RowValue(int i) {
   return "rec-" + std::to_string(i) + "-" + std::string(40, 'a' + i % 26);
 }
 
 // ---------------------------------------------------------------------------
-// Generic byte codec
+// Table format
 
-TEST(ByteCodecTest, RoundTripsCompressibleData) {
-  std::string raw;
-  for (int i = 0; i < 500; i++) raw += "row-payload-" + std::to_string(i % 7);
-  std::string comp;
-  compress::ByteLzEncode(raw.data(), raw.size(), &comp);
-  EXPECT_LT(comp.size(), raw.size());
-  std::string back;
-  ASSERT_TRUE(compress::ByteLzDecode(comp.data(), comp.size(), &back));
-  EXPECT_EQ(back, raw);
-}
-
-TEST(ByteCodecTest, RoundTripsRandomAndEmpty) {
-  Random rnd(42);
-  std::string raw;
-  for (int i = 0; i < 4096; i++) raw.push_back(static_cast<char>(rnd.Next()));
-  std::string comp;
-  compress::ByteLzEncode(raw.data(), raw.size(), &comp);
-  std::string back;
-  ASSERT_TRUE(compress::ByteLzDecode(comp.data(), comp.size(), &back));
-  EXPECT_EQ(back, raw);
-
-  std::string empty_comp;
-  compress::ByteLzEncode("", 0, &empty_comp);
-  std::string empty_back;
-  ASSERT_TRUE(
-      compress::ByteLzDecode(empty_comp.data(), empty_comp.size(), &empty_back));
-  EXPECT_TRUE(empty_back.empty());
-}
-
-TEST(ByteCodecTest, DecodeRejectsCorruptPayloads) {
-  std::string raw(2000, 'a');
-  std::string comp;
-  compress::ByteLzEncode(raw.data(), raw.size(), &comp);
-  std::string out;
-  // Truncations at every prefix must fail cleanly, never crash.
-  for (size_t len = 0; len < comp.size(); len++) {
-    out.clear();
-    if (compress::ByteLzDecode(comp.data(), len, &out)) {
-      EXPECT_EQ(out, raw);  // only acceptable if it still decodes fully
-      FAIL() << "truncated payload decoded at len " << len;
-    }
-  }
-  // Random single-byte flips either fail or reproduce the input exactly.
-  Random rnd(7);
-  for (int trial = 0; trial < 64; trial++) {
-    std::string mut = comp;
-    mut[rnd.Uniform(static_cast<int>(mut.size()))] ^=
-        static_cast<char>(1 + rnd.Uniform(255));
-    out.clear();
-    if (compress::ByteLzDecode(mut.data(), mut.size(), &out)) {
-      EXPECT_EQ(out.size(), raw.size());
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Block compression negotiation
-
-TEST(CompressionTest, IncompressibleBlockStaysRaw) {
-  Random rnd(99);
-  std::string raw;
-  for (int i = 0; i < 512; i++) raw.push_back(static_cast<char>(rnd.Next()));
-  std::string out;
-  CompressionType used = CompressBlock(kByteCompression, Slice(raw), &out);
-  EXPECT_EQ(used, kNoCompression);
-  EXPECT_TRUE(out.empty());
-}
-
-TEST(CompressionTest, UncompressRejectsGarbage) {
-  std::string out;
-  Status s = UncompressBlock(kByteCompression, "\xff\xff\xff", 3, &out);
-  EXPECT_TRUE(s.IsCorruption());
-  // Only 0x0 and 0x1 are block types.
-  EXPECT_FALSE(IsValidCompressionType(0x2));
-  out.clear();
-  s = UncompressBlock(static_cast<CompressionType>(0x2), "junk", 4, &out);
-  EXPECT_TRUE(s.IsCorruption());
-}
-
-// ---------------------------------------------------------------------------
-// DB-level compression round trips
-
-Options CompressedOptions(CompressionType type) {
-  Options options;
-  options.compression = type;
-  options.background_flush = false;
-  options.write_buffer_size = 64 * 1024;
-  return options;
-}
-
-void WriteReadCycle(const std::string& dir, Options options, int n) {
-  {
-    std::unique_ptr<DB> db;
-    ASSERT_TRUE(DB::Open(options, dir, &db).ok());
-    for (int i = 0; i < n; i++) {
-      ASSERT_TRUE(db->Put(WriteOptions(), RowKey(i), RowValue(i)).ok());
-    }
-    ASSERT_TRUE(db->Flush().ok());
-    ASSERT_TRUE(db->CompactAll().ok());
-    for (int i = 0; i < n; i++) {
-      std::string value;
-      ASSERT_TRUE(db->Get(ReadOptions(), RowKey(i), &value).ok());
-      ASSERT_EQ(value, RowValue(i));
-    }
-    DB::IntegrityReport report;
-    ASSERT_TRUE(db->VerifyIntegrity(&report).ok());
-    EXPECT_GT(report.blocks_checked, 0u);
-  }
-  // Reopen: the on-disk format must self-describe.
-  std::unique_ptr<DB> db;
-  ASSERT_TRUE(DB::Open(options, dir, &db).ok());
-  for (int i = 0; i < n; i++) {
-    std::string value;
-    ASSERT_TRUE(db->Get(ReadOptions(), RowKey(i), &value).ok());
-    ASSERT_EQ(value, RowValue(i));
-  }
-}
-
-TEST(StorageFormatTest, ByteCompressionRoundTrip) {
-  WriteReadCycle(TestDir("byte_rt"), CompressedOptions(kByteCompression),
-                 4000);
-}
-
-TEST(StorageFormatTest, MixedBlockTypesCompactTogether) {
-  const std::string dir = TestDir("mixed");
-  {
-    std::unique_ptr<DB> db;
-    ASSERT_TRUE(DB::Open(CompressedOptions(kNoCompression), dir, &db).ok());
-    for (int i = 0; i < 2000; i++) {
-      ASSERT_TRUE(db->Put(WriteOptions(), RowKey(i), RowValue(i)).ok());
-    }
-    ASSERT_TRUE(db->Flush().ok());
-  }
-  // Reopen with byte compression on: raw tables written before keep
-  // reading, and new writes land as compressed blocks.
-  std::unique_ptr<DB> db;
-  ASSERT_TRUE(DB::Open(CompressedOptions(kByteCompression), dir, &db).ok());
-  for (int i = 0; i < 2000; i++) {
-    std::string value;
-    ASSERT_TRUE(db->Get(ReadOptions(), RowKey(i), &value).ok());
-    ASSERT_EQ(value, RowValue(i));
-  }
-  for (int i = 2000; i < 3000; i++) {
-    ASSERT_TRUE(db->Put(WriteOptions(), RowKey(i), RowValue(i)).ok());
-  }
-  ASSERT_TRUE(db->Flush().ok());
-  ASSERT_TRUE(db->CompactAll().ok());  // merges raw + compressed inputs
-  for (int i = 0; i < 3000; i++) {
-    std::string value;
-    ASSERT_TRUE(db->Get(ReadOptions(), RowKey(i), &value).ok());
-    ASSERT_EQ(value, RowValue(i));
-  }
-  DB::IntegrityReport report;
-  ASSERT_TRUE(db->VerifyIntegrity(&report).ok());
-}
-
-// Writes `n` rows with byte compression, flushes them into one table and
-// closes the DB; returns that table's path ("" unless exactly one exists).
+// Writes `n` rows, flushes them into one table and closes the DB; returns
+// that table's path ("" unless exactly one exists).
 std::string WriteOneTable(const std::string& dir, int n) {
   {
-    Options options = CompressedOptions(kByteCompression);
-    options.write_buffer_size = 4 * 1024 * 1024;  // one flush, one table
     std::unique_ptr<DB> db;
-    EXPECT_TRUE(DB::Open(options, dir, &db).ok());
+    EXPECT_TRUE(DB::Open(Options(), dir, &db).ok());
     for (int i = 0; i < n; i++) {
       EXPECT_TRUE(db->Put(WriteOptions(), RowKey(i), RowValue(i)).ok());
     }
@@ -246,12 +84,12 @@ TEST(StorageFormatTest, RetiredV1MagicIsCorruption) {
   std::unique_ptr<RandomAccessFile> file;
   ASSERT_TRUE(Env::Default()->NewRandomAccessFile(sst, &file).ok());
   std::unique_ptr<Table> table;
-  Status s = Table::Open(Options(), 1, std::move(file), size, nullptr, &table);
+  Status s = Table::Open(1, std::move(file), size, nullptr, &table);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
   EXPECT_EQ(table, nullptr);
 
   std::unique_ptr<DB> db;
-  s = DB::Open(CompressedOptions(kByteCompression), dir, &db);
+  s = DB::Open(Options(), dir, &db);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
 
@@ -274,30 +112,35 @@ TEST(StorageFormatTest, UnknownBlockTypeByteIsCorruption) {
   uint64_t filter_offset = 0;
   ASSERT_TRUE(GetVarint64(&footer, &filter_offset));
   const uint64_t type_offset = filter_offset - kBlockTrailerSize;
-  ASSERT_LE(static_cast<uint8_t>(contents[type_offset]), kByteCompression);
-  OverwriteBytes(sst, type_offset, std::string(1, '\x02'));
+  ASSERT_EQ(contents[type_offset], '\0');  // every block is written raw
 
-  std::unique_ptr<DB> db;
-  ASSERT_TRUE(DB::Open(CompressedOptions(kByteCompression), dir, &db).ok());
-  std::string value;
-  Status s = db->Get(ReadOptions(), RowKey(kRows - 1), &value);  // last block
-  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  // 0x01 is the retired byte-LZ block type; no reader accepts it.
+  for (const char type : {'\x01', '\x02'}) {
+    SCOPED_TRACE(static_cast<int>(type));
+    OverwriteBytes(sst, type_offset, std::string(1, type));
 
-  const std::string lo = RowKey(0);
-  DiscardSink sink;
-  s = db->MultiScan(ReadOptions(), {ScanWindow{lo, ""}}, nullptr, 0, &sink,
-                    nullptr);
-  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(Options(), dir, &db).ok());
+    std::string value;
+    Status s = db->Get(ReadOptions(), RowKey(kRows - 1), &value);  // last block
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 
-  DB::IntegrityReport report;
-  s = db->VerifyIntegrity(&report);
-  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
-  EXPECT_EQ(report.files_corrupt, 1u);
+    const std::string lo = RowKey(0);
+    DiscardSink sink;
+    s = db->MultiScan(ReadOptions(), {ScanWindow{lo, ""}}, nullptr, 0, &sink,
+                      nullptr);
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+
+    DB::IntegrityReport report;
+    s = db->VerifyIntegrity(&report);
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    EXPECT_EQ(report.files_corrupt, 1u);
+  }
 }
 
-TEST(StorageFormatTest, VerifyIntegrityCatchesCompressedCorruption) {
+TEST(StorageFormatTest, VerifyIntegrityCatchesCorruption) {
   const std::string dir = TestDir("corrupt");
-  Options options = CompressedOptions(kByteCompression);
+  Options options;
   {
     std::unique_ptr<DB> db;
     ASSERT_TRUE(DB::Open(options, dir, &db).ok());
@@ -306,7 +149,7 @@ TEST(StorageFormatTest, VerifyIntegrityCatchesCompressedCorruption) {
     }
     ASSERT_TRUE(db->Flush().ok());
   }
-  // Flip one byte in the middle of the (compressed) table body.
+  // Flip one byte in the middle of the table body.
   std::string sst;
   for (const auto& e : std::filesystem::directory_iterator(dir)) {
     if (e.path().extension() == ".sst") sst = e.path().string();
@@ -357,7 +200,7 @@ TEST(SstFileWriterTest, EnforcesOrderAndNonEmpty) {
 
 TEST(IngestTest, IngestedFileIsVisibleAndDurable) {
   const std::string dir = TestDir("ingest");
-  Options options = CompressedOptions(kByteCompression);
+  Options options;
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, dir, &db).ok());
 
@@ -398,7 +241,6 @@ TEST(IngestTest, IngestedFileIsVisibleAndDurable) {
 TEST(IngestTest, OverlappingRangeIsRejected) {
   const std::string dir = TestDir("overlap");
   Options options;
-  options.background_flush = false;
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, dir, &db).ok());
   ASSERT_TRUE(db->Put(WriteOptions(), RowKey(500), "live").ok());
@@ -465,7 +307,6 @@ TEST(CompactionFilterTest, ExpiredRowsAreDroppedAndCounted) {
   const std::string dir = TestDir("filter");
   ValueFilter filter;
   Options options;
-  options.background_flush = false;
   options.compaction_filter = &filter;
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, dir, &db).ok());
@@ -508,7 +349,6 @@ TEST(CompactionFilterTest, NewestVersionWinsOverFilter) {
   const std::string dir = TestDir("filter_ver");
   ValueFilter filter;
   Options options;
-  options.background_flush = false;
   options.compaction_filter = &filter;
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, dir, &db).ok());

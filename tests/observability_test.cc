@@ -192,6 +192,41 @@ TEST_F(ObservabilityTest, TracedCountQuery) {
   EXPECT_EQ(stats.results, count);
 }
 
+TEST_F(ObservabilityTest, TemporalCountOnSecondaryIndexIsOneCountQuery) {
+  // The store is spatial-primary, so a temporal count goes through tr_idx
+  // and counts the primary rows it fetches: one count query, no TRQ.
+  obs::Histogram* trq =
+      registry_->GetHistogram("tman_core_query_micros{type=\"temporal_range\"}");
+  obs::Histogram* counts =
+      registry_->GetHistogram("tman_core_query_micros{type=\"count\"}");
+  const uint64_t trq_before = trq->count();
+  const uint64_t counts_before = counts->count();
+
+  QueryOptions qopts;
+  qopts.trace = true;
+  uint64_t count = 0;
+  QueryStats stats;
+  ASSERT_TRUE((*tman_)
+                  ->TemporalRangeCount(spec_->t0, spec_->t0 + 6 * 3600,
+                                       &count, &stats, qopts)
+                  .ok());
+  EXPECT_EQ(trq->count(), trq_before);
+  EXPECT_EQ(counts->count(), counts_before + 1);
+
+  ASSERT_NE(stats.trace, nullptr);
+  EXPECT_EQ(stats.trace->name(), "TemporalRangeCount");
+  EXPECT_NE(stats.trace->Find("scan tr_index"), nullptr);
+  EXPECT_EQ(stats.plan, "count:temporal");
+
+  std::vector<traj::Trajectory> results;
+  ASSERT_TRUE((*tman_)
+                  ->TemporalRangeQuery(spec_->t0, spec_->t0 + 6 * 3600,
+                                       &results, nullptr)
+                  .ok());
+  EXPECT_GT(count, 0u);
+  EXPECT_EQ(count, results.size());
+}
+
 TEST_F(ObservabilityTest, ScrapeShowsEveryLayer) {
   // Touch each query family once so per-type histograms have samples.
   std::vector<traj::Trajectory> results;

@@ -1083,6 +1083,18 @@ TEST(TManStorageTest, SingleRowPerTrajectoryInPrimary) {
   EXPECT_EQ(results.size(), data.size());
 }
 
+TEST(TManStorageTest, StorageBytesCountsEveryTable) {
+  // The meta table holds the shape catalog; it is part of TMan's storage.
+  const traj::DatasetSpec spec = traj::LorryLikeSpec();
+  std::unique_ptr<TMan> tman;
+  ASSERT_TRUE(
+      TMan::Open(SmallOptions(spec), TestDir("storage_bytes"), &tman).ok());
+  ASSERT_TRUE(tman->BulkLoad(traj::Generate(spec, 200, 5)).ok());
+  ASSERT_TRUE(tman->Flush().ok());
+  const StorageStats stats = tman->GetStorageStats();
+  EXPECT_EQ(tman->StorageBytes(), stats.sstable_bytes + stats.memtable_bytes);
+}
+
 // Secondary-index plans count each candidate once: the primary rows the
 // fetch stage reads, one point Get each, and not also the index rows
 // scanned to find them.
