@@ -67,12 +67,10 @@ class InvertedListStore {
               value});
         }
       }
-      if (rows.size() > 4096) {
-        table_->BatchPut(rows);
-        rows.clear();
-      }
     }
-    table_->BatchPut(rows);
+    // The same write path as TMan's BulkLoad: one SSTable per region of
+    // the fresh table.
+    table_->BulkLoad(rows);
     table_->Flush();
     return watch.ElapsedMillis();
   }

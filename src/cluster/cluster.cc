@@ -33,6 +33,9 @@ bool RangesIntersect(const KeyRange& a, const KeyRange& b) {
 
 namespace {
 
+// Rows per write batch when a region takes a bulk load's rows as writes.
+constexpr size_t kBulkBatchRows = 4096;
+
 // Intersection of a query range with a routing entry's range. Only called
 // for intersecting pairs, so the result is non-empty.
 KeyRange ClampRange(const KeyRange& query, const KeyRange& owned) {
@@ -472,17 +475,9 @@ Status ClusterTable::BatchPut(const std::vector<Row>& rows,
     if (batches[i].Count() == 0) continue;
     futures.push_back(pool_->Submit([&, i] {
       Region* region = entries[i].region.get();
-      Status s;
-      if (tee != nullptr && teed[i].Count() > 0) {
-        std::lock_guard<std::mutex> lock(tee->mu);
-        s = region->db()->Write(wo, &batches[i]);
-        if (s.ok()) {
-          tee->deltas.Append(teed[i]);
-          tee->rows += teed[i].Count();
-        }
-      } else {
-        s = region->db()->Write(wo, &batches[i]);
-      }
+      Status s = WriteTeed(tee.get(), teed[i], [&] {
+        return region->db()->Write(wo, &batches[i]);
+      });
       if (s.ok()) region->NoteWrites(batches[i].Count());
       return s;
     }));
@@ -495,12 +490,88 @@ Status ClusterTable::BatchPut(const std::vector<Row>& rows,
   return result;
 }
 
+Status ClusterTable::WriteTeed(MigrationTee* tee, const kv::WriteBatch& teed,
+                               const std::function<Status()>& write) {
+  if (tee == nullptr || teed.Count() == 0) return write();
+  std::lock_guard<std::mutex> lock(tee->mu);
+  Status s = write();
+  if (s.ok()) {
+    tee->deltas.Append(teed);
+    tee->rows += teed.Count();
+  }
+  return s;
+}
+
+kv::WriteBatch ClusterTable::TeedRows(const MigrationTee* tee,
+                                      std::span<const Row* const> rows) {
+  kv::WriteBatch teed;
+  if (tee == nullptr) return teed;
+  for (const Row* r : rows) {
+    if (RangeContains(tee->range, r->key)) teed.Put(r->key, r->value);
+  }
+  return teed;
+}
+
+Status ClusterTable::IngestGroup(MigrationTee* tee, Region* region,
+                                 std::span<const Row* const> rows) {
+  kv::DB* db = region->db();
+  // Built inside the region directory under a .tmp name: invisible to the
+  // store's GC while live, swept by Recover after a crash. The file is
+  // built before the tee lock is taken; only the ingest and the tee append
+  // need its order.
+  const std::string path =
+      db->name() + "/bulk-" +
+      std::to_string(bulk_seq_.fetch_add(1, std::memory_order_relaxed)) +
+      ".tmp";
+  kv::SstFileWriter writer(db->options());
+  Status s = writer.Open(path);
+  for (size_t j = 0; s.ok() && j < rows.size(); j++) {
+    s = writer.Put(rows[j]->key, rows[j]->value);
+  }
+  if (s.ok()) s = writer.Finish(nullptr);
+  if (s.ok()) {
+    s = WriteTeed(tee, TeedRows(tee, rows), [&] {
+      kv::DB::IngestOptions io;
+      io.move_file = true;
+      return db->IngestExternalFile(io, path);
+    });
+  }
+  if (s.ok()) {
+    region->NoteWrites(rows.size());
+  } else {
+    env()->RemoveFile(path);  // best effort
+  }
+  return s;
+}
+
+Status ClusterTable::WriteGroup(MigrationTee* tee, Region* region,
+                                std::span<const Row* const> rows) {
+  Status s;
+  for (size_t begin = 0; s.ok() && begin < rows.size();
+       begin += kBulkBatchRows) {
+    const std::span<const Row* const> piece =
+        rows.subspan(begin, std::min(kBulkBatchRows, rows.size() - begin));
+    kv::WriteBatch batch;
+    for (const Row* r : piece) batch.Put(r->key, r->value);
+    s = WriteTeed(tee, TeedRows(tee, piece), [&] {
+      return region->db()->Write(kv::WriteOptions(), &batch);
+    });
+    if (s.ok()) region->NoteWrites(piece.size());
+  }
+  return s;
+}
+
 Status ClusterTable::BulkLoad(const std::vector<Row>& rows) {
   if (rows.empty()) return Status::OK();
   std::shared_lock<std::shared_mutex> gate(write_gate_);
   std::shared_ptr<const RoutingTable> routing = Routing();
   const std::vector<RoutingEntry>& entries = routing->entries();
   std::shared_ptr<MigrationTee> tee = migration_;
+  // An ingested file sits at the last level, which no compaction rewrites
+  // unless a file above overlaps it: a table filter that could expire rows
+  // (retention) would never see them, so such a table takes no files.
+  const kv::CompactionFilter* filter = base_options_.compaction_filter;
+  const bool ingest = filter == nullptr || !filter->CouldDropAnything();
   std::vector<std::vector<const Row*>> by_region(entries.size());
   for (const Row& row : rows) {
     const RoutingEntry& e = routing->Find(row.key);
@@ -509,55 +580,28 @@ Status ClusterTable::BulkLoad(const std::vector<Row>& rows) {
   std::vector<std::future<Status>> futures;
   for (size_t i = 0; i < entries.size(); i++) {
     if (by_region[i].empty()) continue;
-    futures.push_back(pool_->Submit([&, i, tee] {
+    futures.push_back(pool_->Submit([&, i] {
       std::vector<const Row*>& group = by_region[i];
-      std::sort(group.begin(), group.end(), [](const Row* a, const Row* b) {
-        return a->key < b->key;
-      });
+      // A stable sort keeps a repeated key's rows in call order; the last
+      // one stays, as it would in a BatchPut of the same rows.
+      std::stable_sort(group.begin(), group.end(),
+                       [](const Row* a, const Row* b) {
+                         return a->key < b->key;
+                       });
+      size_t kept = 0;
+      for (size_t j = 0; j < group.size(); j++) {
+        if (j + 1 < group.size() && group[j + 1]->key == group[j]->key) {
+          continue;
+        }
+        group[kept++] = group[j];
+      }
+      group.resize(kept);
       Region* region = entries[i].region.get();
-      kv::DB* db = region->db();
-      // Build inside the region directory under a .tmp name: invisible to
-      // the store's GC while live, swept by Recover after a crash.
-      const std::string path =
-          db->name() + "/bulk-" +
-          std::to_string(bulk_seq_.fetch_add(1, std::memory_order_relaxed)) +
-          ".tmp";
-      kv::SstFileWriter writer(db->options());
-      Status s = writer.Open(path);
-      for (size_t j = 0; s.ok() && j < group.size(); j++) {
-        s = writer.Put(group[j]->key, group[j]->value);
-      }
-      kv::ExternalSstFileInfo info;
-      if (s.ok()) s = writer.Finish(&info);
-      if (s.ok()) {
-        kv::DB::IngestOptions io;
-        io.move_file = true;
-        s = db->IngestExternalFile(io, path);
-        if (s.ok()) region->NoteWrites(group.size());
-      }
-      if (s.ok() && tee != nullptr &&
-          RangesIntersect(tee->range, entries[i].range)) {
-        // Mirror the migrating subset into the tee. Ingested rows carry
-        // sequence 0 and ingest refuses key overlap with live data, so no
-        // concurrent write to the same key can have ordered before us —
-        // the replay outcome is order-independent here.
-        kv::WriteBatch extra;
-        uint64_t n = 0;
-        for (const Row* r : group) {
-          if (RangeContains(tee->range, r->key)) {
-            extra.Put(r->key, r->value);
-            n++;
-          }
-        }
-        if (n > 0) {
-          std::lock_guard<std::mutex> lock(tee->mu);
-          tee->deltas.Append(extra);
-          tee->rows += n;
-        }
-      }
-      if (!s.ok()) {
-        env()->RemoveFile(path);  // best effort
-      }
+      Status s;
+      if (ingest) s = IngestGroup(tee.get(), region, group);
+      // Sequence-0 rows from a file can only go under the store's rows: a
+      // store that holds rows in the group's key range refuses the file.
+      if (!ingest || s.IsOverlap()) s = WriteGroup(tee.get(), region, group);
       return s;
     }));
   }

@@ -2,9 +2,11 @@
 #define TMAN_CLUSTER_CLUSTER_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -312,15 +314,18 @@ class ClusterTable {
   // durability level a crash-safe online backfill needs).
   Status BatchPut(const std::vector<Row>& rows, const kv::WriteOptions& wo);
 
-  // Offline backfill: groups `rows` by owning region, sorts each group,
-  // builds one SSTable per region with kv::SstFileWriter and installs it
-  // directly into the region store via DB::IngestExternalFile (move, not
-  // copy) — no WAL, no memtable, no compaction debt. Regions load in
-  // parallel on the cluster pool. Constraints inherited from ingestion: row
-  // keys must be unique and each region group's key range must not overlap
-  // live keys in that region (backfill disjoint ranges, e.g. historical
-  // days). On a per-region failure the remaining regions still load; the
-  // first error is returned.
+  // Bulk load with BatchPut's contract: groups `rows` by owning region and
+  // sorts each group; where the call repeats a key, its last row wins.
+  // Regions load in parallel on the cluster pool. Each region gets one
+  // SSTable, built with kv::SstFileWriter and installed by
+  // DB::IngestExternalFile (moved, not copied): no WAL, no memtable, no
+  // compaction debt, and durable when the call returns. A region whose
+  // store refuses the file (Status::Overlap: it holds rows in the group's
+  // key range, perhaps from a concurrent write) takes its group as write
+  // batches of a few thousand rows, as BatchPut writes them; so does every
+  // region of a table whose compaction filter could expire rows, since no
+  // compaction would rewrite an ingested file. On a per-region failure the
+  // remaining regions still load; the first error is returned.
   Status BulkLoad(const std::vector<Row>& rows);
 
   // Scans all `ranges` with the filter pushed down to the regions (§V-G).
@@ -474,6 +479,28 @@ class ClusterTable {
   // Write-path helper: routes one mutation through the snapshot, applies
   // it, and tees it when it falls into a migrating range.
   Status RoutedWrite(const Slice& key, const Slice& value, bool is_delete);
+
+  // Runs `write` (one region's part of a batch write) and, if it succeeds,
+  // appends `teed`, the rows of that part inside the tee's range, to the
+  // tee. The tee lock is held across both, so the replay keeps commit
+  // order. Without a tee or teed rows it just runs `write`.
+  static Status WriteTeed(MigrationTee* tee, const kv::WriteBatch& teed,
+                          const std::function<Status()>& write);
+
+  // The rows of `rows` inside the tee's range, as a batch for the tee.
+  static kv::WriteBatch TeedRows(const MigrationTee* tee,
+                                 std::span<const Row* const> rows);
+
+  // Builds one SSTable of `rows` (sorted, unique keys) inside the region's
+  // directory and ingests it, teed as WriteTeed tees a write; the file is
+  // removed if the ingest fails.
+  Status IngestGroup(MigrationTee* tee, Region* region,
+                     std::span<const Row* const> rows);
+
+  // Writes `rows` into the region as write batches of kBulkBatchRows rows,
+  // each teed by WriteTeed.
+  static Status WriteGroup(MigrationTee* tee, Region* region,
+                           std::span<const Row* const> rows);
 
   void EmitTopologyEvent(const char* type,
                          std::vector<std::pair<std::string, std::string>>

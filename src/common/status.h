@@ -40,6 +40,14 @@ class Status {
     return Status(Code::kNotSupported, msg);
   }
   static Status Busy(std::string_view msg) { return Status(Code::kBusy, msg); }
+  // InvalidArgument that refuses a write because its keys overlap live data
+  // (kv::DB::IngestExternalFile). IsOverlap() tells it apart from other
+  // invalid arguments, so a caller can write the same rows another way.
+  static Status Overlap(std::string_view msg) {
+    Status s(Code::kInvalidArgument, msg);
+    s.overlap_ = true;
+    return s;
+  }
 
   bool ok() const { return code_ == Code::kOk; }
   bool IsNotFound() const { return code_ == Code::kNotFound; }
@@ -47,6 +55,7 @@ class Status {
   bool IsInvalidArgument() const { return code_ == Code::kInvalidArgument; }
   bool IsIOError() const { return code_ == Code::kIOError; }
   bool IsBusy() const { return code_ == Code::kBusy; }
+  bool IsOverlap() const { return overlap_; }
 
   Code code() const { return code_; }
   const std::string& message() const { return msg_; }
@@ -59,6 +68,7 @@ class Status {
 
   Code code_;
   std::string msg_;
+  bool overlap_ = false;
 };
 
 }  // namespace tman

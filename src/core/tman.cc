@@ -16,7 +16,7 @@ namespace tman::core {
 
 namespace {
 
-constexpr size_t kWriteChunk = 4096;  // rows per batch write
+constexpr size_t kWriteChunk = 4096;  // rows per Insert batch write
 
 // Freezes a finished planning span with the plan's cost-model numbers.
 void FinishPlanningSpan(obs::TraceSpan* span, const QueryPlan& plan) {
@@ -296,13 +296,20 @@ Status TMan::EncodeBatch(const std::vector<traj::Trajectory>& trajectories,
                          std::vector<uint64_t>* temporal_values,
                          std::vector<uint64_t>* spatial_values,
                          std::vector<index::TShapeEncoding>* encodings) const {
-  temporal_values->resize(trajectories.size());
-  spatial_values->resize(trajectories.size());
-  for (size_t i = 0; i < trajectories.size(); i++) {
-    const traj::Trajectory& t = trajectories[i];
+  for (const traj::Trajectory& t : trajectories) {
     if (t.points.empty()) {
       return Status::InvalidArgument("empty trajectory " + t.tid);
     }
+  }
+  const bool place_shapes = options_.spatial == SpatialIndexKind::kTShape &&
+                            options_.use_index_cache;
+  temporal_values->resize(trajectories.size());
+  spatial_values->resize(trajectories.size());
+  if (place_shapes) encodings->resize(trajectories.size());
+  // The encoders are const and stateless, so trajectories encode on the
+  // cluster pool.
+  cluster_->pool()->ParallelFor(trajectories.size(), [&](size_t i) {
+    const traj::Trajectory& t = trajectories[i];
     (*temporal_values)[i] = TemporalValue(t.start_time(), t.end_time());
     const std::vector<geo::TimedPoint> norm = Normalize(t.points);
     switch (options_.spatial) {
@@ -314,15 +321,15 @@ Status TMan::EncodeBatch(const std::vector<traj::Trajectory>& trajectories,
         break;
       case SpatialIndexKind::kTShape: {
         const index::TShapeEncoding enc = tshape_index_->Encode(norm);
-        if (options_.use_index_cache) {
-          encodings->push_back(enc);
+        if (place_shapes) {
+          (*encodings)[i] = enc;
         } else {
           (*spatial_values)[i] = enc.index_value;  // raw bitmap code (Eq. 3)
         }
         break;
       }
     }
-  }
+  });
   return Status::OK();
 }
 
@@ -343,18 +350,17 @@ std::string TMan::PrimaryKeyOf(const traj::Trajectory& t,
 
 Status TMan::WriteRows(const std::vector<traj::Trajectory>& trajectories,
                        const std::vector<uint64_t>& temporal_values,
-                       const std::vector<uint64_t>& spatial_values) {
+                       const std::vector<uint64_t>& spatial_values,
+                       bool bulk) {
   std::vector<cluster::Row> primary_rows, tr_rows, idt_rows;
-  auto flush_chunk = [&]() -> Status {
-    Status s = primary_->BatchPut(primary_rows);
-    if (!s.ok()) return s;
-    s = tr_table_->BatchPut(tr_rows);
-    if (!s.ok()) return s;
-    s = idt_table_->BatchPut(idt_rows);
-    if (!s.ok()) return s;
-    primary_rows.clear();
-    tr_rows.clear();
-    idt_rows.clear();
+  auto write = [&]() -> Status {
+    for (auto [table, rows] : {std::pair{primary_, &primary_rows},
+                               std::pair{tr_table_, &tr_rows},
+                               std::pair{idt_table_, &idt_rows}}) {
+      Status s = bulk ? table->BulkLoad(*rows) : table->BatchPut(*rows);
+      if (!s.ok()) return s;
+      rows->clear();
+    }
     return Status::OK();
   };
 
@@ -387,12 +393,21 @@ Status TMan::WriteRows(const std::vector<traj::Trajectory>& trajectories,
                temporal_values[i], t.tid),
         pkey});
 
-    if (primary_rows.size() >= kWriteChunk) {
-      Status s = flush_chunk();
+    // A bulk load hands each table all of its rows at once: two files for
+    // one region would overlap, and the region would refuse the second.
+    if (!bulk && primary_rows.size() >= kWriteChunk) {
+      Status s = write();
       if (!s.ok()) return s;
     }
   }
-  return flush_chunk();
+  if (bulk) {
+    // Ingested rows are durable when the load returns. The codes they were
+    // keyed with (and the config row) must be too, or a crash would keep
+    // rows that no catalog entry leads a spatial query to.
+    Status s = meta_table_->Flush();
+    if (!s.ok()) return s;
+  }
+  return write();
 }
 
 Status TMan::BulkLoad(const std::vector<traj::Trajectory>& trajectories) {
@@ -451,7 +466,8 @@ Status TMan::BulkLoad(const std::vector<traj::Trajectory>& trajectories) {
     }
   }
 
-  return WriteRows(trajectories, temporal_values, spatial_values);
+  return WriteRows(trajectories, temporal_values, spatial_values,
+                   /*bulk=*/true);
 }
 
 Status TMan::Insert(const std::vector<traj::Trajectory>& trajectories) {
@@ -492,7 +508,8 @@ Status TMan::Insert(const std::vector<traj::Trajectory>& trajectories) {
     }
   }
 
-  return WriteRows(trajectories, temporal_values, spatial_values);
+  return WriteRows(trajectories, temporal_values, spatial_values,
+                   /*bulk=*/false);
 }
 
 Status TMan::DeleteTrajectory(const std::string& oid, const std::string& tid) {

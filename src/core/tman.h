@@ -67,6 +67,16 @@ class TMan {
   // ordered jointly (§IV-A2(3)) and given codes spread over the element's
   // code space before rows are written; shapes new to an element that
   // holds some are placed as Insert places them. Use for initial loads.
+  //
+  // Rows go in as one sorted SSTable per region and table
+  // (cluster::ClusterTable::BulkLoad). The meta table is flushed first, so
+  // the catalog rows and codes they use are durable before they are, and
+  // those rows are durable when the call returns. A region that already
+  // holds rows in the load's key range, and the primary table when
+  // retention_seconds is set (so compaction can expire the rows), takes
+  // its rows as Insert writes them (WAL and memtable), durable after the
+  // next Flush. Where a batch repeats a trajectory, one row per key is
+  // stored.
   Status BulkLoad(const std::vector<traj::Trajectory>& trajectories);
 
   // Incremental insert (§IV-C's aim without its row moves): an unseen
@@ -197,9 +207,10 @@ class TMan {
   uint64_t TemporalValue(int64_t ts, int64_t te) const;
 
   // Checks a batch and computes each trajectory's temporal value and, where
-  // it needs no catalog code, its spatial value. With TShape and the index
-  // cache, `encodings` gets every trajectory's encoding instead, and the
-  // caller places its shapes.
+  // it needs no catalog code, its spatial value, on the cluster pool. With
+  // TShape and the index cache, `encodings` gets every trajectory's
+  // encoding instead, and the caller places its shapes. The first empty
+  // trajectory fails the call, named by its tid.
   Status EncodeBatch(const std::vector<traj::Trajectory>& trajectories,
                      std::vector<uint64_t>* temporal_values,
                      std::vector<uint64_t>* spatial_values,
@@ -209,10 +220,12 @@ class TMan {
   std::string PrimaryKeyOf(const traj::Trajectory& t, uint64_t temporal_value,
                            uint64_t spatial_value) const;
 
-  // Writes primary + secondary rows for a batch with precomputed values.
+  // Writes primary + secondary rows for a batch with precomputed values:
+  // through BatchPut in chunks, or, for a bulk load, one ClusterTable::
+  // BulkLoad per table after the meta table is flushed.
   Status WriteRows(const std::vector<traj::Trajectory>& trajectories,
                    const std::vector<uint64_t>& temporal_values,
-                   const std::vector<uint64_t>& spatial_values);
+                   const std::vector<uint64_t>& spatial_values, bool bulk);
 
   // Folds a finished plan's cost-model numbers and the planning time into
   // the caller's QueryStats.

@@ -924,7 +924,7 @@ Status DB::IngestExternalFile(const IngestOptions& io,
     for (int level = 0; level < current->num_levels(); level++) {
       if (current->OverlapsRange(level, Slice(smallest_user_key),
                                  Slice(largest_user_key))) {
-        return Status::InvalidArgument(
+        return Status::Overlap(
             "external file overlaps live key range [" + smallest_user_key +
             ", " + largest_user_key + "] at level " + std::to_string(level));
       }

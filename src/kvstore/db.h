@@ -114,13 +114,13 @@ class DB {
   // Installs an SSTable built by kv::SstFileWriter directly into the
   // version, bypassing the WAL/memtable write path (offline backfill).
   // The file's user-key range must not overlap any live key range: a
-  // non-empty memtable covering it is flushed first, and if any live
-  // SSTable still overlaps the ingest is refused with InvalidArgument
-  // (ingested rows carry sequence 0, so overlap would break LSM version
-  // ordering). The file is copied/renamed to its allocated table number,
-  // synced, and committed through the MANIFEST before the call returns —
-  // the same durability order as a flush. It lands at the deepest level
-  // whose files it does not overlap.
+  // non-empty memtable is flushed first, and if any live SSTable then
+  // overlaps the file's range the ingest is refused with Status::Overlap
+  // (an InvalidArgument whose IsOverlap() is set; ingested rows carry
+  // sequence 0, so overlap would break LSM version ordering). The file is
+  // copied/renamed to its allocated table number, synced, and committed
+  // through the MANIFEST before the call returns — the same durability
+  // order as a flush. It always lands at the last level.
   Status IngestExternalFile(const IngestOptions& io,
                             const std::string& file_path);
 

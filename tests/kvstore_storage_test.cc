@@ -258,6 +258,7 @@ TEST(IngestTest, OverlappingRangeIsRejected) {
   DB::IngestOptions io;
   Status s = db->IngestExternalFile(io, ext);
   EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_TRUE(s.IsOverlap()) << s.ToString();
   // The live row must win and the store must stay consistent.
   std::string value;
   ASSERT_TRUE(db->Get(ReadOptions(), RowKey(500), &value).ok());
@@ -289,6 +290,7 @@ TEST(IngestTest, RejectsFilesNotBuiltBySstFileWriter) {
   DB::IngestOptions io;
   Status s = db->IngestExternalFile(io, ext);
   EXPECT_FALSE(s.ok());
+  EXPECT_FALSE(s.IsOverlap());
 }
 
 // ---------------------------------------------------------------------------
@@ -407,9 +409,19 @@ TEST(ClusterBulkLoadTest, LoadsAcrossRegionsAndReadsBack) {
   EXPECT_EQ(stats.files_ingested, 4u);
   EXPECT_EQ(stats.rows_ingested, rows.size());
 
-  // A second overlapping load must fail (live range overlap)...
-  EXPECT_FALSE(table->BulkLoad(rows).ok());
-  // ...while a disjoint one succeeds.
+  // A second load over the same keys succeeds, as a BatchPut of the same
+  // rows would: every region holds rows in its range, so the rows go in as
+  // write batches, no file is ingested, and each key reads the later value.
+  std::vector<cluster::Row> later = rows;
+  for (cluster::Row& row : later) row.value += "-later";
+  ASSERT_TRUE(table->BulkLoad(later).ok());
+  for (const cluster::Row& row : later) {
+    std::string value;
+    ASSERT_TRUE(table->Get(row.key, &value).ok());
+    ASSERT_EQ(value, row.value);
+  }
+  EXPECT_EQ(table->GetStorageStats().files_ingested, 4u);
+  // A disjoint load still ingests one file per region.
   std::vector<cluster::Row> more;
   for (int shard = 0; shard < 4; shard++) {
     for (int i = 500; i < 600; i++) {
@@ -421,6 +433,51 @@ TEST(ClusterBulkLoadTest, LoadsAcrossRegionsAndReadsBack) {
     }
   }
   ASSERT_TRUE(table->BulkLoad(more).ok());
+  EXPECT_EQ(table->GetStorageStats().files_ingested, 8u);
+}
+
+// A store refuses the file when anything it holds overlaps the load's key
+// range, even with no live row there: a tombstone, or a file that spans
+// the range. Those regions take their rows as write batches, and a key the
+// call repeats keeps its last row.
+TEST(ClusterBulkLoadTest, RefusedIngestFallsBackToWriteBatch) {
+  cluster::Cluster cl(TestDir("bulkload_refused"), 3, Options());
+  ASSERT_TRUE(cl.CreateTable("t", 2).ok());
+  cluster::ClusterTable* table = cl.GetTable("t");
+  auto key = [](int shard, int i) {
+    std::string key(1, static_cast<char>(shard));
+    key += RowKey(i);
+    return key;
+  };
+  // Region 0 holds a tombstone at row 50; region 1 holds rows 0 and 999.
+  ASSERT_TRUE(table->Put(key(0, 50), "old").ok());
+  ASSERT_TRUE(table->Delete(key(0, 50)).ok());
+  ASSERT_TRUE(table->Put(key(1, 0), "edge").ok());
+  ASSERT_TRUE(table->Put(key(1, 999), "edge").ok());
+  ASSERT_TRUE(table->Flush().ok());
+
+  std::vector<cluster::Row> rows;
+  for (int shard = 0; shard < 2; shard++) {
+    for (int i = 1; i < 100; i++) {
+      rows.push_back(cluster::Row{key(shard, i), RowValue(i)});
+    }
+  }
+  rows.push_back(cluster::Row{key(0, 7), "repeated"});
+  ASSERT_TRUE(table->BulkLoad(rows).ok());
+  EXPECT_EQ(table->GetStorageStats().files_ingested, 0u);
+  for (int shard = 0; shard < 2; shard++) {
+    for (int i = 1; i < 100; i++) {
+      std::string value;
+      ASSERT_TRUE(table->Get(key(shard, i), &value).ok());
+      EXPECT_EQ(value, shard == 0 && i == 7 ? "repeated" : RowValue(i));
+    }
+  }
+  std::vector<cluster::Row> all;
+  cluster::CollectRowsSink sink(&all);
+  ASSERT_TRUE(
+      table->MultiScan({cluster::KeyRange{"", ""}}, nullptr, 0, &sink, nullptr)
+          .ok());
+  EXPECT_EQ(all.size(), 2u * 99 + 2);
 }
 
 }  // namespace

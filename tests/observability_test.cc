@@ -47,13 +47,19 @@ class ObservabilityTest : public ::testing::Test {
     options.num_shards = 4;
     options.num_servers = 3;
     options.genetic.generations = 10;
-    // Tiny write buffer so the load triggers real flushes (and usually
-    // compactions) that the registry must observe.
+    // Tiny write buffer so the Inserts trigger real flushes (and usually
+    // compactions) that the registry must observe. The bulk load ingests
+    // one file per region and table instead.
     options.kv.write_buffer_size = 64 * 1024;
     options.kv.metrics = registry_;
 
     ASSERT_TRUE(TMan::Open(options, TestDir("e2e"), tman_).ok());
-    ASSERT_TRUE((*tman_)->BulkLoad(*data_).ok());
+    const std::vector<traj::Trajectory> bulk(data_->begin(),
+                                             data_->begin() + 200);
+    const std::vector<traj::Trajectory> inserts(data_->begin() + 200,
+                                                data_->end());
+    ASSERT_TRUE((*tman_)->BulkLoad(bulk).ok());
+    ASSERT_TRUE((*tman_)->Insert(inserts).ok());
     ASSERT_TRUE((*tman_)->Flush().ok());
   }
 
@@ -240,8 +246,11 @@ TEST_F(ObservabilityTest, ScrapeShowsEveryLayer) {
                             spec_->t0 + 12 * 3600, &results, &stats);
   (*tman_)->PublishMetrics();
 
-  // Layer coverage via live handles: storage engine...
+  // Layer coverage via live handles: storage engine (the primary table's
+  // flushes, and the bulk load's ingests)...
   EXPECT_GT(CounterValue("tman_kv_flushes_total"), 0u);
+  EXPECT_GT((*tman_)->primary_table()->GetStorageStats().flush_count, 0u);
+  EXPECT_GT(CounterValue("tman_kv_ingest_files_total"), 0u);
   EXPECT_GT(registry_->GetHistogram("tman_kv_write_micros")->count(), 0u);
   // Queries run the batched read path by default, so scans land in the
   // multiscan histogram; plain Scan still has its own.

@@ -381,6 +381,89 @@ TEST(RegionConcurrencyTest, SplitAndMergeUnderConcurrentWritesAndScans) {
   }
 }
 
+// Bulk loads racing splits and merges. A load's rows inside a migrating
+// range are teed whether the region ingests them as a file or, when its
+// store refuses the file, writes them as batches, so the moved region gets
+// them either way. Each load covers a key range of its own, inside one of
+// the two ranges the splits move, and goes in as a file until a migration
+// copies that range into one file spanning later loads' keys; from then
+// on, and for every fourth load, which repeats the previous one, the
+// region refuses the file. Rows put beforehand, above every load's keys,
+// make each migration's copy take long enough for loads to land during
+// it; loads run until the splits and merges are done.
+TEST(RegionConcurrencyTest, BulkLoadsUnderSplitAndMergeLandOnce) {
+  Cluster cluster(TestDir("bulk_concurrent"), 4, kv::Options());
+  ASSERT_TRUE(cluster.CreateTable("t", 2).ok());
+  ClusterTable* table = cluster.GetTable("t");
+
+  std::vector<Row> before;
+  for (uint64_t i = 0; i < 40000; i++) {
+    const std::string k = Key(i % 2 == 0 ? 0 : 4, (1u << 21) + i);
+    before.push_back(Row{k, ValueFor(k)});
+  }
+  ASSERT_TRUE(table->BatchPut(before).ok());
+  ASSERT_TRUE(table->Flush().ok());
+
+  constexpr int kRowsPerLoad = 25;
+  auto load_rows = [](int load) {
+    std::vector<Row> rows;
+    for (int j = 0; j < kRowsPerLoad; j++) {
+      const std::string k =
+          Key(load % 2 == 0 ? 0 : 4,
+              (1u << 20) + static_cast<uint64_t>(load) * kRowsPerLoad + j);
+      rows.push_back(Row{k, ValueFor(k)});
+    }
+    return rows;
+  };
+  std::atomic<bool> stop{false};
+  int loads = 0;
+  std::thread loader([&] {
+    while (!stop.load() || loads < 8) {
+      Status s = table->BulkLoad(load_rows(loads));
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      if (loads % 4 == 3) {
+        s = table->BulkLoad(load_rows(loads - 1));
+        ASSERT_TRUE(s.ok()) << s.ToString();
+      }
+      loads++;
+    }
+  });
+
+  const std::string mid0 = Key(0, 1u << 20);
+  const std::string mid1 = Key(4, 1u << 20);
+  for (int cycle = 0; cycle < 8; cycle++) {
+    Status s = table->SplitRegionAt(0, cycle % 2 == 0 ? mid0 : mid1);
+    if (s.IsInvalidArgument() || s.IsNotFound()) {
+      s = table->SplitRegionAt(1, cycle % 2 == 0 ? mid0 : mid1);
+    }
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    const auto stats = table->GetPerRegionStats();
+    size_t idx = 0;
+    for (size_t i = 0; i + 1 < stats.size(); i++) {
+      if (stats[i].range.end == (cycle % 2 == 0 ? mid0 : mid1)) idx = i;
+    }
+    s = table->MergeRegions(stats[idx].shard, stats[idx + 1].shard);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  stop.store(true);
+  loader.join();
+
+  const auto rows = FullScan(table);
+  ASSERT_EQ(rows.size(),
+            before.size() + static_cast<size_t>(loads) * kRowsPerLoad);
+  std::set<std::string> expected;
+  for (const Row& row : before) expected.insert(row.key);
+  for (int load = 0; load < loads; load++) {
+    for (const Row& row : load_rows(load)) expected.insert(row.key);
+  }
+  for (const Row& row : rows) {
+    EXPECT_EQ(expected.count(row.key), 1u);
+    EXPECT_EQ(row.value, ValueFor(row.key));
+  }
+  EXPECT_GT(table->GetStorageStats().files_ingested, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // RegionBalancer policy
 

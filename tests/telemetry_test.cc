@@ -565,9 +565,18 @@ TEST(TManTelemetryTest, AllEndpointsServeUnderLiveWorkload) {
   const int port = tman->telemetry_port();
   ASSERT_GT(port, 0);
 
+  // The bulk load ingests one file per region and table; the Insert and
+  // Flush then flush the primary table's regions.
   const auto data = traj::Generate(spec, 60, 7);
-  ASSERT_TRUE(tman->BulkLoad(data).ok());
+  const std::vector<traj::Trajectory> bulk(data.begin(), data.begin() + 40);
+  const std::vector<traj::Trajectory> inserts(data.begin() + 40, data.end());
+  ASSERT_TRUE(tman->BulkLoad(bulk).ok());
+  ASSERT_TRUE(tman->Insert(inserts).ok());
   ASSERT_TRUE(tman->Flush().ok());
+  EXPECT_GT(tman->primary_table()->GetStorageStats().flush_count, 0u);
+  EXPECT_GT(
+      options.kv.metrics->GetCounter("tman_kv_ingest_files_total")->value(),
+      0u);
 
   // A scraping thread hammers the endpoints while queries run.
   std::atomic<bool> stop{false};
@@ -649,9 +658,11 @@ TEST(TManTelemetryTest, AllEndpointsServeUnderLiveWorkload) {
   EXPECT_EQ(catalog_field(after_insert, "occupied_elements"),
             std::to_string(tman->index_cache()->occupied_elements()));
 
-  // /eventz: the bulk load flushed every region, so flush events exist.
+  // /eventz: the bulk load ingested files and the Flush after the Insert
+  // flushed the primary table's regions, so both kinds of event exist.
   const std::string events = HttpGet(port, "/eventz").body;
   EXPECT_NE(events.find("\"flush\""), std::string::npos);
+  EXPECT_NE(events.find("\"ingest\""), std::string::npos);
 
   // /tracez: with slow_query_micros=1 every query was captured.
   const std::string traces = HttpGet(port, "/tracez").body;

@@ -607,6 +607,112 @@ TEST(TManUpdateTest, InsertsMoveNoRowAndStayQueryable) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// BulkLoad keeps BatchPut's contract on any store: a region that holds no
+// rows in the load's key range takes one SSTable, and one that does takes
+// its rows as write batches.
+
+// Rows in the primary table.
+size_t PrimaryRowCount(TMan* tman) {
+  std::vector<cluster::Row> rows;
+  cluster::CollectRowsSink sink(&rows);
+  EXPECT_TRUE(tman->primary_table()
+                  ->MultiScan({cluster::KeyRange{"", ""}}, nullptr, 0, &sink,
+                              nullptr)
+                  .ok());
+  return rows.size();
+}
+
+std::vector<traj::Trajectory> EveryNth(const std::vector<traj::Trajectory>& v,
+                                       size_t n) {
+  std::vector<traj::Trajectory> out;
+  for (size_t i = 0; i < v.size(); i += n) out.push_back(v[i]);
+  return out;
+}
+
+// A second BulkLoad into a loaded store, and a BulkLoad after an Insert:
+// both succeed, and all six queries and the three counts match brute force.
+TEST(TManBulkLoadTest, LoadsIntoAStoreThatHoldsRows) {
+  const traj::DatasetSpec spec = traj::TDriveLikeSpec();
+  const auto first = traj::Generate(spec, 200, 41);
+  auto second = traj::Generate(spec, 200, 42);
+  for (auto& t : second) t.tid += "-second";
+  std::vector<traj::Trajectory> all = first;
+  all.insert(all.end(), second.begin(), second.end());
+  for (const bool insert_first : {false, true}) {
+    SCOPED_TRACE(insert_first ? "Insert, then BulkLoad" : "two BulkLoads");
+    std::unique_ptr<TMan> tman;
+    ASSERT_TRUE(TMan::Open(SmallOptions(spec),
+                           TestDir(insert_first ? "bulk_after_insert"
+                                                : "bulk_twice"),
+                           &tman)
+                    .ok());
+    ASSERT_TRUE(
+        (insert_first ? tman->Insert(first) : tman->BulkLoad(first)).ok());
+    ASSERT_TRUE(tman->BulkLoad(second).ok());
+    EXPECT_EQ(PrimaryRowCount(tman.get()), all.size());
+    ExpectQueriesMatchBruteForce(tman.get(), spec, all, EveryNth(all, 60));
+  }
+}
+
+// Batches that repeat trajectories (same oid and tid, so the same keys), on
+// a fresh store and on a loaded one: one row per key, and every answer
+// matches brute force over the distinct trajectories.
+TEST(TManBulkLoadTest, RepeatedTrajectoryKeepsOneRowPerKey) {
+  const traj::DatasetSpec spec = traj::TDriveLikeSpec();
+  const auto first = traj::Generate(spec, 200, 43);
+  auto second = traj::Generate(spec, 100, 44);
+  for (auto& t : second) t.tid += "-second";
+  std::vector<traj::Trajectory> all = first;
+  all.insert(all.end(), second.begin(), second.end());
+  // The first batch repeats some of its own trajectories; the second also
+  // repeats some that the first loaded.
+  std::vector<traj::Trajectory> batch = first;
+  for (size_t i = 0; i < first.size(); i += 7) batch.push_back(first[i]);
+  std::unique_ptr<TMan> tman;
+  ASSERT_TRUE(
+      TMan::Open(SmallOptions(spec), TestDir("bulk_repeats"), &tman).ok());
+  ASSERT_TRUE(tman->BulkLoad(batch).ok());
+  EXPECT_EQ(PrimaryRowCount(tman.get()), first.size());
+  ExpectQueriesMatchBruteForce(tman.get(), spec, first, EveryNth(first, 60));
+
+  batch = second;
+  for (size_t i = 0; i < second.size(); i += 5) batch.push_back(second[i]);
+  for (size_t i = 0; i < first.size(); i += 11) batch.push_back(first[i]);
+  ASSERT_TRUE(tman->BulkLoad(batch).ok());
+  EXPECT_EQ(PrimaryRowCount(tman.get()), all.size());
+  ExpectQueriesMatchBruteForce(tman.get(), spec, all, EveryNth(all, 60));
+}
+
+// Retention covers bulk-loaded rows. A file ingested at the last level is
+// rewritten by no compaction, so the TTL filter would never see its rows;
+// a store with retention writes the load's rows as batches instead, and
+// Flush + CompactAll drop the trips already past retention.
+TEST(TManBulkLoadTest, CompactAllDropsLoadedTripsPastRetention) {
+  const traj::DatasetSpec spec = traj::TDriveLikeSpec();
+  const auto data = traj::Generate(spec, 300, 45);
+  std::vector<int64_t> ends;
+  for (const auto& t : data) ends.push_back(t.end_time());
+  std::sort(ends.begin(), ends.end());
+  const int64_t cutoff = ends[ends.size() / 2];
+  std::vector<traj::Trajectory> kept;
+  for (const auto& t : data) {
+    if (t.end_time() >= cutoff) kept.push_back(t);
+  }
+  ASSERT_LT(kept.size(), data.size());
+
+  TManOptions options = SmallOptions(spec);
+  options.retention_seconds = 3600;
+  options.retention_clock = [cutoff] { return cutoff + 3600; };
+  std::unique_ptr<TMan> tman;
+  ASSERT_TRUE(TMan::Open(options, TestDir("bulk_retention"), &tman).ok());
+  ASSERT_TRUE(tman->BulkLoad(data).ok());
+  ASSERT_TRUE(tman->Flush().ok());
+  ASSERT_TRUE(tman->CompactAll().ok());
+  EXPECT_EQ(PrimaryRowCount(tman.get()), kept.size());
+  ExpectQueriesMatchBruteForce(tman.get(), spec, kept, EveryNth(kept, 40));
+}
+
 // Writers racing on the same few elements, with an index cache of one
 // entry so elements keep being reloaded from the meta table between
 // writes. Every trip brings a shape its element has not seen. Threads 0
@@ -828,6 +934,49 @@ TEST(TManConcurrencyTest, QueriesDuringInsertsSucceedAndConverge) {
   for (size_t i = 0; i < more.size(); i += 50) {
     ExpectThresholdMatchesBruteForce(tman.get(), all_data, more[i], threshold);
   }
+}
+
+// A BulkLoad racing Inserts on a fresh store with four regions. Inserts
+// run until the load returns, so some reach regions before the load's
+// files do, and those regions take the load's rows as write batches. Both
+// return OK, and every trajectory is stored once and found by every query.
+TEST(TManConcurrencyTest, BulkLoadRacingInsertFindsEveryTrajectoryOnce) {
+  const traj::DatasetSpec spec = traj::TDriveLikeSpec();
+  const TManOptions options = SmallOptions(spec);
+  ASSERT_GE(options.num_shards, 4);
+  std::unique_ptr<TMan> tman;
+  ASSERT_TRUE(TMan::Open(options, TestDir("bulk_race"), &tman).ok());
+  const auto bulk = traj::Generate(spec, 400, 51);
+  auto inserts = traj::Generate(spec, 200, 52);
+  for (auto& t : inserts) t.tid += "-new";
+
+  std::atomic<bool> go{false};
+  std::atomic<bool> loaded{false};
+  Status bulk_status;
+  std::thread loader([&] {
+    while (!go.load()) std::this_thread::yield();
+    bulk_status = tman->BulkLoad(bulk);
+    loaded.store(true);
+  });
+  size_t inserted = 0;
+  Status insert_status;
+  go.store(true);
+  while (insert_status.ok() && inserted < inserts.size() &&
+         (inserted == 0 || !loaded.load())) {
+    const size_t n = std::min<size_t>(10, inserts.size() - inserted);
+    insert_status = tman->Insert(std::vector<traj::Trajectory>(
+        inserts.begin() + inserted, inserts.begin() + inserted + n));
+    inserted += n;
+  }
+  loader.join();
+  ASSERT_TRUE(bulk_status.ok()) << bulk_status.ToString();
+  ASSERT_TRUE(insert_status.ok()) << insert_status.ToString();
+
+  std::vector<traj::Trajectory> all = bulk;
+  all.insert(all.end(), inserts.begin(), inserts.begin() + inserted);
+  EXPECT_EQ(PrimaryKeysByTid(tman.get()).size(), all.size());
+  EXPECT_EQ(PrimaryRowCount(tman.get()), all.size());
+  ExpectQueriesMatchBruteForce(tman.get(), spec, all, EveryNth(all, 60));
 }
 
 // ---------------------------------------------------------------------------
