@@ -96,35 +96,19 @@ void RunDataset(const char* name, const traj::DatasetSpec& spec,
   for (double side : kWindowsMeters) {
     const auto queries =
         traj::RandomSpaceWindows(spec, QueriesPerPoint(), side, 4242);
-    // times[s][i]: system s's runs of query i. Each round runs every query
-    // on every system in turn, in an order that rotates with the query and
-    // the round, so no system always runs first or right after another.
-    std::vector<std::vector<std::vector<double>>> times(
-        systems.size(), std::vector<std::vector<double>>(queries.size()));
-    std::vector<std::vector<double>> candidates(systems.size());
-    for (int round = 0; round < kRepeats; round++) {
-      for (size_t i = 0; i < queries.size(); i++) {
-        for (size_t k = 0; k < systems.size(); k++) {
-          const size_t sys =
-              (k + i + static_cast<size_t>(round)) % systems.size();
+    const auto results = TimeInterleaved(
+        systems.size(), queries.size(), kRepeats,
+        [&](size_t sys, size_t i, double* candidates) {
           core::QueryStats stats;
           systems[sys].second(queries[i].rect, &stats);
-          times[sys][i].push_back(stats.execution_ms);
-          if (round == 0) {
-            candidates[sys].push_back(static_cast<double>(stats.candidates));
-          }
-        }
-      }
-    }
+          *candidates = static_cast<double>(stats.candidates);
+          return stats.execution_ms;
+        });
     for (size_t sys = 0; sys < systems.size(); sys++) {
-      std::vector<double> medians;
-      for (const std::vector<double>& runs : times[sys]) {
-        medians.push_back(Median(runs));
-      }
       PrintCell(systems[sys].first);
       PrintCell(static_cast<uint64_t>(side));
-      PrintCell(Median(medians));
-      PrintCell(static_cast<uint64_t>(Median(candidates[sys])));
+      PrintCell(results[sys].time_ms);
+      PrintCell(static_cast<uint64_t>(results[sys].count));
       EndRow();
     }
   }

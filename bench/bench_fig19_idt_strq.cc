@@ -161,35 +161,21 @@ void RunDataset(const char* name, const traj::DatasetSpec& spec,
          sth->SpatioTemporalRangeQuery(rect, ts, te, &tids, stats);
        }},
   };
-  // times[s][i]: system s's runs of query i. Each round runs every query
-  // on every system in turn, so the systems share the host's state; the
-  // order rotates, so no system always runs right after STH's scans have
-  // cooled the caches.
-  std::vector<std::vector<std::vector<double>>> times(
-      systems.size(), std::vector<std::vector<double>>(tws.size()));
-  std::vector<std::vector<double>> candidates(systems.size());
-  for (int round = 0; round < kRepeats; round++) {
-    for (size_t i = 0; i < tws.size(); i++) {
-      for (size_t k = 0; k < systems.size(); k++) {
-        const size_t sys = (k + i + static_cast<size_t>(round)) % systems.size();
+  // STH's scans cool the caches; the rotating order keeps any one system
+  // from always running right after them.
+  const auto results = TimeInterleaved(
+      systems.size(), tws.size(), kRepeats,
+      [&](size_t sys, size_t i, double* candidates) {
         core::QueryStats stats;
         systems[sys].second(sws[i].rect, tws[i].ts, tws[i].te, &stats);
-        times[sys][i].push_back(stats.execution_ms);
-        if (round == 0) {
-          candidates[sys].push_back(static_cast<double>(stats.candidates));
-        }
-      }
-    }
-  }
+        *candidates = static_cast<double>(stats.candidates);
+        return stats.execution_ms;
+      });
   PrintHeader({"system", "time_ms", "candidates"});
   for (size_t sys = 0; sys < systems.size(); sys++) {
-    std::vector<double> medians;
-    for (const std::vector<double>& runs : times[sys]) {
-      medians.push_back(Median(runs));
-    }
     PrintCell(systems[sys].first);
-    PrintCell(Median(medians));
-    PrintCell(static_cast<uint64_t>(Median(candidates[sys])));
+    PrintCell(results[sys].time_ms);
+    PrintCell(static_cast<uint64_t>(results[sys].count));
     EndRow();
   }
 }

@@ -3,7 +3,11 @@
 // TMan, TraSS (XZ* + no index cache inside the same framework), DFT, DITA.
 
 #include <cstdio>
+#include <functional>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "baselines/similarity_baselines.h"
 #include "bench/bench_util.h"
@@ -13,6 +17,13 @@
 
 namespace tman::bench {
 namespace {
+
+constexpr int kRepeats = 5;  // timed runs of each query on each system
+
+// One threshold query on one system: returns its time in ms and stores its
+// exact distance computations in *exact.
+using ThresholdFn = std::function<double(
+    const traj::Trajectory&, geo::SimilarityMeasure measure, double* exact)>;
 
 void Run() {
   const traj::DatasetSpec spec = traj::LorryLikeSpec();
@@ -24,7 +35,6 @@ void Run() {
   std::unique_ptr<core::TMan> tman;
   core::TMan::Open(options, BenchDir("fig20_tman"), &tman);
   tman->BulkLoad(data);
-  tman->Flush();
 
   // TraSS: same framework, XZ* spatial index, no index cache (paper §V-F:
   // TShape with alpha=beta=2 and no cache is XZ*).
@@ -34,7 +44,13 @@ void Run() {
   std::unique_ptr<core::TMan> trass;
   core::TMan::Open(trass_options, BenchDir("fig20_trass"), &trass);
   trass->BulkLoad(data);
+
+  // Quiesce both stores before anything is timed: flush, then compact
+  // everything, so no store's background work runs under another's query.
+  tman->Flush();
+  tman->CompactAll();
   trass->Flush();
+  trass->CompactAll();
 
   baselines::DFT::Options dft_options;
   dft_options.bounds = spec.bounds;
@@ -52,6 +68,32 @@ void Run() {
     query_ids.push_back((i * 37) % data.size());
   }
 
+  auto tman_system = [&](core::TMan* store) -> ThresholdFn {
+    return [&, store](const traj::Trajectory& q,
+                      geo::SimilarityMeasure measure, double* exact) {
+      std::vector<traj::Trajectory> out;
+      core::QueryStats stats;
+      store->ThresholdSimilarityQuery(q, measure, theta, &out, &stats);
+      *exact = static_cast<double>(stats.exact_distance_computations);
+      return stats.execution_ms;
+    };
+  };
+  auto memory_system = [&](auto* baseline) -> ThresholdFn {
+    return [&, baseline](const traj::Trajectory& q,
+                         geo::SimilarityMeasure measure, double* exact) {
+      baselines::SimilarityStats stats;
+      baseline->Threshold(q, measure, theta, &stats);
+      *exact = static_cast<double>(stats.exact_distance_computations);
+      return stats.execution_ms;
+    };
+  };
+  const std::vector<std::pair<std::string, ThresholdFn>> systems = {
+      {"TMan", tman_system(tman.get())},
+      {"TraSS", tman_system(trass.get())},
+      {"DFT", memory_system(&dft)},
+      {"DITA", memory_system(&dita)},
+  };
+
   const struct {
     const char* name;
     geo::SimilarityMeasure measure;
@@ -62,65 +104,24 @@ void Run() {
   };
 
   printf("Fig 20 — threshold similarity (Lorry-like, %zu trajectories, "
-         "theta=%.3f)\n",
-         data.size(), theta);
+         "theta=%.3f; median over queries of each query's median over %d "
+         "runs)\n",
+         data.size(), theta, kRepeats);
   PrintHeader({"measure", "system", "time_ms", "exact_dists"});
 
   for (const auto& m : measures) {
-    {
-      std::vector<double> times, exact;
-      for (size_t id : query_ids) {
-        std::vector<traj::Trajectory> out;
-        core::QueryStats stats;
-        tman->ThresholdSimilarityQuery(data[id], m.measure, theta, &out,
-                                       &stats);
-        times.push_back(stats.execution_ms);
-        exact.push_back(static_cast<double>(stats.exact_distance_computations));
-      }
+    const auto results = TimeInterleaved(
+        systems.size(), query_ids.size(), kRepeats,
+        [&](size_t sys, size_t i, double* exact) {
+          return systems[sys].second(data[query_ids[i]], m.measure, exact);
+        });
+    for (size_t sys = 0; sys < systems.size(); sys++) {
       PrintCell(std::string(m.name));
-      PrintCell(std::string("TMan"));
-      PrintCell(Median(times));
-      PrintCell(static_cast<uint64_t>(Median(exact)));
+      PrintCell(systems[sys].first);
+      PrintCell(results[sys].time_ms);
+      PrintCell(static_cast<uint64_t>(results[sys].count));
       EndRow();
     }
-    {
-      std::vector<double> times, exact;
-      for (size_t id : query_ids) {
-        std::vector<traj::Trajectory> out;
-        core::QueryStats stats;
-        trass->ThresholdSimilarityQuery(data[id], m.measure, theta, &out,
-                                        &stats);
-        times.push_back(stats.execution_ms);
-        exact.push_back(static_cast<double>(stats.exact_distance_computations));
-      }
-      PrintCell(std::string(m.name));
-      PrintCell(std::string("TraSS"));
-      PrintCell(Median(times));
-      PrintCell(static_cast<uint64_t>(Median(exact)));
-      EndRow();
-    }
-    auto report_mem = [&](const std::string& system, auto&& run) {
-      std::vector<double> times, exact;
-      for (size_t id : query_ids) {
-        baselines::SimilarityStats stats;
-        run(data[id], &stats);
-        times.push_back(stats.execution_ms);
-        exact.push_back(static_cast<double>(stats.exact_distance_computations));
-      }
-      PrintCell(std::string(m.name));
-      PrintCell(system);
-      PrintCell(Median(times));
-      PrintCell(static_cast<uint64_t>(Median(exact)));
-      EndRow();
-    };
-    report_mem("DFT", [&](const traj::Trajectory& q,
-                          baselines::SimilarityStats* stats) {
-      dft.Threshold(q, m.measure, theta, stats);
-    });
-    report_mem("DITA", [&](const traj::Trajectory& q,
-                           baselines::SimilarityStats* stats) {
-      dita.Threshold(q, m.measure, theta, stats);
-    });
   }
 }
 

@@ -100,33 +100,16 @@ void Run() {
   PrintHeader({"k", "system", "time_ms", "exact_dists"});
 
   for (size_t k : {1u, 10u, 20u, 50u}) {
-    // times[s][i]: system s's runs of query i. Each round runs every query
-    // on every system in turn, in an order that rotates with the query and
-    // the round, so no system always runs first or right after another.
-    std::vector<std::vector<std::vector<double>>> times(
-        systems.size(), std::vector<std::vector<double>>(query_ids.size()));
-    std::vector<std::vector<double>> exact(systems.size());
-    for (int round = 0; round < kRepeats; round++) {
-      for (size_t i = 0; i < query_ids.size(); i++) {
-        for (size_t s = 0; s < systems.size(); s++) {
-          const size_t sys =
-              (s + i + static_cast<size_t>(round)) % systems.size();
-          double exact_dists = 0;
-          times[sys][i].push_back(
-              systems[sys].second(data[query_ids[i]], k, &exact_dists));
-          if (round == 0) exact[sys].push_back(exact_dists);
-        }
-      }
-    }
+    const auto results = TimeInterleaved(
+        systems.size(), query_ids.size(), kRepeats,
+        [&](size_t sys, size_t i, double* exact) {
+          return systems[sys].second(data[query_ids[i]], k, exact);
+        });
     for (size_t sys = 0; sys < systems.size(); sys++) {
-      std::vector<double> medians;
-      for (const std::vector<double>& runs : times[sys]) {
-        medians.push_back(Median(runs));
-      }
       PrintCell(static_cast<uint64_t>(k));
       PrintCell(systems[sys].first);
-      PrintCell(Median(medians));
-      PrintCell(static_cast<uint64_t>(Median(exact[sys])));
+      PrintCell(results[sys].time_ms);
+      PrintCell(static_cast<uint64_t>(results[sys].count));
       EndRow();
     }
   }

@@ -1,17 +1,18 @@
 // Micro-benchmarks of the LSM key-value substrate (google-benchmark):
 // sequential/random writes, point lookups, range scans, batched writes.
-// The *Metrics variants run the identical workload with an obs registry
-// attached, so comparing e.g. BM_Get vs BM_GetMetrics measures the
-// instrumentation overhead on the hot path (budget: <5%).
+// `--check` runs the telemetry-overhead gate instead (see the end of the
+// file): the put and get workloads on a plain, a metrics-attached and a
+// fully instrumented DB in lockstep, budget <5%.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <new>
 #include <string>
@@ -48,20 +49,11 @@ void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 namespace tman::kv {
 namespace {
 
-// Shared across benchmark repetitions; leaked so registry pointers held by
-// DB instances stay valid for the whole process.
-obs::MetricsRegistry* BenchRegistry() {
-  static obs::MetricsRegistry* registry = new obs::MetricsRegistry();
-  return registry;
-}
-
 std::unique_ptr<DB> OpenFresh(const std::string& name,
-                              obs::MetricsRegistry* metrics = nullptr) {
+                              const Options& options = Options()) {
   const std::string dir = "/tmp/tman_bench/micro_kv_" + name;
   std::filesystem::remove_all(dir);
   std::unique_ptr<DB> db;
-  Options options;
-  options.metrics = metrics;
   DB::Open(options, dir, &db);
   return db;
 }
@@ -96,72 +88,6 @@ void BM_SequentialPut(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SequentialPut);
-
-void BM_SequentialPutMetrics(benchmark::State& state) {
-  auto db = OpenFresh("seqput_metrics", BenchRegistry());
-  const std::string value(100, 'v');
-  uint64_t i = 0;
-  for (auto _ : state) {
-    db->Put(WriteOptions(), KeyOf(i++), value);
-  }
-  ReportStorageCounters(state, db.get());
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SequentialPutMetrics);
-
-// ---------------------------------------------------------------------------
-// Telemetry-plane twins: the identical put/get workloads with the FULL live
-// telemetry plane armed — windowed metrics registry, EventLogListener on
-// Options::listeners, and always-on light tracing (one TraceSpan per op,
-// captured into a TraceRing only past a slow threshold that never trips, the
-// same allocation profile TMan pays per query when slow_query_micros > 0).
-// The <5% gate enforced by --check compares the *Telemetry twins against
-// the *Metrics twins — the plane's delta on top of the metrics registry
-// whose own <5% budget the BM_*Metrics twins have gated since PR 3 — and
-// records the against-plain-DB delta alongside it for reference.
-
-obs::MetricsRegistry* TelemetryRegistry() {
-  static obs::MetricsRegistry* registry = [] {
-    auto* r = new obs::MetricsRegistry();
-    r->EnableWindows(6, 10);
-    return r;
-  }();
-  return registry;
-}
-
-std::unique_ptr<DB> OpenFreshTelemetry(const std::string& name) {
-  static obs::EventLog* event_log = new obs::EventLog(256);
-  static EventLogListener* listener = new EventLogListener(event_log);
-  const std::string dir = "/tmp/tman_bench/micro_kv_" + name;
-  std::filesystem::remove_all(dir);
-  std::unique_ptr<DB> db;
-  Options options;
-  options.metrics = TelemetryRegistry();
-  options.listeners.push_back(listener);
-  DB::Open(options, dir, &db);
-  return db;
-}
-
-obs::TraceRing* BenchTraceRing() {
-  static obs::TraceRing* ring = new obs::TraceRing(32);
-  return ring;
-}
-
-// The write-path plane is listeners + windowed metrics: slow-query
-// tracing arms the query (read) path only — TMan's ingest path carries no
-// spans — so the put twin pays the per-op DrainEvents check and the
-// registry, and the get twin additionally pays the per-op light trace.
-void BM_SequentialPutTelemetry(benchmark::State& state) {
-  auto db = OpenFreshTelemetry("seqput_telemetry");
-  const std::string value(100, 'v');
-  uint64_t i = 0;
-  for (auto _ : state) {
-    db->Put(WriteOptions(), KeyOf(i++), value);
-  }
-  ReportStorageCounters(state, db.get());
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SequentialPutTelemetry);
 
 void BM_RandomPut(benchmark::State& state) {
   auto db = OpenFresh("randput");
@@ -207,44 +133,6 @@ void BM_Get(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_Get);
-
-void BM_GetMetrics(benchmark::State& state) {
-  auto db = OpenFresh("get_metrics", BenchRegistry());
-  const std::string value(100, 'v');
-  const uint64_t n = 100000;
-  for (uint64_t i = 0; i < n; i++) {
-    db->Put(WriteOptions(), KeyOf(i), value);
-  }
-  db->CompactAll();
-  Random rnd(2);
-  std::string result;
-  for (auto _ : state) {
-    db->Get(ReadOptions(), KeyOf(rnd.Uniform(n)), &result);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_GetMetrics);
-
-void BM_GetTelemetry(benchmark::State& state) {
-  auto db = OpenFreshTelemetry("get_telemetry");
-  obs::TraceRing* ring = BenchTraceRing();
-  const std::string value(100, 'v');
-  const uint64_t n = 100000;
-  for (uint64_t i = 0; i < n; i++) {
-    db->Put(WriteOptions(), KeyOf(i), value);
-  }
-  db->CompactAll();
-  Random rnd(2);
-  std::string result;
-  for (auto _ : state) {
-    auto root = std::make_shared<obs::TraceSpan>("get");
-    db->Get(ReadOptions(), KeyOf(rnd.Uniform(n)), &result);
-    root->End();
-    if (root->duration_ms() >= 1e3) ring->Capture(*root);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_GetTelemetry);
 
 void BM_Scan100(benchmark::State& state) {
   auto db = OpenFresh("scan");
@@ -355,36 +243,147 @@ void BM_MultiScanZeroCopy(benchmark::State& state) {
 }
 BENCHMARK(BM_MultiScanZeroCopy);
 
-// Captures per-repetition CPU time so --check can compare twin pairs on
-// the min of repetitions (robust to scheduler noise on shared runners).
-class CaptureReporter : public benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& report) override {
-    for (const Run& run : report) {
-      if (run.run_type == Run::RT_Aggregate) continue;
-      if (run.iterations == 0) continue;
-      // CPU time of the benchmark thread: much steadier than wall time on
-      // shared runners where background flush threads and the scheduler
-      // inject real-time noise.
-      const double ns =
-          run.cpu_accumulated_time * 1e9 / static_cast<double>(run.iterations);
-      auto it = min_ns_.find(run.benchmark_name());
-      if (it == min_ns_.end() || ns < it->second) {
-        min_ns_[run.benchmark_name()] = ns;
-      }
+// ---------------------------------------------------------------------------
+// --check: the telemetry-overhead gate. Each workload runs on three twin
+// DBs: a plain one, one with a metrics registry attached, and one with the
+// full live telemetry plane armed (a windowed registry and an
+// EventLogListener on Options::listeners; on the read path also one light
+// TraceSpan per op, captured into a TraceRing only past a slow threshold
+// that never trips, the allocation profile TMan pays per query when
+// slow_query_micros > 0). TMan's ingest path carries no spans, so the put
+// twin pays no trace. The <5% gate compares the telemetry twin with the
+// metrics twin, the plane's delta on top of the registry, and records its
+// delta over the plain DB beside it.
+//
+// The twins run in lockstep: round r times one batch of operations on
+// every twin, in an order that rotates with r, on the thread's CPU clock.
+// A slow spell of the host then lands on the three batches of a round
+// alike; timed as separate runs, it lands on one twin's runs only, and the
+// gate's readings swung by 10+ points between runs of one binary. A twin's
+// overhead over another is the median over rounds of its batch time over
+// theirs. The put twins write into memtables that hold every put, so none
+// flushes or compacts (checked from their counters): the twins do the same
+// work, and only the plane differs.
+
+constexpr int kCheckRounds = 201;  // odd: the median is one round's ratio
+constexpr int kCheckBatch = 1000;  // operations per twin per round
+constexpr size_t kCheckWriteBuffer = 64 << 20;
+
+enum Twin { kPlain, kMetrics, kTelemetry, kTwins };
+
+// A `write_buffer` of zero keeps the default memtable size. Registries and
+// the listener are leaked so the DBs' pointers to them stay valid.
+std::unique_ptr<DB> OpenTwin(int twin, const std::string& name,
+                             size_t write_buffer = 0) {
+  static obs::MetricsRegistry* metrics = new obs::MetricsRegistry();
+  static obs::MetricsRegistry* windowed = [] {
+    auto* r = new obs::MetricsRegistry();
+    r->EnableWindows(6, 10);
+    return r;
+  }();
+  static EventLogListener* listener =
+      new EventLogListener(new obs::EventLog(256));
+  static const char* const kSuffix[kTwins] = {"", "_metrics", "_telemetry"};
+  Options options;
+  if (write_buffer != 0) options.write_buffer_size = write_buffer;
+  if (twin == kMetrics) options.metrics = metrics;
+  if (twin == kTelemetry) {
+    options.metrics = windowed;
+    options.listeners.push_back(listener);
+  }
+  return OpenFresh(name + kSuffix[twin], options);
+}
+
+double ThreadCpuNs() {
+  timespec ts;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e9 + static_cast<double>(ts.tv_nsec);
+}
+
+// ns[t][r]: the CPU time of twin t's batch in round r, run by batch(t, r).
+template <typename Batch>
+std::vector<std::vector<double>> RunLockstep(Batch batch) {
+  std::vector<std::vector<double>> ns(kTwins);
+  for (int r = 0; r < kCheckRounds; r++) {
+    for (int k = 0; k < kTwins; k++) {
+      const int t = (k + r) % kTwins;
+      const double start = ThreadCpuNs();
+      batch(t, r);
+      ns[t].push_back(ThreadCpuNs() - start);
     }
-    ConsoleReporter::ReportRuns(report);
   }
+  return ns;
+}
 
-  // Min ns/op across repetitions; negative when the benchmark never ran.
-  double MinNs(const std::string& name) const {
-    auto it = min_ns_.find(name);
-    return it == min_ns_.end() ? -1.0 : it->second;
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+// Percent by which `twin`'s batches took longer than `base`'s: the median
+// over rounds of the round's ratio.
+double OverheadPct(const std::vector<double>& base,
+                   const std::vector<double>& twin) {
+  std::vector<double> ratios;
+  for (size_t r = 0; r < base.size(); r++) ratios.push_back(twin[r] / base[r]);
+  return (Median(ratios) - 1.0) * 100.0;
+}
+
+// Sequential puts; sets *background if a twin flushed or compacted.
+std::vector<std::vector<double>> TimePutTwins(bool* background) {
+  std::unique_ptr<DB> dbs[kTwins];
+  for (int t = 0; t < kTwins; t++) {
+    dbs[t] = OpenTwin(t, "check_put", kCheckWriteBuffer);
   }
+  const std::string value(100, 'v');
+  auto ns = RunLockstep([&](int t, int r) {
+    for (int j = 0; j < kCheckBatch; j++) {
+      const uint64_t key = static_cast<uint64_t>(r) * kCheckBatch + j;
+      dbs[t]->Put(WriteOptions(), KeyOf(key), value);
+    }
+  });
+  for (const auto& db : dbs) {
+    const DB::Stats stats = db->GetStats();
+    if (stats.flush_count + stats.compaction_count > 0) *background = true;
+  }
+  return ns;
+}
 
- private:
-  std::map<std::string, double> min_ns_;
-};
+// Random gets over 100k compacted keys, the same keys on every twin; the
+// telemetry twin wraps each in a light trace span.
+std::vector<std::vector<double>> TimeGetTwins() {
+  const std::string value(100, 'v');
+  const uint64_t n = 100000;
+  std::unique_ptr<DB> dbs[kTwins];
+  for (int t = 0; t < kTwins; t++) {
+    dbs[t] = OpenTwin(t, "check_get");
+    for (uint64_t i = 0; i < n; i++) {
+      dbs[t]->Put(WriteOptions(), KeyOf(i), value);
+    }
+    dbs[t]->CompactAll();
+  }
+  Random rnd(2);
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < kCheckRounds * kCheckBatch; i++) {
+    ids.push_back(rnd.Uniform(n));
+  }
+  obs::TraceRing ring(32);
+  std::string result;
+  return RunLockstep([&](int t, int r) {
+    const uint64_t* batch_ids =
+        ids.data() + static_cast<size_t>(r) * kCheckBatch;
+    for (int j = 0; j < kCheckBatch; j++) {
+      if (t != kTelemetry) {
+        dbs[t]->Get(ReadOptions(), KeyOf(batch_ids[j]), &result);
+        continue;
+      }
+      auto root = std::make_shared<obs::TraceSpan>("get");
+      dbs[t]->Get(ReadOptions(), KeyOf(batch_ids[j]), &result);
+      root->End();
+      if (root->duration_ms() >= 1e3) ring.Capture(*root);
+    }
+  });
+}
 
 // Writes the telemetry-overhead result as BENCH_micro_kvstore.json.
 void WriteOverheadJson(double put_pct, double get_pct, double put_vs_plain,
@@ -410,67 +409,35 @@ void WriteOverheadJson(double put_pct, double get_pct, double put_vs_plain,
   printf("wrote BENCH_micro_kvstore.json\n");
 }
 
-}  // namespace
-}  // namespace tman::kv
-
-int main(int argc, char** argv) {
-  bool check = false;
-  std::vector<char*> args;
-  args.push_back(argv[0]);
-  for (int i = 1; i < argc; i++) {
-    if (strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  // --check runs only the telemetry twin pairs, three repetitions each, and
-  // gates on the min-of-reps overhead.
-  static char filter_arg[] =
-      "--benchmark_filter=^BM_(SequentialPut|Get)(Metrics|Telemetry)?$";
-  static char reps_arg[] = "--benchmark_repetitions=5";
-  // Interleaves the repetitions of all twins instead of running each
-  // benchmark's repetitions back-to-back, so slow drift (page cache,
-  // thermal, noisy neighbors) hits baseline and twin alike.
-  static char interleave_arg[] = "--benchmark_enable_random_interleaving=true";
-  if (check) {
-    args.push_back(filter_arg);
-    args.push_back(reps_arg);
-    args.push_back(interleave_arg);
-  }
-  int argc2 = static_cast<int>(args.size());
-  benchmark::Initialize(&argc2, args.data());
-  if (benchmark::ReportUnrecognizedArguments(argc2, args.data())) return 1;
-  tman::kv::CaptureReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  if (!check) return 0;
-
-  const double put_plain = reporter.MinNs("BM_SequentialPut");
-  const double put_metrics = reporter.MinNs("BM_SequentialPutMetrics");
-  const double put_tel = reporter.MinNs("BM_SequentialPutTelemetry");
-  const double get_plain = reporter.MinNs("BM_Get");
-  const double get_metrics = reporter.MinNs("BM_GetMetrics");
-  const double get_tel = reporter.MinNs("BM_GetTelemetry");
-  if (put_plain <= 0 || put_metrics <= 0 || put_tel <= 0 || get_plain <= 0 ||
-      get_metrics <= 0 || get_tel <= 0) {
-    fprintf(stderr, "CHECK FAIL: twin benchmarks did not all run\n");
+int RunOverheadCheck() {
+  bool background = false;
+  const auto put = TimePutTwins(&background);
+  const auto get = TimeGetTwins();
+  if (background) {
+    fprintf(stderr,
+            "CHECK FAIL: a put twin flushed or compacted inside its timed "
+            "loop, so the twins did not do the same work\n");
     return 1;
   }
-  // Gated: the plane's delta over the metrics-attached DB (listeners +
-  // windows + light tracing — what this PR adds on an instrumented store,
-  // whose own budget the *Metrics twins gate). Recorded alongside: the
-  // delta over the bare uninstrumented DB, for reference.
-  const double put_pct = (put_tel / put_metrics - 1.0) * 100.0;
-  const double get_pct = (get_tel / get_metrics - 1.0) * 100.0;
-  const double put_vs_plain = (put_tel / put_plain - 1.0) * 100.0;
-  const double get_vs_plain = (get_tel / get_plain - 1.0) * 100.0;
+  const char* names[kTwins] = {"plain", "metrics", "telemetry"};
+  for (int t = 0; t < kTwins; t++) {
+    printf("%-9s put %7.0f ns/op  get %7.0f ns/op (median batch of %d, %d "
+           "rounds)\n",
+           names[t], Median(put[t]) / kCheckBatch, Median(get[t]) / kCheckBatch,
+           kCheckBatch, kCheckRounds);
+  }
+  // Gated: the plane's delta over the metrics-attached DB. Recorded
+  // alongside: the delta over the bare uninstrumented DB, for reference.
+  const double put_pct = OverheadPct(put[kMetrics], put[kTelemetry]);
+  const double get_pct = OverheadPct(get[kMetrics], get[kTelemetry]);
+  const double put_vs_plain = OverheadPct(put[kPlain], put[kTelemetry]);
+  const double get_vs_plain = OverheadPct(get[kPlain], get[kTelemetry]);
   const bool passed = put_pct < 5.0 && get_pct < 5.0;
   printf("check: telemetry plane overhead vs metrics-attached DB "
          "put=%+.2f%% get=%+.2f%% (budget <5%%); vs plain DB "
          "put=%+.2f%% get=%+.2f%%\n",
          put_pct, get_pct, put_vs_plain, get_vs_plain);
-  tman::kv::WriteOverheadJson(put_pct, get_pct, put_vs_plain, get_vs_plain,
-                              passed);
+  WriteOverheadJson(put_pct, get_pct, put_vs_plain, get_vs_plain, passed);
   if (!passed) {
     fprintf(stderr,
             "CHECK FAIL: telemetry overhead exceeds 5%% budget "
@@ -478,5 +445,18 @@ int main(int argc, char** argv) {
             put_pct, get_pct);
     return 1;
   }
+  return 0;
+}
+
+}  // namespace
+}  // namespace tman::kv
+
+int main(int argc, char** argv) {
+  for (int i = 1; i < argc; i++) {
+    if (strcmp(argv[i], "--check") == 0) return tman::kv::RunOverheadCheck();
+  }
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -54,6 +54,47 @@ inline double Median(const std::vector<double>& values) {
   return Percentile(values, 50);
 }
 
+// One system's row of a figure timed by TimeInterleaved.
+struct InterleavedResult {
+  double time_ms;  // median over queries of each query's median time
+  double count;    // median over queries of the first round's count
+};
+
+// Times `queries` queries on each of `systems` systems, `repeats` runs of
+// each. run(system, query, &count) runs one query and returns its time in
+// ms; `count` is the work the figure reports beside it (candidates, exact
+// distances). Each round runs every query on every system in turn, so the
+// systems share the host's state, in an order that rotates with the query
+// and the round, so no system always runs first or right after another
+// (say, right after a scan-heavy one has cooled the caches).
+template <typename Run>
+std::vector<InterleavedResult> TimeInterleaved(size_t systems, size_t queries,
+                                               int repeats, Run run) {
+  // times[s][i]: system s's runs of query i.
+  std::vector<std::vector<std::vector<double>>> times(
+      systems, std::vector<std::vector<double>>(queries));
+  std::vector<std::vector<double>> counts(systems);
+  for (int round = 0; round < repeats; round++) {
+    for (size_t i = 0; i < queries; i++) {
+      for (size_t k = 0; k < systems; k++) {
+        const size_t sys = (k + i + static_cast<size_t>(round)) % systems;
+        double count = 0;
+        times[sys][i].push_back(run(sys, i, &count));
+        if (round == 0) counts[sys].push_back(count);
+      }
+    }
+  }
+  std::vector<InterleavedResult> results;
+  for (size_t sys = 0; sys < systems; sys++) {
+    std::vector<double> medians;
+    for (const std::vector<double>& runs : times[sys]) {
+      medians.push_back(Median(runs));
+    }
+    results.push_back({Median(medians), Median(counts[sys])});
+  }
+  return results;
+}
+
 // Baseline TMan configuration for a dataset spec; callers override the
 // index kinds per experiment.
 inline core::TManOptions DefaultOptions(const traj::DatasetSpec& spec) {

@@ -385,13 +385,16 @@ class TopKSink::RegionFork : public kv::RowSink {
     }
     if (header.tid == Slice(sink_->query_->tid)) return true;
 
-    // A row whose feature column does not decode has no bound: it is
-    // verified, never pruned.
-    double bound = 0;
-    if (!geo::DPFeatureLowerBound(sink_->query_features_,
-                                  header.dp_blob.data(),
-                                  header.dp_blob.size(), &bound)) {
-      bound = 0;
+    // The header's MBR bound, then the DP-feature bound read in place; a
+    // row whose feature column does not decode keeps the first.
+    double bound =
+        geo::HeaderLowerBound(header.mbr, sink_->query_features_.mbr);
+    if (bound > kth) return true;
+    double dp_bound = 0;
+    if (geo::DPFeatureLowerBound(sink_->query_features_,
+                                 header.dp_blob.data(), header.dp_blob.size(),
+                                 &dp_bound)) {
+      bound = std::max(bound, dp_bound);
     }
     if (bound > kth) return true;
     if (bound <= sink_->cutoff_) {

@@ -133,14 +133,15 @@ class ThresholdVerifySink : public cluster::ScanSink {
 // shared k-best: a sorted array of at most k entries under a mutex, taken
 // only when a verified candidate beats the published k-th distance. The
 // k-th distance is published in an atomic (+inf until k results are held)
-// that forks read lock-free for the DP prune, the kernel bound and the
+// that forks read lock-free for the bound prune, the kernel bound and the
 // cutoff stop. The k-best rejects a tid it already holds, so a trajectory
 // delivered twice is ranked once.
 //
-// A fork verifies in ascending DP-lower-bound order (Hjaltason and Samet's
+// A fork verifies in ascending lower-bound order (Hjaltason and Samet's
 // distance browsing), so the k-th distance tightens before the rows it can
-// prune are reached. Per row, the fork parses the header, bounds the row
-// from its DP-feature column in place, and then
+// prune are reached. Per row, the fork parses the header and bounds the row
+// by the larger of the header's MBR bound (geo::HeaderLowerBound) and the
+// DP-feature bound read in place, and then
 //   - drops the row if its bound exceeds the k-th distance;
 //   - verifies it at once if its bound is at or below `cutoff` (it would be
 //     verified anyway unless the round stops first);

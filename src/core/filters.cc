@@ -50,7 +50,7 @@ bool SpatialRangeFilter::Matches(const Slice& key, const Slice& value) const {
 bool MBRDistanceFilter::Matches(const Slice& key, const Slice& value) const {
   RecordHeader header;
   if (!DecodeRecordHeader(value, &header)) return false;
-  const double lower_bound = geo::MBRLowerBound(header.mbr, query_mbr_);
+  const double lower_bound = geo::HeaderLowerBound(header.mbr, query_mbr_);
   if (lower_bound > radius_) return false;
   if (lower_bound > previous_radius_) return true;
   // Sorted, disjoint windows: only the last one starting at or before the
@@ -68,7 +68,7 @@ bool SimilarityFilter::Matches(const Slice& key, const Slice& value) const {
   (void)key;
   RecordHeader header;
   if (!DecodeRecordHeader(value, &header)) return false;
-  if (geo::MBRLowerBound(header.mbr, query_features_.mbr) > threshold_) {
+  if (geo::HeaderLowerBound(header.mbr, query_features_.mbr) > threshold_) {
     return false;
   }
   double bound = 0;

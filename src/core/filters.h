@@ -52,9 +52,10 @@ class SpatialRangeFilter : public kv::ScanFilter {
 
 // Similarity pre-filter (the third push-down filter of §V-G): keeps rows
 // whose trajectory *could* be within `threshold` of the query, judged by
-// the MBR lower bound and then the DP-feature lower bound — both readable
-// from the row header/feature column without decompressing points. Rows
-// passing this filter still need exact verification by the caller.
+// the header's MBR bound (geo::HeaderLowerBound), then the DP-feature bound
+// — all readable from the row header/feature column without decompressing
+// points. Rows passing this filter still need exact verification by the
+// caller.
 class SimilarityFilter : public kv::ScanFilter {
  public:
   SimilarityFilter(geo::DPFeatures query_features, double threshold)
@@ -68,15 +69,15 @@ class SimilarityFilter : public kv::ScanFilter {
 };
 
 // The pushed-down global filter of the expanding-radius top-k search. Keeps
-// rows whose trajectory MBR lies within `radius` of the query MBR (a
-// lower-bound test on the row header only), except the rows the previous
-// round already delivered: those inside its windows whose lower bound is
-// at or below its radius. Each row then reaches the top-k sink at most once
-// per query. The previous windows are part of the test because the spatial
-// index prunes by the cells a trajectory visits, not its MBR: a row within
-// the previous radius by MBR may first enter a later round's windows.
-// Round 0 passes no previous windows, so it keeps every row within
-// `radius`, distance 0 included.
+// rows whose header bound (geo::HeaderLowerBound) is within `radius`,
+// except the rows the previous round already delivered: those inside its
+// windows whose bound is at or below its radius. Every round tests the same
+// bound, so each row reaches the top-k sink at most once per query. The
+// previous windows are part of the test because the spatial index prunes by
+// the cells a trajectory visits, not its MBR: a row within the previous
+// radius by its bound may first enter a later round's windows. Round 0
+// passes no previous windows, so it keeps every row within `radius`,
+// distance 0 included.
 class MBRDistanceFilter : public kv::ScanFilter {
  public:
   // `previous_windows` are sorted by start key and disjoint (the planner's

@@ -1,6 +1,7 @@
 #include "core/planner.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "core/filters.h"
@@ -179,16 +180,30 @@ Status QueryPlanner::PlanSimilarityCandidates(
     return Status::NotSupported(
         "similarity queries require a spatial primary index");
   }
-  // Expand per axis: the radius is in data coordinates.
-  geo::MBR expanded = query_mbr;
-  expanded.min_x -= radius;
-  expanded.max_x += radius;
-  expanded.min_y -= radius;
-  expanded.max_y += radius;
-
-  const geo::MBR norm_rect = NormalizeRect(expanded);
-  const std::vector<index::ValueRange> ranges =
-      SpatialQueryRanges(norm_rect, plan);
+  std::vector<index::ValueRange> ranges;
+  if (options_->spatial == SpatialIndexKind::kTShape) {
+    // The coverage walk (DESIGN.md "Similarity planning"). Normalizing
+    // rounds on the scale of the data coordinates, so the radius grows by
+    // far more than that rounding: the plan may only err wide.
+    const traj::SpatialBounds& bounds = options_->bounds;
+    const double scale = std::max(
+        {std::abs(query_mbr.min_x), std::abs(query_mbr.max_x),
+         std::abs(query_mbr.min_y), std::abs(query_mbr.max_y),
+         std::abs(bounds.min_lon), std::abs(bounds.max_lon),
+         std::abs(bounds.min_lat), std::abs(bounds.max_lat)});
+    const double reach = radius + 1e-12 * (radius + scale);
+    index::TShapeIndex::QueryStats qs;
+    ranges = tshape_->CoverageRanges(bounds.Normalize(query_mbr),
+                                     reach / bounds.width(),
+                                     reach / bounds.height(), catalog_, &qs);
+    plan->elements_visited += qs.elements_visited;
+    plan->shapes_checked += qs.shapes_checked;
+  } else {
+    // XZ2 and XZ*: spatial windows of the MBR expanded per axis (the
+    // radius is in data coordinates).
+    ranges = SpatialQueryRanges(NormalizeRect(query_mbr.Expanded(radius)),
+                                plan);
+  }
   plan->kind = PlanKind::kPrimaryScan;
   plan->scan_table = PlanTable::kPrimary;
   plan->name = name;

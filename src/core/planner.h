@@ -96,9 +96,11 @@ class QueryPlanner {
   Status PlanIDTemporal(const std::string& oid, int64_t ts, int64_t te,
                         QueryPlan* plan) const;
 
-  // Candidate retrieval for similarity queries (§V-G): spatial windows
-  // around `query_mbr` expanded by `radius`, with `filter` pushed down.
-  // Requires a spatial primary index.
+  // Candidate retrieval for similarity queries (§V-G): windows holding
+  // every row within `radius` of a probe whose MBR is `query_mbr`, with
+  // `filter` pushed down. TShape plans by coverage
+  // (TShapeIndex::CoverageRanges); XZ2 and XZ* scan the spatial windows of
+  // `query_mbr` expanded by `radius`. Requires a spatial primary index.
   Status PlanSimilarityCandidates(const geo::MBR& query_mbr, double radius,
                                   std::unique_ptr<kv::ScanFilter> filter,
                                   const std::string& name,

@@ -169,6 +169,15 @@ double MBRLowerBound(const MBR& a, const MBR& b) {
   return std::sqrt(a.MinSquaredDistance(b));
 }
 
+double MBRCoverBound(const MBR& a, const MBR& b) {
+  return std::max({std::abs(a.min_x - b.min_x), std::abs(a.max_x - b.max_x),
+                   std::abs(a.min_y - b.min_y), std::abs(a.max_y - b.max_y)});
+}
+
+double HeaderLowerBound(const MBR& a, const MBR& b) {
+  return std::max(MBRLowerBound(a, b), MBRCoverBound(a, b));
+}
+
 namespace {
 
 // The bound's terms that need only the candidate's MBR, in

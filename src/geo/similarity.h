@@ -40,6 +40,18 @@ double ExactDistanceWithin(SimilarityMeasure measure,
 // below as well since DTW sums >= max step >= gap).
 double MBRLowerBound(const MBR& a, const MBR& b);
 
+// Coverage bound: the largest amount by which one MBR sticks out of the
+// other on any of the four sides, or 0 if neither does. All three measures
+// match every point of each trajectory to a point of the other, so each
+// side of one trajectory's MBR lies within the distance of the same side
+// of the other's. The terms are differences of coordinates, and rounding
+// is monotone, so the bound never exceeds the computed distance either.
+double MBRCoverBound(const MBR& a, const MBR& b);
+
+// The bound from the two MBRs alone, all a row header holds: the larger of
+// MBRLowerBound and MBRCoverBound. Every similarity row filter tests this.
+double HeaderLowerBound(const MBR& a, const MBR& b);
+
 // Tighter lower bound from DP-features (TraSS local filter): the largest of
 // the MBR gap, the distance from each query representative point to the
 // candidate's MBR, and the distance from each candidate representative

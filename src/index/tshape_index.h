@@ -107,6 +107,30 @@ class TShapeIndex {
                                       const ShapeCatalogView* catalog,
                                       QueryStats* stats = nullptr) const;
 
+  // Candidates of a similarity query (DESIGN.md "Similarity planning"): a
+  // superset of the index values of every row whose trajectory C lies
+  // within distance eps of a probe P under discrete Fréchet, DTW or
+  // Hausdorff. `probe` is P's normalized MBR (not clamped) and `eps_x`,
+  // `eps_y` are eps in normalized units per axis. Each measure matches
+  // every point of C to a point of P and back, so C lies inside B, the
+  // probe grown by eps, and P's MBR lies inside C's grown by eps. The walk
+  //   - skips a cell with its whole subtree unless the probe, clamped into
+  //     the unit square, lies inside the cell's enlarged rectangle grown by
+  //     eps;
+  //   - keeps a shape only if every cell it sets meets B;
+  //   - emits a whole subtree once its enlarged rectangle lies inside the
+  //     clamped probe grown by eps, when the finest elements could still
+  //     cover the probe.
+  // It consults `catalog` as QueryRanges does (occupancy pruning, runs of
+  // kept shapes spanning the unused codes); without one, every element the
+  // subtree rule keeps contributes its entire shape-code range. The walk
+  // widens eps by far more than its own rounding; callers widen it for
+  // the rounding of their normalization.
+  std::vector<ValueRange> CoverageRanges(const geo::MBR& probe, double eps_x,
+                                         double eps_y,
+                                         const ShapeCatalogView* catalog,
+                                         QueryStats* stats = nullptr) const;
+
   // The rectangle of the full enlarged element of `anchor`.
   geo::MBR EnlargedRect(const QuadCell& anchor) const;
 

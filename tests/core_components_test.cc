@@ -431,13 +431,16 @@ TEST(FiltersTest, MalformedValueRejected) {
 
 // The top-k rounds' filters over radii r0 * 2^i deliver each row once. The
 // model planner puts a row in round r's windows once radius r reaches its
-// "cell distance", which is at least its MBR lower bound and for half the
-// rows larger, as with TShape's shape pruning: such a row can enter the
-// windows rounds after its lower bound fell inside the radius, and must be
-// delivered then.
+// "cell distance". As with TShape's coverage plan, that distance misses the
+// filter's bound (geo::HeaderLowerBound) both ways: a third of the
+// rows enter the windows rounds after their bound fell inside the radius,
+// and must be delivered then; a third enter them before, and the filter
+// holds them back until the radius reaches their bound. Coordinates and
+// radii are dyadic, so a row moved from the query by exactly a radius has
+// exactly that bound, and must be delivered in that radius's round.
 TEST(FiltersTest, MBRDistanceRoundsDeliverEachRowOnce) {
-  const geo::MBR query{116.40, 39.90, 116.41, 39.91};
-  constexpr double kR0 = 0.002;
+  const geo::MBR query{116.40625, 39.90625, 116.4140625, 39.9140625};
+  constexpr double kR0 = 1.0 / 512;
   constexpr int kRounds = 8;
   std::vector<double> radii;
   for (int i = 0; i < kRounds; i++) radii.push_back(kR0 * (1 << i));
@@ -446,26 +449,43 @@ TEST(FiltersTest, MBRDistanceRoundsDeliverEachRowOnce) {
   constexpr int kRows = 2000;
   std::vector<std::string> keys, values;
   std::vector<double> lower_bounds, cell_distances;
+  std::vector<int> exact_round(kRows, -1);
   for (int i = 0; i < kRows; i++) {
     // Random MBRs around the query, from overlapping it to well beyond the
-    // last radius; every tenth one overlaps the query (distance 0).
-    const double cx = i % 10 == 0 ? 116.405 : rng.UniformDouble(115.9, 116.9);
-    const double cy = i % 10 == 0 ? 39.905 : rng.UniformDouble(39.4, 40.4);
+    // last radius. Every tenth one is the query's own MBR (bound 0), and
+    // every tenth from the fifth is the query's moved east by a radius.
+    const double cx = rng.UniformDouble(115.9, 116.9);
+    const double cy = rng.UniformDouble(39.4, 40.4);
     traj::Trajectory t;
     t.oid = "o" + std::to_string(i);
     t.tid = t.oid + "-t";
     t.points = {geo::TimedPoint{cx, cy, 1000},
                 geo::TimedPoint{cx + rng.UniformDouble(0, 0.01),
                                 cy + rng.UniformDouble(0, 0.01), 1030}};
+    double shift = 0;
+    if (i % 10 == 5) {
+      exact_round[i] = (i / 10) % kRounds;
+      shift = radii[exact_round[i]];
+    }
+    if (i % 10 == 0 || i % 10 == 5) {
+      t.points = {geo::TimedPoint{query.min_x + shift, query.min_y, 1000},
+                  geo::TimedPoint{query.max_x + shift, query.max_y, 1030}};
+    }
     char key[16];
     snprintf(key, sizeof(key), "k%05d", i);
     keys.push_back(key);
     values.push_back(EncodeFor(t));
     RecordHeader header;
     ASSERT_TRUE(DecodeRecordHeader(values.back(), &header));
-    lower_bounds.push_back(geo::MBRLowerBound(header.mbr, query));
-    cell_distances.push_back(lower_bounds.back() +
-                             (i % 2 == 0 ? rng.UniformDouble(0, 0.05) : 0));
+    lower_bounds.push_back(geo::HeaderLowerBound(header.mbr, query));
+    const double miss = exact_round[i] >= 0 ? 0 : rng.UniformDouble(0, 0.05);
+    cell_distances.push_back(
+        i % 3 == 0   ? lower_bounds.back() + miss
+        : i % 3 == 1 ? std::max(0.0, lower_bounds.back() - miss)
+                     : lower_bounds.back());
+    if (exact_round[i] >= 0) {
+      ASSERT_EQ(lower_bounds.back(), shift) << "row " << i;
+    }
   }
   // Round r's windows: sorted, disjoint ranges over the rows whose cell
   // distance is within its radius.
@@ -503,13 +523,19 @@ TEST(FiltersTest, MBRDistanceRoundsDeliverEachRowOnce) {
     previous = std::move(windows);
   }
 
-  size_t late = 0, beyond = 0;
+  size_t late = 0, early = 0, beyond = 0, first_round_zero = 0, exact = 0;
   for (int i = 0; i < kRows; i++) {
-    if (cell_distances[i] <= radii.back()) {
+    if (cell_distances[i] <= radii.back() &&
+        lower_bounds[i] <= radii.back()) {
       EXPECT_EQ(deliveries[i], 1) << "row " << i;
-      // Delivered in a round after its lower bound fell inside the radius.
+      // Delivered in a round after its bound fell inside the radius.
       if (first_round[i] > 0 && lower_bounds[i] <= radii[first_round[i] - 1]) {
         late++;
+      }
+      // Delivered in a round after it entered the windows.
+      if (first_round[i] > 0 &&
+          cell_distances[i] <= radii[first_round[i] - 1]) {
+        early++;
       }
     } else {
       EXPECT_EQ(deliveries[i], 0) << "row " << i;
@@ -517,10 +543,19 @@ TEST(FiltersTest, MBRDistanceRoundsDeliverEachRowOnce) {
     }
     if (lower_bounds[i] == 0 && cell_distances[i] <= radii[0]) {
       EXPECT_EQ(first_round[i], 0) << "row " << i;
+      first_round_zero++;
+    }
+    if (exact_round[i] >= 0) {
+      EXPECT_EQ(first_round[i], exact_round[i]) << "row " << i;
+      exact++;
     }
   }
-  // The sample covers late rows and both sides of the last radius.
+  // The sample covers late and early rows, both sides of the last radius,
+  // rows at bound 0 in round 0's windows, and rows at every radius.
   EXPECT_GT(late, 0u);
+  EXPECT_GT(early, 0u);
+  EXPECT_GT(first_round_zero, 0u);
+  EXPECT_GE(exact, static_cast<size_t>(kRounds));
   EXPECT_GT(beyond, 0u);
   EXPECT_LT(beyond, static_cast<size_t>(kRows));
 }

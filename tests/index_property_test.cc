@@ -10,6 +10,7 @@
 #include <set>
 
 #include "common/random.h"
+#include "geo/similarity.h"
 #include "index/quadkey.h"
 #include "index/shape_encoding.h"
 #include "index/tr_index.h"
@@ -357,6 +358,146 @@ TEST_P(TShapeSweep, GappedCodesKeepTheDenseRanges) {
       }
     }
   }
+}
+
+// A random walk of `n` points from (x, y), each step up to `step` per axis.
+std::vector<geo::TimedPoint> RandomWalk(Random* rnd, double x, double y,
+                                        double step, int n) {
+  std::vector<geo::TimedPoint> points;
+  for (int i = 0; i < n; i++) {
+    points.push_back(geo::TimedPoint{x, y, i * 30});
+    x += rnd->UniformDouble(-step, step);
+    y += rnd->UniformDouble(-step, step);
+  }
+  return points;
+}
+
+// `points` with every coordinate moved by up to `jitter`.
+std::vector<geo::TimedPoint> Jittered(Random* rnd,
+                                      std::vector<geo::TimedPoint> points,
+                                      double jitter) {
+  for (geo::TimedPoint& p : points) {
+    p.x += rnd->UniformDouble(-jitter, jitter);
+    p.y += rnd->UniformDouble(-jitter, jitter);
+  }
+  return points;
+}
+
+bool InUnitSquare(const geo::MBR& mbr) {
+  return mbr.min_x >= 0 && mbr.min_y >= 0 && mbr.max_x <= 1 &&
+         mbr.max_y <= 1;
+}
+
+// The similarity plan keeps every match: each trajectory within eps of the
+// probe under discrete Fréchet, DTW or Hausdorff (by brute force) has its
+// index value inside CoverageRanges, with a catalog and without one. eps
+// is always some trajectory's exact distance, so a candidate lies at eps.
+// The rows span every size, from a few finest cells to larger than the
+// coarse elements; some leave the unit square on each side, and one sits
+// wholly outside it, so Encode gives it the anchor cell as a fallback
+// shape. Probes are jittered copies of rows, so they too are large (the
+// subtree rule then cuts the fine levels), small and outside the bounds.
+TEST_P(TShapeSweep, CoverageKeepsEveryMatch) {
+  const auto [alpha, beta] = GetParam();
+  const int g = 12;
+  TShapeIndex idx(TShapeConfig{alpha, beta, g});
+  Random rnd(alpha * 19 + beta);
+
+  std::vector<std::vector<geo::TimedPoint>> rows;
+  for (int i = 0; i < 160; i++) {
+    const double step = i % 4 == 0   ? rnd.UniformDouble(0.02, 0.08)
+                        : i % 4 == 1 ? rnd.UniformDouble(0.002, 0.01)
+                                     : rnd.UniformDouble(0.0001, 0.001);
+    double x = rnd.UniformDouble(0.1, 0.9);
+    double y = rnd.UniformDouble(0.1, 0.9);
+    if (i % 5 == 0) x = rnd.Uniform(2) == 0 ? rnd.UniformDouble(-0.03, 0.01)
+                                            : rnd.UniformDouble(0.99, 1.03);
+    if (i % 7 == 0) y = rnd.Uniform(2) == 0 ? rnd.UniformDouble(-0.03, 0.01)
+                                            : rnd.UniformDouble(0.99, 1.03);
+    rows.push_back(RandomWalk(&rnd, x, y, step, 4 + i % 17));
+  }
+  // Past the right edge, beyond the last cell's enlarged element.
+  rows.push_back({geo::TimedPoint{1.02, 0.5, 0},
+                  geo::TimedPoint{1.0203, 0.5003, 30},
+                  geo::TimedPoint{1.0201, 0.5006, 60}});
+  const size_t fallback_row = rows.size() - 1;
+
+  std::map<uint64_t, ShapeList> elements;
+  std::vector<uint64_t> values;
+  for (const auto& points : rows) {
+    const TShapeEncoding enc = idx.Encode(points);
+    ShapeList& shapes = elements[enc.quad_code];
+    auto it = std::find_if(shapes.begin(), shapes.end(), [&](const auto& s) {
+      return s.first == enc.shape;
+    });
+    // Final codes in order of arrival, as an element's first shapes get.
+    const uint32_t code = it != shapes.end()
+                              ? it->second
+                              : static_cast<uint32_t>(shapes.size());
+    if (it == shapes.end()) shapes.emplace_back(enc.shape, code);
+    values.push_back(idx.IndexValue(enc.quad_code, code));
+  }
+  {
+    const TShapeEncoding enc = idx.Encode(rows[fallback_row]);
+    ASSERT_EQ(enc.shape, 1u);
+    ASSERT_FALSE(geo::PolylineIntersectsRect(rows[fallback_row],
+                                             enc.anchor.Rect()))
+        << "the row must hold the fallback shape, not a visited cell";
+  }
+  const MapCatalog catalog(elements);
+
+  size_t matches = 0, outside = 0, fallback = 0, large = 0;
+  for (int q = 0; q < 60; q++) {
+    const size_t source =
+        q == 0 ? fallback_row : static_cast<size_t>(rnd.Uniform(rows.size()));
+    const geo::MBR source_mbr = geo::ComputeMBR(rows[source]);
+    const double extent =
+        std::max(source_mbr.width(), source_mbr.height()) + 1e-4;
+    const std::vector<geo::TimedPoint> probe =
+        Jittered(&rnd, rows[source], extent * rnd.UniformDouble(0, 0.3));
+    const geo::MBR probe_mbr = geo::ComputeMBR(probe);
+    for (const auto measure :
+         {geo::SimilarityMeasure::kFrechet, geo::SimilarityMeasure::kDTW,
+          geo::SimilarityMeasure::kHausdorff}) {
+      std::vector<double> distances;
+      for (const auto& points : rows) {
+        distances.push_back(geo::ExactDistance(measure, probe, points));
+      }
+      std::vector<double> sorted = distances;
+      std::sort(sorted.begin(), sorted.end());
+      const double eps = sorted[rnd.Uniform(6)];
+      SCOPED_TRACE("probe " + std::to_string(q) + " measure " +
+                   std::to_string(static_cast<int>(measure)) + " eps " +
+                   std::to_string(eps));
+      TShapeIndex::QueryStats with_stats, without_stats;
+      const auto with_catalog =
+          idx.CoverageRanges(probe_mbr, eps, eps, &catalog, &with_stats);
+      const auto without_catalog =
+          idx.CoverageRanges(probe_mbr, eps, eps, nullptr, &without_stats);
+      for (size_t i = 0; i < rows.size(); i++) {
+        if (distances[i] > eps) continue;
+        matches++;
+        const geo::MBR mbr = geo::ComputeMBR(rows[i]);
+        outside += !InUnitSquare(mbr);
+        fallback += i == fallback_row;
+        // A probe larger than the enlarged element of every cell at
+        // resolution 6 or finer: the subtree rule cuts those levels.
+        large += std::max(probe_mbr.width() / alpha,
+                          probe_mbr.height() / beta) > 1.0 / 64;
+        EXPECT_TRUE(Covers(with_catalog, values[i], values[i]))
+            << "catalog plan missed row " << i << " at distance "
+            << distances[i];
+        EXPECT_TRUE(Covers(without_catalog, values[i], values[i]))
+            << "no-catalog plan missed row " << i << " at distance "
+            << distances[i];
+      }
+    }
+  }
+  // The sample reaches every case the rules have to get right.
+  EXPECT_GT(matches, 200u);
+  EXPECT_GT(outside, 10u);
+  EXPECT_GT(fallback, 0u);
+  EXPECT_GT(large, 10u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, TShapeSweep,

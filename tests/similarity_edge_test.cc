@@ -242,18 +242,23 @@ TEST(SimilarityFilterTest, NeverRejectsTrueMatches) {
 // column.
 TEST(SimilarityFilterTest, UndecodableFeatureColumnKeepsTheRow) {
   // An L-shaped query whose corner (1, 0) is a representative point, and a
-  // candidate inside the query's MBR, far from that corner: the MBR bound
-  // is 0, the DP bound about 1.27.
+  // candidate whose MBR stops 0.4 short of the query MBR's right and bottom
+  // sides: the header bounds (coverage 0.4, MBR gap 0) cannot reject it at
+  // 0.5, the DP bound (the corner's distance to the candidate's MBR, about
+  // 0.57) does.
   traj::Trajectory query;
   query.points = {geo::TimedPoint{0, 0, 0}, geo::TimedPoint{1, 0, 10},
                   geo::TimedPoint{1, 1, 20}};
   const geo::DPFeatures query_features =
       geo::ExtractDPFeatures(query.points, 4);
   traj::Trajectory candidate;
-  candidate.points = {geo::TimedPoint{0, 0.9, 0},
-                      geo::TimedPoint{0.1, 1, 10}};
+  candidate.points = {geo::TimedPoint{0, 0.4, 0},
+                      geo::TimedPoint{0.6, 1, 10}};
   std::string value;
   ASSERT_TRUE(EncodeRecord(candidate, 4, &value));
+  const geo::MBR candidate_mbr = geo::ComputeMBR(candidate.points);
+  ASSERT_LE(geo::MBRCoverBound(candidate_mbr, query_features.mbr), 0.5);
+  ASSERT_LE(geo::MBRLowerBound(candidate_mbr, query_features.mbr), 0.5);
   SimilarityFilter filter(query_features, 0.5);
   EXPECT_FALSE(filter.Matches("k", value));
 

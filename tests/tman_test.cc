@@ -48,6 +48,9 @@ class TManQueryTest : public ::testing::Test {
   static void SetUpTestSuite() {
     spec_ = new traj::DatasetSpec(traj::TDriveLikeSpec());
     data_ = new std::vector<traj::Trajectory>(traj::Generate(*spec_, 400, 99));
+    data_->push_back(GridProbe());
+    data_->back().tid = "grid-copy";
+    for (auto& p : data_->back().points) p.x += kGridShift;
     tman_ = new std::unique_ptr<TMan>;
     TManOptions options = SmallOptions(*spec_);
     ASSERT_TRUE(TMan::Open(options, TestDir("query"), tman_).ok());
@@ -62,6 +65,22 @@ class TManQueryTest : public ::testing::Test {
     tman_ = nullptr;
     data_ = nullptr;
     spec_ = nullptr;
+  }
+
+  // A probe on a 2^-12 degree grid (trip 7's path, rounded). The fixture
+  // stores a copy of it moved east by kGridShift, so every coordinate
+  // difference is exact and the copy lies at exactly kGridShift from the
+  // probe under Fréchet and Hausdorff.
+  static constexpr double kGridShift = 1.0 / 64;
+  static traj::Trajectory GridProbe() {
+    traj::Trajectory probe = (*data_)[7];
+    probe.oid = "grid";
+    probe.tid = "grid-probe";
+    for (auto& p : probe.points) {
+      p.x = std::round(p.x * 4096) / 4096;
+      p.y = std::round(p.y * 4096) / 4096;
+    }
+    return probe;
   }
 
   static std::set<std::string> Tids(const std::vector<traj::Trajectory>& v) {
@@ -154,26 +173,73 @@ TEST_F(TManQueryTest, IDTemporalQueryMatchesBruteForce) {
   }
 }
 
+// Every measure, several probes (stored trips, jittered copies and the
+// grid probe) and thresholds: a fixed one and two stored trips' exact
+// distances, so a candidate lies at exactly the threshold.
 TEST_F(TManQueryTest, ThresholdSimilarityMatchesBruteForce) {
-  const traj::Trajectory& query = (*data_)[7];
-  const double threshold = 0.02;  // degrees
-  for (auto measure : {geo::SimilarityMeasure::kFrechet,
-                       geo::SimilarityMeasure::kHausdorff}) {
-    std::vector<traj::Trajectory> results;
-    QueryStats stats;
-    ASSERT_TRUE((*tman_)
-                    ->ThresholdSimilarityQuery(query, measure, threshold,
-                                               &results, &stats)
-                    .ok());
-    std::set<std::string> expected;
-    for (const auto& t : *data_) {
-      if (geo::ExactDistance(measure, query.points, t.points) <= threshold) {
-        expected.insert(t.tid);
+  Random rnd(157);
+  std::vector<traj::Trajectory> probes = {(*data_)[7], (*data_)[50],
+                                          GridProbe()};
+  for (const size_t i : {size_t{120}, size_t{233}}) {
+    traj::Trajectory probe = (*data_)[i];
+    probe.tid = "jittered-" + std::to_string(i);
+    for (auto& p : probe.points) {
+      p.x += rnd.UniformDouble(-0.003, 0.003);
+      p.y += rnd.UniformDouble(-0.003, 0.003);
+    }
+    probes.push_back(std::move(probe));
+  }
+  size_t matches = 0;
+  for (const auto measure :
+       {geo::SimilarityMeasure::kFrechet, geo::SimilarityMeasure::kDTW,
+        geo::SimilarityMeasure::kHausdorff}) {
+    for (const traj::Trajectory& probe : probes) {
+      std::vector<double> distances;
+      for (const auto& t : *data_) {
+        distances.push_back(
+            geo::ExactDistance(measure, probe.points, t.points));
+      }
+      std::vector<double> sorted = distances;
+      std::sort(sorted.begin(), sorted.end());
+      for (const double threshold : {0.02, sorted[2], sorted[6]}) {
+        SCOPED_TRACE(probe.tid + " measure " +
+                     std::to_string(static_cast<int>(measure)) +
+                     " threshold " + std::to_string(threshold));
+        std::vector<traj::Trajectory> results;
+        QueryStats stats;
+        ASSERT_TRUE((*tman_)
+                        ->ThresholdSimilarityQuery(probe, measure, threshold,
+                                                   &results, &stats)
+                        .ok());
+        std::set<std::string> expected;
+        for (size_t i = 0; i < data_->size(); i++) {
+          if (distances[i] <= threshold) expected.insert((*data_)[i].tid);
+        }
+        EXPECT_EQ(Tids(results), expected);
+        matches += expected.size();
+        // Pruning must have avoided computing every exact distance (a DTW
+        // sum over a whole trip can reach degrees, which prunes nothing).
+        if (threshold == 0.02) {
+          EXPECT_LT(stats.exact_distance_computations, data_->size());
+        }
       }
     }
-    EXPECT_EQ(Tids(results), expected);
-    // Pruning must have avoided computing every exact distance.
-    EXPECT_LT(stats.exact_distance_computations, data_->size());
+  }
+  EXPECT_GT(matches, 60u);
+
+  // The stored copy at exactly kGridShift along x.
+  const traj::Trajectory grid = GridProbe();
+  for (const auto measure : {geo::SimilarityMeasure::kFrechet,
+                             geo::SimilarityMeasure::kHausdorff}) {
+    ASSERT_EQ(geo::ExactDistance(measure, grid.points, data_->back().points),
+              kGridShift);
+    std::vector<traj::Trajectory> results;
+    ASSERT_TRUE((*tman_)
+                    ->ThresholdSimilarityQuery(grid, measure, kGridShift,
+                                               &results)
+                    .ok());
+    EXPECT_EQ(Tids(results).count("grid-copy"), 1u)
+        << "measure " << static_cast<int>(measure);
   }
 }
 
